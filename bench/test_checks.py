@@ -122,6 +122,21 @@ def test_check_round_fails_a_perturbed_level_and_flags_its_error_norm():
     assert (verdict.failed, verdict.correct) == (1, False)
 
 
+def test_fingerprint_repeats_for_identical_runs_and_catches_a_changed_output():
+    case = mb.ManufacturedCase.standard("S1", 1)
+    wl = workloads.Workload("s1b1", (
+        workloads.Level(case, mb.MovingBoundary.b1(1), 8, 2.0 ** -3),
+    ), post="errors")
+    clock = workloads.MarchClock()
+    try:
+        first, second = ([workloads.run_level(wl, wl.levels[0], clock)] for _ in range(2))
+    finally:
+        mb.verification.advance = clock._advance
+    assert workloads.fingerprint(first) == workloads.fingerprint(second)
+    second[0].trajectory.d[-1] = second[0].trajectory.d[-1] + 1e-12
+    assert workloads.fingerprint(first) != workloads.fingerprint(second)
+
+
 def test_tracer_reports_every_layer_and_restores_the_package():
     originals = (mb.newmark.build_step_operators, mb.fem.HermiteSpace.scatter, mb.newmark.spla)
     tracer = Tracer()

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import functools
 import sys
-import time
 from collections import defaultdict
 
 import scipy.linalg
 import scipy.sparse.linalg
+
+import speed
 
 # span -> nested spans whose time is not part of its self time
 SELF_EXCLUDES = {
@@ -87,12 +88,12 @@ class Tracer:
                 return fn(*args, **kwargs)
             frame = [name, 0.0]
             tracer._stack.append(frame)
-            t0 = time.perf_counter()
+            t0 = speed.now()
             try:
                 return fn(*args, **kwargs)
             finally:
                 tracer._stack.pop()
-                tracer._close(name, time.perf_counter() - t0, frame[1])
+                tracer._close(name, speed.now() - t0, frame[1])
 
         return span
 

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import json
 import math
+import statistics
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ import movingbeam as mb
 
 import checks
 import run
+import speed
 import workloads
 from spans import Tracer
 
@@ -160,6 +163,19 @@ def test_tracer_reports_every_layer_and_restores_the_package():
     assert 0.0 < values["newmark.step_operators_self_s"] < values["newmark.step_operators_s"]
     assert 0.0 < values["newmark.solve_self_s"] < values["newmark.newton_s"]
     assert values["manufactured.source_s"] < values["fem.assemble_load_s"]
+
+
+def test_speed_clock_leaves_out_the_samples_and_scales_by_their_mean():
+    speed.take()
+    t0, c0 = time.perf_counter(), speed.now()
+    speed._sample()
+    speed._sample()
+    measured, clocked = time.perf_counter() - t0, speed.now() - c0
+    assert clocked < 0.05 * measured
+    samples = list(speed._samples)
+    assert len(samples) == 2
+    assert speed.take() == pytest.approx(speed.REF_S / statistics.fmean(samples))
+    assert not speed._samples
 
 
 def test_benchmark_json_names_the_metrics_the_workloads_report():

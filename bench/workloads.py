@@ -3,7 +3,8 @@
 Start it through ``bench/run.py``, which pins the BLAS/OpenMP threads and
 puts ``src/`` on the path.  A run repeats whole rounds of its workload until
 ``--seconds`` are spent and reports medians over the rounds; every round
-attempts the same operations, one per refinement level.
+attempts the same operations, one per refinement level.  Each time is scaled
+by the machine's speed, sampled while it was measured (``bench/speed.py``).
 
 The inputs are fixed: each workload is one deterministic experiment of the
 paper's kind, so ``--seed`` is accepted and echoed but changes nothing, and
@@ -25,6 +26,7 @@ import movingbeam as mb
 from movingbeam.geometry import BoundaryKind
 
 import checks
+import speed
 from run import parse_args
 from spans import Tracer
 
@@ -32,7 +34,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 PARAMS = mb.BeamParameters()          # zeta0 = 128, zeta1 = 2, nu = 1
 ERROR_QUAD = 8                        # the CLI's default error_quad
 FIT_WINDOW = (1.0, 20.0)
-SETUP_PROBES = 4                      # set-up-only samples per round
+SETUP_PROBES = 8                      # set-up-only samples per round
 
 
 @dataclass(frozen=True)
@@ -102,11 +104,11 @@ class MarchClock:
     def __call__(self, *args, **kwargs):
         if self.setup_only:
             raise _SetupDone
-        t0 = time.perf_counter()
+        t0 = speed.now()
         try:
             return self._advance(*args, **kwargs)
         finally:
-            self.seconds += time.perf_counter() - t0
+            self.seconds += speed.now() - t0
 
 
 @dataclass
@@ -143,12 +145,12 @@ def _simulate(level: Level):
 
 def run_level(wl: Workload, level: Level, clock: MarchClock) -> LevelRun:
     """validate -> simulate -> post-processing, as the CLI's energy/mms do."""
-    t0 = time.perf_counter()
+    t0 = speed.now()
     _validate(level)
-    t1 = time.perf_counter()
+    t1 = speed.now()
     clock.seconds = 0.0
     res = _simulate(level)
-    t2 = time.perf_counter()
+    t2 = speed.now()
     run = LevelRun(level, res, 0.0, 0.0, clock.seconds)
     if res.trajectory.completed:
         if wl.post == "energy":
@@ -158,7 +160,7 @@ def run_level(wl: Workload, level: Level, clock: MarchClock) -> LevelRun:
             run.fit = mb.decay_fit(times, E, (FIT_WINDOW[0], min(FIT_WINDOW[1], level.T)))
         else:
             run.report = mb.error_norms(res.space, res.trajectory, level.case, nq=ERROR_QUAD)
-    t3 = time.perf_counter()
+    t3 = speed.now()
     run.wall_s = t3 - t0
     run.setup_s = (t1 - t0) + (t2 - t1 - run.march_s)
     return run
@@ -166,7 +168,7 @@ def run_level(wl: Workload, level: Level, clock: MarchClock) -> LevelRun:
 
 def time_setup(level: Level, clock: MarchClock) -> float:
     """validate + simulate up to its first time step."""
-    t0 = time.perf_counter()
+    t0 = speed.now()
     _validate(level)
     clock.setup_only = True
     try:
@@ -175,7 +177,7 @@ def time_setup(level: Level, clock: MarchClock) -> float:
         pass
     finally:
         clock.setup_only = False
-    return time.perf_counter() - t0
+    return speed.now() - t0
 
 
 @dataclass
@@ -239,15 +241,6 @@ def fingerprint(runs: list[LevelRun]) -> str:
         if run.report is not None:
             h.update(repr((run.report.linf_l2, run.report.linf_h2)).encode())
     return h.hexdigest()
-
-
-def calibration_s() -> float:
-    """A fixed pure-Python kernel; its time tells a slow machine phase apart."""
-    t0 = time.perf_counter()
-    s = 0
-    for i in range(1_000_000):
-        s += i
-    return time.perf_counter() - t0
 
 
 PER_LAYER = (
@@ -331,24 +324,36 @@ def main(argv=None) -> int:
     attempted = failed = 0
     correct = True
     first = None
-    walls, setups, rates, calib, layers, durations = [], [], [], [], [], []
+    walls, setups, rates, layers, durations = [], [], [], [], []
+    raw_walls, raw_setups, raw_rates, speeds = [], [], [], []
+    speed.start()
     start = time.perf_counter()
     while True:
         round_start = time.perf_counter()
-        calib.append(calibration_s())
-        for _ in range(SETUP_PROBES):
-            setups.append(sum(time_setup(level, clock) for level in wl.levels))
+        speed.take()            # drops the samples taken outside the timed work
+        setup_raw = [sum(time_setup(level, clock) for level in wl.levels)
+                     for _ in range(SETUP_PROBES)]
+        # each time is scaled by the machine's speed while it was measured
+        v_setup = speed.take()
         tracer.reset()
         tracer.active = bool(args.trace)
         runs = [run_level(wl, level, clock) for level in wl.levels]
         tracer.active = False
+        v = speed.take()
         if args.trace:
             layers.append(layer_values(tracer, runs))
 
-        walls.append(sum(r.wall_s for r in runs))
-        setups.append(sum(r.setup_s for r in runs))
-        march = sum(r.march_s for r in runs)
-        rates.append(sum(r.steps for r in runs) / march)
+        wall = sum(r.wall_s for r in runs)
+        rate = sum(r.steps for r in runs) / sum(r.march_s for r in runs)
+        speeds.append(v)
+        raw_walls.append(wall)
+        raw_setups.extend(setup_raw)
+        raw_setups.append(sum(r.setup_s for r in runs))
+        raw_rates.append(rate)
+        walls.append(wall * v)
+        setups.extend(t * v_setup for t in setup_raw)
+        setups.append(sum(r.setup_s for r in runs) * v)
+        rates.append(rate / v)
         # The first round is checked against the benchmark's own computations;
         # the later ones repeat its inputs, so their outputs must repeat it bit
         # for bit.
@@ -369,11 +374,14 @@ def main(argv=None) -> int:
         # the next round starts if it should end within half a round of --seconds
         if now - start + 0.5 * statistics.median(durations) > args.seconds:
             break
+    speed.stop()
 
     _emit({"workload": wl.name, "seed": args.seed, "trace": args.trace, "rounds": len(walls),
-           "wall_s_rounds": walls, "setup_s_samples": setups, "steps_per_s_rounds": rates,
-           "calibration_s": calib,
-           "calibration_s_median": statistics.median(calib)})
+           "speed_rounds": speeds, "wall_s_rounds": walls, "measured_wall_s_rounds": raw_walls,
+           "measured_setup_s_samples": raw_setups, "measured_steps_per_s_rounds": raw_rates,
+           "measured_wall_s": statistics.median(raw_walls),
+           "measured_setup_s": statistics.median(raw_setups),
+           "measured_steps_per_s": statistics.median(raw_rates)})
     if args.trace:
         # the lower median is a value of one round, so counts stay whole numbers
         metrics = {name: {"value": statistics.median_low(l[name] for l in layers),

@@ -80,11 +80,7 @@ def _newmark_config(cfg: RunConfig) -> NewmarkConfig:
     n = int(round(cfg.T / cfg.dt))
     if abs(n * cfg.dt - cfg.T) > 1e-12 * max(1.0, cfg.T) or n < 1:
         raise ConfigError(f"dt = {cfg.dt} does not divide T = {cfg.T} evenly")
-    return NewmarkConfig(
-        theta=cfg.theta, dt=cfg.dt, n_steps=n,
-        legacy_g_gradient=cfg.legacy_g_gradient,
-        kirchhoff_mass_norm=cfg.kirchhoff_mass_norm,
-    )
+    return NewmarkConfig(theta=cfg.theta, dt=cfg.dt, n_steps=n)
 
 
 def _run(cfg: RunConfig, homogeneous: bool, collect_trace: bool):

@@ -10,6 +10,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .geometry import BeamParameters, BoundaryKind, MovingBoundary
+from .verification import cells_for_h
 
 __all__ = ["RunConfig", "ConfigError", "parse_config_file", "apply_overrides"]
 
@@ -53,8 +54,6 @@ class RunConfig:
     quad_load: int = 6
     error_quad: int = 8
     relaxed_h1: bool = False
-    legacy_g_gradient: bool = False
-    kirchhoff_mass_norm: bool = False
 
     def validate(self) -> None:
         if self.dimension not in (1, 2):
@@ -71,6 +70,11 @@ class RunConfig:
             raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
         if not self.box_hi > self.box_lo:
             raise ConfigError(f"empty box [{self.box_lo}, {self.box_hi}]")
+        for h in (self.h, *self.h_list):
+            try:
+                cells_for_h(self.box, h)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         for name in ("zeta0", "zeta1", "nu", "boundary_base", "boundary_slope",
                      "boundary_amplitude", "boundary_rate", "fit_window_lo",
                      "fit_window_hi"):

@@ -8,22 +8,21 @@ are imposed by elimination, so all assembled operators live on the free
 DOFs only.
 
 Assembly is vectorized over cells but accumulates in fixed cell order, so
-two assemblies of the same inputs are bitwise identical.
+two assemblies of the same inputs are bitwise identical.  Every matrix is
+scattered onto one CSR pattern computed once from the element connectivity,
+so all assembled operators share the same ``indptr``/``indices`` and any
+linear combination of them is a combination of their data arrays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+import functools
+from dataclasses import dataclass, field
+from typing import Callable, ClassVar
 
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import (
-    BeamParameters,
-    MovingBoundary,
-    SingularMappingError,
-    eval_boundary,
-)
+from .geometry import BeamParameters, MovingBoundary, TimeFactors, time_factors
 from .hermite import shape_eval_1d, shape_eval_2d
 
 __all__ = [
@@ -34,6 +33,7 @@ __all__ = [
     "gauss_rule",
     "assemble_constant",
     "assemble_time_dependent",
+    "l_coefficients",
     "assemble_load",
     "interpolate_initial",
     "project_initial",
@@ -142,6 +142,7 @@ class HermiteSpace:
 
         self.element_dofs = self._element_dof_matrix()
         self._basis_cache: dict[int, dict] = {}
+        self._patterns: dict[bool, tuple] = {}
 
     # -- connectivity -------------------------------------------------------
 
@@ -218,48 +219,54 @@ class HermiteSpace:
 
     # -- scatter -------------------------------------------------------------
 
+    def _pattern(self, full_space: bool) -> tuple:
+        """(keep, slot, template): the element entries kept on this side, the
+        CSR data position of each, and an all-zero matrix with the shared
+        ``indptr``/``indices``; computed once per side from the connectivity."""
+        if full_space not in self._patterns:
+            ed = self.element_dofs
+            nloc = ed.shape[1]
+            rows = np.repeat(ed, nloc, axis=1).ravel()
+            cols = np.tile(ed, (1, nloc)).ravel()
+            if full_space:
+                n, keep = self.ndof_full, slice(None)
+            else:
+                rows, cols = self.full_to_free[rows], self.full_to_free[cols]
+                keep = (rows >= 0) & (cols >= 0)
+                n, rows, cols = self.ndof, rows[keep], cols[keep]
+            # row-major keys sort into CSR order: row by row, columns ascending
+            keys, slot = np.unique(rows * n + cols, return_inverse=True)
+            indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+            template = sp.csr_matrix(
+                (np.zeros(keys.size), keys % n, indptr), shape=(n, n)
+            )
+            self._patterns[full_space] = (keep, slot.ravel(), template)
+        return self._patterns[full_space]
+
     def scatter(self, elem_mats: np.ndarray, full_space: bool = False) -> sp.csr_matrix:
         """Accumulate per-cell matrices (ncells, nloc, nloc) into a CSR matrix.
 
         Row index is the test DOF, column the trial DOF.  By default both
         sides are restricted to the free DOFs; ``full_space`` keeps every
         DOF (used by consistency checks that test against smooth functions
-        not satisfying the clamped conditions).
+        not satisfying the clamped conditions).  The result keeps explicit
+        zeros, so every matrix of one side shares the same pattern arrays.
         """
-        ed = self.element_dofs
-        nloc = ed.shape[1]
-        rows = np.repeat(ed, nloc, axis=1).ravel()
-        cols = np.tile(ed, (1, nloc)).ravel()
-        if full_space:
-            return sp.coo_matrix(
-                (elem_mats.ravel(), (rows, cols)),
-                shape=(self.ndof_full, self.ndof_full),
-            ).tocsr()
-        fr = self.full_to_free[rows]
-        fc = self.full_to_free[cols]
-        keep = (fr >= 0) & (fc >= 0)
-        mat = sp.coo_matrix(
-            (elem_mats.ravel()[keep], (fr[keep], fc[keep])),
-            shape=(self.ndof, self.ndof),
+        keep, slot, template = self._pattern(full_space)
+        data = np.bincount(slot, weights=elem_mats.reshape(-1)[keep],
+                           minlength=template.nnz)
+        return sp.csr_matrix(
+            (data, template.indices, template.indptr), shape=template.shape
         )
-        return mat.tocsr()
 
     def scatter_vector(self, elem_vecs: np.ndarray) -> np.ndarray:
-        ed = self.element_dofs
-        out = np.zeros(self.ndof)
-        fr = self.full_to_free[ed.ravel()]
+        fr = self.full_to_free[self.element_dofs.ravel()]
         keep = fr >= 0
-        np.add.at(out, fr[keep], elem_vecs.ravel()[keep])
-        return out
+        return np.bincount(fr[keep], weights=elem_vecs.ravel()[keep], minlength=self.ndof)
 
-    def bandwidth(self) -> int:
-        ed = self.full_to_free[self.element_dofs]
-        bw = 0
-        for row in ed:
-            f = row[row >= 0]
-            if f.size:
-                bw = max(bw, int(f.max() - f.min()))
-        return bw
+    def bandwidth(self, full_space: bool = False) -> int:
+        pattern = self._pattern(full_space)[2].tocoo()
+        return int(np.max(np.abs(pattern.row - pattern.col), initial=0))
 
     # -- evaluation of discrete functions ------------------------------------
 
@@ -318,12 +325,42 @@ class HermiteSpace:
 
 @dataclass
 class AssembledOperators:
-    """Constant matrices: mass A, gradient stiffness K1, bi-Laplacian K2."""
+    """Constant matrices on one CSR pattern: mass A, gradient stiffness K1,
+    bi-Laplacian K2, and the y-weighted operators of the moving ends
+
+        Q = Q1 + Q2,  Q1 = sum_i (y_i^2 d_i ., d_i .),  Q2 = sum_ij (y_i y_j d_i ., d_j .)
+        P = sum_i (y_i d_i ., .)
+
+    ``stack`` holds their data in ``BASIS`` order (each matrix's ``data`` is
+    a view of its row), so :meth:`combine` forms any linear combination as
+    one coefficient-vector product.  The step loop relies on slots 0 and 1
+    being A and K1.
+    """
+
+    BASIS: ClassVar[tuple[str, ...]] = ("A", "K1", "K2", "Q", "P")
 
     A: sp.csr_matrix
     K1: sp.csr_matrix
     K2: sp.csr_matrix
+    Q: sp.csr_matrix
+    P: sp.csr_matrix
     bandwidth: int
+    stack: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        mats = [getattr(self, name) for name in self.BASIS]
+        if not all(np.array_equal(m.indptr, self.A.indptr)
+                   and np.array_equal(m.indices, self.A.indices) for m in mats):
+            raise ValueError("constant operators must share one CSR pattern")
+        self.stack = np.stack([m.data for m in mats])
+        for m, row in zip(mats, self.stack):
+            m.data = row
+
+    def combine(self, coefs: np.ndarray) -> sp.csr_matrix:
+        """sum_k coefs[k] * (A, K1, K2, Q, P)[k] on the shared pattern."""
+        return sp.csr_matrix(
+            (coefs @ self.stack, self.A.indices, self.A.indptr), shape=self.A.shape
+        )
 
 
 @dataclass
@@ -349,18 +386,44 @@ def _elem_integrals(space: HermiteSpace, nq: int, coef, trial, test) -> np.ndarr
     return np.einsum("cq,qa,qb->cab", cw, test, trial, optimize=True)
 
 
-def assemble_constant(space: HermiteSpace, nq: int = DEFAULT_OPERATOR_QUAD) -> AssembledOperators:
-    """Assemble A, K1, K2 on the free DOFs."""
+def assemble_constant(
+    space: HermiteSpace, nq: int = DEFAULT_OPERATOR_QUAD, full_space: bool = False
+) -> AssembledOperators:
+    """Assemble A, K1, K2, Q and P, on the free DOFs unless ``full_space``.
+
+    The contributions of each matrix are summed per cell before one scatter,
+    so no sparse addition prunes entries and all five share one pattern.
+    """
     tab = space.basis_tables(nq)
-    ones = np.ones((space.mesh.ncells, tab["w"].size))
-    A = space.scatter(_elem_integrals(space, nq, ones, tab["N"], tab["N"]))
-    K1 = None
-    for i in range(space.mesh.dim):
-        gi = tab["grad"][:, :, i]
-        term = space.scatter(_elem_integrals(space, nq, ones, gi, gi))
-        K1 = term if K1 is None else K1 + term
-    K2 = space.scatter(_elem_integrals(space, nq, ones, tab["lap"], tab["lap"]))
-    return AssembledOperators(A=A, K1=K1.tocsr(), K2=K2, bandwidth=space.bandwidth())
+    y = tab["points"]
+    g = [tab["grad"][:, :, i] for i in range(space.mesh.dim)]
+    pairs = [(i, j) for i in range(len(g)) for j in range(len(g))]
+    ones = np.ones(y.shape[:2])
+    integrate = functools.partial(_elem_integrals, space, nq)
+
+    elems = {
+        "A": integrate(ones, tab["N"], tab["N"]),
+        "K1": sum(integrate(ones, gi, gi) for gi in g),
+        "K2": integrate(ones, tab["lap"], tab["lap"]),
+        # Q1 adds the diagonal i = j terms of Q2 once more
+        "Q": sum(integrate((1.0 + (i == j)) * y[..., i] * y[..., j], g[i], g[j])
+                 for i, j in pairs),
+        "P": sum(integrate(y[..., i], gi, tab["N"]) for i, gi in enumerate(g)),
+    }
+    mats = {name: space.scatter(e, full_space) for name, e in elems.items()}
+    return AssembledOperators(**mats, bandwidth=space.bandwidth(full_space))
+
+
+def l_coefficients(f: TimeFactors, nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients over ``AssembledOperators.BASIS`` of L1 and L2 at one time.
+
+    L1 = nu A + B3 = nu A - 2 (K'/K) P
+    L2 = b2 K2 + B1 + B4 - B2 = K^-4 K2 + zeta0/K^2 K1 - 4 (K'/K)^2 Q + c4 P
+    """
+    return (
+        np.array([nu, 0.0, 0.0, 0.0, -2.0 * f.r]),
+        np.array([0.0, f.s0, f.b2, -4.0 * f.r * f.r, f.c4]),
+    )
 
 
 def assemble_time_dependent(
@@ -370,38 +433,20 @@ def assemble_time_dependent(
     t: float,
     nq: int = DEFAULT_OPERATOR_QUAD,
 ) -> TimeDependentOperators:
-    """Assemble the coefficient-weighted matrices B1..B4 at time t."""
+    """Assemble B1..B4 at time t by pointwise quadrature: the reference that
+    the stepper's combinations (:func:`l_coefficients`) are checked against."""
     tab = space.basis_tables(nq)
-    pts = tab["points"]            # (ncells, nq, dim)
-    dim = space.mesh.dim
-    y = pts.reshape(-1, dim)
-    # vectorized closed forms over the flattened quadrature grid
-    k, kp, kpp = eval_boundary(boundary, t)
-    if k <= 0.0:
-        raise SingularMappingError(f"K(t) must be positive, got K({t}) = {k}")
-    a1 = (params.zeta0 - 4.0 * (y * kp) ** 2) / k**2                   # (npts, dim)
-    a3 = (2.0 * y * kp * kp - y * k * (params.nu * kp + kpp)) / k**2
-    a4 = -2.0 * y * (kp / k)
-    a5 = a3 + 2.0 * (kp / k) * a4
-
-    shape = pts.shape[:2]
-    B1 = B2 = B3 = B4 = None
-
-    def acc(M, term):
-        return term if M is None else M + term
-
-    for i in range(dim):
-        gi = tab["grad"][:, :, i]
-        B1 = acc(B1, space.scatter(_elem_integrals(space, nq, a1[:, i].reshape(shape), gi, gi)))
-        B3 = acc(B3, space.scatter(_elem_integrals(space, nq, a4[:, i].reshape(shape), gi, tab["N"])))
-        B4 = acc(B4, space.scatter(_elem_integrals(space, nq, a5[:, i].reshape(shape), gi, tab["N"])))
-        for j in range(dim):
-            a2ij = 4.0 * y[:, i] * y[:, j] * (kp / k) ** 2
-            gj = tab["grad"][:, :, j]
-            B2 = acc(B2, space.scatter(_elem_integrals(space, nq, a2ij.reshape(shape), gi, gj)))
-    return TimeDependentOperators(
-        B1=B1.tocsr(), B2=B2.tocsr(), B3=B3.tocsr(), B4=B4.tocsr(), t=t
+    a1, a2, _, a4, a5 = time_factors(boundary, params, t).a_coefficients(tab["points"])
+    g = [tab["grad"][:, :, i] for i in range(space.mesh.dim)]
+    pairs = [(i, j) for i in range(len(g)) for j in range(len(g))]
+    integrate = functools.partial(_elem_integrals, space, nq)
+    elems = (
+        sum(integrate(a1[..., i], gi, gi) for i, gi in enumerate(g)),
+        sum(integrate(a2[..., i, j], g[i], g[j]) for i, j in pairs),
+        sum(integrate(a4[..., i], gi, tab["N"]) for i, gi in enumerate(g)),
+        sum(integrate(a5[..., i], gi, tab["N"]) for i, gi in enumerate(g)),
     )
+    return TimeDependentOperators(*(space.scatter(e) for e in elems), t=t)
 
 
 def assemble_load(

@@ -20,11 +20,13 @@ __all__ = [
     "MovingBoundary",
     "BeamParameters",
     "CoefficientSet",
+    "TimeFactors",
     "HypothesisReport",
     "InvalidBoundaryError",
     "SingularMappingError",
     "eval_boundary",
     "eval_coefficients",
+    "time_factors",
     "validate_hypotheses",
     "map_point",
     "map_back",
@@ -157,22 +159,42 @@ def eval_boundary(b: MovingBoundary, t: float) -> tuple[float, float, float]:
     return k, kp, kpp
 
 
+@dataclass(frozen=True)
+class TimeFactors:
+    """Scalar functions of (K, K', K''): as x = K(t) y with K scalar, every
+    pulled-back coefficient is one of them times a fixed polynomial in y."""
+
+    b1: float      # zeta1 / K^4
+    b2: float      # K^-4
+    s0: float      # zeta0 / K^2
+    r: float       # K' / K
+    c3: float      # (2 K'^2 - K (nu K' + K'')) / K^2
+    c4: float      # (-2 K'^2 - K (nu K' + K'')) / K^2 = c3 - 4 r^2
+
+    def a_coefficients(self, y: np.ndarray):
+        """(a1, ..., a5) at points y of shape (..., n); a2 adds (n, n) axes."""
+        r2 = self.r * self.r
+        a2 = 4.0 * r2 * (y[..., :, None] * y[..., None, :])
+        return self.s0 - 4.0 * r2 * (y * y), a2, self.c3 * y, -2.0 * self.r * y, self.c4 * y
+
+
+def time_factors(b: MovingBoundary, p: BeamParameters, t: float) -> TimeFactors:
+    """Evaluate the time factors of the pulled-back operator at time t."""
+    k, kp, kpp = eval_boundary(b, t)
+    if k <= 0.0:
+        raise SingularMappingError(f"K(t) must be positive, got K({t}) = {k}")
+    damping = k * (p.nu * kp + kpp)
+    return TimeFactors(b1=p.zeta1 * k ** -4, b2=k ** -4, s0=p.zeta0 / k ** 2, r=kp / k,
+                       c3=(2.0 * kp * kp - damping) / k ** 2,
+                       c4=(-2.0 * kp * kp - damping) / k ** 2)
+
+
 def eval_coefficients(
     b: MovingBoundary, p: BeamParameters, y: Sequence[float] | np.ndarray, t: float
 ) -> CoefficientSet:
     """Evaluate b1, b2 and the a-coefficients at a reference point y and time t."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    k, kp, kpp = eval_boundary(b, t)
-    if k <= 0.0:
-        raise SingularMappingError(f"K(t) must be positive, got K({t}) = {k}")
-    b2c = k ** -4
-    b1c = p.zeta1 * b2c
-    a1 = (p.zeta0 - 4.0 * (y * kp) ** 2) / k ** 2
-    a2 = 4.0 * np.outer(y, y) * (kp / k) ** 2
-    a3 = (2.0 * y * kp * kp - y * k * (p.nu * kp + kpp)) / k ** 2
-    a4 = -2.0 * y * (kp / k)
-    a5 = a3 + 2.0 * (kp / k) * a4
-    return CoefficientSet(b1=b1c, b2=b2c, a1=a1, a2=a2, a3=a3, a4=a4, a5=a5)
+    f = time_factors(b, p, t)
+    return CoefficientSet(f.b1, f.b2, *f.a_coefficients(np.atleast_1d(np.asarray(y, dtype=float))))
 
 
 def map_point(b: MovingBoundary, t: float, y: Sequence[float] | np.ndarray) -> np.ndarray:

@@ -25,9 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import BeamParameters, MovingBoundary, eval_boundary
+from .geometry import BeamParameters, MovingBoundary, TimeFactors, time_factors
 
-__all__ = ["ManufacturedCase", "make_source", "CASE_IDS"]
+__all__ = ["ManufacturedCase", "make_source", "strong_operator", "CASE_IDS"]
 
 CASE_IDS = ("S1", "S2")
 
@@ -154,6 +154,33 @@ class ManufacturedCase:
         return lambda pts, mi: self.eval(pts, 0.0, 1, tuple(mi))
 
 
+def strong_operator(
+    tf: TimeFactors,
+    derivs: Callable[[np.ndarray, tuple], np.ndarray],
+    pts: np.ndarray,
+) -> np.ndarray:
+    """Displacement terms of the strong operator, less the Kirchhoff term:
+
+        b2 bilap v - a1_i d_ii v + a2_ij d_ij v + (a3_i + (4n+8) y_i (K'/K)^2) d_i v
+
+    at points (npts, n), for v given by ``derivs(points, multi_index)``.
+    """
+    dim = pts.shape[1]
+    eye = np.eye(dim, dtype=int)
+    a1, a2, a3, _, _ = tf.a_coefficients(pts)
+
+    def d(mi):
+        return derivs(pts, tuple(int(o) for o in mi))
+
+    out = tf.b2 * sum(d(2 * eye[i] + 2 * eye[j]) for i in range(dim) for j in range(dim))
+    for i in range(dim):
+        out -= a1[:, i] * d(2 * eye[i])
+        out += (a3[:, i] + (4.0 * dim + 8.0) * pts[:, i] * tf.r * tf.r) * d(eye[i])
+        for j in range(dim):
+            out += a2[:, i, j] * d(eye[i] + eye[j])
+    return out
+
+
 def make_source(
     case: ManufacturedCase,
     boundary: MovingBoundary,
@@ -164,36 +191,17 @@ def make_source(
     Built from the strong operator consistent with the assembled weak form;
     see the module docstring for the exact formula.
     """
-    dim = case.dim
-    first_order_shift = 4.0 * dim + 8.0
 
     def f(points: np.ndarray, t: float) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        k, kp, kpp = eval_boundary(boundary, t)
-        b2 = k**-4
-        b1 = params.zeta1 * b2
-        s2 = (kp / k) ** 2
-
+        tf = time_factors(boundary, params, t)
+        a4 = tf.a_coefficients(pts)[3]
         out = case.eval(pts, t, 2)                      # v_tt
         out += params.nu * case.eval(pts, t, 1)         # nu v_t
-        out -= b1 * case.grad_norm_sq(t) * case.laplacian(pts, t)
-        out += b2 * case.bilaplacian(pts, t)
-        for i in range(dim):
-            y = pts[:, i]
-            a1 = (params.zeta0 - 4.0 * (y * kp) ** 2) / k**2
-            a3 = (2.0 * y * kp * kp - y * k * (params.nu * kp + kpp)) / k**2
-            a4 = -2.0 * y * (kp / k)
-            di_vt = case.eval(pts, t, 1, case._unit(i, 1))
-            di_v = case.eval(pts, t, 0, case._unit(i, 1))
-            dii_v = case.eval(pts, t, 0, case._unit(i, 2))
-            out += a4 * di_vt
-            out -= a1 * dii_v
-            out += (a3 + first_order_shift * y * s2) * di_v
-            for j in range(dim):
-                a2 = 4.0 * y * pts[:, j] * s2
-                mi = list(case._unit(i, 1))
-                mi[j] += 1
-                out += a2 * case.eval(pts, t, 0, tuple(mi))
+        out -= tf.b1 * case.grad_norm_sq(t) * case.laplacian(pts, t)
+        out += strong_operator(tf, lambda p, mi: case.eval(p, t, 0, mi), pts)
+        for i in range(case.dim):
+            out += a4[:, i] * case.eval(pts, t, 1, case._unit(i, 1))
         return out
 
     return f

@@ -5,11 +5,15 @@ The semi-discrete system is
     A d'' + G(t, d) K1 d + L1(t) d' + L2(t) d = F(t),
 
 with G(t, d) = b1(t) * d^T K1 d (squared gradient seminorm of the discrete
-function), L1 = nu A + B3 and L2 = b2 K2 + B1 + B4 - B2.  Each implicit step
-solves a nonlinear system whose Jacobian is a sparse matrix plus a low-rank
-correction coming from the differential of G; the linear solves use a direct
-factorization combined with the Woodbury identity, so results are
-deterministic for a fixed configuration.
+function), L1 = nu A + B3 and L2 = b2 K2 + B1 + B4 - B2.  Since x = K(t) y
+with K scalar, L1 and L2 are fixed combinations of the constant operators
+(A, K1, K2, Q, P) with scalar weights in (K, K', K''): they are assembled
+once per run on one CSR pattern, and each step matrix is formed as one
+coefficient-vector product with their stacked data, never re-assembled.
+Each implicit step solves a nonlinear system whose Jacobian is a sparse
+matrix plus a low-rank correction coming from the differential of G; the
+linear solves use a direct factorization combined with the Woodbury
+identity, so results are deterministic for a fixed configuration.
 
 theta in ]1/4, 1] gives the unconditionally convergent family; theta < 1/4 is
 conditionally stable and may legitimately diverge on fine meshes, which is
@@ -17,6 +21,7 @@ reported as data (``Trajectory.status``), not as a crash.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -26,14 +31,8 @@ import scipy.linalg as dla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import (
-    AssembledOperators,
-    HermiteSpace,
-    TimeDependentOperators,
-    assemble_load,
-    assemble_time_dependent,
-)
-from .geometry import BeamParameters, MovingBoundary, eval_boundary
+from .fem import AssembledOperators, HermiteSpace, assemble_load, l_coefficients
+from .geometry import BeamParameters, MovingBoundary, time_factors
 
 __all__ = [
     "NewmarkConfig",
@@ -51,6 +50,8 @@ __all__ = [
 ]
 
 _DENSE_LIMIT = 700  # below this many DOFs a dense factorization is cheaper
+# coefficient vectors of A and K1 over AssembledOperators.BASIS
+_A, _K1 = np.eye(len(AssembledOperators.BASIS))[:2]
 
 
 class NewtonNoConvergence(RuntimeError):
@@ -72,8 +73,6 @@ class NewmarkConfig:
     newton_tol_resid: float = 1e-14
     newton_max_iter: int = 50
     divergence_threshold: float = 1e8
-    legacy_g_gradient: bool = False   # keep only diagonal K1 terms in dG/dX
-    kirchhoff_mass_norm: bool = False  # experiment: G from |v_h|^2 instead of |grad v_h|^2
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
@@ -97,12 +96,15 @@ class NewmarkConfig:
 
 @dataclass
 class StepOperators:
-    """The three matrices and averaged load of one step of the scheme."""
+    """The three matrices and averaged load of one step of the scheme, with
+    the coefficient vectors ``c1``/``c3`` of M1/M3 for the Newton matrices."""
 
     M1: sp.csr_matrix
     M2: sp.csr_matrix
     M3: sp.csr_matrix
     F_avg: np.ndarray
+    c1: np.ndarray
+    c3: np.ndarray
 
 
 @dataclass
@@ -126,11 +128,8 @@ def kirchhoff_scalar(b1_t: float, d: np.ndarray, K1: sp.spmatrix) -> float:
     return float(b1_t * (d @ (K1 @ d)))
 
 
-def kirchhoff_gradient(b1_t: float, d: np.ndarray, K1: sp.spmatrix,
-                       legacy: bool = False) -> np.ndarray:
-    """Exact differential 2 b1 K1 d; ``legacy`` keeps only the K1 diagonal."""
-    if legacy:
-        return 2.0 * b1_t * (K1.diagonal() * d)
+def kirchhoff_gradient(b1_t: float, d: np.ndarray, K1: sp.spmatrix) -> np.ndarray:
+    """Exact differential 2 b1 K1 d."""
     return 2.0 * b1_t * np.asarray(K1 @ d)
 
 
@@ -145,8 +144,9 @@ class _DirectSolver:
         n = S.shape[0]
         try:
             if n <= _DENSE_LIMIT:
-                self._lu = dla.lu_factor(S.toarray())
-                self._solve = lambda b: dla.lu_solve(self._lu, b)
+                # a closure over self would make a reference cycle that keeps
+                # every step's factors alive until the cyclic collector runs
+                self._solve = functools.partial(dla.lu_solve, dla.lu_factor(S.toarray()))
             else:
                 lu = spla.splu(S.tocsc())
                 self._solve = lu.solve
@@ -168,7 +168,7 @@ class _DirectSolver:
 
 
 class BeamSystem:
-    """Assembled context for one run: constants, coefficient caches, loads."""
+    """Assembled context for one run: constant operators, time factors, loads."""
 
     def __init__(
         self,
@@ -177,7 +177,6 @@ class BeamSystem:
         boundary: MovingBoundary,
         params: BeamParameters,
         source: Callable[[np.ndarray, float], np.ndarray] | None = None,
-        quad_operators: int = 5,
         quad_load: int = 6,
     ):
         self.space = space
@@ -185,34 +184,20 @@ class BeamSystem:
         self.boundary = boundary
         self.params = params
         self.source = source
-        self.quad_operators = quad_operators
         self.quad_load = quad_load
-        self._lmat_cache: dict[float, tuple[sp.csr_matrix, sp.csr_matrix]] = {}
         self._load_cache: dict[float, np.ndarray] = {}
 
     def b1(self, t: float) -> float:
-        k, _, _ = eval_boundary(self.boundary, t)
-        return self.params.zeta1 / k**4
+        return time_factors(self.boundary, self.params, t).b1
 
-    def b2(self, t: float) -> float:
-        k, _, _ = eval_boundary(self.boundary, t)
-        return 1.0 / k**4
+    def l_coefficients(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficient vectors of L1(t) and L2(t) over the constant operators."""
+        return l_coefficients(time_factors(self.boundary, self.params, t), self.params.nu)
 
     def l_matrices(self, t: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
         """L1(t) = nu A + B3(t);  L2(t) = b2(t) K2 + B1(t) + B4(t) - B2(t)."""
-        key = round(t, 12)
-        if key not in self._lmat_cache:
-            bt: TimeDependentOperators = assemble_time_dependent(
-                self.space, self.boundary, self.params, t, nq=self.quad_operators
-            )
-            L1 = (self.params.nu * self.ops.A + bt.B3).tocsr()
-            L2 = (self.b2(t) * self.ops.K2 + bt.B1 + bt.B4 - bt.B2).tocsr()
-            # the stepper touches three adjacent time levels; four slots make
-            # each level assembled exactly once over the whole march
-            while len(self._lmat_cache) >= 4:
-                self._lmat_cache.pop(next(iter(self._lmat_cache)))
-            self._lmat_cache[key] = (L1, L2)
-        return self._lmat_cache[key]
+        c1, c2 = self.l_coefficients(t)
+        return self.ops.combine(c1), self.ops.combine(c2)
 
     def load(self, t: float) -> np.ndarray:
         key = round(t, 12)
@@ -226,10 +211,6 @@ class BeamSystem:
             self._load_cache[key] = val
         return self._load_cache[key]
 
-    def g_norm_matrix(self, cfg: NewmarkConfig) -> sp.csr_matrix:
-        """Matrix behind the Kirchhoff scalar: K1, or A in the experiment mode."""
-        return self.ops.A if cfg.kirchhoff_mass_norm else self.ops.K1
-
 
 def build_step_operators(
     system: BeamSystem, cfg: NewmarkConfig, eta: int
@@ -242,21 +223,23 @@ def build_step_operators(
     F   = theta F^{eta-1} + (1-2 theta) F^eta + theta F^{eta+1}   (eta >= 1)
     F   = theta F^1 + (1-theta) F^0                               (eta = 0)
 
-    For eta = 0 the level "eta-1" is evaluated at t_0 (ghost level).
+    For eta = 0 the level "eta-1" is evaluated at t_0 (ghost level).  Each
+    matrix is one combination of the constant operators, formed from the
+    coefficient vectors of L1 and L2; nothing is assembled here.
     """
     dt, th = cfg.dt, cfg.theta
     t_n = eta * dt
     t_p = (eta + 1) * dt
     t_m = max((eta - 1) * dt, 0.0)
 
-    A = system.ops.A
-    L1p, L2p = system.l_matrices(t_p)
-    L1m, L2m = system.l_matrices(t_m)
-    _, L2n = system.l_matrices(t_n)
+    L1p, L2p = system.l_coefficients(t_p)
+    L1m, L2m = system.l_coefficients(t_m)
+    _, L2n = system.l_coefficients(t_n)
 
-    M1 = (A + 0.5 * dt * L1p + th * dt * dt * L2p).tocsr()
-    M2 = (dt * dt * (1.0 - 2.0 * th) * L2n - 2.0 * A).tocsr()
-    M3 = (A - 0.5 * dt * L1m + th * dt * dt * L2m).tocsr()
+    c1 = _A + 0.5 * dt * L1p + th * dt * dt * L2p
+    c2 = dt * dt * (1.0 - 2.0 * th) * L2n - 2.0 * _A
+    c3 = _A - 0.5 * dt * L1m + th * dt * dt * L2m
+    ops = system.ops
 
     if eta == 0:
         F_avg = th * system.load(dt) + (1.0 - th) * system.load(0.0)
@@ -266,7 +249,7 @@ def build_step_operators(
             + (1.0 - 2.0 * th) * system.load(t_n)
             + th * system.load(t_p)
         )
-    return StepOperators(M1=M1, M2=M2, M3=M3, F_avg=F_avg)
+    return StepOperators(ops.combine(c1), ops.combine(c2), ops.combine(c3), F_avg, c1, c3)
 
 
 class StepProblem:
@@ -290,7 +273,8 @@ class StepProblem:
                  g_curr: float, g_prev: float = 0.0):
         self.cfg = cfg
         self.eta = eta
-        self.K1g = system.g_norm_matrix(cfg)
+        self.ops = system.ops
+        self.K1 = system.ops.K1
         self.th_dt2 = cfg.theta * cfg.dt * cfg.dt
         dt = cfg.dt
         explicit_g = dt * dt * (1.0 - 2.0 * cfg.theta) * g_curr
@@ -299,41 +283,43 @@ class StepProblem:
         if eta == 0:
             self.b1_ghost = system.b1(0.0)  # b1^{-1} approximated by b1^0
             self.d1 = d1
-            self.S_lin = (step_ops.M1 + step_ops.M3).tocsr()
+            self.c_lin = step_ops.c1 + step_ops.c3
+            self.S_lin = self.ops.combine(self.c_lin)
             self.const = (
                 step_ops.M2 @ d_curr
-                + explicit_g * (self.K1g @ d_curr)
+                + explicit_g * (self.K1 @ d_curr)
                 - 2.0 * dt * (step_ops.M3 @ d1)
                 - dt * dt * step_ops.F_avg
             )
         else:
+            self.c_lin = step_ops.c1
             self.S_lin = step_ops.M1
             self.const = (
                 step_ops.M2 @ d_curr
-                + explicit_g * (self.K1g @ d_curr)
+                + explicit_g * (self.K1 @ d_curr)
                 + step_ops.M3 @ d_prev
-                + self.th_dt2 * g_prev * (self.K1g @ d_prev)
+                + self.th_dt2 * g_prev * (self.K1 @ d_prev)
                 - dt * dt * step_ops.F_avg
             )
 
     # -- pieces ---------------------------------------------------------------
 
     def g_next(self, X: np.ndarray) -> float:
-        return kirchhoff_scalar(self.b1_next, X, self.K1g)
+        return kirchhoff_scalar(self.b1_next, X, self.K1)
 
     def g_ghost(self, X: np.ndarray) -> float:
         z = X - 2.0 * self.cfg.dt * self.d1
-        return kirchhoff_scalar(self.b1_ghost, z, self.K1g)
+        return kirchhoff_scalar(self.b1_ghost, z, self.K1)
 
     def residual(self, X: np.ndarray) -> np.ndarray:
-        K1X = self.K1g @ X
+        K1X = self.K1 @ X
         if self.eta == 0:
             g1 = self.g_next(X)
             gm = self.g_ghost(X)
             r = (
                 self.S_lin @ X
                 + self.th_dt2 * (g1 + gm) * K1X
-                - 2.0 * self.cfg.dt * self.th_dt2 * gm * (self.K1g @ self.d1)
+                - 2.0 * self.cfg.dt * self.th_dt2 * gm * (self.K1 @ self.d1)
                 + self.const
             )
         else:
@@ -342,16 +328,15 @@ class StepProblem:
 
     def jacobian_parts(self, X: np.ndarray):
         """(S sparse, U, V) with J = S + U V^T."""
-        legacy = self.cfg.legacy_g_gradient
-        K1X = np.asarray(self.K1g @ X)
+        K1X = np.asarray(self.K1 @ X)
         if self.eta == 0:
             g1 = self.g_next(X)
             gm = self.g_ghost(X)
-            S = (self.S_lin + self.th_dt2 * (g1 + gm) * self.K1g).tocsr()
+            S = self.ops.combine(self.c_lin + self.th_dt2 * (g1 + gm) * _K1)
             z = X - 2.0 * self.cfg.dt * self.d1
-            dg1 = kirchhoff_gradient(self.b1_next, X, self.K1g, legacy)
-            dgm = kirchhoff_gradient(self.b1_ghost, z, self.K1g, legacy)
-            K1d1 = np.asarray(self.K1g @ self.d1)
+            dg1 = kirchhoff_gradient(self.b1_next, X, self.K1)
+            dgm = kirchhoff_gradient(self.b1_ghost, z, self.K1)
+            K1d1 = np.asarray(self.K1 @ self.d1)
             U = np.column_stack([
                 self.th_dt2 * K1X,
                 self.th_dt2 * K1X,
@@ -360,8 +345,8 @@ class StepProblem:
             V = np.column_stack([dg1, dgm, dgm])
         else:
             g1 = self.g_next(X)
-            S = (self.S_lin + self.th_dt2 * g1 * self.K1g).tocsr()
-            dg1 = kirchhoff_gradient(self.b1_next, X, self.K1g, legacy)
+            S = self.ops.combine(self.c_lin + self.th_dt2 * g1 * _K1)
+            dg1 = kirchhoff_gradient(self.b1_next, X, self.K1)
             U = (self.th_dt2 * K1X)[:, None]
             V = dg1[:, None]
         return S, U, V
@@ -407,7 +392,7 @@ def advance(
     explosion past ``divergence_threshold``) terminates the run early with
     status "diverged" carrying the offending step.
     """
-    K1g = system.g_norm_matrix(cfg)
+    K1 = system.ops.K1
     times = cfg.dt * np.arange(cfg.n_steps + 1)
     ds = [np.asarray(d0, dtype=float)]
     iters: list[int] = []
@@ -417,18 +402,16 @@ def advance(
     d_curr = ds[0]
     for eta in range(cfg.n_steps):
         step_ops = build_step_operators(system, cfg, eta)
-        g_curr = kirchhoff_scalar(system.b1(eta * cfg.dt), d_curr, K1g)
+        g_curr = kirchhoff_scalar(system.b1(eta * cfg.dt), d_curr, K1)
         if eta == 0:
             prob = StepProblem(system, cfg, 0, step_ops, d_curr, None, d1, g_curr)
-            x0 = d_curr
         else:
-            g_prev = kirchhoff_scalar(system.b1((eta - 1) * cfg.dt), d_prev, K1g)
+            g_prev = kirchhoff_scalar(system.b1((eta - 1) * cfg.dt), d_prev, K1)
             prob = StepProblem(
                 system, cfg, eta, step_ops, d_curr, d_prev, None, g_curr, g_prev
             )
-            x0 = d_curr
         try:
-            d_next, nit, resid = newton_solve(prob, x0, cfg)
+            d_next, nit, resid = newton_solve(prob, d_curr, cfg)
         except (NewtonNoConvergence, SingularJacobian):
             return Trajectory(ds, times[: len(ds)], iters, "diverged", eta + 1, trace)
         dinf = float(np.max(np.abs(d_next))) if d_next.size else 0.0

@@ -18,12 +18,12 @@ from .fem import (
     AssembledOperators,
     HermiteSpace,
     Mesh,
-    _elem_integrals,
     assemble_constant,
     interpolate_initial,
+    l_coefficients,
 )
-from .geometry import BeamParameters, MovingBoundary, eval_boundary
-from .manufactured import ManufacturedCase, make_source
+from .geometry import BeamParameters, MovingBoundary, time_factors
+from .manufactured import ManufacturedCase, make_source, strong_operator
 from .newmark import BeamSystem, NewmarkConfig, Trajectory, advance
 
 __all__ = [
@@ -93,10 +93,7 @@ def simulate(
     source = None
     if case is not None and not homogeneous:
         source = make_source(case, boundary, params)
-    system = BeamSystem(
-        space, ops, boundary, params, source,
-        quad_operators=quad_operators, quad_load=quad_load,
-    )
+    system = BeamSystem(space, ops, boundary, params, source, quad_load=quad_load)
 
     if initial_displacement is None:
         if case is None:
@@ -317,11 +314,7 @@ def weak_strong_consistency(
     mesh refinement when the assembled form and the strong operator agree.
     """
     dim = space.mesh.dim
-    k, kp, kpp = eval_boundary(boundary, t)
-    b2 = k**-4
-    b1 = params.zeta1 * b2
-    s2 = (kp / k) ** 2
-    shift = 4.0 * dim + 8.0
+    f = time_factors(boundary, params, t)
 
     def unit(ax, order):
         mi = [0] * dim
@@ -333,72 +326,20 @@ def weak_strong_consistency(
     pts = tab["points"].reshape(-1, dim)
     w_q = np.tile(tab["w"], space.mesh.ncells)
     grad_sq = sum(v_derivs(pts, unit(i, 1)) ** 2 for i in range(dim))
-    g_exact = b1 * float(np.sum(grad_sq * w_q))
+    g_exact = f.b1 * float(np.sum(grad_sq * w_q))
 
-    # full-space assembly: the trial function need not satisfy the clamped
+    # full-space operators: the trial function need not satisfy the clamped
     # conditions; the (clamped) test function kills the constrained rows
-    atab = space.basis_tables(quad_operators)
-    qpts = atab["points"]
-    y = qpts.reshape(-1, dim)
-    shape = qpts.shape[:2]
-    ones = np.ones(shape)
-    K1f = sum(
-        space.scatter(
-            _elem_integrals(space, quad_operators, ones,
-                            atab["grad"][:, :, i], atab["grad"][:, :, i]),
-            full_space=True,
-        )
-        for i in range(dim)
-    )
-    K2f = space.scatter(
-        _elem_integrals(space, quad_operators, ones, atab["lap"], atab["lap"]),
-        full_space=True,
-    )
-    L2f = b2 * K2f
-    for i in range(dim):
-        yi = y[:, i]
-        a1 = ((params.zeta0 - 4.0 * (yi * kp) ** 2) / k**2).reshape(shape)
-        a3 = ((2.0 * yi * kp * kp - yi * k * (params.nu * kp + kpp)) / k**2)
-        a5 = (a3 + 2.0 * (kp / k) * (-2.0 * yi * (kp / k))).reshape(shape)
-        gi = atab["grad"][:, :, i]
-        L2f = L2f + space.scatter(
-            _elem_integrals(space, quad_operators, a1, gi, gi), full_space=True
-        )
-        L2f = L2f + space.scatter(
-            _elem_integrals(space, quad_operators, a5, gi, atab["N"]), full_space=True
-        )
-        for j in range(dim):
-            a2 = (4.0 * yi * y[:, j] * s2).reshape(shape)
-            gj = atab["grad"][:, :, j]
-            L2f = L2f - space.scatter(
-                _elem_integrals(space, quad_operators, a2, gi, gj), full_space=True
-            )
+    ops = assemble_constant(space, nq=quad_operators, full_space=True)
+    L2f = ops.combine(l_coefficients(f, params.nu)[1])
 
     d_v = interpolate_initial(space, v_derivs, full_space=True)
     d_w = space.expand(interpolate_initial(space, w_derivs))
-    weak = float(d_w @ (L2f @ d_v)) + g_exact * float(d_w @ (K1f @ d_v))
+    weak = float(d_w @ (L2f @ d_v)) + g_exact * float(d_w @ (ops.K1 @ d_v))
 
     # strong operator of v at the quadrature grid
     lap = sum(v_derivs(pts, unit(i, 2)) for i in range(dim))
-    if dim == 1:
-        bilap = v_derivs(pts, (4,))
-    else:
-        bilap = (
-            v_derivs(pts, (4, 0))
-            + 2.0 * v_derivs(pts, (2, 2))
-            + v_derivs(pts, (0, 4))
-        )
-    strong = -g_exact * lap + b2 * bilap
-    for i in range(dim):
-        y = pts[:, i]
-        a1 = (params.zeta0 - 4.0 * (y * kp) ** 2) / k**2
-        a3 = (2.0 * y * kp * kp - y * k * (params.nu * kp + kpp)) / k**2
-        strong -= a1 * v_derivs(pts, unit(i, 2))
-        strong += (a3 + shift * y * s2) * v_derivs(pts, unit(i, 1))
-        for j in range(dim):
-            mi = list(unit(i, 1))
-            mi[j] += 1
-            strong += 4.0 * y * pts[:, j] * s2 * v_derivs(pts, tuple(mi))
+    strong = -g_exact * lap + strong_operator(f, v_derivs, pts)
     w_vals = w_derivs(pts, (0,) * dim)
     strong_val = float(np.sum(strong * w_vals * w_q))
     return abs(weak - strong_val)

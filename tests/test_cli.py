@@ -104,6 +104,15 @@ class TestCommands:
         assert main(["validate", "--set", "dt=0"]) == EXIT_CONFIG
         assert main(["validate", "--set", "bogus=1"]) == EXIT_CONFIG
 
+    def test_untiled_cell_size_is_config_error(self, tmp_path, capsys):
+        # 0.3 does not divide the box length 2: rejected before the march
+        rc = main(["solve", "--out", str(tmp_path / "o"), "--set", "h=0.3"])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "does not tile" in captured.err
+        assert "H1 bounds" not in captured.out  # hypothesis validation never ran
+        assert main(["theta-sweep", "--set", "h_list=0.5,0.3"]) == EXIT_CONFIG
+
     def test_zero_case_solve_writes_zero_snapshots(self, tmp_path):
         out = tmp_path / "run"
         rc = main([

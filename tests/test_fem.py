@@ -182,6 +182,81 @@ class TestTimeDependentAssembly:
                     assert w @ (Q @ w) > 0.0
 
 
+def _quadrature_l_matrices(space, ops, b, params, t):
+    """L1, L2 from the pointwise B1..B4 quadrature, the affine path's reference."""
+    bt = assemble_time_dependent(space, b, params, t)
+    k = b(t)[0]
+    return (
+        (params.nu * ops.A + bt.B3).toarray(),
+        (k**-4 * ops.K2 + bt.B1 + bt.B4 - bt.B2).toarray(),
+    )
+
+
+class TestAffineOperators:
+    @pytest.mark.parametrize("dim,cells", [(1, 8), (2, 3)])
+    @pytest.mark.parametrize("which", ["B1", "B2", "custom"])
+    def test_combination_matches_quadrature(self, params, dim, cells, which):
+        from movingbeam import BeamSystem, BoundaryKind
+
+        # custom: K = 1 + t/2 + t^2/4, so K'' != 0 and K'/K = 0.57 at t = 0.5
+        b = {
+            "B1": MovingBoundary.b1(dim),
+            "B2": MovingBoundary.b2(dim),
+            "custom": MovingBoundary(
+                BoundaryKind.CUSTOM,
+                custom=(lambda t: 1.0 + t / 2 + t * t / 4, lambda t: 0.5 + t / 2,
+                        lambda t: 0.5),
+            ),
+        }[which]
+        space = HermiteSpace(Mesh.uniform(dim, cells))
+        ops = assemble_constant(space)
+        system = BeamSystem(space, ops, b, params)
+        for t in (0.0, 0.5):
+            for got, ref in zip(
+                system.l_matrices(t), _quadrature_l_matrices(space, ops, b, params, t)
+            ):
+                assert np.max(np.abs(got.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("dim,cells", [(1, 8), (2, 3)])
+    def test_one_pattern_for_every_step_matrix(self, params, dim, cells):
+        from movingbeam import BeamSystem, NewmarkConfig, build_step_operators
+        from movingbeam.newmark import StepProblem
+
+        space = HermiteSpace(Mesh.uniform(dim, cells))
+        ops = assemble_constant(space)
+        system = BeamSystem(space, ops, MovingBoundary.b2(dim), params)
+        cfg = NewmarkConfig(theta=0.25, dt=2.0**-5, n_steps=4)
+        d = np.full(space.ndof, 0.01)
+        mats = [ops.K1, ops.K2, ops.Q, ops.P, *system.l_matrices(0.1)]
+        for eta in (0, 2):
+            so = build_step_operators(system, cfg, eta)
+            prob = StepProblem(system, cfg, eta, so, d, d, d, 0.1, 0.1)
+            mats += [so.M1, so.M2, so.M3, prob.S_lin, prob.jacobian_parts(d)[0]]
+        for M in mats:
+            assert np.array_equal(M.indptr, ops.A.indptr)
+            assert np.array_equal(M.indices, ops.A.indices)
+
+    def test_advance_never_assembles_per_step(self, params, monkeypatch):
+        import sys
+
+        from movingbeam import BeamSystem, NewmarkConfig, advance
+
+        def boom(*args, **kwargs):
+            raise AssertionError("per-step quadrature assembly")
+
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "movingbeam":
+                for attr, value in list(vars(mod).items()):
+                    if value is assemble_time_dependent:
+                        monkeypatch.setattr(mod, attr, boom)
+        case = ManufacturedCase.standard("S1", 1)
+        space = HermiteSpace(Mesh.uniform(1, 8))
+        system = BeamSystem(space, assemble_constant(space), MovingBoundary.b2(1), params)
+        d0 = interpolate_initial(space, case.initial_displacement())
+        traj = advance(system, NewmarkConfig(dt=2.0**-5, n_steps=4), d0, 0.0 * d0)
+        assert traj.completed
+
+
 class TestLoad:
     def test_zero_source(self, space_1d_coarse):
         F = assemble_load(space_1d_coarse, lambda pts, t: np.zeros(len(pts)), 0.0)

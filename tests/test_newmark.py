@@ -93,36 +93,32 @@ class TestKirchhoffGradient:
         d = np.array([0.9])
         assert kirchhoff_gradient(2.0, d, K1)[0] == pytest.approx(2 * 2.0 * 3.7 * 0.9)
 
-    def test_legacy_mode_keeps_diagonal_only(self, space_1d_coarse, rng):
-        ops = assemble_constant(space_1d_coarse)
-        d = rng.standard_normal(space_1d_coarse.ndof)
-        legacy = kirchhoff_gradient(1.3, d, ops.K1, legacy=True)
-        np.testing.assert_allclose(legacy, 2 * 1.3 * ops.K1.diagonal() * d, rtol=1e-14)
-
 
 class _ScalarSystem:
-    """1-DOF stand-in for BeamSystem with prescribed matrices."""
+    """1-DOF stand-in for BeamSystem with prescribed matrices.
+
+    Its coefficient vectors span (A, K1, L1, L2): slots 0 and 1 are A and K1
+    as in AssembledOperators.BASIS, L1 and L2 take slots 2 and 3.
+    """
 
     def __init__(self, A=1.0, L1=2.0, L2=3.0, b1=0.0, K1=1.0, F=0.0):
+        stack = np.array([A, K1, L1, L2, 0.0])
         self.ops = SimpleNamespace(
-            A=sp.csr_matrix(np.array([[A]])), K1=sp.csr_matrix(np.array([[K1]]))
+            A=sp.csr_matrix(np.array([[A]])),
+            K1=sp.csr_matrix(np.array([[K1]])),
+            combine=lambda c: sp.csr_matrix(np.array([[c @ stack]])),
         )
-        self._L1 = sp.csr_matrix(np.array([[L1]]))
-        self._L2 = sp.csr_matrix(np.array([[L2]]))
         self._b1 = b1
         self._F = F
 
-    def l_matrices(self, t):
-        return self._L1, self._L2
+    def l_coefficients(self, t):
+        return np.eye(5)[2], np.eye(5)[3]
 
     def load(self, t):
         return np.array([self._F])
 
     def b1(self, t):
         return self._b1
-
-    def g_norm_matrix(self, cfg):
-        return self.ops.K1
 
 
 class TestStepOperators:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import HermiteSpace
-from .geometry import BeamParameters, MovingBoundary, eval_boundary
+from .geometry import BeamParameters, MovingBoundary, time_factors
 from .newmark import Trajectory
 
 __all__ = ["energy_from_state", "energy_series", "DecayFit", "decay_fit"]
@@ -30,7 +30,7 @@ def energy_from_state(
     """E(t) = 1/2 int |u'|^2 + |lap_x u|^2 + zeta0 |grad_x u|^2 + zeta1/2 |grad_x u|^4 dx."""
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(d_dot))):
         raise ValueError("energy of a non-finite state is undefined")
-    k, kp, _ = eval_boundary(boundary, t)
+    f = time_factors(boundary, params, t)
     dim = space.mesh.dim
     tab = space.basis_tables(nq)
     w = tab["w"]
@@ -41,16 +41,11 @@ def energy_from_state(
     pts = tab["points"]
 
     y_dot_grad = sum(pts[:, :, i] * grads[i] for i in range(dim))
-    u_prime = v_dot - (kp / k) * y_dot_grad
+    u_prime = v_dot - f.r * y_dot_grad
     grad_sq = sum(g * g for g in grads)
 
-    density = (
-        u_prime**2
-        + k**-4 * lap**2
-        + params.zeta0 * k**-2 * grad_sq
-        + 0.5 * params.zeta1 * k**-4 * grad_sq**2
-    )
-    return 0.5 * k**dim * float(np.sum(density * w[None, :]))
+    density = u_prime**2 + f.b2 * lap**2 + f.s0 * grad_sq + 0.5 * f.b1 * grad_sq**2
+    return 0.5 * f.k**dim * float(np.sum(density * w[None, :]))
 
 
 def _velocity_series(trajectory: Trajectory) -> list[np.ndarray]:

@@ -135,25 +135,29 @@ class CoefficientSet:
     a5: np.ndarray
 
 
+def _closed_form(b: MovingBoundary, t, exp=math.exp):
+    """(K, K', K'') of a built-in kind at t, a float or (with np.exp) an array."""
+    if b.kind is BoundaryKind.LINEAR_DRIFT:
+        return b.base + b.slope * t, b.slope, 0.0
+    if b.kind is BoundaryKind.EXPONENTIAL_SATURATION:
+        e = exp(-b.rate * t)
+        k, kp = b.base + b.amplitude * (1.0 - e), b.amplitude * b.rate * e
+        return k, kp, -b.amplitude * b.rate * b.rate * e
+    if b.kind is BoundaryKind.CONSTANT:
+        return b.base, 0.0, 0.0
+    raise ValueError(f"unknown boundary kind {b.kind}")  # pragma: no cover
+
+
 def eval_boundary(b: MovingBoundary, t: float) -> tuple[float, float, float]:
     """Return (K, K', K'') at time t, analytically per kind."""
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    if b.kind is BoundaryKind.LINEAR_DRIFT:
-        k, kp, kpp = b.base + b.slope * t, b.slope, 0.0
-    elif b.kind is BoundaryKind.EXPONENTIAL_SATURATION:
-        e = math.exp(-b.rate * t)
-        k = b.base + b.amplitude * (1.0 - e)
-        kp = b.amplitude * b.rate * e
-        kpp = -b.amplitude * b.rate * b.rate * e
-    elif b.kind is BoundaryKind.CONSTANT:
-        k, kp, kpp = b.base, 0.0, 0.0
-    elif b.kind is BoundaryKind.CUSTOM:
+    if b.kind is BoundaryKind.CUSTOM:
         if b.custom is None or len(b.custom) != 3:
             raise ValueError("custom boundary requires (K, K', K'') callbacks")
         k, kp, kpp = (float(f(t)) for f in b.custom)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown boundary kind {b.kind}")
+    else:
+        k, kp, kpp = _closed_form(b, t)
     if not (math.isfinite(k) and math.isfinite(kp) and math.isfinite(kpp)):
         raise InvalidBoundaryError(f"non-finite boundary value at t={t}: {(k, kp, kpp)}")
     return k, kp, kpp
@@ -164,6 +168,7 @@ class TimeFactors:
     """Scalar functions of (K, K', K''): as x = K(t) y with K scalar, every
     pulled-back coefficient is one of them times a fixed polynomial in y."""
 
+    k: float       # K
     b1: float      # zeta1 / K^4
     b2: float      # K^-4
     s0: float      # zeta0 / K^2
@@ -184,7 +189,7 @@ def time_factors(b: MovingBoundary, p: BeamParameters, t: float) -> TimeFactors:
     if k <= 0.0:
         raise SingularMappingError(f"K(t) must be positive, got K({t}) = {k}")
     damping = k * (p.nu * kp + kpp)
-    return TimeFactors(b1=p.zeta1 * k ** -4, b2=k ** -4, s0=p.zeta0 / k ** 2, r=kp / k,
+    return TimeFactors(k=k, b1=p.zeta1 * k ** -4, b2=k ** -4, s0=p.zeta0 / k ** 2, r=kp / k,
                        c3=(2.0 * kp * kp - damping) / k ** 2,
                        c4=(-2.0 * kp * kp - damping) / k ** 2)
 
@@ -269,10 +274,13 @@ def validate_hypotheses(
     if not T > 0:
         raise ValueError(f"horizon must be positive, got T={T}")
     ts = _sample_times(b, T, samples_per_unit_time)
-    ks = np.empty_like(ts)
-    kps = np.empty_like(ts)
-    for i, t in enumerate(ts):
-        ks[i], kps[i], _ = eval_boundary(b, float(t))
+    if b.kind is BoundaryKind.CUSTOM:
+        ks, kps, _ = np.array([eval_boundary(b, float(t)) for t in ts]).T
+    else:
+        values = np.broadcast_arrays(*_closed_form(b, ts, np.exp))
+        if not all(np.all(np.isfinite(v)) for v in values):
+            raise InvalidBoundaryError(f"non-finite boundary value on [0, {T}]")
+        ks, kps, _ = values
 
     failures: list[str] = []
     lo = bool(np.all(ks >= b.k0) and b.k0 > 0.0)

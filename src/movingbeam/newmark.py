@@ -11,9 +11,10 @@ with K scalar, L1 and L2 are fixed combinations of the constant operators
 once per run on one CSR pattern, and each step matrix is formed as one
 coefficient-vector product with their stacked data, never re-assembled.
 Each implicit step solves a nonlinear system whose Jacobian is a sparse
-matrix plus a low-rank correction coming from the differential of G; the
-linear solves use a direct factorization combined with the Woodbury
-identity, so results are deterministic for a fixed configuration.
+matrix plus a low-rank correction coming from the differential of G; a run
+keeps one sparse LU across Newton iterations and steps, refines each solve
+with it and the Woodbury identity, and refactors when refinement stalls
+(``LinearSolver``).  Results are deterministic for a fixed configuration.
 
 theta in ]1/4, 1] gives the unconditionally convergent family; theta < 1/4 is
 conditionally stable and may legitimately diverge on fine meshes, which is
@@ -21,13 +22,11 @@ reported as data (``Trajectory.status``), not as a crash.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as dla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -41,6 +40,7 @@ __all__ = [
     "Trajectory",
     "NewtonNoConvergence",
     "SingularJacobian",
+    "LinearSolver",
     "kirchhoff_scalar",
     "kirchhoff_gradient",
     "build_step_operators",
@@ -49,7 +49,6 @@ __all__ = [
     "BeamSystem",
 ]
 
-_DENSE_LIMIT = 700  # below this many DOFs a dense factorization is cheaper
 # coefficient vectors of A and K1 over AssembledOperators.BASIS
 _A, _K1 = np.eye(len(AssembledOperators.BASIS))[:2]
 
@@ -117,6 +116,7 @@ class Trajectory:
     status: str = "completed"          # "completed" | "diverged"
     diverged_step: int | None = None
     trace: list[tuple] = field(default_factory=list)  # (step, t, iters, resid, dinf)
+    factorizations: int = 0            # LUs of the Newton matrix made by the run
 
     @property
     def completed(self) -> bool:
@@ -133,38 +133,67 @@ def kirchhoff_gradient(b1_t: float, d: np.ndarray, K1: sp.spmatrix) -> np.ndarra
     return 2.0 * b1_t * np.asarray(K1 @ d)
 
 
-class _DirectSolver:
-    """Deterministic direct solve with optional low-rank Woodbury update.
+class LinearSolver:
+    """Solves (S + U V^T) x = b for the drifting Newton matrices of one run.
 
-    Solves (S + U V^T) x = rhs where S is sparse (or densified when small)
-    and U, V hold r columns.
+    The sparse LU of an earlier Newton matrix, with the Woodbury identity for
+    U V^T, preconditions iterative refinement on the true residual (a chord
+    method for the linear solves).  The first sweep after each factorization
+    sets the accuracy target, eight times its correction; S is refactored when
+    the corrections contract by less than half per sweep or would need more
+    than ``MAX_SWEEPS`` sweeps.
     """
 
-    def __init__(self, S: sp.spmatrix):
-        n = S.shape[0]
-        try:
-            if n <= _DENSE_LIMIT:
-                # a closure over self would make a reference cycle that keeps
-                # every step's factors alive until the cyclic collector runs
-                self._solve = functools.partial(dla.lu_solve, dla.lu_factor(S.toarray()))
-            else:
-                lu = spla.splu(S.tocsc())
-                self._solve = lu.solve
-        except (RuntimeError, ValueError) as exc:
-            raise SingularJacobian(str(exc)) from exc
+    MAX_SWEEPS = 8
 
-    def solve(self, rhs: np.ndarray, U: np.ndarray | None = None,
-              V: np.ndarray | None = None) -> np.ndarray:
-        x0 = self._solve(rhs)
-        if U is None or U.shape[1] == 0:
-            return x0
-        Z = np.column_stack([self._solve(U[:, j]) for j in range(U.shape[1])])
-        cap = np.eye(U.shape[1]) + V.T @ Z
+    def __init__(self):
+        self.factorizations = 0
+        self._lu = None
+
+    def reset(self) -> None:
+        """Drop the factors; the next solve factors its own matrix."""
+        self._lu = None
+
+    def solve(self, S: sp.csr_matrix, rhs: np.ndarray, U: np.ndarray,
+              V: np.ndarray) -> np.ndarray:
+        x = None if self._lu is None else self._refine(S, rhs, U, V, fresh=False)
+        if x is None:
+            self._lu = None  # free the old factors before making new ones
+            try:
+                self._lu = spla.splu(S.tocsc())
+            except (RuntimeError, ValueError) as exc:
+                raise SingularJacobian(str(exc)) from exc
+            self.factorizations += 1
+            x = self._refine(S, rhs, U, V, fresh=True)
+        return x
+
+    def _refine(self, S, rhs, U, V, fresh: bool) -> np.ndarray | None:
+        Z = self._lu.solve(U)
         try:
-            correction = Z @ np.linalg.solve(cap, V.T @ x0)
+            W = np.linalg.solve(np.eye(U.shape[1]) + V.T @ Z, V.T)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(f"singular Woodbury capacitance: {exc}") from exc
-        return x0 - correction
+
+        def precondition(b):
+            y = self._lu.solve(b)
+            return y - Z @ (W @ y)
+
+        x = precondition(rhs)
+        last = math.inf
+        for sweep in range(1, self.MAX_SWEEPS + 1):
+            dx = precondition(rhs - S @ x - U @ (V.T @ x))
+            x = x + dx
+            size = float(np.max(np.abs(dx))) / (float(np.max(np.abs(x))) or 1.0)
+            if fresh:
+                self._target = 8.0 * max(size, np.finfo(float).eps)
+            if fresh or size <= self._target:
+                return x
+            rate, last = size / last, size
+            # refactor on a stall, or when this rate needs more sweeps than allowed
+            if not rate < 0.5 or (sweep > 1 and sweep + math.log(
+                    self._target / size, rate) > self.MAX_SWEEPS):
+                return None
+        return None
 
 
 class BeamSystem:
@@ -356,8 +385,11 @@ class StepProblem:
         return S.toarray() + U @ V.T
 
 
-def newton_solve(problem: StepProblem, x0: np.ndarray, cfg: NewmarkConfig):
-    """Newton iteration with direct solves; returns (X, iterations, residual)."""
+def newton_solve(problem: StepProblem, x0: np.ndarray, cfg: NewmarkConfig,
+                 solver: LinearSolver | None = None):
+    """Newton iteration; returns (X, iterations, residual).  The linear solves
+    go through ``solver``, whose factors carry over between calls."""
+    solver = solver or LinearSolver()
     X = x0.copy()
     for it in range(1, cfg.newton_max_iter + 1):
         r = problem.residual(X)
@@ -367,7 +399,7 @@ def newton_solve(problem: StepProblem, x0: np.ndarray, cfg: NewmarkConfig):
         if rn < cfg.newton_tol_resid:
             return X, it - 1, rn
         S, U, V = problem.jacobian_parts(X)
-        step = _DirectSolver(S).solve(-r, U, V)
+        step = solver.solve(S, -r, U, V)
         X = X + step
         if not np.all(np.isfinite(X)):
             raise NewtonNoConvergence("non-finite Newton iterate")
@@ -398,9 +430,12 @@ def advance(
     iters: list[int] = []
     trace: list[tuple] = []
 
+    solver = LinearSolver()  # local to the run, so no factor outlives it
     d_prev: np.ndarray | None = None
     d_curr = ds[0]
     for eta in range(cfg.n_steps):
+        if eta == 1:  # the startup matrix M1 + M3 is about 2 M1: too far to refine from
+            solver.reset()
         step_ops = build_step_operators(system, cfg, eta)
         g_curr = kirchhoff_scalar(system.b1(eta * cfg.dt), d_curr, K1)
         if eta == 0:
@@ -411,15 +446,17 @@ def advance(
                 system, cfg, eta, step_ops, d_curr, d_prev, None, g_curr, g_prev
             )
         try:
-            d_next, nit, resid = newton_solve(prob, d_curr, cfg)
+            d_next, nit, resid = newton_solve(prob, d_curr, cfg, solver)
         except (NewtonNoConvergence, SingularJacobian):
-            return Trajectory(ds, times[: len(ds)], iters, "diverged", eta + 1, trace)
+            break
         dinf = float(np.max(np.abs(d_next))) if d_next.size else 0.0
         if not math.isfinite(dinf) or dinf > cfg.divergence_threshold:
-            return Trajectory(ds, times[: len(ds)], iters, "diverged", eta + 1, trace)
+            break
         ds.append(d_next)
         iters.append(nit)
         if collect_trace:
             trace.append((eta + 1, float(times[eta + 1]), nit, resid, dinf))
         d_prev, d_curr = d_curr, d_next
-    return Trajectory(ds, times, iters, "completed", None, trace)
+    done = len(ds) == cfg.n_steps + 1  # a failed step eta + 1 leaves d^0..d^eta
+    return Trajectory(ds, times[: len(ds)], iters, "completed" if done else "diverged",
+                      None if done else len(ds), trace, solver.factorizations)

@@ -1,4 +1,5 @@
 """Moving-boundary evaluation, transformed coefficients, hypothesis checks."""
+import dataclasses
 import math
 
 import numpy as np
@@ -161,6 +162,46 @@ class TestHypotheses:
     def test_bad_horizon(self, b1_1d, params):
         with pytest.raises(ValueError):
             validate_hypotheses(b1_1d, params, 0.0)
+
+    @pytest.mark.parametrize("b", [
+        MovingBoundary.b1(1),
+        MovingBoundary.b2(1),
+        MovingBoundary.b2(2),
+        MovingBoundary.constant(64.0),
+        # K = 1 + t/2 leaves K1 = 2.5 and K2 = 0.25: two failures
+        MovingBoundary(BoundaryKind.LINEAR_DRIFT, base=1.0, slope=0.5,
+                       k0=0.5, k1_bound=2.5, k2_bound=0.25),
+    ], ids=["B1", "B2", "B2-2D", "constant", "failing"])
+    def test_array_sampling_matches_scalar_loop(self, b, params):
+        # as CUSTOM callbacks the same boundary is sampled one call at a time
+        scalar = dataclasses.replace(b, kind=BoundaryKind.CUSTOM, custom=tuple(
+            (lambda t, i=i: eval_boundary(b, t)[i]) for i in range(3)))
+        rep = validate_hypotheses(b, params, 20.0, samples_per_unit_time=2000)
+        ref = validate_hypotheses(scalar, params, 20.0, samples_per_unit_time=2000)
+        assert (rep.h1_bounds, rep.h1_speed, rep.h4, rep.failures) == (
+            ref.h1_bounds, ref.h1_speed, ref.h4, ref.failures)
+        assert rep.max_kprime_sq == pytest.approx(ref.max_kprime_sq, rel=1e-15, abs=0.0)
+
+    def test_custom_sampling_matches_scalar_loop(self, params):
+        b = MovingBoundary(
+            BoundaryKind.CUSTOM, k0=1.0, k1_bound=10.0, k2_bound=1.0,
+            custom=(lambda t: 2.0 + t * t / 100.0, lambda t: t / 50.0, lambda t: 0.02),
+        )
+        rep = validate_hypotheses(b, params, 20.0, samples_per_unit_time=2000)
+        ts = np.linspace(0.0, 20.0, 40_001)
+        kps = np.array([eval_boundary(b, float(t))[1] for t in ts])
+        assert rep.max_kprime_sq == pytest.approx(float(np.max(kps ** 2)), rel=1e-15, abs=0.0)
+        assert (rep.h1_bounds, rep.h1_speed, rep.h4) == (True, False, True)
+
+    def test_non_finite_samples_rejected(self, params):
+        custom = MovingBoundary(
+            BoundaryKind.CUSTOM,
+            custom=(lambda t: 2.0 if t < 10.0 else math.nan, lambda t: 0.1, lambda t: 0.0),
+        )
+        built_in = MovingBoundary(BoundaryKind.LINEAR_DRIFT, base=math.inf, slope=1.0)
+        for b in (custom, built_in):
+            with pytest.raises(InvalidBoundaryError):
+                validate_hypotheses(b, params, 20.0, samples_per_unit_time=100)
 
 
 class TestMapping:

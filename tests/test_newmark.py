@@ -1,13 +1,16 @@
 """Time stepper: Kirchhoff scalar/gradient, step operators, Newton, marching."""
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from movingbeam import (
     BeamParameters,
     BeamSystem,
+    BoundaryKind,
     HermiteSpace,
     ManufacturedCase,
     Mesh,
@@ -22,11 +25,19 @@ from movingbeam import (
     kirchhoff_scalar,
     make_source,
 )
-from movingbeam.newmark import StepProblem, newton_solve
+from movingbeam import newmark
+from movingbeam.newmark import LinearSolver, SingularJacobian, StepProblem, newton_solve
+
+# K = 1 + t/2: K^-4, and with it the Newton matrix, drifts by about 3% per step at dt = 2^-6
+FAST = MovingBoundary(BoundaryKind.LINEAR_DRIFT, base=1.0, slope=0.5,
+                      k0=0.5, k1_bound=2.5, k2_bound=1.0)
 
 
-def _mms_system(dim=1, cells=8, case_id="S1", zeta1=2.0, nu=1.0, boundary=None):
+def _mms_system(dim=1, cells=8, case_id="S1", zeta1=2.0, nu=1.0, boundary=None,
+                amplitude=None):
     case = ManufacturedCase.standard(case_id, dim)
+    if amplitude is not None:
+        case = dataclasses.replace(case, amplitude=amplitude)
     b = boundary or MovingBoundary.b1(dim)
     p = BeamParameters(zeta0=128.0, zeta1=zeta1, nu=nu)
     space = HermiteSpace(Mesh.uniform(dim, cells))
@@ -307,6 +318,89 @@ class TestAdvance:
         step, t, iters, resid, dinf = traj.trace[0]
         assert step == 1 and t == pytest.approx(2.0**-5)
         assert np.isfinite(resid) and np.isfinite(dinf)
+
+
+def _woodbury_reference(S, rhs, U, V):
+    """A fresh sparse LU of S and the Woodbury identity for U V^T."""
+    lu = spla.splu(S.tocsc())
+    x, Z = lu.solve(rhs), lu.solve(U)
+    return x - Z @ np.linalg.solve(np.eye(U.shape[1]) + V.T @ Z, V.T @ x)
+
+
+class _PerIterationLU:
+    """Reference solver: a dense LU of the whole Newton matrix at every iteration."""
+
+    factorizations = 0
+
+    def reset(self):
+        pass
+
+    def solve(self, S, rhs, U, V):
+        return np.linalg.solve(S.toarray() + U @ V.T, rhs)
+
+
+class TestLinearSolver:
+    @pytest.mark.parametrize("r", [0, 1, 3])
+    def test_refined_solve_matches_fresh_lu(self, r, rng):
+        # the factors of the step-1 matrix refine the solve with the step-64 one
+        _, system, _, _ = _mms_system(cells=32)
+        cfg = NewmarkConfig(theta=0.25, dt=2.0**-6, n_steps=64)
+        S0 = build_step_operators(system, cfg, 1).M1
+        S = build_step_operators(system, cfg, 64).M1
+        n = S.shape[0]
+        U = 0.1 * rng.standard_normal((n, r))
+        V = rng.standard_normal((n, r))
+        rhs = rng.standard_normal(n)
+        solver = LinearSolver()
+        solver.solve(S0, rhs, U, V)
+        x = solver.solve(S, rhs, U, V)
+        assert solver.factorizations == 1
+        ref = _woodbury_reference(S, rhs, U, V)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_slow_boundary_keeps_one_factorization(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(newmark, "spla", SimpleNamespace(
+            splu=lambda A: calls.append(1) or spla.splu(A)))
+        _, system, d0, d1 = _mms_system(cells=128)
+        traj = advance(system, NewmarkConfig(theta=0.25, dt=2.0**-7, n_steps=128), d0, d1)
+        assert traj.completed
+        # one for the startup step, one for the rest of the run
+        assert traj.factorizations == len(calls) <= 3
+
+    def test_fast_boundary_refactors_and_matches_per_iteration_lu(self, monkeypatch):
+        _, system, d0, d1 = _mms_system(cells=32, boundary=FAST, amplitude=1.0)
+        cfg = NewmarkConfig(theta=0.25, dt=2.0**-6, n_steps=64)
+        traj = advance(system, cfg, d0, d1)
+        monkeypatch.setattr(newmark, "LinearSolver", _PerIterationLU)
+        ref = advance(system, cfg, d0, d1)
+        assert traj.completed and ref.completed
+        assert 2 < traj.factorizations < sum(traj.newton_iterations)
+        scale = max(np.max(np.abs(d)) for d in ref.d)
+        assert max(np.max(np.abs(a - b)) for a, b in zip(traj.d, ref.d)) <= 1e-8 * scale
+
+    def test_singular_newton_matrix(self):
+        # A = L1 = L2 = 0 and b1 = 0 leave the zero Newton matrix
+        system = _ScalarSystem(A=0.0, L1=0.0, L2=0.0, F=1.0)
+        cfg = NewmarkConfig(theta=0.25, dt=0.1, n_steps=2)
+        so = build_step_operators(system, cfg, eta=1)
+        prob = StepProblem(system, cfg, 1, so, np.zeros(1), np.zeros(1), None, 0.0, 0.0)
+        with pytest.raises(SingularJacobian):
+            newton_solve(prob, np.zeros(1), cfg)
+        # also when the kept factors belong to a regular matrix
+        solver, none = LinearSolver(), np.zeros((1, 0))
+        solver.solve(sp.csr_matrix(np.array([[1.0]])), np.ones(1), none, none)
+        with pytest.raises(SingularJacobian):
+            solver.solve(sp.csr_matrix((1, 1)), np.ones(1), none, none)
+        traj = advance(system, cfg, np.zeros(1), np.zeros(1))
+        assert traj.status == "diverged" and traj.diverged_step == 1
+
+    def test_reruns_are_byte_identical(self):
+        _, system, d0, d1 = _mms_system(cells=32, boundary=FAST, amplitude=1.0)
+        cfg = NewmarkConfig(theta=0.25, dt=2.0**-6, n_steps=64)
+        first, second = (advance(system, cfg, d0, d1) for _ in range(2))
+        assert first.factorizations == second.factorizations > 2
+        assert b"".join(d.tobytes() for d in first.d) == b"".join(d.tobytes() for d in second.d)
 
 
 class TestConfigValidation:

@@ -72,9 +72,11 @@ class RunConfig:
             raise ConfigError(f"empty box [{self.box_lo}, {self.box_hi}]")
         for h in (self.h, *self.h_list):
             try:
-                cells_for_h(self.box, h)
+                cells = cells_for_h(self.box, h)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
+            if cells < 2:  # clamping would eliminate every DOF
+                raise ConfigError(f"cell size {h} leaves {cells} cell per axis; need >= 2")
         for name in ("zeta0", "zeta1", "nu", "boundary_base", "boundary_slope",
                      "boundary_amplitude", "boundary_rate", "fit_window_lo",
                      "fit_window_hi"):

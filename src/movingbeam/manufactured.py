@@ -16,6 +16,10 @@ Pairing the discrete form with any other first-order/velocity sign
 convention leaves an O(1) defect that caps the reachable accuracy, so this
 is the only formula under which the convergence studies can show their
 second-order rates.
+
+As v is separable and each coefficient is a time factor times a polynomial
+in y, f is five fixed functions of y times scalar functions of t
+(``make_source``), so a load never re-integrates f.
 """
 from __future__ import annotations
 
@@ -116,22 +120,9 @@ class ManufacturedCase:
 
     # -- common composites -------------------------------------------------------
 
-    def _unit(self, ax: int, order: int) -> tuple[int, ...]:
-        mi = [0] * self.dim
-        mi[ax] = order
-        return tuple(mi)
-
     def laplacian(self, points, t: float, dt_order: int = 0) -> np.ndarray:
-        return sum(self.eval(points, t, dt_order, self._unit(i, 2)) for i in range(self.dim))
-
-    def bilaplacian(self, points, t: float) -> np.ndarray:
-        if self.dim == 1:
-            return self.eval(points, t, 0, (4,))
-        return (
-            self.eval(points, t, 0, (4, 0))
-            + 2.0 * self.eval(points, t, 0, (2, 2))
-            + self.eval(points, t, 0, (0, 4))
-        )
+        return sum(self.eval(points, t, dt_order, tuple(2 * e))
+                   for e in np.eye(self.dim, dtype=int))
 
     def grad_norm_sq(self, t: float) -> float:
         """|grad v(., t)|_0^2 over the box, exact for the polynomial factor."""
@@ -188,20 +179,44 @@ def make_source(
 ) -> Callable[[np.ndarray, float], np.ndarray]:
     """Source f(y, t) for which ``case`` solves the transformed equation.
 
-    Built from the strong operator consistent with the assembled weak form;
-    see the module docstring for the exact formula.
+    With v = amp T(t) g(y) the formula of the module docstring is
+    f = sum_k c_k(t) h_k(y) over five fixed functions
+
+        h = (g, lap g, bilap g, sum_i y_i d_i g, 4 sum_ij (1 + delta_ij) y_i y_j d_ij g),
+        c = amp (T'' + nu T', -T (b1 |grad v|^2 + s0), b2 T,
+                 -2 r T' + (c3 + (4n+8) r^2) T, r^2 T).
+
+    The returned callable carries them as data attributes: ``terms``, the
+    h_k(points), and ``coefficients``, t -> c(t).  A load is so integrated
+    once per term and formed per time level as c(t) times those vectors.
     """
+    n, d = case.dim, case.spatial_factor  # d(y, mi) = d^mi g
+    eye = np.eye(n, dtype=int)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    terms = (
+        lambda y: d(y, 0 * eye[0]),
+        lambda y: sum(d(y, 2 * eye[i]) for i in range(n)),
+        lambda y: sum(d(y, 2 * eye[i] + 2 * eye[j]) for i, j in pairs),
+        lambda y: sum(y[:, i] * d(y, eye[i]) for i in range(n)),
+        lambda y: 4.0 * sum((1 + (i == j)) * y[:, i] * y[:, j] * d(y, eye[i] + eye[j])
+                            for i, j in pairs),
+    )
+
+    def coefficients(t: float) -> np.ndarray:
+        tf = time_factors(boundary, params, t)
+        T0, T1, T2 = (case.amplitude * case.temporal_factor(t, k) for k in range(3))
+        r2 = tf.r * tf.r
+        return np.array([
+            T2 + params.nu * T1,
+            -T0 * (tf.b1 * case.grad_norm_sq(t) + tf.s0),
+            T0 * tf.b2,
+            -2.0 * tf.r * T1 + (tf.c3 + (4.0 * n + 8.0) * r2) * T0,
+            T0 * r2,
+        ])
 
     def f(points: np.ndarray, t: float) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        tf = time_factors(boundary, params, t)
-        a4 = tf.a_coefficients(pts)[3]
-        out = case.eval(pts, t, 2)                      # v_tt
-        out += params.nu * case.eval(pts, t, 1)         # nu v_t
-        out -= tf.b1 * case.grad_norm_sq(t) * case.laplacian(pts, t)
-        out += strong_operator(tf, lambda p, mi: case.eval(p, t, 0, mi), pts)
-        for i in range(case.dim):
-            out += a4[:, i] * case.eval(pts, t, 1, case._unit(i, 1))
-        return out
+        return coefficients(t) @ np.array([h(pts) for h in terms])
 
+    f.terms, f.coefficients = terms, coefficients
     return f

@@ -10,11 +10,13 @@ with K scalar, L1 and L2 are fixed combinations of the constant operators
 (A, K1, K2, Q, P) with scalar weights in (K, K', K''): they are assembled
 once per run on one CSR pattern, and each step matrix is formed as one
 coefficient-vector product with their stacked data, never re-assembled.
-Each implicit step solves a nonlinear system whose Jacobian is a sparse
-matrix plus a low-rank correction coming from the differential of G; a run
-keeps one sparse LU across Newton iterations and steps, refines each solve
-with it and the Woodbury identity, and refactors when refinement stalls
-(``LinearSolver``).  Results are deterministic for a fixed configuration.
+The load F(t) follows the same rule over the source's five spatial terms,
+integrated once per run (``BeamSystem.load``).  Each implicit step solves a
+nonlinear system whose Jacobian is a sparse matrix plus a low-rank correction
+coming from the differential of G; a run keeps one sparse LU across Newton
+iterations and steps, refines each solve with it and the Woodbury identity,
+and refactors when refinement stalls (``LinearSolver``).  Results are
+deterministic for a fixed configuration.
 
 theta in ]1/4, 1] gives the unconditionally convergent family; theta < 1/4 is
 conditionally stable and may legitimately diverge on fine meshes, which is
@@ -197,7 +199,14 @@ class LinearSolver:
 
 
 class BeamSystem:
-    """Assembled context for one run: constant operators, time factors, loads."""
+    """Assembled context for one run: constant operators, time factors, loads.
+
+    ``source`` is None (a homogeneous run, zero load) or a callable from
+    ``make_source``, whose data attributes ``terms`` and ``coefficients`` give
+    it as sum_k c_k(t) h_k(y).  At the first load each h_k is integrated
+    against the basis into row k of Phi; every load is then c(t) @ Phi, with
+    no quadrature per step.
+    """
 
     def __init__(
         self,
@@ -214,7 +223,7 @@ class BeamSystem:
         self.params = params
         self.source = source
         self.quad_load = quad_load
-        self._load_cache: dict[float, np.ndarray] = {}
+        self._phi: np.ndarray | None = None
 
     def b1(self, t: float) -> float:
         return time_factors(self.boundary, self.params, t).b1
@@ -229,16 +238,17 @@ class BeamSystem:
         return self.ops.combine(c1), self.ops.combine(c2)
 
     def load(self, t: float) -> np.ndarray:
-        key = round(t, 12)
-        if key not in self._load_cache:
-            if self.source is None:
-                val = np.zeros(self.space.ndof)
-            else:
-                val = assemble_load(self.space, self.source, t, nq=self.quad_load)
-            while len(self._load_cache) >= 4:
-                self._load_cache.pop(next(iter(self._load_cache)))
-            self._load_cache[key] = val
-        return self._load_cache[key]
+        """F(t) = c(t) @ Phi; Phi is built here, in the march, at the first call."""
+        if self.source is None:
+            return np.zeros(self.space.ndof)
+        if self._phi is None:
+            self._phi = np.array([
+                assemble_load(self.space, lambda y, _t, h=h: h(y), t, nq=self.quad_load)
+                for h in self.source.terms])
+        F = self.source.coefficients(t) @ self._phi
+        if not np.all(np.isfinite(F)):
+            raise ValueError(f"load is non-finite at t={t}")
+        return F
 
 
 def build_step_operators(

@@ -113,6 +113,14 @@ class TestCommands:
         assert "H1 bounds" not in captured.out  # hypothesis validation never ran
         assert main(["theta-sweep", "--set", "h_list=0.5,0.3"]) == EXIT_CONFIG
 
+    def test_cell_size_without_free_dofs_is_config_error(self, tmp_path, capsys):
+        # one cell per axis: clamping eliminates every DOF
+        rc = main(["solve", "--out", str(tmp_path / "o"), "--set", "h=2.0"])
+        assert rc == EXIT_CONFIG
+        assert "need >= 2" in capsys.readouterr().err
+        assert main(["mms", "--set", "dimension=2", "--set", "h=2.0"]) == EXIT_CONFIG
+        assert main(["convergence", "--set", "h_list=0.5,2.0"]) == EXIT_CONFIG
+
     def test_zero_case_solve_writes_zero_snapshots(self, tmp_path):
         out = tmp_path / "run"
         rc = main([

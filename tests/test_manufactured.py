@@ -1,4 +1,5 @@
 """Exact solutions and source construction, against symbolic oracles."""
+import dataclasses
 import math
 
 import numpy as np
@@ -145,6 +146,53 @@ class TestSource:
         pts = np.linspace(-0.95, 0.95, 9)
         np.testing.assert_allclose(
             f(pts[:, None], tv), fn(pts, tv), rtol=1e-10, atol=1e-14
+        )
+
+    @pytest.mark.parametrize("amp_k", [2.0**-17, 2.0])
+    def test_2d_s2_source_vs_symbolic_weak_form_oracle(self, params, amp_k):
+        # 2D form of the oracle above, with the y_i y_j d_ij cross terms.  The
+        # 2D B2 drift (2^-17) leaves the (K'/K)^2 terms below rtol; the 1D B2
+        # drift (2) on the same box makes them visible.
+        sympy = pytest.importorskip("sympy")
+        case = ManufacturedCase.standard("S2", 2)
+        b = dataclasses.replace(MovingBoundary.b2(2), amplitude=amp_k)
+        f = make_source(case, b, params)
+        tv = 0.43
+
+        y = sympy.symbols("y1 y2")
+        t = sympy.Symbol("t")
+        K = 64 + amp_k * (1 - sympy.exp(-t))
+        Kp = sympy.diff(K, t)
+        Kpp = sympy.diff(K, t, 2)
+        z0, z1, nu = params.zeta0, params.zeta1, params.nu
+        r = Kp / K
+        c3 = (2 * Kp**2 - K * (nu * Kp + Kpp)) / K**2
+        a1 = [(z0 - 4 * (yi * Kp) ** 2) / K**2 for yi in y]
+        a2 = [[4 * yi * yj * r**2 for yj in y] for yi in y]
+        a4 = [-2 * yi * r for yi in y]
+        a5 = [c3 * yi + 2 * r * a4i for yi, a4i in zip(y, a4)]
+        v = (sympy.Rational(1, 10**7) * (y[0] ** 2 - 1) ** 2 * (y[1] ** 2 - 1) ** 2
+             * sympy.sin(2 * sympy.pi * t))
+        gnorm = sympy.integrate(sum(sympy.diff(v, yi) ** 2 for yi in y),
+                                (y[0], -1, 1), (y[1], -1, 1))
+        lap = sum(sympy.diff(v, yi, 2) for yi in y)
+        # (a1_i d_i v, d_i w) -> -d_i(a1_i d_i v) ; -(a2_ij d_i v, d_j w) -> +d_j(a2_ij d_i v)
+        strong = (
+            sympy.diff(v, t, 2)
+            + nu * sympy.diff(v, t)
+            + sum(a4[i] * sympy.diff(v, t, y[i]) for i in range(2))
+            - z1 / K**4 * gnorm * lap
+            + sum(sympy.diff(lap, yi, 2) for yi in y) / K**4
+            - sum(sympy.diff(a1[i] * sympy.diff(v, y[i]), y[i]) for i in range(2))
+            + sum(sympy.diff(a2[i][j] * sympy.diff(v, y[i]), y[j])
+                  for i in range(2) for j in range(2))
+            + sum(a5[i] * sympy.diff(v, y[i]) for i in range(2))
+        )
+        fn = sympy.lambdify((*y, t), strong, "numpy")
+        g = np.linspace(-0.95, 0.95, 7)
+        pts = np.array([(p, q) for p in g for q in g])
+        np.testing.assert_allclose(
+            f(pts, tv), fn(pts[:, 0], pts[:, 1], tv), rtol=1e-10, atol=1e-21
         )
 
     def test_2d_source_reduction_on_diagonal_symmetry(self, params):

@@ -1,5 +1,6 @@
 """Time stepper: Kirchhoff scalar/gradient, step operators, Newton, marching."""
 import dataclasses
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +20,7 @@ from movingbeam import (
     Trajectory,
     advance,
     assemble_constant,
+    assemble_load,
     build_step_operators,
     interpolate_initial,
     kirchhoff_gradient,
@@ -26,6 +28,8 @@ from movingbeam import (
     make_source,
 )
 from movingbeam import newmark
+from movingbeam.geometry import time_factors
+from movingbeam.manufactured import strong_operator
 from movingbeam.newmark import LinearSolver, SingularJacobian, StepProblem, newton_solve
 
 # K = 1 + t/2: K^-4, and with it the Newton matrix, drifts by about 3% per step at dt = 2^-6
@@ -401,6 +405,77 @@ class TestLinearSolver:
         first, second = (advance(system, cfg, d0, d1) for _ in range(2))
         assert first.factorizations == second.factorizations > 2
         assert b"".join(d.tobytes() for d in first.d) == b"".join(d.tobytes() for d in second.d)
+
+
+def _pointwise_source(case, b, p):
+    """The source formula of the manufactured module, term by term at each point."""
+    def f(pts, t):
+        tf = time_factors(b, p, t)
+        a4 = tf.a_coefficients(pts)[3]
+        out = case.eval(pts, t, 2) + p.nu * case.eval(pts, t, 1)
+        out -= tf.b1 * case.grad_norm_sq(t) * case.laplacian(pts, t)
+        out += strong_operator(tf, lambda q, mi: case.eval(q, t, 0, mi), pts)
+        for i in range(case.dim):
+            out += a4[:, i] * case.eval(pts, t, 1, tuple(np.eye(case.dim, dtype=int)[i]))
+        return out
+    return f
+
+
+class TestLoadBasis:
+    @pytest.mark.parametrize("case_id", ["S1", "S2"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("which", ["B1", "B2", "custom"])
+    def test_load_matches_quadrature_of_pointwise_source(self, case_id, dim, which,
+                                                         params):
+        b = {
+            "B1": MovingBoundary.b1(dim),
+            "B2": MovingBoundary.b2(dim),
+            "custom": MovingBoundary(  # K'' != 0 and K'/K of order 1
+                BoundaryKind.CUSTOM,
+                custom=(lambda t: 1.0 + t / 2 + t * t / 4, lambda t: 0.5 + t / 2,
+                        lambda t: 0.5),
+            ),
+        }[which]
+        case = ManufacturedCase.standard(case_id, dim)
+        space = HermiteSpace(Mesh.uniform(dim, 8 if dim == 1 else 4))
+        system = BeamSystem(space, assemble_constant(space), b, params,
+                            make_source(case, b, params))
+        reference = _pointwise_source(case, b, params)
+        for t in (0.0, 0.1, 0.25, 0.37, 0.5, 0.61, 0.75, 0.9, 1.0):
+            ref = assemble_load(space, reference, t)
+            assert np.max(np.abs(system.load(t) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_forced_run_integrates_five_terms_once(self, monkeypatch):
+        calls, original = [], newmark.assemble_load
+        monkeypatch.setattr(newmark, "assemble_load",
+                            lambda *a, **kw: calls.append(1) or original(*a, **kw))
+        for n_steps in (8, 64):
+            _, system, d0, d1 = _mms_system(cells=8)
+            traj = advance(system, NewmarkConfig(dt=2.0**-6, n_steps=n_steps), d0, d1)
+            assert traj.completed and len(calls) == 5
+            calls.clear()
+        # the decomposition is data on the source, so a functools.wraps wrapper
+        # (as a tracer would add) keeps it
+        source = system.source
+        wrapped = BeamSystem(system.space, system.ops, system.boundary, system.params,
+                             functools.wraps(source)(lambda pts, t: source(pts, t)))
+        rerun = advance(wrapped, NewmarkConfig(dt=2.0**-6, n_steps=64), d0, d1)
+        assert len(calls) == 5
+        assert all(np.array_equal(a, b) for a, b in zip(rerun.d, traj.d))
+        calls.clear()
+        homogeneous = BeamSystem(system.space, system.ops, system.boundary, system.params)
+        traj = advance(homogeneous, NewmarkConfig(dt=2.0**-6, n_steps=8), d0, d1)
+        assert traj.completed and calls == []
+        assert np.all(homogeneous.load(0.5) == 0.0)
+
+    def test_non_finite_load_names_the_time(self, b1_1d, params):
+        case = dataclasses.replace(ManufacturedCase.standard("S1", 1), amplitude=np.inf)
+        space = HermiteSpace(Mesh.uniform(1, 8))
+        system = BeamSystem(space, assemble_constant(space), b1_1d, params,
+                            make_source(case, b1_1d, params))
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError,
+                                                         match="non-finite at t=0.25"):
+            system.load(0.25)
 
 
 class TestConfigValidation:

@@ -40,7 +40,6 @@ from .newmark import (
     Trajectory,
     advance,
     build_step_operators,
-    kirchhoff_gradient,
     kirchhoff_scalar,
     newton_solve,
 )

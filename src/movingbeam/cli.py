@@ -77,10 +77,10 @@ def _case(cfg: RunConfig) -> ManufacturedCase | None:
 
 
 def _newmark_config(cfg: RunConfig) -> NewmarkConfig:
-    n = int(round(cfg.T / cfg.dt))
-    if abs(n * cfg.dt - cfg.T) > 1e-12 * max(1.0, cfg.T) or n < 1:
-        raise ConfigError(f"dt = {cfg.dt} does not divide T = {cfg.T} evenly")
-    return NewmarkConfig(theta=cfg.theta, dt=cfg.dt, n_steps=n)
+    try:
+        return NewmarkConfig.for_horizon(cfg.T, cfg.dt, theta=cfg.theta)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _run(cfg: RunConfig, homogeneous: bool, collect_trace: bool):
@@ -94,13 +94,11 @@ def _run(cfg: RunConfig, homogeneous: bool, collect_trace: bool):
         return simulate(
             None, boundary, params, cells, ncfg, dim=cfg.dimension, box=cfg.box,
             initial_displacement=zero, initial_velocity=zero,
-            quad_operators=cfg.quad_operators, quad_load=cfg.quad_load,
             collect_trace=collect_trace,
         )
     return simulate(
         case, boundary, params, cells, ncfg, box=cfg.box,
         homogeneous=homogeneous or cfg.homogeneous,
-        quad_operators=cfg.quad_operators, quad_load=cfg.quad_load,
         collect_trace=collect_trace,
     )
 
@@ -173,7 +171,7 @@ def cmd_mms(args) -> int:
         print(f"diverged at step {res.trajectory.diverged_step}")
         return EXIT_DIVERGENCE
     case = _case(cfg)
-    rep = error_norms(res.space, res.trajectory, case, nq=cfg.error_quad)
+    rep = error_norms(res.space, res.trajectory, case)
     rows = [
         [str(i), _fmt(rep.times[i]), _fmt(rep.l2_series[i]), _fmt(rep.h2_series[i])]
         for i in range(len(rep.l2_series))
@@ -196,8 +194,6 @@ def cmd_convergence(args) -> int:
         case, cfg.moving_boundary(), cfg.beam_parameters(),
         mode=cfg.mode, levels=cfg.levels, theta=cfg.theta, T=cfg.T,
         fixed_h=cfg.h, fixed_dt=cfg.dt, box=cfg.box,
-        quad_operators=cfg.quad_operators, quad_load=cfg.quad_load,
-        error_quad=cfg.error_quad,
     )
     rows = []
     for r in table.rows:
@@ -224,8 +220,6 @@ def cmd_theta_sweep(args) -> int:
         case, cfg.moving_boundary(), cfg.beam_parameters(),
         h_values=cfg.h_list, theta_values=cfg.theta_list,
         dt=cfg.dt, T=cfg.T, box=cfg.box,
-        quad_operators=cfg.quad_operators, quad_load=cfg.quad_load,
-        error_quad=cfg.error_quad,
     )
     rows = []
     for h in sweep.h_values:
@@ -251,7 +245,6 @@ def cmd_energy(args) -> int:
         return EXIT_DIVERGENCE
     times, E = energy_series(
         res.space, cfg.moving_boundary(), cfg.beam_parameters(), res.trajectory,
-        nq=cfg.error_quad,
     )
     rows = [[_fmt(t), _fmt(e)] for t, e in zip(times, E)]
     _write_csv(out / "energy.csv", ["t", "E"], rows)

@@ -50,9 +50,6 @@ class RunConfig:
     snapshots: tuple[float, ...] = ()
     fit_window_lo: float = 1.0
     fit_window_hi: float = 20.0
-    quad_operators: int = 5
-    quad_load: int = 6
-    error_quad: int = 8
     relaxed_h1: bool = False
 
     def validate(self) -> None:
@@ -88,9 +85,6 @@ class RunConfig:
             raise ConfigError(f"levels must be >= 2, got {self.levels}")
         if self.mode not in ("coupled_h_eq_2dt", "fix_h_vary_dt", "fix_dt_vary_h"):
             raise ConfigError(f"unknown study mode {self.mode!r}")
-        for name in ("quad_operators", "quad_load", "error_quad"):
-            if getattr(self, name) < 2:
-                raise ConfigError(f"{name} must be >= 2")
 
     # -- object construction ---------------------------------------------------
 

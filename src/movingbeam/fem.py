@@ -333,8 +333,9 @@ class AssembledOperators:
 
     ``stack`` holds their data in ``BASIS`` order (each matrix's ``data`` is
     a view of its row), so :meth:`combine` forms any linear combination as
-    one coefficient-vector product.  The step loop relies on slots 0 and 1
-    being A and K1.
+    one coefficient-vector product, and :meth:`products` applies all five
+    with one sparse product, so that S x = c @ products(x) needs no matrix
+    of S.  The step loop relies on slots 0 and 1 being A and K1.
     """
 
     BASIS: ClassVar[tuple[str, ...]] = ("A", "K1", "K2", "Q", "P")
@@ -361,6 +362,21 @@ class AssembledOperators:
         return sp.csr_matrix(
             (coefs @ self.stack, self.A.indices, self.A.indptr), shape=self.A.shape
         )
+
+    @functools.cached_property
+    def stacked(self) -> sp.csr_matrix:
+        """The (5n x n) CSR matrix [A; K1; K2; Q; P]; its ``data`` is a view of
+        ``stack``.  Built at the first product, so set-up does not pay for it."""
+        m, n, nnz = len(self.BASIS), self.A.shape[0], self.A.nnz
+        indptr = np.concatenate([self.A.indptr[:-1] + k * nnz for k in range(m)]
+                                + [[m * nnz]])
+        return sp.csr_matrix(
+            (self.stack.reshape(-1), np.tile(self.A.indices, m), indptr), shape=(m * n, n)
+        )
+
+    def products(self, x: np.ndarray) -> np.ndarray:
+        """(A x, K1 x, K2 x, Q x, P x) as one (5, n) array."""
+        return (self.stacked @ x).reshape(len(self.BASIS), -1)
 
 
 @dataclass

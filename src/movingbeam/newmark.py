@@ -8,11 +8,14 @@ with G(t, d) = b1(t) * d^T K1 d (squared gradient seminorm of the discrete
 function), L1 = nu A + B3 and L2 = b2 K2 + B1 + B4 - B2.  Since x = K(t) y
 with K scalar, L1 and L2 are fixed combinations of the constant operators
 (A, K1, K2, Q, P) with scalar weights in (K, K', K''): they are assembled
-once per run on one CSR pattern, and each step matrix is formed as one
-coefficient-vector product with their stacked data, never re-assembled.
-The load F(t) follows the same rule over the source's five spatial terms,
-integrated once per run (``BeamSystem.load``).  Each implicit step solves a
-nonlinear system whose Jacobian is a sparse matrix plus a low-rank correction
+once per run on one CSR pattern.  A step matrix S is held only as its
+coefficient vector c over them: S x is c contracted with the five products
+of one stacked sparse matrix (``AssembledOperators.products``), and a CSR
+matrix of S is formed only when the solver factors it.  The load F(t)
+follows the same rule over the source's five spatial terms, integrated once
+per run (``BeamSystem.load``).  Each implicit step, the startup step with
+its ghost level included, solves one form of nonlinear system
+(``StepProblem``) whose Jacobian is a step matrix plus a low-rank correction
 coming from the differential of G; a run keeps one sparse LU across Newton
 iterations and steps, refines each solve with it and the Woodbury identity,
 and refactors when refinement stalls (``LinearSolver``).  Results are
@@ -44,7 +47,6 @@ __all__ = [
     "SingularJacobian",
     "LinearSolver",
     "kirchhoff_scalar",
-    "kirchhoff_gradient",
     "build_step_operators",
     "newton_solve",
     "advance",
@@ -97,15 +99,13 @@ class NewmarkConfig:
 
 @dataclass
 class StepOperators:
-    """The three matrices and averaged load of one step of the scheme, with
-    the coefficient vectors ``c1``/``c3`` of M1/M3 for the Newton matrices."""
+    """The three matrices M1, M2, M3 of one step of the scheme, as coefficient
+    vectors over ``AssembledOperators.BASIS``, and the averaged load."""
 
-    M1: sp.csr_matrix
-    M2: sp.csr_matrix
-    M3: sp.csr_matrix
-    F_avg: np.ndarray
     c1: np.ndarray
+    c2: np.ndarray
     c3: np.ndarray
+    F_avg: np.ndarray
 
 
 @dataclass
@@ -130,17 +130,14 @@ def kirchhoff_scalar(b1_t: float, d: np.ndarray, K1: sp.spmatrix) -> float:
     return float(b1_t * (d @ (K1 @ d)))
 
 
-def kirchhoff_gradient(b1_t: float, d: np.ndarray, K1: sp.spmatrix) -> np.ndarray:
-    """Exact differential 2 b1 K1 d."""
-    return 2.0 * b1_t * np.asarray(K1 @ d)
-
-
 class LinearSolver:
     """Solves (S + U V^T) x = b for the drifting Newton matrices of one run.
 
-    The sparse LU of an earlier Newton matrix, with the Woodbury identity for
-    U V^T, preconditions iterative refinement on the true residual (a chord
-    method for the linear solves).  The first sweep after each factorization
+    S is given by its coefficient vector c over the constant operators
+    ``ops``; it is formed as a matrix only to be factored.  The sparse LU of
+    an earlier Newton matrix, with the Woodbury identity for U V^T,
+    preconditions iterative refinement on the true residual (a chord method
+    for the linear solves).  The first sweep after each factorization
     sets the accuracy target, eight times its correction; S is refactored when
     the corrections contract by less than half per sweep or would need more
     than ``MAX_SWEEPS`` sweeps.
@@ -148,7 +145,8 @@ class LinearSolver:
 
     MAX_SWEEPS = 8
 
-    def __init__(self):
+    def __init__(self, ops: AssembledOperators):
+        self.ops = ops
         self.factorizations = 0
         self._lu = None
 
@@ -156,20 +154,20 @@ class LinearSolver:
         """Drop the factors; the next solve factors its own matrix."""
         self._lu = None
 
-    def solve(self, S: sp.csr_matrix, rhs: np.ndarray, U: np.ndarray,
+    def solve(self, c: np.ndarray, rhs: np.ndarray, U: np.ndarray,
               V: np.ndarray) -> np.ndarray:
-        x = None if self._lu is None else self._refine(S, rhs, U, V, fresh=False)
+        x = None if self._lu is None else self._refine(c, rhs, U, V, fresh=False)
         if x is None:
             self._lu = None  # free the old factors before making new ones
             try:
-                self._lu = spla.splu(S.tocsc())
+                self._lu = spla.splu(self.ops.combine(c).tocsc())
             except (RuntimeError, ValueError) as exc:
                 raise SingularJacobian(str(exc)) from exc
             self.factorizations += 1
-            x = self._refine(S, rhs, U, V, fresh=True)
+            x = self._refine(c, rhs, U, V, fresh=True)
         return x
 
-    def _refine(self, S, rhs, U, V, fresh: bool) -> np.ndarray | None:
+    def _refine(self, c, rhs, U, V, fresh: bool) -> np.ndarray | None:
         Z = self._lu.solve(U)
         try:
             W = np.linalg.solve(np.eye(U.shape[1]) + V.T @ Z, V.T)
@@ -183,7 +181,7 @@ class LinearSolver:
         x = precondition(rhs)
         last = math.inf
         for sweep in range(1, self.MAX_SWEEPS + 1):
-            dx = precondition(rhs - S @ x - U @ (V.T @ x))
+            dx = precondition(rhs - c @ self.ops.products(x) - U @ (V.T @ x))
             x = x + dx
             size = float(np.max(np.abs(dx))) / (float(np.max(np.abs(x))) or 1.0)
             if fresh:
@@ -215,14 +213,12 @@ class BeamSystem:
         boundary: MovingBoundary,
         params: BeamParameters,
         source: Callable[[np.ndarray, float], np.ndarray] | None = None,
-        quad_load: int = 6,
     ):
         self.space = space
         self.ops = ops
         self.boundary = boundary
         self.params = params
         self.source = source
-        self.quad_load = quad_load
         self._phi: np.ndarray | None = None
 
     def b1(self, t: float) -> float:
@@ -232,18 +228,13 @@ class BeamSystem:
         """Coefficient vectors of L1(t) and L2(t) over the constant operators."""
         return l_coefficients(time_factors(self.boundary, self.params, t), self.params.nu)
 
-    def l_matrices(self, t: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """L1(t) = nu A + B3(t);  L2(t) = b2(t) K2 + B1(t) + B4(t) - B2(t)."""
-        c1, c2 = self.l_coefficients(t)
-        return self.ops.combine(c1), self.ops.combine(c2)
-
     def load(self, t: float) -> np.ndarray:
         """F(t) = c(t) @ Phi; Phi is built here, in the march, at the first call."""
         if self.source is None:
             return np.zeros(self.space.ndof)
         if self._phi is None:
             self._phi = np.array([
-                assemble_load(self.space, lambda y, _t, h=h: h(y), t, nq=self.quad_load)
+                assemble_load(self.space, lambda y, _t, h=h: h(y), t)
                 for h in self.source.terms])
         F = self.source.coefficients(t) @ self._phi
         if not np.all(np.isfinite(F)):
@@ -263,8 +254,8 @@ def build_step_operators(
     F   = theta F^1 + (1-theta) F^0                               (eta = 0)
 
     For eta = 0 the level "eta-1" is evaluated at t_0 (ghost level).  Each
-    matrix is one combination of the constant operators, formed from the
-    coefficient vectors of L1 and L2; nothing is assembled here.
+    matrix is kept as its coefficient vector over the constant operators,
+    formed from those of L1 and L2; no matrix is formed here.
     """
     dt, th = cfg.dt, cfg.theta
     t_n = eta * dt
@@ -278,7 +269,6 @@ def build_step_operators(
     c1 = _A + 0.5 * dt * L1p + th * dt * dt * L2p
     c2 = dt * dt * (1.0 - 2.0 * th) * L2n - 2.0 * _A
     c3 = _A - 0.5 * dt * L1m + th * dt * dt * L2m
-    ops = system.ops
 
     if eta == 0:
         F_avg = th * system.load(dt) + (1.0 - th) * system.load(0.0)
@@ -288,7 +278,7 @@ def build_step_operators(
             + (1.0 - 2.0 * th) * system.load(t_n)
             + th * system.load(t_p)
         )
-    return StepOperators(ops.combine(c1), ops.combine(c2), ops.combine(c3), F_avg, c1, c3)
+    return StepOperators(c1, c2, c3, F_avg)
 
 
 class StepProblem:
@@ -299,107 +289,73 @@ class StepProblem:
       R(X) = (M1 + theta dt^2 G^{eta+1}(X) K1) X + M2 d^eta
              + (M3 + theta dt^2 G^{eta-1} K1) d^{eta-1} - dt^2 F_avg
 
-    Startup step (eta = 0): X = d^1 with the ghost level
-    d^{-1} = X - 2 dt d1, which adds the G^{-1}(X) terms
+    where M2 carries its explicit part dt^2 (1-2 theta) G^eta K1.  Startup
+    step (eta = 0): X = d^1 in the same formula, with the ghost level
+    d^{-1} = X - 2 dt d1 and b1^{-1} taken as b1^0.  Both are one form,
 
-      R(X) = (M1 + M3 + theta dt^2 (G^1(X) + G^{-1}(X)) K1) X
-             - 2 theta dt^3 G^{-1}(X) K1 d1 + M2 d^0 - 2 dt M3 d1 - dt^2 F_avg
+      R(X) = S X + theta dt^2 sum_j G_j(X) K1 (X - s_j) + const,
+      G_j(X) = b_j (X - s_j)^T K1 (X - s_j),
+
+    with S = M1 and the one term (b1^{eta+1}, 0) on a generic step, and
+    S = M1 + M3 and the terms (b1^1, 0), (b1^0, 2 dt d1) at startup.
     """
 
     def __init__(self, system: BeamSystem, cfg: NewmarkConfig, eta: int,
                  step_ops: StepOperators, d_curr: np.ndarray,
-                 d_prev: np.ndarray | None, d1: np.ndarray | None,
-                 g_curr: float, g_prev: float = 0.0):
-        self.cfg = cfg
-        self.eta = eta
-        self.ops = system.ops
-        self.K1 = system.ops.K1
-        self.th_dt2 = cfg.theta * cfg.dt * cfg.dt
+                 d_prev: np.ndarray | None, d1: np.ndarray | None):
         dt = cfg.dt
-        explicit_g = dt * dt * (1.0 - 2.0 * cfg.theta) * g_curr
-
-        self.b1_next = system.b1((eta + 1) * dt)
+        self.ops = system.ops
+        self.th_dt2 = cfg.theta * dt * dt
+        Od = self.ops.products(d_curr)  # rows A d, K1 d, K2 d, Q d, P d
+        g_curr = system.b1(eta * dt) * float(d_curr @ Od[1])
+        const = (step_ops.c2 @ Od + dt * dt * (1.0 - 2.0 * cfg.theta) * g_curr * Od[1]
+                 - dt * dt * step_ops.F_avg)
+        # (b_j, s_j, K1 s_j) of each Kirchhoff term
+        self.terms = [(system.b1((eta + 1) * dt), 0.0, 0.0)]
         if eta == 0:
-            self.b1_ghost = system.b1(0.0)  # b1^{-1} approximated by b1^0
-            self.d1 = d1
+            Od1 = self.ops.products(d1)
             self.c_lin = step_ops.c1 + step_ops.c3
-            self.S_lin = self.ops.combine(self.c_lin)
-            self.const = (
-                step_ops.M2 @ d_curr
-                + explicit_g * (self.K1 @ d_curr)
-                - 2.0 * dt * (step_ops.M3 @ d1)
-                - dt * dt * step_ops.F_avg
-            )
+            self.terms.append((system.b1(0.0), 2.0 * dt * d1, 2.0 * dt * Od1[1]))
+            self.const = const - 2.0 * dt * (step_ops.c3 @ Od1)
         else:
+            Odp = self.ops.products(d_prev)
+            g_prev = system.b1((eta - 1) * dt) * float(d_prev @ Odp[1])
             self.c_lin = step_ops.c1
-            self.S_lin = step_ops.M1
-            self.const = (
-                step_ops.M2 @ d_curr
-                + explicit_g * (self.K1 @ d_curr)
-                + step_ops.M3 @ d_prev
-                + self.th_dt2 * g_prev * (self.K1 @ d_prev)
-                - dt * dt * step_ops.F_avg
-            )
+            self.const = const + step_ops.c3 @ Odp + self.th_dt2 * g_prev * Odp[1]
 
-    # -- pieces ---------------------------------------------------------------
-
-    def g_next(self, X: np.ndarray) -> float:
-        return kirchhoff_scalar(self.b1_next, X, self.K1)
-
-    def g_ghost(self, X: np.ndarray) -> float:
-        z = X - 2.0 * self.cfg.dt * self.d1
-        return kirchhoff_scalar(self.b1_ghost, z, self.K1)
+    def _kirchhoff(self, X: np.ndarray, K1X: np.ndarray):
+        """(b_j, G_j(X), K1 (X - s_j)) for each term."""
+        for b, s, K1s in self.terms:
+            K1z = K1X - K1s
+            yield b, b * float((X - s) @ K1z), K1z
 
     def residual(self, X: np.ndarray) -> np.ndarray:
-        K1X = self.K1 @ X
-        if self.eta == 0:
-            g1 = self.g_next(X)
-            gm = self.g_ghost(X)
-            r = (
-                self.S_lin @ X
-                + self.th_dt2 * (g1 + gm) * K1X
-                - 2.0 * self.cfg.dt * self.th_dt2 * gm * (self.K1 @ self.d1)
-                + self.const
-            )
-        else:
-            r = self.S_lin @ X + self.th_dt2 * self.g_next(X) * K1X + self.const
-        return np.asarray(r)
+        OX = self.ops.products(X)
+        r = self.c_lin @ OX + self.const
+        for _, g, K1z in self._kirchhoff(X, OX[1]):
+            r += self.th_dt2 * g * K1z
+        return r
 
     def jacobian_parts(self, X: np.ndarray):
-        """(S sparse, U, V) with J = S + U V^T."""
-        K1X = np.asarray(self.K1 @ X)
-        if self.eta == 0:
-            g1 = self.g_next(X)
-            gm = self.g_ghost(X)
-            S = self.ops.combine(self.c_lin + self.th_dt2 * (g1 + gm) * _K1)
-            z = X - 2.0 * self.cfg.dt * self.d1
-            dg1 = kirchhoff_gradient(self.b1_next, X, self.K1)
-            dgm = kirchhoff_gradient(self.b1_ghost, z, self.K1)
-            K1d1 = np.asarray(self.K1 @ self.d1)
-            U = np.column_stack([
-                self.th_dt2 * K1X,
-                self.th_dt2 * K1X,
-                -2.0 * self.cfg.dt * self.th_dt2 * K1d1,
-            ])
-            V = np.column_stack([dg1, dgm, dgm])
-        else:
-            g1 = self.g_next(X)
-            S = self.ops.combine(self.c_lin + self.th_dt2 * g1 * _K1)
-            dg1 = kirchhoff_gradient(self.b1_next, X, self.K1)
-            U = (self.th_dt2 * K1X)[:, None]
-            V = dg1[:, None]
-        return S, U, V
+        """(c, U, V) with J = S(c) + U V^T: c is the coefficient vector of the
+        sparse part, and each term adds the column pair theta dt^2 K1 z_j,
+        2 b_j K1 z_j, for z_j = X - s_j."""
+        terms = list(self._kirchhoff(X, self.ops.K1 @ X))
+        c = self.c_lin + self.th_dt2 * sum(g for _, g, _ in terms) * _K1
+        U = np.column_stack([self.th_dt2 * K1z for _, _, K1z in terms])
+        V = np.column_stack([2.0 * b * K1z for b, _, K1z in terms])
+        return c, U, V
 
     def jacobian_dense(self, X: np.ndarray) -> np.ndarray:
-        S, U, V = self.jacobian_parts(X)
-        return S.toarray() + U @ V.T
+        c, U, V = self.jacobian_parts(X)
+        return self.ops.combine(c).toarray() + U @ V.T
 
 
 def newton_solve(problem: StepProblem, x0: np.ndarray, cfg: NewmarkConfig,
                  solver: LinearSolver | None = None):
     """Newton iteration; returns (X, iterations, residual).  The linear solves
     go through ``solver``, whose factors carry over between calls."""
-    solver = solver or LinearSolver()
+    solver = solver or LinearSolver(problem.ops)
     X = x0.copy()
     for it in range(1, cfg.newton_max_iter + 1):
         r = problem.residual(X)
@@ -408,8 +364,8 @@ def newton_solve(problem: StepProblem, x0: np.ndarray, cfg: NewmarkConfig,
         rn = float(np.max(np.abs(r)))
         if rn < cfg.newton_tol_resid:
             return X, it - 1, rn
-        S, U, V = problem.jacobian_parts(X)
-        step = solver.solve(S, -r, U, V)
+        c, U, V = problem.jacobian_parts(X)
+        step = solver.solve(c, -r, U, V)
         X = X + step
         if not np.all(np.isfinite(X)):
             raise NewtonNoConvergence("non-finite Newton iterate")
@@ -434,27 +390,19 @@ def advance(
     explosion past ``divergence_threshold``) terminates the run early with
     status "diverged" carrying the offending step.
     """
-    K1 = system.ops.K1
     times = cfg.dt * np.arange(cfg.n_steps + 1)
     ds = [np.asarray(d0, dtype=float)]
     iters: list[int] = []
     trace: list[tuple] = []
 
-    solver = LinearSolver()  # local to the run, so no factor outlives it
+    solver = LinearSolver(system.ops)  # local to the run, so no factor outlives it
     d_prev: np.ndarray | None = None
     d_curr = ds[0]
     for eta in range(cfg.n_steps):
         if eta == 1:  # the startup matrix M1 + M3 is about 2 M1: too far to refine from
             solver.reset()
         step_ops = build_step_operators(system, cfg, eta)
-        g_curr = kirchhoff_scalar(system.b1(eta * cfg.dt), d_curr, K1)
-        if eta == 0:
-            prob = StepProblem(system, cfg, 0, step_ops, d_curr, None, d1, g_curr)
-        else:
-            g_prev = kirchhoff_scalar(system.b1((eta - 1) * cfg.dt), d_prev, K1)
-            prob = StepProblem(
-                system, cfg, eta, step_ops, d_curr, d_prev, None, g_curr, g_prev
-            )
+        prob = StepProblem(system, cfg, eta, step_ops, d_curr, d_prev, d1)
         try:
             d_next, nit, resid = newton_solve(prob, d_curr, cfg, solver)
         except (NewtonNoConvergence, SingularJacobian):

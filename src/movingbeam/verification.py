@@ -71,8 +71,6 @@ def simulate(
     homogeneous: bool = False,
     initial_displacement: Callable | None = None,
     initial_velocity: Callable | None = None,
-    quad_operators: int = 5,
-    quad_load: int = 6,
     collect_trace: bool = False,
 ) -> SimulationResult:
     """Assemble and march one run.
@@ -88,12 +86,12 @@ def simulate(
         raise ValueError("dim is required when no manufactured case is given")
     mesh = Mesh.uniform(dim, cells, box)
     space = HermiteSpace(mesh)
-    ops = assemble_constant(space, nq=quad_operators)
+    ops = assemble_constant(space)
 
     source = None
     if case is not None and not homogeneous:
         source = make_source(case, boundary, params)
-    system = BeamSystem(space, ops, boundary, params, source, quad_load=quad_load)
+    system = BeamSystem(space, ops, boundary, params, source)
 
     if initial_displacement is None:
         if case is None:
@@ -211,9 +209,6 @@ def convergence_study(
     fixed_h: float = 2.0 ** -6,
     fixed_dt: float = 2.0 ** -7,
     box=None,
-    quad_operators: int = 5,
-    quad_load: int = 6,
-    error_quad: int = 8,
 ) -> ConvergenceTable:
     """Run a refinement study and tabulate errors with observed rates.
 
@@ -238,14 +233,11 @@ def convergence_study(
             raise ValueError(f"unknown study mode {mode!r}")
         cells = cells_for_h(box, h)
         cfg = NewmarkConfig.for_horizon(T, dt, theta=theta)
-        res = simulate(
-            case, boundary, params, cells, cfg, box=box,
-            quad_operators=quad_operators, quad_load=quad_load,
-        )
+        res = simulate(case, boundary, params, cells, cfg, box=box)
         if not res.trajectory.completed:
             table.rows.append(ConvergenceRow(i, h, dt, math.nan, diverged=True))
             continue
-        rep = error_norms(res.space, res.trajectory, case, nq=error_quad)
+        rep = error_norms(res.space, res.trajectory, case)
         table.rows.append(ConvergenceRow(i, h, dt, rep.linf_l2))
     table.fill_rates()
     return table
@@ -273,9 +265,6 @@ def theta_sweep(
     dt: float = 2.0 ** -7,
     T: float = 1.0,
     box=None,
-    quad_operators: int = 5,
-    quad_load: int = 6,
-    error_quad: int = 8,
 ) -> ThetaSweepResult:
     """Error per (h, theta) cell at fixed dt; divergence recorded as None."""
     box = box or case.box
@@ -284,12 +273,9 @@ def theta_sweep(
         cells = cells_for_h(box, h)
         for theta in theta_values:
             cfg = NewmarkConfig.for_horizon(T, dt, theta=theta)
-            res = simulate(
-                case, boundary, params, cells, cfg, box=box,
-                quad_operators=quad_operators, quad_load=quad_load,
-            )
+            res = simulate(case, boundary, params, cells, cfg, box=box)
             if res.trajectory.completed:
-                rep = error_norms(res.space, res.trajectory, case, nq=error_quad)
+                rep = error_norms(res.space, res.trajectory, case)
                 out.errors[(h, theta)] = rep.linf_l2
             else:
                 out.errors[(h, theta)] = None
@@ -304,7 +290,6 @@ def weak_strong_consistency(
     v_derivs: Callable[[np.ndarray, tuple], np.ndarray],
     w_derivs: Callable[[np.ndarray, tuple], np.ndarray],
     nq: int = 12,
-    quad_operators: int = 5,
 ) -> float:
     """|weak form on interpolants - quadrature of (strong operator of v) * w|.
 
@@ -330,7 +315,7 @@ def weak_strong_consistency(
 
     # full-space operators: the trial function need not satisfy the clamped
     # conditions; the (clamped) test function kills the constrained rows
-    ops = assemble_constant(space, nq=quad_operators, full_space=True)
+    ops = assemble_constant(space, full_space=True)
     L2f = ops.combine(l_coefficients(f, params.nu)[1])
 
     d_v = interpolate_initial(space, v_derivs, full_space=True)

@@ -113,6 +113,11 @@ class TestCommands:
         assert "H1 bounds" not in captured.out  # hypothesis validation never ran
         assert main(["theta-sweep", "--set", "h_list=0.5,0.3"]) == EXIT_CONFIG
 
+    def test_step_not_dividing_horizon_is_config_error(self, tmp_path, capsys):
+        rc = main(["solve", "--out", str(tmp_path / "o"), "--set", "dt=0.3"])
+        assert rc == EXIT_CONFIG
+        assert "dt = 0.3 does not divide T = 1.0" in capsys.readouterr().err
+
     def test_cell_size_without_free_dofs_is_config_error(self, tmp_path, capsys):
         # one cell per axis: clamping eliminates every DOF
         rc = main(["solve", "--out", str(tmp_path / "o"), "--set", "h=2.0"])

@@ -212,9 +212,10 @@ class TestAffineOperators:
         ops = assemble_constant(space)
         system = BeamSystem(space, ops, b, params)
         for t in (0.0, 0.5):
-            for got, ref in zip(
-                system.l_matrices(t), _quadrature_l_matrices(space, ops, b, params, t)
+            for c, ref in zip(
+                system.l_coefficients(t), _quadrature_l_matrices(space, ops, b, params, t)
             ):
+                got = ops.combine(c)
                 assert np.max(np.abs(got.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("dim,cells", [(1, 8), (2, 3)])
@@ -227,14 +228,25 @@ class TestAffineOperators:
         system = BeamSystem(space, ops, MovingBoundary.b2(dim), params)
         cfg = NewmarkConfig(theta=0.25, dt=2.0**-5, n_steps=4)
         d = np.full(space.ndof, 0.01)
-        mats = [ops.K1, ops.K2, ops.Q, ops.P, *system.l_matrices(0.1)]
+        coefs = list(system.l_coefficients(0.1))
         for eta in (0, 2):
             so = build_step_operators(system, cfg, eta)
-            prob = StepProblem(system, cfg, eta, so, d, d, d, 0.1, 0.1)
-            mats += [so.M1, so.M2, so.M3, prob.S_lin, prob.jacobian_parts(d)[0]]
-        for M in mats:
+            prob = StepProblem(system, cfg, eta, so, d, d, d)
+            coefs += [so.c1, so.c2, so.c3, prob.jacobian_parts(d)[0]]
+        for M in [ops.K1, ops.K2, ops.Q, ops.P, *map(ops.combine, coefs)]:
             assert np.array_equal(M.indptr, ops.A.indptr)
             assert np.array_equal(M.indices, ops.A.indices)
+
+    @pytest.mark.parametrize("dim,cells", [(1, 8), (2, 3)])
+    def test_products_match_combined_matrices(self, dim, cells, rng):
+        space = HermiteSpace(Mesh.uniform(dim, cells))
+        ops = assemble_constant(space)
+        x = rng.standard_normal(space.ndof)
+        for c in (np.eye(5)[3], rng.standard_normal(5)):
+            ref = ops.combine(c) @ x
+            assert np.max(np.abs(c @ ops.products(x) - ref)) <= 1e-14 * np.max(np.abs(ref))
+        # the stacked matrix reads the operators' data in place
+        assert np.shares_memory(ops.stacked.data, ops.stack)
 
     def test_advance_never_assembles_per_step(self, params, monkeypatch):
         import sys

@@ -1,4 +1,4 @@
-"""Time stepper: Kirchhoff scalar/gradient, step operators, Newton, marching."""
+"""Time stepper: Kirchhoff scalar, step operators, Newton, marching."""
 import dataclasses
 import functools
 from types import SimpleNamespace
@@ -9,6 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from movingbeam import (
+    AssembledOperators,
     BeamParameters,
     BeamSystem,
     BoundaryKind,
@@ -23,7 +24,6 @@ from movingbeam import (
     assemble_load,
     build_step_operators,
     interpolate_initial,
-    kirchhoff_gradient,
     kirchhoff_scalar,
     make_source,
 )
@@ -82,33 +82,6 @@ class TestKirchhoffScalar:
         assert G == pytest.approx(oracle, rel=1e-13)
 
 
-class TestKirchhoffGradient:
-    def test_zero_state(self, space_1d_coarse):
-        ops = assemble_constant(space_1d_coarse)
-        g = kirchhoff_gradient(2.0, np.zeros(space_1d_coarse.ndof), ops.K1)
-        assert np.all(g == 0.0)
-
-    def test_finite_difference_oracle(self, space_1d_coarse, rng):
-        ops = assemble_constant(space_1d_coarse)
-        b1v = 0.37
-        d = rng.standard_normal(space_1d_coarse.ndof)
-        grad = kirchhoff_gradient(b1v, d, ops.K1)
-        eps = 1e-6
-        for k in range(0, space_1d_coarse.ndof, 3):
-            e = np.zeros_like(d)
-            e[k] = eps
-            fd = (
-                kirchhoff_scalar(b1v, d + e, ops.K1)
-                - kirchhoff_scalar(b1v, d - e, ops.K1)
-            ) / (2 * eps)
-            assert grad[k] == pytest.approx(fd, rel=1e-6, abs=1e-12)
-
-    def test_single_dof_closed_form(self):
-        K1 = sp.csr_matrix(np.array([[3.7]]))
-        d = np.array([0.9])
-        assert kirchhoff_gradient(2.0, d, K1)[0] == pytest.approx(2 * 2.0 * 3.7 * 0.9)
-
-
 class _ScalarSystem:
     """1-DOF stand-in for BeamSystem with prescribed matrices.
 
@@ -119,9 +92,9 @@ class _ScalarSystem:
     def __init__(self, A=1.0, L1=2.0, L2=3.0, b1=0.0, K1=1.0, F=0.0):
         stack = np.array([A, K1, L1, L2, 0.0])
         self.ops = SimpleNamespace(
-            A=sp.csr_matrix(np.array([[A]])),
             K1=sp.csr_matrix(np.array([[K1]])),
             combine=lambda c: sp.csr_matrix(np.array([[c @ stack]])),
+            products=lambda x: stack[:, None] * x,
         )
         self._b1 = b1
         self._F = F
@@ -142,17 +115,17 @@ class TestStepOperators:
         system = _ScalarSystem(A=1.0, L1=2.0, L2=3.0)
         cfg = NewmarkConfig(theta=0.25, dt=0.1, n_steps=1)
         so = build_step_operators(system, cfg, eta=1)
-        assert so.M1.toarray()[0, 0] == pytest.approx(1.1075, abs=1e-15)
-        assert so.M3.toarray()[0, 0] == pytest.approx(1.0 - 0.1 + 0.0075, abs=1e-15)
+        M1, M3 = (system.ops.combine(c).toarray()[0, 0] for c in (so.c1, so.c3))
+        assert M1 == pytest.approx(1.1075, abs=1e-15)
+        assert M3 == pytest.approx(1.0 - 0.1 + 0.0075, abs=1e-15)
 
     def test_central_difference_limit(self):
         # theta = 0 and L1 = L2 = 0 reduce to (A, -2A, A) with zero load
         system = _ScalarSystem(A=2.5, L1=0.0, L2=0.0)
         cfg = NewmarkConfig(theta=0.0, dt=0.1, n_steps=1)
         so = build_step_operators(system, cfg, eta=3)
-        assert so.M1.toarray()[0, 0] == 2.5
-        assert so.M2.toarray()[0, 0] == -5.0
-        assert so.M3.toarray()[0, 0] == 2.5
+        M1, M2, M3 = (system.ops.combine(c).toarray()[0, 0] for c in (so.c1, so.c2, so.c3))
+        assert (M1, M2, M3) == (2.5, -5.0, 2.5)
         assert np.all(so.F_avg == 0.0)
 
     def test_constant_load_average(self):
@@ -179,13 +152,14 @@ class TestStepOperators:
         so = build_step_operators(system, cfg, eta)
         g = kirchhoff_scalar(system.b1(eta * cfg.dt), d0, system.ops.K1)
         dt, th = cfg.dt, cfg.theta
+        ops = system.ops
         lhs = (
-            so.M1 + so.M2 + so.M3
-            + dt * dt * (1 - 2 * th) * g * system.ops.K1
+            ops.combine(so.c1 + so.c2 + so.c3)
+            + dt * dt * (1 - 2 * th) * g * ops.K1
         ).toarray()
-        L1p, L2p = system.l_matrices((eta + 1) * dt)
-        L1m, L2m = system.l_matrices((eta - 1) * dt)
-        _, L2n = system.l_matrices(eta * dt)
+        L1p, L2p = map(ops.combine, system.l_coefficients((eta + 1) * dt))
+        L1m, L2m = map(ops.combine, system.l_coefficients((eta - 1) * dt))
+        L2n = ops.combine(system.l_coefficients(eta * dt)[1])
         rhs = (
             dt * dt * ((1 - 2 * th) * (g * system.ops.K1 + L2n) + th * (L2p + L2m))
             + 0.5 * dt * (L1p - L1m)
@@ -212,9 +186,7 @@ class TestNewton:
         so = build_step_operators(system, cfg, eta=1)
         # zero history, constant load producing the affine term gamma
         so.F_avg[:] = -gamma / dt**2
-        prob = StepProblem(
-            system, cfg, 1, so, np.zeros(1), np.zeros(1), None, 0.0, 0.0
-        )
+        prob = StepProblem(system, cfg, 1, so, np.zeros(1), np.zeros(1), None)
 
         def f(x):
             return (m + theta * dt * dt * bcoef * x * x) * x + gamma
@@ -237,17 +209,7 @@ class TestNewton:
         cfg = NewmarkConfig(theta=0.25, dt=2.0**-5, n_steps=4)
         for eta in (0, 2):
             so = build_step_operators(system, cfg, eta)
-            g_curr = kirchhoff_scalar(system.b1(eta * cfg.dt), d0, system.ops.K1)
-            if eta == 0:
-                prob = StepProblem(system, cfg, 0, so, d0, None, d1, g_curr)
-            else:
-                d_prev = 0.5 * d0
-                g_prev = kirchhoff_scalar(
-                    system.b1((eta - 1) * cfg.dt), d_prev, system.ops.K1
-                )
-                prob = StepProblem(
-                    system, cfg, eta, so, d0, d_prev, None, g_curr, g_prev
-                )
+            prob = StepProblem(system, cfg, eta, so, d0, 0.5 * d0, d1)
             X = d0 + 0.01 * rng.standard_normal(len(d0))
             J = prob.jacobian_dense(X)
             eps = 1e-6
@@ -258,6 +220,39 @@ class TestNewton:
                 Jfd[:, k] = (prob.residual(X + e) - prob.residual(X - e)) / (2 * eps)
             denom = np.max(np.abs(Jfd))
             assert np.max(np.abs(J - Jfd)) / denom < 1e-6
+
+    @pytest.mark.parametrize("dim,cells", [(1, 8), (2, 4)])
+    @pytest.mark.parametrize("eta", [0, 2])
+    def test_residual_matches_scheme(self, dim, cells, eta, rng):
+        # the three-level formula from dense matrices, with the ghost level
+        # d^{-1} = X - 2 dt d1 written out explicitly at startup.  K near 1 and
+        # amplitude 1 make the Kirchhoff terms large enough to show; S2 starts
+        # with a velocity, so the ghost shift is not zero, and d0 takes its profile
+        case, system, _, d1 = _mms_system(dim=dim, cells=cells, case_id="S2",
+                                          boundary=FAST, amplitude=1.0)
+        d0 = d1 / case.omega
+        cfg = NewmarkConfig(theta=0.3, dt=2.0**-5, n_steps=4)
+        dt, th, ops = cfg.dt, cfg.theta, system.ops
+        K1 = ops.K1.toarray()
+        so = build_step_operators(system, cfg, eta)
+        M1, M2, M3 = (ops.combine(c).toarray() for c in (so.c1, so.c2, so.c3))
+        d_prev = 0.5 * d0 + 0.1
+        prob = StepProblem(system, cfg, eta, so, d0, d_prev, d1)
+
+        def G(t, d):
+            return kirchhoff_scalar(system.b1(t), d, ops.K1)
+
+        for _ in range(3):
+            X = d0 + 0.05 * rng.standard_normal(len(d0))
+            dm = X - 2.0 * dt * d1 if eta == 0 else d_prev
+            ref = (
+                (M1 + th * dt * dt * G((eta + 1) * dt, X) * K1) @ X
+                + (M2 + dt * dt * (1 - 2 * th) * G(eta * dt, d0) * K1) @ d0
+                + (M3 + th * dt * dt * G(max(eta - 1, 0) * dt, dm) * K1) @ dm
+                - dt * dt * so.F_avg
+            )
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(prob.residual(X) - ref)) <= 1e-13 * scale
 
     def test_newton_iteration_counts_small(self):
         case, system, d0, d1 = _mms_system()
@@ -336,11 +331,14 @@ class _PerIterationLU:
 
     factorizations = 0
 
+    def __init__(self, ops):
+        self.ops = ops
+
     def reset(self):
         pass
 
-    def solve(self, S, rhs, U, V):
-        return np.linalg.solve(S.toarray() + U @ V.T, rhs)
+    def solve(self, c, rhs, U, V):
+        return np.linalg.solve(self.ops.combine(c).toarray() + U @ V.T, rhs)
 
 
 class TestLinearSolver:
@@ -349,17 +347,17 @@ class TestLinearSolver:
         # the factors of the step-1 matrix refine the solve with the step-64 one
         _, system, _, _ = _mms_system(cells=32)
         cfg = NewmarkConfig(theta=0.25, dt=2.0**-6, n_steps=64)
-        S0 = build_step_operators(system, cfg, 1).M1
-        S = build_step_operators(system, cfg, 64).M1
-        n = S.shape[0]
+        c0 = build_step_operators(system, cfg, 1).c1
+        c = build_step_operators(system, cfg, 64).c1
+        n = system.space.ndof
         U = 0.1 * rng.standard_normal((n, r))
         V = rng.standard_normal((n, r))
         rhs = rng.standard_normal(n)
-        solver = LinearSolver()
-        solver.solve(S0, rhs, U, V)
-        x = solver.solve(S, rhs, U, V)
+        solver = LinearSolver(system.ops)
+        solver.solve(c0, rhs, U, V)
+        x = solver.solve(c, rhs, U, V)
         assert solver.factorizations == 1
-        ref = _woodbury_reference(S, rhs, U, V)
+        ref = _woodbury_reference(system.ops.combine(c), rhs, U, V)
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_slow_boundary_keeps_one_factorization(self, monkeypatch):
@@ -383,19 +381,36 @@ class TestLinearSolver:
         scale = max(np.max(np.abs(d)) for d in ref.d)
         assert max(np.max(np.abs(a - b)) for a, b in zip(traj.d, ref.d)) <= 1e-8 * scale
 
+    @pytest.mark.parametrize("boundary,cells,dt,amplitude", [
+        (None, 128, 2.0**-7, None),    # B1
+        (FAST, 32, 2.0**-6, 1.0),
+    ])
+    def test_matrices_are_formed_only_to_factor(self, boundary, cells, dt, amplitude,
+                                                 monkeypatch):
+        calls, combine = [], AssembledOperators.combine
+        monkeypatch.setattr(AssembledOperators, "combine",
+                            lambda self, c: calls.append(1) or combine(self, c))
+        _, system, d0, d1 = _mms_system(cells=cells, boundary=boundary,
+                                        amplitude=amplitude)
+        traj = advance(system, NewmarkConfig(theta=0.25, dt=dt, n_steps=int(1 / dt)),
+                       d0, d1)
+        assert traj.completed
+        assert len(calls) == traj.factorizations
+
     def test_singular_newton_matrix(self):
         # A = L1 = L2 = 0 and b1 = 0 leave the zero Newton matrix
         system = _ScalarSystem(A=0.0, L1=0.0, L2=0.0, F=1.0)
         cfg = NewmarkConfig(theta=0.25, dt=0.1, n_steps=2)
         so = build_step_operators(system, cfg, eta=1)
-        prob = StepProblem(system, cfg, 1, so, np.zeros(1), np.zeros(1), None, 0.0, 0.0)
+        prob = StepProblem(system, cfg, 1, so, np.zeros(1), np.zeros(1), None)
         with pytest.raises(SingularJacobian):
             newton_solve(prob, np.zeros(1), cfg)
-        # also when the kept factors belong to a regular matrix
-        solver, none = LinearSolver(), np.zeros((1, 0))
-        solver.solve(sp.csr_matrix(np.array([[1.0]])), np.ones(1), none, none)
+        # also when the kept factors belong to a regular matrix (K1 = [[1]], A = 0)
+        solver, none = LinearSolver(system.ops), np.zeros((1, 0))
+        regular, zero = np.eye(5)[1], np.eye(5)[0]
+        solver.solve(regular, np.ones(1), none, none)
         with pytest.raises(SingularJacobian):
-            solver.solve(sp.csr_matrix((1, 1)), np.ones(1), none, none)
+            solver.solve(zero, np.ones(1), none, none)
         traj = advance(system, cfg, np.zeros(1), np.zeros(1))
         assert traj.status == "diverged" and traj.diverged_step == 1
 

@@ -25,7 +25,6 @@ from .fem import (
     Mesh,
     assemble_constant,
     assemble_load,
-    assemble_time_dependent,
     gauss_rule,
     interpolate_initial,
     project_initial,

@@ -22,17 +22,15 @@ from typing import Callable, ClassVar
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import BeamParameters, MovingBoundary, TimeFactors, time_factors
+from .geometry import TimeFactors
 from .hermite import shape_eval_1d, shape_eval_2d
 
 __all__ = [
     "Mesh",
     "HermiteSpace",
     "AssembledOperators",
-    "TimeDependentOperators",
     "gauss_rule",
     "assemble_constant",
-    "assemble_time_dependent",
     "l_coefficients",
     "assemble_load",
     "interpolate_initial",
@@ -335,7 +333,8 @@ class AssembledOperators:
     a view of its row), so :meth:`combine` forms any linear combination as
     one coefficient-vector product, and :meth:`products` applies all five
     with one sparse product, so that S x = c @ products(x) needs no matrix
-    of S.  The step loop relies on slots 0 and 1 being A and K1.
+    of S; :meth:`band` writes S straight into the band array LAPACK factors.
+    The step loop relies on slots 0 and 1 being A and K1.
     """
 
     BASIS: ClassVar[tuple[str, ...]] = ("A", "K1", "K2", "Q", "P")
@@ -378,21 +377,23 @@ class AssembledOperators:
         """(A x, K1 x, K2 x, Q x, P x) as one (5, n) array."""
         return (self.stacked @ x).reshape(len(self.BASIS), -1)
 
+    @functools.cached_property
+    def band_index(self) -> np.ndarray:
+        """Flat position in :meth:`band` of each pattern entry; built at the
+        first factorization."""
+        bw, cols = self.bandwidth, self.A.indices
+        rows = np.repeat(np.arange(self.A.shape[0]), np.diff(self.A.indptr))
+        return (3 * bw + 1) * cols + 2 * bw + rows - cols
 
-@dataclass
-class TimeDependentOperators:
-    """Coefficient-weighted matrices at one time level.
-
-    Orientation: row = test DOF, column = trial DOF, i.e. ``(B3 @ d)[l] =
-    (a4_i d_i v_h, phi_l)``; this is the transposed layout the three-level
-    scheme applies to coefficient vectors.
-    """
-
-    B1: sp.csr_matrix
-    B2: sp.csr_matrix
-    B3: sp.csr_matrix
-    B4: sp.csr_matrix
-    t: float
+    def band(self, coefs: np.ndarray) -> np.ndarray:
+        """sum_k coefs[k] * (A, K1, K2, Q, P)[k] in LAPACK general-band storage
+        with kl = ku = ``bandwidth``: the Fortran-ordered (3 bw + 1, n) array
+        whose entry [2 bw + i - j, j] is S[i, j].  Its first bw rows are zero,
+        the room ``dgbtrf`` needs for the fill of row pivoting."""
+        n, rows = self.A.shape[0], 3 * self.bandwidth + 1
+        flat = np.zeros(n * rows)
+        flat[self.band_index] = coefs @ self.stack
+        return flat.reshape(n, rows).T
 
 
 def _elem_integrals(space: HermiteSpace, nq: int, coef, trial, test) -> np.ndarray:
@@ -407,8 +408,9 @@ def assemble_constant(
 ) -> AssembledOperators:
     """Assemble A, K1, K2, Q and P, on the free DOFs unless ``full_space``.
 
-    The contributions of each matrix are summed per cell before one scatter,
-    so no sparse addition prunes entries and all five share one pattern.
+    The contributions of each matrix are summed per cell and scattered at
+    once, before the next one is integrated: no sparse addition prunes
+    entries, all five share one pattern, and one set of element arrays lives.
     """
     tab = space.basis_tables(nq)
     y = tab["points"]
@@ -416,17 +418,16 @@ def assemble_constant(
     pairs = [(i, j) for i in range(len(g)) for j in range(len(g))]
     ones = np.ones(y.shape[:2])
     integrate = functools.partial(_elem_integrals, space, nq)
-
-    elems = {
-        "A": integrate(ones, tab["N"], tab["N"]),
-        "K1": sum(integrate(ones, gi, gi) for gi in g),
-        "K2": integrate(ones, tab["lap"], tab["lap"]),
+    scatter = functools.partial(space.scatter, full_space=full_space)
+    mats = {
+        "A": scatter(integrate(ones, tab["N"], tab["N"])),
+        "K1": scatter(sum(integrate(ones, gi, gi) for gi in g)),
+        "K2": scatter(integrate(ones, tab["lap"], tab["lap"])),
         # Q1 adds the diagonal i = j terms of Q2 once more
-        "Q": sum(integrate((1.0 + (i == j)) * y[..., i] * y[..., j], g[i], g[j])
-                 for i, j in pairs),
-        "P": sum(integrate(y[..., i], gi, tab["N"]) for i, gi in enumerate(g)),
+        "Q": scatter(sum(integrate((1.0 + (i == j)) * y[..., i] * y[..., j], g[i], g[j])
+                         for i, j in pairs)),
+        "P": scatter(sum(integrate(y[..., i], gi, tab["N"]) for i, gi in enumerate(g))),
     }
-    mats = {name: space.scatter(e, full_space) for name, e in elems.items()}
     return AssembledOperators(**mats, bandwidth=space.bandwidth(full_space))
 
 
@@ -440,29 +441,6 @@ def l_coefficients(f: TimeFactors, nu: float) -> tuple[np.ndarray, np.ndarray]:
         np.array([nu, 0.0, 0.0, 0.0, -2.0 * f.r]),
         np.array([0.0, f.s0, f.b2, -4.0 * f.r * f.r, f.c4]),
     )
-
-
-def assemble_time_dependent(
-    space: HermiteSpace,
-    boundary: MovingBoundary,
-    params: BeamParameters,
-    t: float,
-    nq: int = DEFAULT_OPERATOR_QUAD,
-) -> TimeDependentOperators:
-    """Assemble B1..B4 at time t by pointwise quadrature: the reference that
-    the stepper's combinations (:func:`l_coefficients`) are checked against."""
-    tab = space.basis_tables(nq)
-    a1, a2, _, a4, a5 = time_factors(boundary, params, t).a_coefficients(tab["points"])
-    g = [tab["grad"][:, :, i] for i in range(space.mesh.dim)]
-    pairs = [(i, j) for i in range(len(g)) for j in range(len(g))]
-    integrate = functools.partial(_elem_integrals, space, nq)
-    elems = (
-        sum(integrate(a1[..., i], gi, gi) for i, gi in enumerate(g)),
-        sum(integrate(a2[..., i, j], g[i], g[j]) for i, j in pairs),
-        sum(integrate(a4[..., i], gi, tab["N"]) for i, gi in enumerate(g)),
-        sum(integrate(a5[..., i], gi, tab["N"]) for i, gi in enumerate(g)),
-    )
-    return TimeDependentOperators(*(space.scatter(e) for e in elems), t=t)
 
 
 def assemble_load(

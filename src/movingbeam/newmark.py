@@ -10,16 +10,19 @@ with K scalar, L1 and L2 are fixed combinations of the constant operators
 (A, K1, K2, Q, P) with scalar weights in (K, K', K''): they are assembled
 once per run on one CSR pattern.  A step matrix S is held only as its
 coefficient vector c over them: S x is c contracted with the five products
-of one stacked sparse matrix (``AssembledOperators.products``), and a CSR
-matrix of S is formed only when the solver factors it.  The load F(t)
+of one stacked sparse matrix (``AssembledOperators.products``), and S is
+written, straight into LAPACK band storage, only when the solver factors
+it (``AssembledOperators.band``).  The load F(t)
 follows the same rule over the source's five spatial terms, integrated once
 per run (``BeamSystem.load``).  Each implicit step, the startup step with
 its ghost level included, solves one form of nonlinear system
 (``StepProblem``) whose Jacobian is a step matrix plus a low-rank correction
-coming from the differential of G; a run keeps one sparse LU across Newton
-iterations and steps, refines each solve with it and the Woodbury identity,
-and refactors when refinement stalls (``LinearSolver``).  Results are
-deterministic for a fixed configuration.
+coming from the differential of G.  Its one factorization is LAPACK's
+general-band LU, applied with the Woodbury identity (``LinearSolver``): in
+1D each linear solve factors its own matrix, since that costs less than one
+refinement sweep; in 2D a run keeps one band LU across Newton iterations and
+steps, refines each solve with it, and refactors when refinement stalls.
+Results are deterministic for a fixed configuration.
 
 theta in ]1/4, 1] gives the unconditionally convergent family; theta < 1/4 is
 conditionally stable and may legitimately diverge on fine meshes, which is
@@ -33,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .fem import AssembledOperators, HermiteSpace, assemble_load, l_coefficients
 from .geometry import BeamParameters, MovingBoundary, time_factors
@@ -134,13 +137,19 @@ class LinearSolver:
     """Solves (S + U V^T) x = b for the drifting Newton matrices of one run.
 
     S is given by its coefficient vector c over the constant operators
-    ``ops``; it is formed as a matrix only to be factored.  The sparse LU of
-    an earlier Newton matrix, with the Woodbury identity for U V^T,
-    preconditions iterative refinement on the true residual (a chord method
-    for the linear solves).  The first sweep after each factorization
+    ``ops``; it is written straight into LAPACK band storage and factored by
+    ``dgbtrf`` (kl = ku = ``ops.bandwidth``), the only factorization.  The
+    band LU of an earlier Newton matrix, with the Woodbury identity for
+    U V^T, preconditions iterative refinement on the true residual (a chord
+    method for the linear solves).  The one sweep after each factorization
     sets the accuracy target, eight times its correction; S is refactored when
     the corrections contract by less than half per sweep or would need more
-    than ``MAX_SWEEPS`` sweeps.
+    than ``sweeps`` sweeps.
+
+    ``sweeps``: how many sweeps (a five-operator product and a band solve
+    each) cost no more flops than one band LU, capped at ``MAX_SWEEPS``.  It
+    is counted from the sizes, not timed, so reruns repeat bit for bit.  It is
+    0 in 1D, where every solve factors its own matrix.
     """
 
     MAX_SWEEPS = 8
@@ -149,6 +158,9 @@ class LinearSolver:
         self.ops = ops
         self.factorizations = 0
         self._lu = None
+        n, nnz, bw = ops.A.shape[0], ops.A.nnz, ops.bandwidth
+        self.sweeps = min(self.MAX_SWEEPS,
+                          4 * n * bw * bw // (10 * nnz + 2 * n * (3 * bw + 1)))
 
     def reset(self) -> None:
         """Drop the factors; the next solve factors its own matrix."""
@@ -156,32 +168,40 @@ class LinearSolver:
 
     def solve(self, c: np.ndarray, rhs: np.ndarray, U: np.ndarray,
               V: np.ndarray) -> np.ndarray:
-        x = None if self._lu is None else self._refine(c, rhs, U, V, fresh=False)
+        kept = self._lu is not None and self.sweeps > 0
+        x = self._refine(c, rhs, U, V, fresh=False) if kept else None
         if x is None:
             self._lu = None  # free the old factors before making new ones
-            try:
-                self._lu = spla.splu(self.ops.combine(c).tocsc())
-            except (RuntimeError, ValueError) as exc:
-                raise SingularJacobian(str(exc)) from exc
+            bw = self.ops.bandwidth
+            lu, piv, info = dgbtrf(self.ops.band(c), bw, bw, overwrite_ab=1)
+            if info > 0:
+                raise SingularJacobian(f"zero pivot in column {info} of the band LU")
+            self._lu = lu, piv
             self.factorizations += 1
             x = self._refine(c, rhs, U, V, fresh=True)
         return x
 
     def _refine(self, c, rhs, U, V, fresh: bool) -> np.ndarray | None:
-        Z = self._lu.solve(U)
+        lu, piv = self._lu
+        bw = self.ops.bandwidth
+
+        def lu_solve(b):
+            return dgbtrs(lu, bw, bw, b, piv)[0]
+
+        Y = lu_solve(np.column_stack([rhs, U]))
+        Z = Y[:, 1:]
         try:
             W = np.linalg.solve(np.eye(U.shape[1]) + V.T @ Z, V.T)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(f"singular Woodbury capacitance: {exc}") from exc
 
-        def precondition(b):
-            y = self._lu.solve(b)
+        def woodbury(y):  # S^-1 b -> (S + U V^T)^-1 b
             return y - Z @ (W @ y)
 
-        x = precondition(rhs)
+        x = woodbury(Y[:, 0])
         last = math.inf
-        for sweep in range(1, self.MAX_SWEEPS + 1):
-            dx = precondition(rhs - c @ self.ops.products(x) - U @ (V.T @ x))
+        for sweep in range(1, max(self.sweeps, 1) + 1):  # a fresh LU always sweeps once
+            dx = woodbury(lu_solve(rhs - c @ self.ops.products(x) - U @ (V.T @ x)))
             x = x + dx
             size = float(np.max(np.abs(dx))) / (float(np.max(np.abs(x))) or 1.0)
             if fresh:
@@ -191,7 +211,7 @@ class LinearSolver:
             rate, last = size / last, size
             # refactor on a stall, or when this rate needs more sweeps than allowed
             if not rate < 0.5 or (sweep > 1 and sweep + math.log(
-                    self._target / size, rate) > self.MAX_SWEEPS):
+                    self._target / size, rate) > self.sweeps):
                 return None
         return None
 
@@ -345,10 +365,6 @@ class StepProblem:
         U = np.column_stack([self.th_dt2 * K1z for _, _, K1z in terms])
         V = np.column_stack([2.0 * b * K1z for b, _, K1z in terms])
         return c, U, V
-
-    def jacobian_dense(self, X: np.ndarray) -> np.ndarray:
-        c, U, V = self.jacobian_parts(X)
-        return self.ops.combine(c).toarray() + U @ V.T
 
 
 def newton_solve(problem: StepProblem, x0: np.ndarray, cfg: NewmarkConfig,

@@ -1,5 +1,10 @@
+"""Shared fixtures, and the quadrature oracles that only the tests use."""
+import functools
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from movingbeam import (
     BeamParameters,
@@ -9,6 +14,47 @@ from movingbeam import (
     MovingBoundary,
     assemble_constant,
 )
+from movingbeam.fem import DEFAULT_OPERATOR_QUAD, _elem_integrals
+from movingbeam.geometry import time_factors
+
+
+@dataclass
+class TimeDependentOperators:
+    """Coefficient-weighted matrices at one time level.
+
+    Orientation: row = test DOF, column = trial DOF, i.e. ``(B3 @ d)[l] =
+    (a4_i d_i v_h, phi_l)``; this is the transposed layout the three-level
+    scheme applies to coefficient vectors.
+    """
+
+    B1: sp.csr_matrix
+    B2: sp.csr_matrix
+    B3: sp.csr_matrix
+    B4: sp.csr_matrix
+    t: float
+
+
+def assemble_time_dependent(space, boundary, params, t, nq=DEFAULT_OPERATOR_QUAD):
+    """Assemble B1..B4 at time t by pointwise quadrature: the reference that
+    the stepper's combinations (``l_coefficients``) are checked against."""
+    tab = space.basis_tables(nq)
+    a1, a2, _, a4, a5 = time_factors(boundary, params, t).a_coefficients(tab["points"])
+    g = [tab["grad"][:, :, i] for i in range(space.mesh.dim)]
+    pairs = [(i, j) for i in range(len(g)) for j in range(len(g))]
+    integrate = functools.partial(_elem_integrals, space, nq)
+    elems = (
+        sum(integrate(a1[..., i], gi, gi) for i, gi in enumerate(g)),
+        sum(integrate(a2[..., i, j], g[i], g[j]) for i, j in pairs),
+        sum(integrate(a4[..., i], gi, tab["N"]) for i, gi in enumerate(g)),
+        sum(integrate(a5[..., i], gi, tab["N"]) for i, gi in enumerate(g)),
+    )
+    return TimeDependentOperators(*(space.scatter(e) for e in elems), t=t)
+
+
+def jacobian_dense(problem, X):
+    """The Newton matrix of a ``StepProblem`` at X as a dense array."""
+    c, U, V = problem.jacobian_parts(X)
+    return problem.ops.combine(c).toarray() + U @ V.T
 
 
 @pytest.fixture(scope="session")

@@ -11,12 +11,13 @@ from movingbeam import (
     MovingBoundary,
     assemble_constant,
     assemble_load,
-    assemble_time_dependent,
     eval_coefficients,
     gauss_rule,
     interpolate_initial,
 )
 from movingbeam.fem import _elem_integrals
+
+from conftest import assemble_time_dependent
 
 
 class TestQuadrature:
@@ -248,23 +249,48 @@ class TestAffineOperators:
         # the stacked matrix reads the operators' data in place
         assert np.shares_memory(ops.stacked.data, ops.stack)
 
+    @pytest.mark.parametrize("dim,cells", [(1, 8), (2, 3), (2, 4)])
+    def test_band_matches_combined_matrix(self, dim, cells, rng):
+        # LAPACK general-band storage with kl = ku = bw: ab[2 bw + i - j, j] = S[i, j]
+        ops = assemble_constant(HermiteSpace(Mesh.uniform(dim, cells)))
+        bw, n = ops.bandwidth, ops.A.shape[0]
+        for c in (np.eye(5)[2], rng.standard_normal(5)):
+            S, ab = ops.combine(c).toarray(), ops.band(c)
+            assert ab.shape == (3 * bw + 1, n) and ab.flags.f_contiguous
+            ref = np.zeros_like(ab)
+            for k in range(-bw, bw + 1):  # S[i, i + k] for each diagonal k
+                i = np.arange(max(0, -k), min(n, n - k))
+                ref[2 * bw - k, i + k] = S[i, i + k]
+            assert np.array_equal(ab, ref)
+            # the band holds all of S: nothing lies outside it
+            assert np.array_equal(np.triu(np.tril(S, bw), -bw), S)
+
     def test_advance_never_assembles_per_step(self, params, monkeypatch):
+        # every quadrature of the package goes through _elem_integrals (matrices),
+        # assemble_load (vectors) or HermiteSpace.scatter; none may run in the march
         import sys
 
-        from movingbeam import BeamSystem, NewmarkConfig, advance
+        from movingbeam import BeamSystem, NewmarkConfig, advance, fem
 
         def boom(*args, **kwargs):
             raise AssertionError("per-step quadrature assembly")
 
-        for name, mod in list(sys.modules.items()):
-            if name.split(".")[0] == "movingbeam":
-                for attr, value in list(vars(mod).items()):
-                    if value is assemble_time_dependent:
-                        monkeypatch.setattr(mod, attr, boom)
         case = ManufacturedCase.standard("S1", 1)
         space = HermiteSpace(Mesh.uniform(1, 8))
         system = BeamSystem(space, assemble_constant(space), MovingBoundary.b2(1), params)
         d0 = interpolate_initial(space, case.initial_displacement())
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "movingbeam":
+                for attr, value in list(vars(mod).items()):
+                    if value is fem._elem_integrals or value is assemble_load:
+                        monkeypatch.setattr(mod, attr, boom)
+        monkeypatch.setattr(HermiteSpace, "scatter", boom)
+        # the guards are live: set-up, which integrates, trips each of them
+        for integrates in (lambda: fem.assemble_constant(space),
+                           lambda: fem.assemble_load(space, lambda y, t: 0 * y[:, 0], 0.0),
+                           lambda: space.scatter(np.zeros((8, 4, 4)))):
+            with pytest.raises(AssertionError, match="per-step quadrature"):
+                integrates()
         traj = advance(system, NewmarkConfig(dt=2.0**-5, n_steps=4), d0, 0.0 * d0)
         assert traj.completed
 

@@ -32,6 +32,8 @@ from movingbeam.geometry import time_factors
 from movingbeam.manufactured import strong_operator
 from movingbeam.newmark import LinearSolver, SingularJacobian, StepProblem, newton_solve
 
+from conftest import jacobian_dense
+
 # K = 1 + t/2: K^-4, and with it the Newton matrix, drifts by about 3% per step at dt = 2^-6
 FAST = MovingBoundary(BoundaryKind.LINEAR_DRIFT, base=1.0, slope=0.5,
                       k0=0.5, k1_bound=2.5, k2_bound=1.0)
@@ -92,7 +94,10 @@ class _ScalarSystem:
     def __init__(self, A=1.0, L1=2.0, L2=3.0, b1=0.0, K1=1.0, F=0.0):
         stack = np.array([A, K1, L1, L2, 0.0])
         self.ops = SimpleNamespace(
+            A=sp.csr_matrix(np.array([[A]])),
             K1=sp.csr_matrix(np.array([[K1]])),
+            bandwidth=0,
+            band=lambda c: np.array([[c @ stack]]),
             combine=lambda c: sp.csr_matrix(np.array([[c @ stack]])),
             products=lambda x: stack[:, None] * x,
         )
@@ -211,7 +216,7 @@ class TestNewton:
             so = build_step_operators(system, cfg, eta)
             prob = StepProblem(system, cfg, eta, so, d0, 0.5 * d0, d1)
             X = d0 + 0.01 * rng.standard_normal(len(d0))
-            J = prob.jacobian_dense(X)
+            J = jacobian_dense(prob, X)
             eps = 1e-6
             Jfd = np.empty_like(J)
             for k in range(len(X)):
@@ -341,17 +346,31 @@ class _PerIterationLU:
         return np.linalg.solve(self.ops.combine(c).toarray() + U @ V.T, rhs)
 
 
+def _count_calls(monkeypatch, owner, name):
+    """Calls of owner.name from here on, made through the owner."""
+    calls, original = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda *a, **kw: calls.append(1) or original(*a, **kw))
+    return calls
+
+
 class TestLinearSolver:
+    # In 1D a band LU costs less than one refinement sweep, so every solve
+    # factors; the chord path (kept factors, refinement sweeps) runs in 2D.
+
     @pytest.mark.parametrize("r", [0, 1, 3])
     def test_refined_solve_matches_fresh_lu(self, r, rng):
         # the factors of the step-1 matrix refine the solve with the step-64 one
-        _, system, _, _ = _mms_system(cells=32)
+        _, system, _, _ = _mms_system(dim=2, cells=16)
         cfg = NewmarkConfig(theta=0.25, dt=2.0**-6, n_steps=64)
         c0 = build_step_operators(system, cfg, 1).c1
         c = build_step_operators(system, cfg, 64).c1
         n = system.space.ndof
+        # columns in the Kirchhoff terms' form, V a positive multiple of U; in
+        # 2D independent random U and V make S + U V^T near singular (cond ~1e13),
+        # where neither solve is accurate to better than 1e-5
         U = 0.1 * rng.standard_normal((n, r))
-        V = rng.standard_normal((n, r))
+        V = U.copy()
         rhs = rng.standard_normal(n)
         solver = LinearSolver(system.ops)
         solver.solve(c0, rhs, U, V)
@@ -360,18 +379,23 @@ class TestLinearSolver:
         ref = _woodbury_reference(system.ops.combine(c), rhs, U, V)
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    def test_sweep_budget_follows_the_band(self):
+        # sweeps whose flops fit in one band LU: none in 1D, the cap in 2D
+        for dim, cells, sweeps in ((1, 8, 0), (1, 512, 0), (2, 4, 4), (2, 8, 8),
+                                   (2, 32, 8)):
+            ops = assemble_constant(HermiteSpace(Mesh.uniform(dim, cells)))
+            assert LinearSolver(ops).sweeps == sweeps
+
     def test_slow_boundary_keeps_one_factorization(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(newmark, "spla", SimpleNamespace(
-            splu=lambda A: calls.append(1) or spla.splu(A)))
-        _, system, d0, d1 = _mms_system(cells=128)
+        calls = _count_calls(monkeypatch, newmark, "dgbtrf")
+        _, system, d0, d1 = _mms_system(dim=2, cells=16)
         traj = advance(system, NewmarkConfig(theta=0.25, dt=2.0**-7, n_steps=128), d0, d1)
         assert traj.completed
         # one for the startup step, one for the rest of the run
         assert traj.factorizations == len(calls) <= 3
 
     def test_fast_boundary_refactors_and_matches_per_iteration_lu(self, monkeypatch):
-        _, system, d0, d1 = _mms_system(cells=32, boundary=FAST, amplitude=1.0)
+        _, system, d0, d1 = _mms_system(dim=2, cells=8, boundary=FAST, amplitude=1.0)
         cfg = NewmarkConfig(theta=0.25, dt=2.0**-6, n_steps=64)
         traj = advance(system, cfg, d0, d1)
         monkeypatch.setattr(newmark, "LinearSolver", _PerIterationLU)
@@ -387,15 +411,35 @@ class TestLinearSolver:
     ])
     def test_matrices_are_formed_only_to_factor(self, boundary, cells, dt, amplitude,
                                                  monkeypatch):
-        calls, combine = [], AssembledOperators.combine
-        monkeypatch.setattr(AssembledOperators, "combine",
-                            lambda self, c: calls.append(1) or combine(self, c))
+        # 1D: one band array and one LU per linear solve, and no CSR matrix
+        combined = _count_calls(monkeypatch, AssembledOperators, "combine")
+        banded = _count_calls(monkeypatch, AssembledOperators, "band")
+        solves = _count_calls(monkeypatch, LinearSolver, "solve")
         _, system, d0, d1 = _mms_system(cells=cells, boundary=boundary,
                                         amplitude=amplitude)
         traj = advance(system, NewmarkConfig(theta=0.25, dt=dt, n_steps=int(1 / dt)),
                        d0, d1)
         assert traj.completed
-        assert len(calls) == traj.factorizations
+        assert len(banded) == traj.factorizations == len(solves)
+        assert len(solves) >= sum(traj.newton_iterations) and combined == []
+
+    @pytest.mark.parametrize("boundary,cells,dt,amplitude", [
+        (None, 16, 2.0**-7, None),     # B1
+        (FAST, 8, 2.0**-6, 1.0),
+    ])
+    def test_chord_sweeps_form_no_matrix(self, boundary, cells, dt, amplitude,
+                                         monkeypatch):
+        # 2D: a band array only for each LU, and fewer LUs than linear solves
+        combined = _count_calls(monkeypatch, AssembledOperators, "combine")
+        banded = _count_calls(monkeypatch, AssembledOperators, "band")
+        solves = _count_calls(monkeypatch, LinearSolver, "solve")
+        _, system, d0, d1 = _mms_system(dim=2, cells=cells, boundary=boundary,
+                                        amplitude=amplitude)
+        traj = advance(system, NewmarkConfig(theta=0.25, dt=dt, n_steps=int(1 / dt)),
+                       d0, d1)
+        assert traj.completed
+        assert len(banded) == traj.factorizations < len(solves)
+        assert combined == []
 
     def test_singular_newton_matrix(self):
         # A = L1 = L2 = 0 and b1 = 0 leave the zero Newton matrix
@@ -413,13 +457,23 @@ class TestLinearSolver:
             solver.solve(zero, np.ones(1), none, none)
         traj = advance(system, cfg, np.zeros(1), np.zeros(1))
         assert traj.status == "diverged" and traj.diverged_step == 1
+        # a zero pivot of the band LU of an assembled system, in 1D and in 2D
+        for dim in (1, 2):
+            ops = assemble_constant(HermiteSpace(Mesh.uniform(dim, 4)))
+            n = ops.A.shape[0]
+            with pytest.raises(SingularJacobian, match="zero pivot"):
+                LinearSolver(ops).solve(np.zeros(5), np.ones(n), np.zeros((n, 0)),
+                                        np.zeros((n, 0)))
 
     def test_reruns_are_byte_identical(self):
-        _, system, d0, d1 = _mms_system(cells=32, boundary=FAST, amplitude=1.0)
-        cfg = NewmarkConfig(theta=0.25, dt=2.0**-6, n_steps=64)
-        first, second = (advance(system, cfg, d0, d1) for _ in range(2))
-        assert first.factorizations == second.factorizations > 2
-        assert b"".join(d.tobytes() for d in first.d) == b"".join(d.tobytes() for d in second.d)
+        for dim, cells in ((1, 32), (2, 8)):
+            _, system, d0, d1 = _mms_system(dim=dim, cells=cells, boundary=FAST,
+                                            amplitude=1.0)
+            cfg = NewmarkConfig(theta=0.25, dt=2.0**-6, n_steps=64)
+            first, second = (advance(system, cfg, d0, d1) for _ in range(2))
+            assert first.factorizations == second.factorizations > 2
+            assert (b"".join(d.tobytes() for d in first.d)
+                    == b"".join(d.tobytes() for d in second.d))
 
 
 def _pointwise_source(case, b, p):

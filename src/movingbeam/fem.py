@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import TimeFactors
-from .hermite import shape_eval_1d, shape_eval_2d
+from .hermite import local_layout, shape_eval
 
 __all__ = [
     "Mesh",
@@ -39,6 +39,17 @@ __all__ = [
 
 DEFAULT_OPERATOR_QUAD = 5   # exact through degree 9 per axis
 DEFAULT_LOAD_QUAD = 6
+
+
+def _product(axes) -> np.ndarray:
+    """Rows of the Cartesian product of ``axes``, first axis fastest: (prod n_k, dim)."""
+    grids = np.meshgrid(*axes[::-1], indexing="ij")
+    return np.column_stack([g.ravel() for g in grids[::-1]])
+
+
+def _strides(counts) -> np.ndarray:
+    """Flat-index weight of each axis of a grid with ``counts`` entries, first axis fastest."""
+    return np.cumprod((1,) + tuple(counts[:-1]))
 
 
 @dataclass(frozen=True)
@@ -84,54 +95,38 @@ class Mesh:
 
     def node_coords(self) -> np.ndarray:
         """Node coordinates, shape (nnodes, dim), x fastest."""
-        axes = [np.linspace(lo, hi, n + 1) for (lo, hi), n in zip(self.box, self.cells_per_axis)]
-        if self.dim == 1:
-            return axes[0][:, None]
-        X, Y = np.meshgrid(axes[0], axes[1], indexing="xy")
-        return np.column_stack([X.ravel(), Y.ravel()])
+        return _product([np.linspace(lo, hi, n + 1)
+                         for (lo, hi), n in zip(self.box, self.cells_per_axis)])
 
 
 def gauss_rule(dim: int, npts: int):
-    """Tensor Gauss-Legendre rule on [0,1]^dim: (points (nq, dim), weights (nq,))."""
+    """Tensor Gauss-Legendre rule on [0,1]^dim, first axis fastest:
+    (points (npts^dim, dim), weights (npts^dim,))."""
     if npts < 1:
         raise ValueError("need at least one point per axis")
+    if dim not in (1, 2):
+        raise ValueError(f"dim must be 1 or 2, got {dim}")
     x, w = np.polynomial.legendre.leggauss(npts)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
-    if dim == 1:
-        return x[:, None], w
-    if dim == 2:
-        X, Y = np.meshgrid(x, x, indexing="xy")
-        W = np.outer(w, w)  # W[j, i] = w_y[j] * w_x[i] to match 'xy' meshgrid
-        return np.column_stack([X.ravel(), Y.ravel()]), W.ravel()
-    raise ValueError(f"dim must be 1 or 2, got {dim}")
+    return _product([0.5 * (x + 1.0)] * dim), _product([0.5 * w] * dim).prod(axis=1)
 
 
 class HermiteSpace:
     """C1 Hermite space on a uniform mesh with clamped-boundary elimination.
 
-    DOF layout: node-major; per node ``[v, v']`` in 1D and
-    ``[v, vx, vy, vxy]`` in 2D.  ``full_to_free`` maps full DOF index to free
-    index (-1 when constrained).
+    DOF layout: node-major, nodes with the first axis fastest; per node the
+    2^dim mixed derivatives in the order of ``hermite`` (derivative bit k for
+    axis k): ``[v, v']`` in 1D, ``[v, vx, vy, vxy]`` in 2D.  ``full_to_free``
+    maps full DOF index to free index (-1 when constrained).
     """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.dofs_per_node = 2 if mesh.dim == 1 else 4
+        self.dofs_per_node = 2 ** mesh.dim
         self.ndof_full = mesh.nnodes * self.dofs_per_node
 
-        constrained = np.zeros(self.ndof_full, dtype=bool)
-        if mesh.dim == 1:
-            nn = mesh.nodes_per_axis[0]
-            for node in (0, nn - 1):
-                constrained[2 * node: 2 * node + 2] = True
-        else:
-            nx, ny = mesh.nodes_per_axis
-            ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="xy")
-            boundary = (ii == 0) | (ii == nx - 1) | (jj == 0) | (jj == ny - 1)
-            nodes = np.flatnonzero(boundary.ravel())
-            for d in range(4):
-                constrained[4 * nodes + d] = True
+        node = _product([np.arange(n) for n in mesh.nodes_per_axis])
+        boundary = np.any((node == 0) | (node == np.array(mesh.nodes_per_axis) - 1), axis=1)
+        constrained = np.repeat(boundary, self.dofs_per_node)
 
         self.full_to_free = np.full(self.ndof_full, -1, dtype=np.int64)
         self.free_dofs = np.flatnonzero(~constrained)
@@ -145,39 +140,18 @@ class HermiteSpace:
     # -- connectivity -------------------------------------------------------
 
     def _element_dof_matrix(self) -> np.ndarray:
-        m = self.mesh
-        if m.dim == 1:
-            nc = m.cells_per_axis[0]
-            e = np.arange(nc)[:, None]
-            return 2 * e + np.array([0, 1, 2, 3])[None, :]
-        ncx, ncy = m.cells_per_axis
-        nx = m.nodes_per_axis[0]
-        ex, ey = np.meshgrid(np.arange(ncx), np.arange(ncy), indexing="xy")
-        ex = ex.ravel()[:, None]
-        ey = ey.ravel()[:, None]
-        corners = np.concatenate(
-            [
-                ey * nx + ex,            # (0,0)
-                ey * nx + ex + 1,        # (1,0)
-                (ey + 1) * nx + ex,      # (0,1)
-                (ey + 1) * nx + ex + 1,  # (1,1)
-            ],
-            axis=1,
-        )
-        dofs = (4 * corners)[:, :, None] + np.arange(4)[None, None, :]
-        return dofs.reshape(-1, 16)
+        """Global DOF of each local DOF of each cell, (ncells, 4^dim)."""
+        m, dpn = self.mesh, self.dofs_per_node
+        corner, _ = local_layout(m.dim)
+        cells = _product([np.arange(n) for n in m.cells_per_axis])
+        nodes = (cells[:, None, :] + corner[None]) @ _strides(m.nodes_per_axis)
+        return dpn * nodes + np.arange(dpn * dpn) % dpn
 
     def cell_origins(self) -> np.ndarray:
         """Lower-left corner of each cell, shape (ncells, dim)."""
         m = self.mesh
-        hs = m.h
-        if m.dim == 1:
-            return (m.box[0][0] + hs[0] * np.arange(m.cells_per_axis[0]))[:, None]
-        ncx, ncy = m.cells_per_axis
-        ex, ey = np.meshgrid(np.arange(ncx), np.arange(ncy), indexing="xy")
-        return np.column_stack(
-            [m.box[0][0] + hs[0] * ex.ravel(), m.box[1][0] + hs[1] * ey.ravel()]
-        )
+        return _product([lo + h * np.arange(n)
+                         for (lo, _), h, n in zip(m.box, m.h, m.cells_per_axis)])
 
     # -- reference basis tables ---------------------------------------------
 
@@ -185,33 +159,21 @@ class HermiteSpace:
         """Reference-cell quadrature and basis tables, cached per rule size.
 
         Keys: ``w`` (weights incl. cell jacobian), ``points`` (physical
-        coordinates per cell, (ncells, nq, dim)), ``N``, ``grad`` (nq, nloc,
-        dim), ``hess`` (nq, nloc, dim, dim), ``lap`` (nq, nloc).
+        coordinates per cell, (ncells, nq^dim, dim)), ``N``, ``grad``
+        (nq^dim, nloc, dim) and ``lap`` (nq^dim, nloc), for the rule of
+        ``gauss_rule(dim, nq)``.
         """
         if nq in self._basis_cache:
             return self._basis_cache[nq]
         m = self.mesh
         pts, w = gauss_rule(m.dim, nq)
         hs = m.h
-        jac = float(np.prod(hs))
-        if m.dim == 1:
-            N, dN, ddN = shape_eval_1d(pts[:, 0], hs[0])
-            grad = dN[:, :, None]
-            hess = ddN[:, :, None, None]
-            lap = ddN
-        else:
-            tab = shape_eval_2d(pts[:, 0], pts[:, 1], hs[0], hs[1])
-            N = tab["N"]
-            grad = np.stack([tab["dx"], tab["dy"]], axis=-1)
-            hess = np.empty((N.shape[0], N.shape[1], 2, 2))
-            hess[:, :, 0, 0] = tab["dxx"]
-            hess[:, :, 1, 1] = tab["dyy"]
-            hess[:, :, 0, 1] = tab["dxy"]
-            hess[:, :, 1, 0] = tab["dxy"]
-            lap = tab["dxx"] + tab["dyy"]
+        table = shape_eval(pts, hs)
         origins = self.cell_origins()
         phys = origins[:, None, :] + pts[None, :, :] * np.asarray(hs)[None, None, :]
-        out = {"w": w * jac, "points": phys, "N": N, "grad": grad, "hess": hess, "lap": lap}
+        grad = np.stack([_derivative(table, m.dim, f"grad{i}") for i in range(m.dim)], axis=-1)
+        out = {"w": w * float(np.prod(hs)), "points": phys, "N": _derivative(table, m.dim, "N"),
+               "grad": grad, "lap": _derivative(table, m.dim, "lap")}
         self._basis_cache[nq] = out
         return out
 
@@ -275,9 +237,9 @@ class HermiteSpace:
         return full
 
     def eval_at_quad(self, d_free: np.ndarray, nq: int, deriv: str = "N") -> np.ndarray:
-        """Values of the discrete function at the quadrature grid, (ncells, nq).
+        """Values of the discrete function at the quadrature grid, (ncells, nq^dim).
 
-        ``deriv``: "N", "lap", "grad0", "grad1".
+        ``deriv``: "N", "lap" or "grad<i>" for axis i.
         """
         tab = self.basis_tables(nq)
         de = self.expand(d_free)[self.element_dofs]
@@ -292,33 +254,28 @@ class HermiteSpace:
         return np.einsum("ca,qa->cq", de, basis)
 
     def eval_points(self, d_free: np.ndarray, points, deriv: str = "N") -> np.ndarray:
-        """Evaluate the discrete function at arbitrary points in the box."""
+        """Evaluate the discrete function, or its ``deriv`` as in :meth:`eval_at_quad`,
+        at arbitrary points (npts, dim) in the box."""
         m = self.mesh
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        hs = m.h
-        cell_idx = []
-        local = []
-        for ax in range(m.dim):
-            lo = m.box[ax][0]
-            i = np.clip(
-                np.floor((pts[:, ax] - lo) / hs[ax]).astype(int),
-                0, m.cells_per_axis[ax] - 1,
-            )
-            cell_idx.append(i)
-            local.append((pts[:, ax] - (lo + i * hs[ax])) / hs[ax])
-        if m.dim == 1:
-            cells = cell_idx[0]
-            N, dN, ddN = shape_eval_1d(local[0], hs[0])
-            table = {"N": N, "grad0": dN, "lap": ddN}[deriv]
-        else:
-            cells = cell_idx[1] * m.cells_per_axis[0] + cell_idx[0]
-            tab = shape_eval_2d(local[0], local[1], hs[0], hs[1])
-            table = {
-                "N": tab["N"], "grad0": tab["dx"], "grad1": tab["dy"],
-                "lap": tab["dxx"] + tab["dyy"],
-            }[deriv]
-        de = self.expand(d_free)[self.element_dofs[cells]]
+        lo, hs = np.array([b[0] for b in m.box]), np.array(m.h)
+        idx = np.clip(np.floor((pts - lo) / hs).astype(int), 0, np.array(m.cells_per_axis) - 1)
+        table = _derivative(shape_eval((pts - (lo + idx * hs)) / hs, m.h), m.dim, deriv)
+        de = self.expand(d_free)[self.element_dofs[idx @ _strides(m.cells_per_axis)]]
         return np.einsum("pa,pa->p", de, table)
+
+
+def _derivative(table: Callable, dim: int, deriv: str) -> np.ndarray:
+    """Shape table of the selector ``deriv`` ("N", "lap", "grad<i>") from
+    ``hermite.shape_eval``'s ``table``."""
+    eye = np.eye(dim, dtype=int)
+    if deriv == "N":
+        return table(0 * eye[0])
+    if deriv == "lap":
+        return functools.reduce(np.add, (table(2 * e) for e in eye))
+    if deriv.startswith("grad") and deriv[4:] in [str(i) for i in range(dim)]:
+        return table(eye[int(deriv[4:])])
+    raise ValueError(f"unknown derivative selector {deriv!r}")
 
 
 @dataclass
@@ -465,13 +422,6 @@ def assemble_load(
     return space.scatter_vector(elem)
 
 
-def _dof_multi_indices(dim: int):
-    """Spatial derivative multi-index of each nodal DOF, in layout order."""
-    if dim == 1:
-        return [(0,), (1,)]
-    return [(0, 0), (1, 0), (0, 1), (1, 1)]
-
-
 def interpolate_initial(
     space: HermiteSpace,
     derivs: Callable[[np.ndarray, tuple], np.ndarray],
@@ -484,10 +434,11 @@ def interpolate_initial(
     is the startup accuracy the error analysis assumes.  ``full_space``
     returns all DOFs including the ones the clamped space constrains.
     """
-    nodes = space.mesh.node_coords()
+    nodes, dpn = space.mesh.node_coords(), space.dofs_per_node
     full = np.zeros(space.ndof_full)
-    for d, mi in enumerate(_dof_multi_indices(space.mesh.dim)):
-        full[d:: space.dofs_per_node] = derivs(nodes, mi)
+    # nodal DOF d is local DOF d of a cell's first corner: its derivative bits
+    for d, mi in enumerate(local_layout(space.mesh.dim)[1][:dpn]):
+        full[d::dpn] = derivs(nodes, tuple(int(o) for o in mi))
     return full if full_space else full[space.free_dofs]
 
 

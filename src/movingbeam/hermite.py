@@ -1,20 +1,26 @@
-"""Cubic Hermite shape functions on the reference cell.
+"""Cubic Hermite shape functions on the reference cell [0, 1]^dim.
 
 1D: four cubics on [0, 1] carrying (value, derivative) at each end; the
 derivative shapes are scaled by the cell size so the degrees of freedom are
-the physical nodal derivatives.  2D: the 16 tensor products on [0, 1]^2
-(Bogner-Fox-Schmit square) carrying (value, d/dx, d/dy, d2/dxdy) per corner.
+the physical nodal derivatives.  In dim dimensions the 4^dim shapes are the
+tensor products of the 1D ones (in 2D the Bogner-Fox-Schmit square), and
+every derivative table is the product of one 1D table per axis.
 
 Local DOF order
   1D: [v(0), v'(0), v(L), v'(L)]
-  2D: corners in order (0,0), (1,0), (0,1), (1,1); per corner
-      [v, vx, vy, vxy]  ->  16 local DOFs.
+  any dim: local DOF a is, on axis k, the 1D shape 2 c_k + d_k, where the
+      corner bit c_k is bit dim + k of a and the derivative bit d_k is bit k.
+      So a = 2^dim * corner + derivative, corners and per-corner derivatives
+      both with the first axis fastest; in 2D corners (0,0), (1,0), (0,1),
+      (1,1), each with [v, vx, vy, vxy]  ->  16 local DOFs.
 """
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 import numpy as np
 
-__all__ = ["shape_eval_1d", "shape_eval_2d", "shape_eval"]
+__all__ = ["shape_eval_1d", "shape_eval", "local_layout"]
 
 # reference cubics on s in [0,1] and their derivatives in s
 _H = (
@@ -64,51 +70,31 @@ def shape_eval_1d(s, h: float):
     return N, dN, ddN
 
 
-def shape_eval_2d(sx, sy, hx: float, hy: float):
-    """Evaluate the 16 BFS shapes at local coords (sx, sy) on an hx x hy cell.
+def local_layout(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(corner, derivative) bits of every local DOF, each (4^dim, dim)."""
+    a = np.arange(4 ** dim)[:, None]
+    k = np.arange(dim)[None, :]
+    return (a >> (dim + k)) & 1, (a >> k) & 1
 
-    Returns a dict with value ``N`` and physical derivatives ``dx, dy, dxx,
-    dyy, dxy``, each of shape (npts, 16).  Corner order (0,0),(1,0),(0,1),(1,1)
-    with per-corner DOFs [v, vx, vy, vxy].
+
+def shape_eval(local, h: Sequence[float]) -> Callable[[Sequence[int]], np.ndarray]:
+    """Shape tables at local coords ``local`` (npts, dim) of a cell of sizes h.
+
+    Returns ``table(orders)``: the (npts, 4^dim) values of the physical
+    derivative of the shapes with ``orders[k]`` (0, 1 or 2) on axis k, the
+    product over k of the 1D tables, each axis evaluated once here.
     """
-    sx = np.atleast_1d(np.asarray(sx, dtype=float))
-    sy = np.atleast_1d(np.asarray(sy, dtype=float))
-    _check_local(sx)
-    _check_local(sy)
-    if sx.shape != sy.shape:
-        raise ValueError("sx and sy must have matching shapes")
+    local = np.atleast_2d(np.asarray(local, dtype=float))
+    if local.shape[1] != len(h):
+        raise ValueError(f"points of dim {local.shape[1]} on a cell of dim {len(h)}")
+    factors = [shape_eval_1d(local[:, k], hk) for k, hk in enumerate(h)]
+    corner, deriv = local_layout(len(factors))
+    index = (2 * corner + deriv).T
 
-    Nx, dNx, ddNx = shape_eval_1d(sx, hx)
-    Ny, dNy, ddNy = shape_eval_1d(sy, hy)
+    def table(orders: Sequence[int]) -> np.ndarray:
+        out = factors[0][orders[0]][:, index[0]]
+        for f, o, i in zip(factors[1:], orders[1:], index[1:]):
+            out = out * f[o][:, i]
+        return np.ascontiguousarray(out)
 
-    npts = sx.size
-    out = {k: np.empty((npts, 16)) for k in ("N", "dx", "dy", "dxx", "dyy", "dxy")}
-    # 1D local index for (corner coordinate c, derivative flag d): 2*c + d
-    a = 0
-    for cy in (0, 1):
-        for cx in (0, 1):
-            for dy_ in (0, 1):
-                for dx_ in (0, 1):
-                    ix = 2 * cx + dx_
-                    iy = 2 * cy + dy_
-                    out["N"][:, a] = Nx[:, ix] * Ny[:, iy]
-                    out["dx"][:, a] = dNx[:, ix] * Ny[:, iy]
-                    out["dy"][:, a] = Nx[:, ix] * dNy[:, iy]
-                    out["dxx"][:, a] = ddNx[:, ix] * Ny[:, iy]
-                    out["dyy"][:, a] = Nx[:, ix] * ddNy[:, iy]
-                    out["dxy"][:, a] = dNx[:, ix] * dNy[:, iy]
-                    a += 1
-    return out
-
-
-def shape_eval(dim: int, local_coord, cell_size):
-    """Dimension-dispatching wrapper used by tests and the assembler."""
-    if dim == 1:
-        (h,) = np.atleast_1d(cell_size)
-        pts = np.atleast_1d(np.asarray(local_coord, dtype=float))
-        return shape_eval_1d(pts, float(h))
-    if dim == 2:
-        hx, hy = np.atleast_1d(cell_size)
-        pts = np.atleast_2d(np.asarray(local_coord, dtype=float))
-        return shape_eval_2d(pts[:, 0], pts[:, 1], float(hx), float(hy))
-    raise ValueError(f"dim must be 1 or 2, got {dim}")
+    return table

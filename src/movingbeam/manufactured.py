@@ -126,13 +126,10 @@ class ManufacturedCase:
 
     def grad_norm_sq(self, t: float) -> float:
         """|grad v(., t)|_0^2 over the box, exact for the polynomial factor."""
-        # int_{-1}^{1} q'(y)^2 dy = 256/105 and int q(y)^2 dy = 256/315
-        iq2 = 256.0 / 315.0
-        idq2 = 256.0 / 105.0
-        if self.dim == 1:
-            cg = idq2
-        else:
-            cg = 2.0 * idq2 * iq2
+        # |grad g|^2 = sum_i q'(y_i)^2 prod_{j != i} q(y_j)^2 integrates to
+        # dim * int q'^2 * (int q^2)^(dim-1), with int_{-1}^{1} q'(y)^2 dy =
+        # 256/105 and int q(y)^2 dy = 256/315
+        cg = self.dim * (256.0 / 105.0) * (256.0 / 315.0) ** (self.dim - 1)
         s = self.amplitude * self.temporal_factor(t, 0)
         return s * s * cg
 

@@ -353,7 +353,7 @@ class TestCriterion7PropertySuites:
         lines.append(f"element-matrix oracle equivalence {worst:.1e} < 1e-12")
 
         # (b) C1 conformity jumps below 1e-12
-        from movingbeam.hermite import shape_eval_2d
+        from movingbeam.hermite import shape_eval
 
         space2 = HermiteSpace(Mesh.uniform(2, 4))
         d = rng.standard_normal(space2.ndof)
@@ -366,12 +366,12 @@ class TestCriterion7PropertySuites:
             cr = ey * 4 + ex + 1
             dl = full[space2.element_dofs[cl]]
             dr = full[space2.element_dofs[cr]]
-            tl = shape_eval_2d(np.ones_like(sq), sq, hx, hy)
-            tr = shape_eval_2d(np.zeros_like(sq), sq, hx, hy)
-            for key in ("N", "dx", "dy"):
-                scale = max(1.0, np.max(np.abs(tl[key] @ dl)))
+            tl = shape_eval(np.column_stack([np.ones_like(sq), sq]), (hx, hy))
+            tr = shape_eval(np.column_stack([np.zeros_like(sq), sq]), (hx, hy))
+            for key in ((0, 0), (1, 0), (0, 1)):
+                scale = max(1.0, np.max(np.abs(tl(key) @ dl)))
                 jump_max = max(
-                    jump_max, np.max(np.abs(tl[key] @ dl - tr[key] @ dr)) / scale
+                    jump_max, np.max(np.abs(tl(key) @ dl - tr(key) @ dr)) / scale
                 )
         assert jump_max < 1e-12
         lines.append(f"C1 conformity jump {jump_max:.1e} < 1e-12")

@@ -193,6 +193,39 @@ def _quadrature_l_matrices(space, ops, b, params, t):
     )
 
 
+class TestKroneckerStructure:
+    """The BFS space is the tensor product of the 1D Hermite space, so each 2D
+    operator is a sum of Kronecker products of the 1D ones (A1, S1 = K1,
+    B1 = K2, Q1 = Q, P1 = P of the 1D space)."""
+
+    @pytest.mark.parametrize("cells", [4, 8, 16])
+    def test_2d_operators_are_kronecker_sums(self, cells):
+        import scipy.sparse as sp
+
+        o1 = assemble_constant(HermiteSpace(Mesh.uniform(1, cells)))
+        o2 = assemble_constant(HermiteSpace(Mesh.uniform(2, cells)))
+        A1, S1, B1, Q1, P1 = o1.A, o1.K1, o1.K2, o1.Q, o1.P
+        kron = {
+            "A": sp.kron(A1, A1),
+            "K1": sp.kron(A1, S1) + sp.kron(S1, A1),
+            "K2": sp.kron(A1, B1) + sp.kron(B1, A1) + 2.0 * sp.kron(S1, S1),
+            "Q": sp.kron(A1, Q1) + sp.kron(Q1, A1) + sp.kron(P1.T, P1) + sp.kron(P1, P1.T),
+            "P": sp.kron(A1, P1) + sp.kron(P1, A1),
+        }
+        # 1D free DOF a = 2 (node - 1) + d on each axis; the 2D free DOF of
+        # x-DOF a and y-DOF b is 4 (interior node, x fastest) + d_a + 2 d_b,
+        # while the Kronecker products index it as b * n1 + a
+        n1 = A1.shape[0]
+        a, b = np.meshgrid(np.arange(n1), np.arange(n1), indexing="xy")
+        node = (b // 2) * (n1 // 2) + a // 2
+        perm = np.empty(n1 * n1, dtype=int)
+        perm[(4 * node + a % 2 + 2 * (b % 2)).ravel()] = (b * n1 + a).ravel()
+        for name, k in kron.items():
+            m2 = getattr(o2, name).toarray()
+            k = k.toarray()[np.ix_(perm, perm)]
+            assert np.max(np.abs(m2 - k)) <= 1e-14 * np.max(np.abs(m2)), name
+
+
 class TestAffineOperators:
     @pytest.mark.parametrize("dim,cells", [(1, 8), (2, 3)])
     @pytest.mark.parametrize("which", ["B1", "B2", "custom"])
@@ -409,7 +442,7 @@ class TestConformity:
         full = space_2d_coarse.expand(d)
         mesh = space_2d_coarse.mesh
         hx, hy = mesh.h
-        from movingbeam.hermite import shape_eval_2d
+        from movingbeam.hermite import shape_eval
 
         sq = np.linspace(0.05, 0.95, 7)
         for ex in (0, 1):  # facet between cell (ex, ey) and (ex+1, ey)
@@ -418,11 +451,11 @@ class TestConformity:
             cr = ey * mesh.cells_per_axis[0] + ex + 1
             dl = full[space_2d_coarse.element_dofs[cl]]
             dr = full[space_2d_coarse.element_dofs[cr]]
-            tl = shape_eval_2d(np.ones_like(sq), sq, hx, hy)
-            tr = shape_eval_2d(np.zeros_like(sq), sq, hx, hy)
-            for key in ("N", "dx", "dy"):
-                jump = np.max(np.abs(tl[key] @ dl - tr[key] @ dr))
-                assert jump < 1e-12 * max(1.0, np.max(np.abs(tl[key] @ dl)))
+            tl = shape_eval(np.column_stack([np.ones_like(sq), sq]), (hx, hy))
+            tr = shape_eval(np.column_stack([np.zeros_like(sq), sq]), (hx, hy))
+            for key in ((0, 0), (1, 0), (0, 1)):
+                jump = np.max(np.abs(tl(key) @ dl - tr(key) @ dr))
+                assert jump < 1e-12 * max(1.0, np.max(np.abs(tl(key) @ dl)))
 
 
 class TestMeshValidation:

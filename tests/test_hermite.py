@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from movingbeam.hermite import shape_eval, shape_eval_1d, shape_eval_2d
+from movingbeam.hermite import shape_eval, shape_eval_1d
 
 
 class TestShape1D:
@@ -57,17 +57,17 @@ class TestShape2D:
     def test_kronecker_at_corners(self):
         hx, hy = 0.5, 0.25
         corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        tab = shape_eval_2d(corners[:, 0], corners[:, 1], hx, hy)
+        tab = shape_eval(corners, (hx, hy))
         # value DOF of corner c is local index 4c; it is 1 at its corner, 0 elsewhere
         for c in range(4):
             expected = np.zeros(4)
             expected[c] = 1.0
-            np.testing.assert_allclose(tab["N"][:, 4 * c], expected, atol=1e-14)
+            np.testing.assert_allclose(tab((0, 0))[:, 4 * c], expected, atol=1e-14)
         # derivative DOFs carry unit physical derivative at their own corner
         for c in range(4):
-            assert tab["dx"][c, 4 * c + 1] == pytest.approx(1.0)
-            assert tab["dy"][c, 4 * c + 2] == pytest.approx(1.0)
-            assert tab["dxy"][c, 4 * c + 3] == pytest.approx(1.0)
+            assert tab((1, 0))[c, 4 * c + 1] == pytest.approx(1.0)
+            assert tab((0, 1))[c, 4 * c + 2] == pytest.approx(1.0)
+            assert tab((1, 1))[c, 4 * c + 3] == pytest.approx(1.0)
 
     def test_bicubic_reproduction(self, rng):
         # nodal interpolation of a random bicubic must be exact inside the cell
@@ -92,25 +92,33 @@ class TestShape2D:
 
         sx = rng.uniform(0, 1, 20)
         sy = rng.uniform(0, 1, 20)
-        tab = shape_eval_2d(sx, sy, hx, hy)
+        tab = shape_eval(np.column_stack([sx, sy]), (hx, hy))
         exact = np.array([p(x * hx, y * hy) for x, y in zip(sx, sy)])
-        approx = tab["N"] @ dofs
+        approx = tab((0, 0)) @ dofs
         np.testing.assert_allclose(approx, exact, rtol=1e-12, atol=1e-12)
         exact_dx = np.array([p(x * hx, y * hy, 1, 0) for x, y in zip(sx, sy)])
-        np.testing.assert_allclose(tab["dx"] @ dofs, exact_dx, rtol=1e-11, atol=1e-11)
+        np.testing.assert_allclose(tab((1, 0)) @ dofs, exact_dx, rtol=1e-11, atol=1e-11)
 
     def test_value_partition_of_unity(self, rng):
         sx = rng.uniform(0, 1, 30)
         sy = rng.uniform(0, 1, 30)
-        tab = shape_eval_2d(sx, sy, 0.3, 0.9)
-        total = sum(tab["N"][:, 4 * c] for c in range(4))
+        N = shape_eval(np.column_stack([sx, sy]), (0.3, 0.9))((0, 0))
+        total = sum(N[:, 4 * c] for c in range(4))
         np.testing.assert_allclose(total, 1.0, atol=1e-14)
 
 
-def test_dispatcher_shapes():
-    N, dN, ddN = shape_eval(1, [0.5], [0.5])
-    assert N.shape == (1, 4)
-    tab = shape_eval(2, [[0.5, 0.5]], [0.5, 0.5])
-    assert tab["N"].shape == (1, 16)
+def test_shape_eval_shapes():
+    assert shape_eval([[0.5]], [0.5])((0,)).shape == (1, 4)
+    assert shape_eval([[0.5, 0.5]], [0.5, 0.5])((0, 0)).shape == (1, 16)
     with pytest.raises(ValueError):
-        shape_eval(3, [0.5], [0.5])
+        shape_eval([[0.5, 0.5]], [0.5])
+
+
+def test_shape_eval_1d_is_shape_eval_1d():
+    # the tensor-product path in 1D is the 1D element, bit for bit
+    s = np.concatenate([[0.0, 0.5, 1.0], np.random.default_rng(3).uniform(0.0, 1.0, 40)])
+    table = shape_eval(s[:, None], (0.37,))
+    for order, ref in enumerate(shape_eval_1d(s, 0.37)):
+        out = table((order,))
+        assert out.flags.c_contiguous
+        assert out.tobytes() == ref.tobytes()

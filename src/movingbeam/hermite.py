@@ -46,11 +46,6 @@ _ddH = (
 _DOF_1D = ((0, 0), (1, 1), (2, 0), (3, 1))
 
 
-def _check_local(coords: np.ndarray) -> None:
-    if np.any(coords < -1e-12) or np.any(coords > 1 + 1e-12):
-        raise ValueError(f"local coordinate outside the reference cell: {coords}")
-
-
 def shape_eval_1d(s, h: float):
     """Evaluate the four 1D shapes at local coords s in [0,1] on a cell of size h.
 
@@ -58,7 +53,8 @@ def shape_eval_1d(s, h: float):
     to the physical coordinate.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    _check_local(s)
+    if np.any(s < -1e-12) or np.any(s > 1 + 1e-12):
+        raise ValueError(f"local coordinate outside the reference cell: {s}")
     N = np.empty((s.size, 4))
     dN = np.empty((s.size, 4))
     ddN = np.empty((s.size, 4))

@@ -266,9 +266,10 @@ def validate_hypotheses(
 
     A built-in boundary is checked at t = 0 and t = T, where its monotone K
     and K' take their extrema; a ``CUSTOM`` one at ``samples_per_unit_time``
-    evenly spaced times per unit time (at least 64 intervals).  ``relaxed`` permits K' = 0 (stationary domain) so that fixed-domain
-    regression runs are not rejected; the report still records the strict
-    outcome of the speed clause.
+    evenly spaced times per unit time (at least 64 intervals).  ``relaxed``
+    permits K' = 0 (stationary domain) so that fixed-domain regression runs
+    are not rejected; the report still records the strict outcome of the
+    speed clause.
     """
     if not T > 0:
         raise ValueError(f"horizon must be positive, got T={T}")

@@ -267,13 +267,15 @@ def build_step_operators(
 ) -> StepOperators:
     """M1, M2, M3 and the theta-averaged load for step eta -> eta+1.
 
-    M1  = A + (dt/2) L1^{eta+1} + theta dt^2 L2^{eta+1}
+    M1  = A + (dt/2) L1^eta + theta dt^2 L2^{eta+1}
     M2  = dt^2 (1-2 theta)(G^eta K1 + L2^eta) - 2A        (G supplied later)
-    M3  = A - (dt/2) L1^{eta-1} + theta dt^2 L2^{eta-1}
+    M3  = A - (dt/2) L1^eta + theta dt^2 L2^{eta-1}
     F   = theta F^{eta-1} + (1-2 theta) F^eta + theta F^{eta+1}   (eta >= 1)
     F   = theta F^1 + (1-theta) F^0                               (eta = 0)
 
-    For eta = 0 the level "eta-1" is evaluated at t_0 (ghost level).  Each
+    L1 is taken at t_eta, where (d^{eta+1} - d^{eta-1}) / (2 dt) approximates
+    d'; at t_{eta+1} and t_{eta-1} it would approximate (L1 d)' instead.  For
+    eta = 0 the level "eta-1" is evaluated at t_0 (ghost level).  Each
     matrix is kept as its coefficient vector over the constant operators,
     formed from those of L1 and L2; no matrix is formed here.
     """
@@ -282,13 +284,13 @@ def build_step_operators(
     t_p = (eta + 1) * dt
     t_m = max((eta - 1) * dt, 0.0)
 
-    L1p, L2p = system.l_coefficients(t_p)
-    L1m, L2m = system.l_coefficients(t_m)
-    _, L2n = system.l_coefficients(t_n)
+    _, L2p = system.l_coefficients(t_p)
+    _, L2m = system.l_coefficients(t_m)
+    L1n, L2n = system.l_coefficients(t_n)
 
-    c1 = _A + 0.5 * dt * L1p + th * dt * dt * L2p
+    c1 = _A + 0.5 * dt * L1n + th * dt * dt * L2p
     c2 = dt * dt * (1.0 - 2.0 * th) * L2n - 2.0 * _A
-    c3 = _A - 0.5 * dt * L1m + th * dt * dt * L2m
+    c3 = _A - 0.5 * dt * L1n + th * dt * dt * L2m
 
     if eta == 0:
         F_avg = th * system.load(dt) + (1.0 - th) * system.load(0.0)

@@ -148,9 +148,9 @@ class TestStepOperators:
         assert so.F_avg[0] == pytest.approx(2.0, rel=1e-15)
 
     def test_sum_identity(self, b1_1d, params):
-        # M1 + M2 + M3 (with the explicit Kirchhoff part restored) equals
-        # dt^2 [(1-2theta)(G K1 + L2^n) + theta (L2^{n+1} + L2^{n-1})]
-        #   + (dt/2)(L1^{n+1} - L1^{n-1})
+        # with L1 at t_eta, M1 + M2 + M3 (with the explicit Kirchhoff part
+        # restored) equals dt^2 [(1-2theta)(G K1 + L2^n) + theta (L2^{n+1} + L2^{n-1})],
+        # and M1 - M3 = dt L1^n + theta dt^2 (L2^{n+1} - L2^{n-1})
         case, system, d0, _ = _mms_system(cells=8)
         cfg = NewmarkConfig(theta=0.3, dt=2.0**-5, n_steps=4)
         eta = 2
@@ -158,19 +158,17 @@ class TestStepOperators:
         g = kirchhoff_scalar(system.b1(eta * cfg.dt), d0, system.ops.K1)
         dt, th = cfg.dt, cfg.theta
         ops = system.ops
-        lhs = (
-            ops.combine(so.c1 + so.c2 + so.c3)
-            + dt * dt * (1 - 2 * th) * g * ops.K1
-        ).toarray()
-        L1p, L2p = map(ops.combine, system.l_coefficients((eta + 1) * dt))
-        L1m, L2m = map(ops.combine, system.l_coefficients((eta - 1) * dt))
-        L2n = ops.combine(system.l_coefficients(eta * dt)[1])
-        rhs = (
-            dt * dt * ((1 - 2 * th) * (g * system.ops.K1 + L2n) + th * (L2p + L2m))
-            + 0.5 * dt * (L1p - L1m)
-        ).toarray()
-        scale = np.max(np.abs(rhs)) + 1.0
-        assert np.max(np.abs(lhs - rhs)) < 1e-13 * scale
+        _, L2p = map(ops.combine, system.l_coefficients((eta + 1) * dt))
+        _, L2m = map(ops.combine, system.l_coefficients((eta - 1) * dt))
+        L1n, L2n = map(ops.combine, system.l_coefficients(eta * dt))
+        for lhs, rhs in (
+            (ops.combine(so.c1 + so.c2 + so.c3) + dt * dt * (1 - 2 * th) * g * ops.K1,
+             dt * dt * ((1 - 2 * th) * (g * system.ops.K1 + L2n) + th * (L2p + L2m))),
+            (ops.combine(so.c1 - so.c3), dt * L1n + th * dt * dt * (L2p - L2m)),
+        ):
+            lhs, rhs = lhs.toarray(), rhs.toarray()
+            scale = np.max(np.abs(rhs)) + 1.0
+            assert np.max(np.abs(lhs - rhs)) < 1e-13 * scale
 
 
 class TestNewton:

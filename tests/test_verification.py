@@ -6,6 +6,7 @@ import pytest
 
 from movingbeam import (
     BeamParameters,
+    BoundaryKind,
     HermiteSpace,
     ManufacturedCase,
     Mesh,
@@ -108,6 +109,25 @@ class TestStudiesSmoke:
         assert len(sweep.errors) == 4
         for v in sweep.errors.values():
             assert v is not None and v > 0.0
+
+
+class TestStronglyNonlinearRates:
+    def test_fast_boundary_unit_amplitude_is_second_order(self, params):
+        # K = 1 + t/2 with S1 amplitude 1: K'/K and the Kirchhoff term are of
+        # order one, unlike the paper's runs (K ~ 64), so a first-order
+        # consistency error in the moving-end terms shows in the rates
+        b = MovingBoundary(BoundaryKind.LINEAR_DRIFT, base=1.0, slope=0.5,
+                           k0=0.5, k1_bound=2.5, k2_bound=1.0)
+        case = ManufacturedCase("S1", 1, amplitude=1.0, temporal="cos")
+        errors = []
+        for cells in (16, 32, 64, 128):
+            cfg = NewmarkConfig.for_horizon(1.0, 2.0 / cells / 4.0)
+            res = simulate(case, b, params, cells, cfg)
+            assert res.trajectory.completed
+            assert sum(res.trajectory.newton_iterations) <= 3 * cfg.n_steps
+            errors.append(error_norms(res.space, res.trajectory, case).linf_l2)
+        rates = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all((rates >= 1.8) & (rates <= 2.3)), (errors, rates)
 
 
 def _fe_member_callbacks(space, d_free):

@@ -8,13 +8,11 @@ harness (error tables, convergence rates, theta sweeps, energy decay).
 from .geometry import (
     BeamParameters,
     BoundaryKind,
-    CoefficientSet,
     HypothesisReport,
     InvalidBoundaryError,
     MovingBoundary,
     SingularMappingError,
     eval_boundary,
-    eval_coefficients,
     map_back,
     map_point,
     validate_hypotheses,

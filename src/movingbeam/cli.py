@@ -83,7 +83,7 @@ def _newmark_config(cfg: RunConfig) -> NewmarkConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _run(cfg: RunConfig, homogeneous: bool, collect_trace: bool):
+def _run(cfg: RunConfig, homogeneous: bool):
     case = _case(cfg)
     cells = cells_for_h(cfg.box, cfg.h)
     ncfg = _newmark_config(cfg)
@@ -94,19 +94,19 @@ def _run(cfg: RunConfig, homogeneous: bool, collect_trace: bool):
         return simulate(
             None, boundary, params, cells, ncfg, dim=cfg.dimension, box=cfg.box,
             initial_displacement=zero, initial_velocity=zero,
-            collect_trace=collect_trace,
         )
     return simulate(
         case, boundary, params, cells, ncfg, box=cfg.box,
         homogeneous=homogeneous or cfg.homogeneous,
-        collect_trace=collect_trace,
     )
 
 
 def _write_trace(out: Path, res) -> None:
+    traj = res.trajectory
+    per_step = zip(traj.times[1:], traj.newton_iterations, traj.residuals, traj.d[1:])
     rows = [
-        [str(step), _fmt(t), str(iters), _fmt(resid), _fmt(dinf)]
-        for (step, t, iters, resid, dinf) in res.trajectory.trace
+        [str(step), _fmt(t), str(iters), _fmt(resid), _fmt(np.max(np.abs(d), initial=0.0))]
+        for step, (t, iters, resid, d) in enumerate(per_step, start=1)
     ]
     _write_csv(out / "trace.csv", ["step", "t", "newton_iters", "res_norm", "dinf"], rows)
 
@@ -146,7 +146,7 @@ def cmd_solve(args) -> int:
     if rc is not None:
         return rc
     out = Path(args.out)
-    res = _run(cfg, homogeneous=cfg.homogeneous, collect_trace=True)
+    res = _run(cfg, homogeneous=cfg.homogeneous)
     _write_trace(out, res)
     if not res.trajectory.completed:
         print(f"diverged at step {res.trajectory.diverged_step}")
@@ -165,7 +165,7 @@ def cmd_mms(args) -> int:
     if rc is not None:
         return rc
     out = Path(args.out)
-    res = _run(cfg, homogeneous=False, collect_trace=True)
+    res = _run(cfg, homogeneous=False)
     _write_trace(out, res)
     if not res.trajectory.completed:
         print(f"diverged at step {res.trajectory.diverged_step}")
@@ -239,7 +239,7 @@ def cmd_energy(args) -> int:
     if rc is not None:
         return rc
     out = Path(args.out)
-    res = _run(cfg, homogeneous=True, collect_trace=False)
+    res = _run(cfg, homogeneous=True)
     if not res.trajectory.completed:
         print(f"diverged at step {res.trajectory.diverged_step}")
         return EXIT_DIVERGENCE

@@ -99,6 +99,11 @@ class Mesh:
                          for (lo, hi), n in zip(self.box, self.cells_per_axis)])
 
 
+# Gauss-Legendre nodes and weights on [-1, 1], computed once per size;
+# gauss_rule returns only arrays derived from them
+_leggauss = functools.cache(np.polynomial.legendre.leggauss)
+
+
 def gauss_rule(dim: int, npts: int):
     """Tensor Gauss-Legendre rule on [0,1]^dim, first axis fastest:
     (points (npts^dim, dim), weights (npts^dim,))."""
@@ -106,7 +111,7 @@ def gauss_rule(dim: int, npts: int):
         raise ValueError("need at least one point per axis")
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
-    x, w = np.polynomial.legendre.leggauss(npts)
+    x, w = _leggauss(npts)
     return _product([0.5 * (x + 1.0)] * dim), _product([0.5 * w] * dim).prod(axis=1)
 
 

@@ -19,13 +19,11 @@ __all__ = [
     "BoundaryKind",
     "MovingBoundary",
     "BeamParameters",
-    "CoefficientSet",
     "TimeFactors",
     "HypothesisReport",
     "InvalidBoundaryError",
     "SingularMappingError",
     "eval_boundary",
-    "eval_coefficients",
     "time_factors",
     "validate_hypotheses",
     "map_point",
@@ -118,23 +116,6 @@ class BeamParameters:
             raise ValueError(f"nu must be nonnegative, got {self.nu}")
 
 
-@dataclass
-class CoefficientSet:
-    """Pointwise transformed-operator coefficients at one (y, t).
-
-    ``a1``, ``a3``, ``a4``, ``a5`` have one entry per axis, ``a2`` is the
-    (symmetric) n x n matrix 4 y_i y_j (K'/K)^2.
-    """
-
-    b1: float
-    b2: float
-    a1: np.ndarray
-    a2: np.ndarray
-    a3: np.ndarray
-    a4: np.ndarray
-    a5: np.ndarray
-
-
 def eval_boundary(b: MovingBoundary, t: float) -> tuple[float, float, float]:
     """Return (K, K', K'') at time t, analytically per kind."""
     if t < 0:
@@ -188,14 +169,6 @@ def time_factors(b: MovingBoundary, p: BeamParameters, t: float) -> TimeFactors:
     return TimeFactors(k=k, b1=p.zeta1 * k ** -4, b2=k ** -4, s0=p.zeta0 / k ** 2, r=kp / k,
                        c3=(2.0 * kp * kp - damping) / k ** 2,
                        c4=(-2.0 * kp * kp - damping) / k ** 2)
-
-
-def eval_coefficients(
-    b: MovingBoundary, p: BeamParameters, y: Sequence[float] | np.ndarray, t: float
-) -> CoefficientSet:
-    """Evaluate b1, b2 and the a-coefficients at a reference point y and time t."""
-    f = time_factors(b, p, t)
-    return CoefficientSet(f.b1, f.b2, *f.a_coefficients(np.atleast_1d(np.asarray(y, dtype=float))))
 
 
 def map_point(b: MovingBoundary, t: float, y: Sequence[float] | np.ndarray) -> np.ndarray:

@@ -59,6 +59,12 @@ __all__ = [
 # coefficient vectors of A and K1 over AssembledOperators.BASIS
 _A, _K1 = np.eye(len(AssembledOperators.BASIS))[:2]
 
+# Newton stops on a step or a residual below these absolute values
+NEWTON_TOL_STEP = 1e-14
+NEWTON_TOL_RESID = 1e-14
+NEWTON_MAX_ITER = 50
+DIVERGENCE_THRESHOLD = 1e8   # a larger max |d| ends the run as diverged
+
 
 class NewtonNoConvergence(RuntimeError):
     """Newton hit the iteration cap without meeting either tolerance."""
@@ -70,15 +76,11 @@ class SingularJacobian(RuntimeError):
 
 @dataclass(frozen=True)
 class NewmarkConfig:
-    """Scheme parameters; tolerances are absolute, as used in practice."""
+    """Scheme parameters."""
 
     theta: float = 0.25
     dt: float = 2.0 ** -7
     n_steps: int = 128
-    newton_tol_step: float = 1e-14
-    newton_tol_resid: float = 1e-14
-    newton_max_iter: int = 50
-    divergence_threshold: float = 1e8
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
@@ -87,10 +89,6 @@ class NewmarkConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-
-    @property
-    def horizon(self) -> float:
-        return self.dt * self.n_steps
 
     @staticmethod
     def for_horizon(T: float, dt: float, **kw) -> "NewmarkConfig":
@@ -118,9 +116,9 @@ class Trajectory:
     d: list[np.ndarray]
     times: np.ndarray
     newton_iterations: list[int]
+    residuals: list[float] = field(default_factory=list)  # Newton's final max |R| per step
     status: str = "completed"          # "completed" | "diverged"
     diverged_step: int | None = None
-    trace: list[tuple] = field(default_factory=list)  # (step, t, iters, resid, dinf)
     factorizations: int = 0            # LUs of the Newton matrix made by the run
 
     @property
@@ -369,49 +367,41 @@ class StepProblem:
         return c, U, V
 
 
-def newton_solve(problem: StepProblem, x0: np.ndarray, cfg: NewmarkConfig,
-                 solver: LinearSolver | None = None):
+def newton_solve(problem: StepProblem, x0: np.ndarray, solver: LinearSolver | None = None):
     """Newton iteration; returns (X, iterations, residual).  The linear solves
     go through ``solver``, whose factors carry over between calls."""
     solver = solver or LinearSolver(problem.ops)
     X = x0.copy()
-    for it in range(1, cfg.newton_max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         r = problem.residual(X)
         if not np.all(np.isfinite(r)):
             raise NewtonNoConvergence("non-finite residual")
         rn = float(np.max(np.abs(r)))
-        if rn < cfg.newton_tol_resid:
+        if rn < NEWTON_TOL_RESID:
             return X, it - 1, rn
         c, U, V = problem.jacobian_parts(X)
         step = solver.solve(c, -r, U, V)
         X = X + step
         if not np.all(np.isfinite(X)):
             raise NewtonNoConvergence("non-finite Newton iterate")
-        if float(np.max(np.abs(step))) < cfg.newton_tol_step:
+        if float(np.max(np.abs(step))) < NEWTON_TOL_STEP:
             return X, it, float(np.max(np.abs(problem.residual(X))))
-    raise NewtonNoConvergence(
-        f"no convergence in {cfg.newton_max_iter} iterations"
-    )
+    raise NewtonNoConvergence(f"no convergence in {NEWTON_MAX_ITER} iterations")
 
 
-def advance(
-    system: BeamSystem,
-    cfg: NewmarkConfig,
-    d0: np.ndarray,
-    d1: np.ndarray,
-    collect_trace: bool = False,
-) -> Trajectory:
+def advance(system: BeamSystem, cfg: NewmarkConfig, d0: np.ndarray,
+            d1: np.ndarray) -> Trajectory:
     """March the scheme over n_steps steps from the interpolated initial data.
 
     ``d0`` and ``d1`` are the initial displacement and velocity coefficient
     vectors.  Divergence (non-finite iterates, Newton failure or a norm
-    explosion past ``divergence_threshold``) terminates the run early with
+    explosion past ``DIVERGENCE_THRESHOLD``) terminates the run early with
     status "diverged" carrying the offending step.
     """
     times = cfg.dt * np.arange(cfg.n_steps + 1)
     ds = [np.asarray(d0, dtype=float)]
     iters: list[int] = []
-    trace: list[tuple] = []
+    residuals: list[float] = []
 
     solver = LinearSolver(system.ops)  # local to the run, so no factor outlives it
     d_prev: np.ndarray | None = None
@@ -422,17 +412,17 @@ def advance(
         step_ops = build_step_operators(system, cfg, eta)
         prob = StepProblem(system, cfg, eta, step_ops, d_curr, d_prev, d1)
         try:
-            d_next, nit, resid = newton_solve(prob, d_curr, cfg, solver)
+            d_next, nit, resid = newton_solve(prob, d_curr, solver)
         except (NewtonNoConvergence, SingularJacobian):
             break
         dinf = float(np.max(np.abs(d_next))) if d_next.size else 0.0
-        if not math.isfinite(dinf) or dinf > cfg.divergence_threshold:
+        if not math.isfinite(dinf) or dinf > DIVERGENCE_THRESHOLD:
             break
         ds.append(d_next)
         iters.append(nit)
-        if collect_trace:
-            trace.append((eta + 1, float(times[eta + 1]), nit, resid, dinf))
+        residuals.append(resid)
         d_prev, d_curr = d_curr, d_next
     done = len(ds) == cfg.n_steps + 1  # a failed step eta + 1 leaves d^0..d^eta
-    return Trajectory(ds, times[: len(ds)], iters, "completed" if done else "diverged",
-                      None if done else len(ds), trace, solver.factorizations)
+    return Trajectory(ds, times[: len(ds)], iters, residuals,
+                      "completed" if done else "diverged", None if done else len(ds),
+                      solver.factorizations)

@@ -71,7 +71,6 @@ def simulate(
     homogeneous: bool = False,
     initial_displacement: Callable | None = None,
     initial_velocity: Callable | None = None,
-    collect_trace: bool = False,
 ) -> SimulationResult:
     """Assemble and march one run.
 
@@ -101,7 +100,7 @@ def simulate(
     d0 = interpolate_initial(space, initial_displacement)
     d1 = interpolate_initial(space, initial_velocity)
 
-    traj = advance(system, cfg, d0, d1, collect_trace=collect_trace)
+    traj = advance(system, cfg, d0, d1)
     return SimulationResult(space, ops, system, traj, cfg)
 
 

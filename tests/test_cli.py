@@ -6,6 +6,7 @@ import pytest
 
 from movingbeam.cli import (
     EXIT_CONFIG,
+    EXIT_DIVERGENCE,
     EXIT_HYPOTHESIS,
     EXIT_OK,
     main,
@@ -210,6 +211,28 @@ class TestCommands:
         ])
         assert rc == EXIT_DIVERGENCE
         assert (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("overrides,rc", [
+        (["--set", "h=0.25", "--set", "dt=0.0625", "--set", "T=0.5"], EXIT_OK),
+        (["--set", "theta=0.0", "--set", "h=0.00390625", "--set", "T=0.25"], EXIT_DIVERGENCE),
+    ])
+    def test_trace_rows_equal_the_trajectory(self, tmp_path, monkeypatch, overrides, rc):
+        # one row per completed step, diverged runs included
+        import movingbeam.cli as cli
+
+        runs, simulate = [], cli.simulate
+        monkeypatch.setattr(cli, "simulate",
+                            lambda *a, **kw: runs.append(simulate(*a, **kw)) or runs[-1])
+        out = tmp_path / "trace"
+        assert main(["solve", "--out", str(out), *overrides]) == rc
+        traj = runs[0].trajectory
+        lines = (out / "trace.csv").read_text().strip().splitlines()
+        assert lines[0] == "step,t,newton_iters,res_norm,dinf"
+        assert len(lines) == len(traj.d) == len(traj.residuals) + 1
+        for step, line in enumerate(lines[1:], start=1):
+            assert line.split(",") == [
+                str(step), f"{traj.times[step]:.10e}", str(traj.newton_iterations[step - 1]),
+                f"{traj.residuals[step - 1]:.10e}", f"{np.max(np.abs(traj.d[step])):.10e}"]
 
     def test_config_file_flag(self, tmp_path):
         p = tmp_path / "m.cfg"

@@ -11,11 +11,11 @@ from movingbeam import (
     MovingBoundary,
     assemble_constant,
     assemble_load,
-    eval_coefficients,
     gauss_rule,
     interpolate_initial,
 )
 from movingbeam.fem import _elem_integrals
+from movingbeam.geometry import time_factors
 
 from conftest import assemble_time_dependent
 
@@ -153,9 +153,7 @@ class TestTimeDependentAssembly:
         # oracle: 32-point Gauss per cell of a1(y, 0) phi_k' phi_l'
         tab = space.basis_tables(32)
         pts = tab["points"].reshape(-1, 1)
-        a1 = np.array([
-            eval_coefficients(b1_1d, params, [y], 0.0).a1[0] for y in pts[:, 0]
-        ])
+        a1 = time_factors(b1_1d, params, 0.0).a_coefficients(pts)[0][:, 0]
         shape = tab["points"].shape[:2]
         g = tab["grad"][:, :, 0]
         elem = np.einsum(
@@ -174,10 +172,10 @@ class TestTimeDependentAssembly:
             ops = assemble_constant(space)
             for t in np.linspace(0.0, 1.0, 4):
                 bt = assemble_time_dependent(space, b, params, float(t))
-                cs = eval_coefficients(b, params, [0.0], float(t))
+                f = time_factors(b, params, float(t))
                 state = 0.1 * rng.standard_normal(space.ndof)
-                g = kirchhoff_scalar(cs.b1, state, ops.K1)
-                Q = (bt.B1 + g * ops.K1 + cs.b2 * ops.K2).toarray()
+                g = kirchhoff_scalar(f.b1, state, ops.K1)
+                Q = (bt.B1 + g * ops.K1 + f.b2 * ops.K2).toarray()
                 for _ in range(100):
                     w = rng.standard_normal(space.ndof)
                     assert w @ (Q @ w) > 0.0

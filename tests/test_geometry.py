@@ -14,11 +14,11 @@ from movingbeam import (
     MovingBoundary,
     SingularMappingError,
     eval_boundary,
-    eval_coefficients,
     map_back,
     map_point,
     validate_hypotheses,
 )
+from movingbeam.geometry import time_factors
 
 
 class TestEvalBoundary:
@@ -70,21 +70,21 @@ class TestEvalBoundary:
 class TestEvalCoefficients:
     def test_stationary_degeneration(self, params):
         b = MovingBoundary.constant(64.0)
-        cs = eval_coefficients(b, params, [0.37], 2.0)
-        assert np.all(cs.a2 == 0.0)
-        assert np.all(cs.a3 == 0.0)
-        assert np.all(cs.a4 == 0.0)
-        assert np.all(cs.a5 == 0.0)
-        assert cs.a1[0] == pytest.approx(128.0 / 4096.0)  # 0.03125
+        a1, a2, a3, a4, a5 = time_factors(b, params, 2.0).a_coefficients(np.array([0.37]))
+        assert np.all(a2 == 0.0)
+        assert np.all(a3 == 0.0)
+        assert np.all(a4 == 0.0)
+        assert np.all(a5 == 0.0)
+        assert a1[0] == pytest.approx(128.0 / 4096.0)  # 0.03125
 
     def test_b1_scalars(self, b1_1d, params):
-        cs = eval_coefficients(b1_1d, params, [0.5], 0.0)
-        assert cs.b2 == pytest.approx(64.0 ** -4, rel=1e-15)
-        assert cs.b1 == pytest.approx(2.0 * 64.0 ** -4, rel=1e-15)
+        f = time_factors(b1_1d, params, 0.0)
+        assert f.b2 == pytest.approx(64.0 ** -4, rel=1e-15)
+        assert f.b1 == pytest.approx(2.0 * 64.0 ** -4, rel=1e-15)
 
     def test_b1_a4_at_unit_point(self, b1_1d, params):
-        cs = eval_coefficients(b1_1d, params, [1.0], 0.0)
-        assert cs.a4[0] == pytest.approx(-(2.0 ** -12), rel=1e-15)
+        a4 = time_factors(b1_1d, params, 0.0).a_coefficients(np.array([1.0]))[3]
+        assert a4[0] == pytest.approx(-(2.0 ** -12), rel=1e-15)
 
     def test_singular_mapping(self, params):
         b = MovingBoundary(
@@ -92,7 +92,7 @@ class TestEvalCoefficients:
             custom=(lambda t: 0.0, lambda t: 0.0, lambda t: 0.0),
         )
         with pytest.raises(SingularMappingError):
-            eval_coefficients(b, params, [0.1], 1.0)
+            time_factors(b, params, 1.0)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -103,18 +103,18 @@ class TestEvalCoefficients:
     def test_a5_identity_and_a2_symmetry(self, y, t, which):
         b = MovingBoundary.b1(2) if which == "B1" else MovingBoundary.b2(2)
         p = BeamParameters()
-        cs = eval_coefficients(b, p, [y, -0.3 * y + 0.1], t)
+        _, a2, a3, a4, a5 = time_factors(b, p, t).a_coefficients(np.array([y, -0.3 * y + 0.1]))
         k, kp, _ = eval_boundary(b, t)
-        resid = cs.a5 - cs.a3 - 2.0 * (kp / k) * cs.a4
+        resid = a5 - a3 - 2.0 * (kp / k) * a4
         assert np.max(np.abs(resid)) < 1e-14
-        assert np.max(np.abs(cs.a2 - cs.a2.T)) == 0.0
+        assert np.max(np.abs(a2 - a2.T)) == 0.0
 
     @settings(max_examples=100, deadline=None)
     @given(y=st.floats(-1.0, 1.0), t=st.floats(0.0, 10.0))
     def test_degeneration_everywhere(self, y, t):
         b = MovingBoundary.constant(17.0)
-        cs = eval_coefficients(b, BeamParameters(), [y], t)
-        for arr in (cs.a2, cs.a3, cs.a4, cs.a5):
+        _, *rest = time_factors(b, BeamParameters(), t).a_coefficients(np.array([y]))
+        for arr in rest:
             assert np.max(np.abs(arr)) == 0.0
 
 

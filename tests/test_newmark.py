@@ -202,7 +202,7 @@ class TestNewton:
             else:
                 lo = mid
         root = 0.5 * (lo + hi)
-        X, iters, _ = newton_solve(prob, np.zeros(1), cfg)
+        X, iters, _ = newton_solve(prob, np.zeros(1))
         assert X[0] == pytest.approx(root, abs=1e-13)
         assert prob.residual(X)[0] == pytest.approx(0.0, abs=1e-13)
 
@@ -313,13 +313,13 @@ class TestAdvance:
         assert drift < 0.01
 
     def test_trace_collection(self):
+        # every step records Newton's final max |R| next to its time and iterations
         case, system, d0, d1 = _mms_system(cells=8)
         cfg = NewmarkConfig(theta=0.25, dt=2.0**-5, n_steps=4)
-        traj = advance(system, cfg, d0, d1, collect_trace=True)
-        assert len(traj.trace) == 4
-        step, t, iters, resid, dinf = traj.trace[0]
-        assert step == 1 and t == pytest.approx(2.0**-5)
-        assert np.isfinite(resid) and np.isfinite(dinf)
+        traj = advance(system, cfg, d0, d1)
+        assert len(traj.residuals) == len(traj.newton_iterations) == 4
+        assert traj.times[1] == pytest.approx(2.0**-5)
+        assert np.all(np.isfinite(traj.residuals)) and np.all(np.isfinite(traj.d[1]))
 
 
 def _woodbury_reference(S, rhs, U, V):
@@ -446,7 +446,7 @@ class TestLinearSolver:
         so = build_step_operators(system, cfg, eta=1)
         prob = StepProblem(system, cfg, 1, so, np.zeros(1), np.zeros(1), None)
         with pytest.raises(SingularJacobian):
-            newton_solve(prob, np.zeros(1), cfg)
+            newton_solve(prob, np.zeros(1))
         # also when the kept factors belong to a regular matrix (K1 = [[1]], A = 0)
         solver, none = LinearSolver(system.ops), np.zeros((1, 0))
         regular, zero = np.eye(5)[1], np.eye(5)[0]

@@ -12,17 +12,18 @@ once per run on one CSR pattern.  A step matrix S is held only as its
 coefficient vector c over them: S x is c contracted with the five products
 of one stacked sparse matrix (``AssembledOperators.products``), and S is
 written, straight into LAPACK band storage, only when the solver factors
-it (``AssembledOperators.band``).  The load F(t)
-follows the same rule over the source's five spatial terms, integrated once
-per run (``BeamSystem.load``).  Each implicit step, the startup step with
-its ghost level included, solves one form of nonlinear system
-(``StepProblem``) whose Jacobian is a step matrix plus a low-rank correction
-coming from the differential of G.  Its one factorization is LAPACK's
-general-band LU, applied with the Woodbury identity (``LinearSolver``): in
-1D each linear solve factors its own matrix, since that costs less than one
-refinement sweep; in 2D a run keeps one band LU across Newton iterations and
-steps, refines each solve with it, and refactors when refinement stalls.
-Results are deterministic for a fixed configuration.
+it (``AssembledOperators.band``).  The load F(t) follows the same rule over
+the source's five spatial terms, integrated once per run.  ``advance`` forms
+each time level's data (``BeamSystem.level``) and each state's products once.
+Each implicit step, the startup step with its ghost level included, solves
+one form of nonlinear system (``StepProblem``) whose Jacobian is a step
+matrix plus a low-rank correction coming from the differential of G.  Its one
+factorization is LAPACK's general-band LU, applied with the Woodbury identity
+(``LinearSolver``): in 1D each linear solve factors its own matrix, since
+that costs less than one refinement sweep; in 2D a run keeps one band LU
+across Newton iterations and steps, refines each solve with it, and
+refactors when refinement stalls.  Results are deterministic for a fixed
+configuration.
 
 theta in ]1/4, 1] gives the unconditionally convergent family; theta < 1/4 is
 conditionally stable and may legitimately diverge on fine meshes, which is
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,6 +44,7 @@ from .geometry import BeamParameters, MovingBoundary, time_factors
 
 __all__ = [
     "NewmarkConfig",
+    "TimeLevel",
     "StepOperators",
     "StepProblem",
     "Trajectory",
@@ -96,6 +98,11 @@ class NewmarkConfig:
         if abs(n * dt - T) > 1e-12 * max(1.0, abs(T)):
             raise ValueError(f"dt = {dt} does not divide T = {T} evenly")
         return NewmarkConfig(dt=dt, n_steps=n, **kw)
+
+
+# one time level: b1, the coefficient vectors of L1 and L2 over AssembledOperators.BASIS, F
+TimeLevel = NamedTuple("TimeLevel", [("t", float), ("b1", float), ("L1", np.ndarray),
+                                     ("L2", np.ndarray), ("F", np.ndarray)])
 
 
 @dataclass
@@ -239,12 +246,10 @@ class BeamSystem:
         self.source = source
         self._phi: np.ndarray | None = None
 
-    def b1(self, t: float) -> float:
-        return time_factors(self.boundary, self.params, t).b1
-
-    def l_coefficients(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficient vectors of L1(t) and L2(t) over the constant operators."""
-        return l_coefficients(time_factors(self.boundary, self.params, t), self.params.nu)
+    def level(self, t: float) -> TimeLevel:
+        """b1, L1, L2 and F at time t, from one evaluation of the time factors."""
+        f = time_factors(self.boundary, self.params, t)
+        return TimeLevel(t, f.b1, *l_coefficients(f, self.params.nu), self.load(t))
 
     def load(self, t: float) -> np.ndarray:
         """F(t) = c(t) @ Phi; Phi is built here, in the march, at the first call."""
@@ -260,10 +265,8 @@ class BeamSystem:
         return F
 
 
-def build_step_operators(
-    system: BeamSystem, cfg: NewmarkConfig, eta: int
-) -> StepOperators:
-    """M1, M2, M3 and the theta-averaged load for step eta -> eta+1.
+def build_step_operators(cfg: NewmarkConfig, levels: tuple[TimeLevel, ...]) -> StepOperators:
+    """M1, M2, M3 and the theta-averaged load for step eta -> eta+1 from levels eta-1..eta+1.
 
     M1  = A + (dt/2) L1^eta + theta dt^2 L2^{eta+1}
     M2  = dt^2 (1-2 theta)(G^eta K1 + L2^eta) - 2A        (G supplied later)
@@ -273,31 +276,20 @@ def build_step_operators(
 
     L1 is taken at t_eta, where (d^{eta+1} - d^{eta-1}) / (2 dt) approximates
     d'; at t_{eta+1} and t_{eta-1} it would approximate (L1 d)' instead.  For
-    eta = 0 the level "eta-1" is evaluated at t_0 (ghost level).  Each
-    matrix is kept as its coefficient vector over the constant operators,
-    formed from those of L1 and L2; no matrix is formed here.
+    eta = 0 the level "eta-1" is level 0 itself (ghost level), which is how
+    the startup step is told apart.  Each matrix is kept as its coefficient
+    vector over the constant operators, formed from those of L1 and L2; no
+    matrix is formed here.
     """
     dt, th = cfg.dt, cfg.theta
-    t_n = eta * dt
-    t_p = (eta + 1) * dt
-    t_m = max((eta - 1) * dt, 0.0)
-
-    _, L2p = system.l_coefficients(t_p)
-    _, L2m = system.l_coefficients(t_m)
-    L1n, L2n = system.l_coefficients(t_n)
-
-    c1 = _A + 0.5 * dt * L1n + th * dt * dt * L2p
-    c2 = dt * dt * (1.0 - 2.0 * th) * L2n - 2.0 * _A
-    c3 = _A - 0.5 * dt * L1n + th * dt * dt * L2m
-
-    if eta == 0:
-        F_avg = th * system.load(dt) + (1.0 - th) * system.load(0.0)
+    lm, ln, lp = levels
+    c1 = _A + 0.5 * dt * ln.L1 + th * dt * dt * lp.L2
+    c2 = dt * dt * (1.0 - 2.0 * th) * ln.L2 - 2.0 * _A
+    c3 = _A - 0.5 * dt * ln.L1 + th * dt * dt * lm.L2
+    if lm.t == ln.t:
+        F_avg = th * lp.F + (1.0 - th) * ln.F
     else:
-        F_avg = (
-            th * system.load(t_m)
-            + (1.0 - 2.0 * th) * system.load(t_n)
-            + th * system.load(t_p)
-        )
+        F_avg = th * lm.F + (1.0 - 2.0 * th) * ln.F + th * lp.F
     return StepOperators(c1, c2, c3, F_avg)
 
 
@@ -318,28 +310,32 @@ class StepProblem:
 
     with S = M1 and the one term (b1^{eta+1}, 0) on a generic step, and
     S = M1 + M3 and the terms (b1^1, 0), (b1^0, 2 dt d1) at startup.
+
+    ``curr`` and ``prev`` are d^eta and d^{eta-1} as pairs (d, ``ops.products(d)``);
+    the startup step has no ``prev`` and takes the initial velocity ``d1``.
     """
 
-    def __init__(self, system: BeamSystem, cfg: NewmarkConfig, eta: int,
-                 step_ops: StepOperators, d_curr: np.ndarray,
-                 d_prev: np.ndarray | None, d1: np.ndarray | None):
+    def __init__(self, ops: AssembledOperators, cfg: NewmarkConfig, levels: tuple[TimeLevel, ...],
+                 step_ops: StepOperators, curr: tuple[np.ndarray, np.ndarray],
+                 prev: tuple[np.ndarray, np.ndarray] | None, d1: np.ndarray | None):
         dt = cfg.dt
-        self.ops = system.ops
+        lm, ln, lp = levels
+        self.ops = ops
         self.th_dt2 = cfg.theta * dt * dt
-        Od = self.ops.products(d_curr)  # rows A d, K1 d, K2 d, Q d, P d
-        g_curr = system.b1(eta * dt) * float(d_curr @ Od[1])
+        d, Od = curr  # Od rows: A d, K1 d, K2 d, Q d, P d
+        g_curr = ln.b1 * float(d @ Od[1])
         const = (step_ops.c2 @ Od + dt * dt * (1.0 - 2.0 * cfg.theta) * g_curr * Od[1]
                  - dt * dt * step_ops.F_avg)
         # (b_j, s_j, K1 s_j) of each Kirchhoff term
-        self.terms = [(system.b1((eta + 1) * dt), 0.0, 0.0)]
-        if eta == 0:
-            Od1 = self.ops.products(d1)
+        self.terms = [(lp.b1, 0.0, 0.0)]
+        if prev is None:
+            Od1 = ops.products(d1)
             self.c_lin = step_ops.c1 + step_ops.c3
-            self.terms.append((system.b1(0.0), 2.0 * dt * d1, 2.0 * dt * Od1[1]))
+            self.terms.append((lm.b1, 2.0 * dt * d1, 2.0 * dt * Od1[1]))
             self.const = const - 2.0 * dt * (step_ops.c3 @ Od1)
         else:
-            Odp = self.ops.products(d_prev)
-            g_prev = system.b1((eta - 1) * dt) * float(d_prev @ Odp[1])
+            dp, Odp = prev
+            g_prev = lm.b1 * float(dp @ Odp[1])
             self.c_lin = step_ops.c1
             self.const = const + step_ops.c3 @ Odp + self.th_dt2 * g_prev * Odp[1]
 
@@ -349,18 +345,19 @@ class StepProblem:
             K1z = K1X - K1s
             yield b, b * float((X - s) @ K1z), K1z
 
-    def residual(self, X: np.ndarray) -> np.ndarray:
+    def residual(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """R(X), and the products O X it is formed from."""
         OX = self.ops.products(X)
         r = self.c_lin @ OX + self.const
         for _, g, K1z in self._kirchhoff(X, OX[1]):
             r += self.th_dt2 * g * K1z
-        return r
+        return r, OX
 
-    def jacobian_parts(self, X: np.ndarray):
-        """(c, U, V) with J = S(c) + U V^T: c is the coefficient vector of the
-        sparse part, and each term adds the column pair theta dt^2 K1 z_j,
-        2 b_j K1 z_j, for z_j = X - s_j."""
-        terms = list(self._kirchhoff(X, self.ops.K1 @ X))
+    def jacobian_parts(self, X: np.ndarray, K1X: np.ndarray):
+        """(c, U, V) with J = S(c) + U V^T at X, given K1X = K1 X: c is the
+        coefficient vector of the sparse part, and each term adds the column
+        pair theta dt^2 K1 z_j, 2 b_j K1 z_j, for z_j = X - s_j."""
+        terms = list(self._kirchhoff(X, K1X))
         c = self.c_lin + self.th_dt2 * sum(g for _, g, _ in terms) * _K1
         U = np.column_stack([self.th_dt2 * K1z for _, _, K1z in terms])
         V = np.column_stack([2.0 * b * K1z for b, _, K1z in terms])
@@ -368,24 +365,25 @@ class StepProblem:
 
 
 def newton_solve(problem: StepProblem, x0: np.ndarray, solver: LinearSolver | None = None):
-    """Newton iteration; returns (X, iterations, residual).  The linear solves
-    go through ``solver``, whose factors carry over between calls."""
+    """Newton iteration; returns (X, O X, iterations, max |R(X)|), all from a residual at X.
+    The linear solves go through ``solver``, whose factors carry over between calls."""
     solver = solver or LinearSolver(problem.ops)
     X = x0.copy()
     for it in range(1, NEWTON_MAX_ITER + 1):
-        r = problem.residual(X)
+        r, OX = problem.residual(X)
         if not np.all(np.isfinite(r)):
             raise NewtonNoConvergence("non-finite residual")
         rn = float(np.max(np.abs(r)))
         if rn < NEWTON_TOL_RESID:
-            return X, it - 1, rn
-        c, U, V = problem.jacobian_parts(X)
+            return X, OX, it - 1, rn
+        c, U, V = problem.jacobian_parts(X, OX[1])
         step = solver.solve(c, -r, U, V)
         X = X + step
         if not np.all(np.isfinite(X)):
             raise NewtonNoConvergence("non-finite Newton iterate")
         if float(np.max(np.abs(step))) < NEWTON_TOL_STEP:
-            return X, it, float(np.max(np.abs(problem.residual(X))))
+            r, OX = problem.residual(X)
+            return X, OX, it, float(np.max(np.abs(r)))
     raise NewtonNoConvergence(f"no convergence in {NEWTON_MAX_ITER} iterations")
 
 
@@ -404,15 +402,16 @@ def advance(system: BeamSystem, cfg: NewmarkConfig, d0: np.ndarray,
     residuals: list[float] = []
 
     solver = LinearSolver(system.ops)  # local to the run, so no factor outlives it
-    d_prev: np.ndarray | None = None
-    d_curr = ds[0]
+    lm = ln = system.level(0.0)  # the startup's ghost level is level 0 itself
+    curr, prev = (ds[0], system.ops.products(ds[0])), None  # (d, O d) at eta, eta-1
     for eta in range(cfg.n_steps):
         if eta == 1:  # the startup matrix M1 + M3 is about 2 M1: too far to refine from
             solver.reset()
-        step_ops = build_step_operators(system, cfg, eta)
-        prob = StepProblem(system, cfg, eta, step_ops, d_curr, d_prev, d1)
+        levels = lm, ln, system.level((eta + 1) * cfg.dt)
+        prob = StepProblem(system.ops, cfg, levels, build_step_operators(cfg, levels),
+                           curr, prev, d1)
         try:
-            d_next, nit, resid = newton_solve(prob, d_curr, solver)
+            d_next, Od_next, nit, resid = newton_solve(prob, curr[0], solver)
         except (NewtonNoConvergence, SingularJacobian):
             break
         dinf = float(np.max(np.abs(d_next))) if d_next.size else 0.0
@@ -421,7 +420,8 @@ def advance(system: BeamSystem, cfg: NewmarkConfig, d0: np.ndarray,
         ds.append(d_next)
         iters.append(nit)
         residuals.append(resid)
-        d_prev, d_curr = d_curr, d_next
+        lm, ln = levels[1:]
+        prev, curr = curr, (d_next, Od_next)
     done = len(ds) == cfg.n_steps + 1  # a failed step eta + 1 leaves d^0..d^eta
     return Trajectory(ds, times[: len(ds)], iters, residuals,
                       "completed" if done else "diverged", None if done else len(ds),

@@ -16,6 +16,7 @@ from movingbeam import (
 )
 from movingbeam.fem import DEFAULT_OPERATOR_QUAD, _elem_integrals
 from movingbeam.geometry import time_factors
+from movingbeam.newmark import StepProblem, build_step_operators
 
 
 @dataclass
@@ -53,8 +54,25 @@ def assemble_time_dependent(space, boundary, params, t, nq=DEFAULT_OPERATOR_QUAD
 
 def jacobian_dense(problem, X):
     """The Newton matrix of a ``StepProblem`` at X as a dense array."""
-    c, U, V = problem.jacobian_parts(X)
+    c, U, V = problem.jacobian_parts(X, problem.ops.products(X)[1])
     return problem.ops.combine(c).toarray() + U @ V.T
+
+
+def step_levels(system, cfg, eta):
+    """The levels (eta-1, eta, eta+1) of step eta; at startup level 0 stands
+    in for level -1, as in ``advance``."""
+    return tuple(system.level(max(k, 0) * cfg.dt) for k in (eta - 1, eta, eta + 1))
+
+
+def step_problem(system, cfg, eta, d_curr, d_prev, d1):
+    """(step operators, ``StepProblem``) of step eta from the states d^eta and
+    d^{eta-1}, or from d^0 and the velocity d1 at startup (eta = 0)."""
+    levels = step_levels(system, cfg, eta)
+    so = build_step_operators(cfg, levels)
+    prev = None if eta == 0 else (d_prev, system.ops.products(d_prev))
+    prob = StepProblem(system.ops, cfg, levels, so, (d_curr, system.ops.products(d_curr)),
+                       prev, d1)
+    return so, prob
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from movingbeam import (
 from movingbeam.fem import _elem_integrals
 from movingbeam.geometry import time_factors
 
-from conftest import assemble_time_dependent
+from conftest import assemble_time_dependent, step_problem
 
 
 class TestQuadrature:
@@ -244,27 +244,27 @@ class TestAffineOperators:
         ops = assemble_constant(space)
         system = BeamSystem(space, ops, b, params)
         for t in (0.0, 0.5):
+            level = system.level(t)
             for c, ref in zip(
-                system.l_coefficients(t), _quadrature_l_matrices(space, ops, b, params, t)
+                (level.L1, level.L2), _quadrature_l_matrices(space, ops, b, params, t)
             ):
                 got = ops.combine(c)
                 assert np.max(np.abs(got.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("dim,cells", [(1, 8), (2, 3)])
     def test_one_pattern_for_every_step_matrix(self, params, dim, cells):
-        from movingbeam import BeamSystem, NewmarkConfig, build_step_operators
-        from movingbeam.newmark import StepProblem
+        from movingbeam import BeamSystem, NewmarkConfig
 
         space = HermiteSpace(Mesh.uniform(dim, cells))
         ops = assemble_constant(space)
         system = BeamSystem(space, ops, MovingBoundary.b2(dim), params)
         cfg = NewmarkConfig(theta=0.25, dt=2.0**-5, n_steps=4)
         d = np.full(space.ndof, 0.01)
-        coefs = list(system.l_coefficients(0.1))
+        level = system.level(0.1)
+        coefs = [level.L1, level.L2]
         for eta in (0, 2):
-            so = build_step_operators(system, cfg, eta)
-            prob = StepProblem(system, cfg, eta, so, d, d, d)
-            coefs += [so.c1, so.c2, so.c3, prob.jacobian_parts(d)[0]]
+            so, prob = step_problem(system, cfg, eta, d, d, d)
+            coefs += [so.c1, so.c2, so.c3, prob.jacobian_parts(d, ops.K1 @ d)[0]]
         for M in [ops.K1, ops.K2, ops.Q, ops.P, *map(ops.combine, coefs)]:
             assert np.array_equal(M.indptr, ops.A.indptr)
             assert np.array_equal(M.indices, ops.A.indices)

@@ -30,9 +30,15 @@ from movingbeam import (
 from movingbeam import newmark
 from movingbeam.geometry import time_factors
 from movingbeam.manufactured import strong_operator
-from movingbeam.newmark import LinearSolver, SingularJacobian, StepProblem, newton_solve
+from movingbeam.newmark import (
+    LinearSolver,
+    SingularJacobian,
+    StepProblem,
+    TimeLevel,
+    newton_solve,
+)
 
-from conftest import jacobian_dense
+from conftest import jacobian_dense, step_levels, step_problem
 
 # K = 1 + t/2: K^-4, and with it the Newton matrix, drifts by about 3% per step at dt = 2^-6
 FAST = MovingBoundary(BoundaryKind.LINEAR_DRIFT, base=1.0, slope=0.5,
@@ -69,7 +75,7 @@ class TestKirchhoffScalar:
         k = 2
         e = np.zeros(space.ndof)
         e[k] = 1.0
-        G = kirchhoff_scalar(system.b1(0.3), e, ops.K1)
+        G = kirchhoff_scalar(system.level(0.3).b1, e, ops.K1)
         assert G == pytest.approx(ops.K1.toarray()[k, k], rel=1e-15)
 
     def test_s1_interpolant_vs_dense_quadrature(self, b1_1d, params, s1_1d):
@@ -104,14 +110,14 @@ class _ScalarSystem:
         self._b1 = b1
         self._F = F
 
-    def l_coefficients(self, t):
-        return np.eye(5)[2], np.eye(5)[3]
+    def level(self, t):
+        return TimeLevel(t, self._b1, np.eye(5)[2], np.eye(5)[3], np.array([self._F]))
 
-    def load(self, t):
-        return np.array([self._F])
 
-    def b1(self, t):
-        return self._b1
+def _scalar_problem(system, cfg, eta, so):
+    """The ``StepProblem`` of a generic step of ``_ScalarSystem`` from zero history."""
+    zero = (np.zeros(1), system.ops.products(np.zeros(1)))
+    return StepProblem(system.ops, cfg, step_levels(system, cfg, eta), so, zero, zero, None)
 
 
 class TestStepOperators:
@@ -119,7 +125,7 @@ class TestStepOperators:
         # M1 = A + (dt/2) L1 + theta dt^2 L2 = 1 + 0.1 + 0.25*0.01*3 = 1.1075
         system = _ScalarSystem(A=1.0, L1=2.0, L2=3.0)
         cfg = NewmarkConfig(theta=0.25, dt=0.1, n_steps=1)
-        so = build_step_operators(system, cfg, eta=1)
+        so = build_step_operators(cfg, step_levels(system, cfg, 1))
         M1, M3 = (system.ops.combine(c).toarray()[0, 0] for c in (so.c1, so.c3))
         assert M1 == pytest.approx(1.1075, abs=1e-15)
         assert M3 == pytest.approx(1.0 - 0.1 + 0.0075, abs=1e-15)
@@ -128,7 +134,7 @@ class TestStepOperators:
         # theta = 0 and L1 = L2 = 0 reduce to (A, -2A, A) with zero load
         system = _ScalarSystem(A=2.5, L1=0.0, L2=0.0)
         cfg = NewmarkConfig(theta=0.0, dt=0.1, n_steps=1)
-        so = build_step_operators(system, cfg, eta=3)
+        so = build_step_operators(cfg, step_levels(system, cfg, 3))
         M1, M2, M3 = (system.ops.combine(c).toarray()[0, 0] for c in (so.c1, so.c2, so.c3))
         assert (M1, M2, M3) == (2.5, -5.0, 2.5)
         assert np.all(so.F_avg == 0.0)
@@ -137,14 +143,14 @@ class TestStepOperators:
         # theta = 1/4 with equal loads at the three levels returns the load
         system = _ScalarSystem(F=3.25)
         cfg = NewmarkConfig(theta=0.25, dt=0.1, n_steps=1)
-        so = build_step_operators(system, cfg, eta=2)
+        so = build_step_operators(cfg, step_levels(system, cfg, 2))
         assert so.F_avg[0] == pytest.approx(3.25, rel=1e-15)
 
     def test_startup_load_average(self):
         # eta = 0 uses theta F^1 + (1-theta) F^0
         system = _ScalarSystem(F=2.0)
         cfg = NewmarkConfig(theta=0.3, dt=0.1, n_steps=1)
-        so = build_step_operators(system, cfg, eta=0)
+        so = build_step_operators(cfg, step_levels(system, cfg, 0))
         assert so.F_avg[0] == pytest.approx(2.0, rel=1e-15)
 
     def test_sum_identity(self, b1_1d, params):
@@ -153,14 +159,13 @@ class TestStepOperators:
         # and M1 - M3 = dt L1^n + theta dt^2 (L2^{n+1} - L2^{n-1})
         case, system, d0, _ = _mms_system(cells=8)
         cfg = NewmarkConfig(theta=0.3, dt=2.0**-5, n_steps=4)
-        eta = 2
-        so = build_step_operators(system, cfg, eta)
-        g = kirchhoff_scalar(system.b1(eta * cfg.dt), d0, system.ops.K1)
+        levels = step_levels(system, cfg, 2)
+        so = build_step_operators(cfg, levels)
+        lm, ln, lp = levels
+        g = kirchhoff_scalar(ln.b1, d0, system.ops.K1)
         dt, th = cfg.dt, cfg.theta
         ops = system.ops
-        _, L2p = map(ops.combine, system.l_coefficients((eta + 1) * dt))
-        _, L2m = map(ops.combine, system.l_coefficients((eta - 1) * dt))
-        L1n, L2n = map(ops.combine, system.l_coefficients(eta * dt))
+        L2p, L2m, L1n, L2n = map(ops.combine, (lp.L2, lm.L2, ln.L1, ln.L2))
         for lhs, rhs in (
             (ops.combine(so.c1 + so.c2 + so.c3) + dt * dt * (1 - 2 * th) * g * ops.K1,
              dt * dt * ((1 - 2 * th) * (g * system.ops.K1 + L2n) + th * (L2p + L2m))),
@@ -186,10 +191,10 @@ class TestNewton:
         theta, dt = 0.25, 0.5
         system = _ScalarSystem(A=m, L1=0.0, L2=0.0, b1=bcoef, K1=1.0)
         cfg = NewmarkConfig(theta=theta, dt=dt, n_steps=1)
-        so = build_step_operators(system, cfg, eta=1)
+        so = build_step_operators(cfg, step_levels(system, cfg, 1))
         # zero history, constant load producing the affine term gamma
         so.F_avg[:] = -gamma / dt**2
-        prob = StepProblem(system, cfg, 1, so, np.zeros(1), np.zeros(1), None)
+        prob = _scalar_problem(system, cfg, 1, so)
 
         def f(x):
             return (m + theta * dt * dt * bcoef * x * x) * x + gamma
@@ -202,17 +207,16 @@ class TestNewton:
             else:
                 lo = mid
         root = 0.5 * (lo + hi)
-        X, iters, _ = newton_solve(prob, np.zeros(1))
+        X, _, iters, _ = newton_solve(prob, np.zeros(1))
         assert X[0] == pytest.approx(root, abs=1e-13)
-        assert prob.residual(X)[0] == pytest.approx(0.0, abs=1e-13)
+        assert prob.residual(X)[0][0] == pytest.approx(0.0, abs=1e-13)
 
     @pytest.mark.parametrize("dim,cells", [(1, 8), (2, 4)])
     def test_jacobian_matches_finite_differences(self, dim, cells, rng):
         case, system, d0, d1 = _mms_system(dim=dim, cells=cells)
         cfg = NewmarkConfig(theta=0.25, dt=2.0**-5, n_steps=4)
         for eta in (0, 2):
-            so = build_step_operators(system, cfg, eta)
-            prob = StepProblem(system, cfg, eta, so, d0, 0.5 * d0, d1)
+            _, prob = step_problem(system, cfg, eta, d0, 0.5 * d0, d1)
             X = d0 + 0.01 * rng.standard_normal(len(d0))
             J = jacobian_dense(prob, X)
             eps = 1e-6
@@ -220,7 +224,7 @@ class TestNewton:
             for k in range(len(X)):
                 e = np.zeros_like(X)
                 e[k] = eps
-                Jfd[:, k] = (prob.residual(X + e) - prob.residual(X - e)) / (2 * eps)
+                Jfd[:, k] = (prob.residual(X + e)[0] - prob.residual(X - e)[0]) / (2 * eps)
             denom = np.max(np.abs(Jfd))
             assert np.max(np.abs(J - Jfd)) / denom < 1e-6
 
@@ -237,25 +241,25 @@ class TestNewton:
         cfg = NewmarkConfig(theta=0.3, dt=2.0**-5, n_steps=4)
         dt, th, ops = cfg.dt, cfg.theta, system.ops
         K1 = ops.K1.toarray()
-        so = build_step_operators(system, cfg, eta)
-        M1, M2, M3 = (ops.combine(c).toarray() for c in (so.c1, so.c2, so.c3))
         d_prev = 0.5 * d0 + 0.1
-        prob = StepProblem(system, cfg, eta, so, d0, d_prev, d1)
+        so, prob = step_problem(system, cfg, eta, d0, d_prev, d1)
+        M1, M2, M3 = (ops.combine(c).toarray() for c in (so.c1, so.c2, so.c3))
+        lm, ln, lp = step_levels(system, cfg, eta)
 
-        def G(t, d):
-            return kirchhoff_scalar(system.b1(t), d, ops.K1)
+        def G(level, d):
+            return kirchhoff_scalar(level.b1, d, ops.K1)
 
         for _ in range(3):
             X = d0 + 0.05 * rng.standard_normal(len(d0))
             dm = X - 2.0 * dt * d1 if eta == 0 else d_prev
             ref = (
-                (M1 + th * dt * dt * G((eta + 1) * dt, X) * K1) @ X
-                + (M2 + dt * dt * (1 - 2 * th) * G(eta * dt, d0) * K1) @ d0
-                + (M3 + th * dt * dt * G(max(eta - 1, 0) * dt, dm) * K1) @ dm
+                (M1 + th * dt * dt * G(lp, X) * K1) @ X
+                + (M2 + dt * dt * (1 - 2 * th) * G(ln, d0) * K1) @ d0
+                + (M3 + th * dt * dt * G(lm, dm) * K1) @ dm
                 - dt * dt * so.F_avg
             )
             scale = np.max(np.abs(ref))
-            assert np.max(np.abs(prob.residual(X) - ref)) <= 1e-13 * scale
+            assert np.max(np.abs(prob.residual(X)[0] - ref)) <= 1e-13 * scale
 
     def test_newton_iteration_counts_small(self):
         case, system, d0, d1 = _mms_system()
@@ -321,6 +325,24 @@ class TestAdvance:
         assert traj.times[1] == pytest.approx(2.0**-5)
         assert np.all(np.isfinite(traj.residuals)) and np.all(np.isfinite(traj.d[1]))
 
+    # B1: one Newton iteration per step; FAST with amplitude 1: three
+    @pytest.mark.parametrize("boundary,amplitude", [(None, None), (FAST, 1.0)])
+    def test_each_level_and_product_formed_once(self, boundary, amplitude, monkeypatch):
+        # a homogeneous 1D run evaluates the time factors once per level, and
+        # makes one five-operator product per residual and per refinement
+        # sweep (one sweep per linear solve in 1D), plus O d0 and O d1 at startup
+        factors = _count_calls(monkeypatch, newmark, "time_factors")
+        products = _count_calls(monkeypatch, AssembledOperators, "products")
+        residuals = _count_calls(monkeypatch, StepProblem, "residual")
+        solves = _count_calls(monkeypatch, LinearSolver, "solve")
+        _, forced, d0, d1 = _mms_system(cells=16, boundary=boundary, amplitude=amplitude)
+        system = BeamSystem(forced.space, forced.ops, forced.boundary, forced.params)
+        cfg = NewmarkConfig(theta=0.25, dt=2.0**-6, n_steps=16)
+        traj = advance(system, cfg, d0, d1)
+        assert traj.completed
+        assert len(factors) == cfg.n_steps + 1
+        assert len(products) == len(residuals) + len(solves) + 2
+
 
 def _woodbury_reference(S, rhs, U, V):
     """A fresh sparse LU of S and the Woodbury identity for U V^T."""
@@ -361,8 +383,8 @@ class TestLinearSolver:
         # the factors of the step-1 matrix refine the solve with the step-64 one
         _, system, _, _ = _mms_system(dim=2, cells=16)
         cfg = NewmarkConfig(theta=0.25, dt=2.0**-6, n_steps=64)
-        c0 = build_step_operators(system, cfg, 1).c1
-        c = build_step_operators(system, cfg, 64).c1
+        c0, c = (build_step_operators(cfg, step_levels(system, cfg, eta)).c1
+                 for eta in (1, 64))
         n = system.space.ndof
         # columns in the Kirchhoff terms' form, V a positive multiple of U; in
         # 2D independent random U and V make S + U V^T near singular (cond ~1e13),
@@ -443,8 +465,8 @@ class TestLinearSolver:
         # A = L1 = L2 = 0 and b1 = 0 leave the zero Newton matrix
         system = _ScalarSystem(A=0.0, L1=0.0, L2=0.0, F=1.0)
         cfg = NewmarkConfig(theta=0.25, dt=0.1, n_steps=2)
-        so = build_step_operators(system, cfg, eta=1)
-        prob = StepProblem(system, cfg, 1, so, np.zeros(1), np.zeros(1), None)
+        so = build_step_operators(cfg, step_levels(system, cfg, 1))
+        prob = _scalar_problem(system, cfg, 1, so)
         with pytest.raises(SingularJacobian):
             newton_solve(prob, np.zeros(1))
         # also when the kept factors belong to a regular matrix (K1 = [[1]], A = 0)

@@ -18,6 +18,33 @@ from .newmark import Trajectory
 __all__ = ["energy_from_state", "energy_series", "DecayFit", "decay_fit"]
 
 
+def _energies(space: HermiteSpace, boundary: MovingBoundary, params: BeamParameters,
+              d: np.ndarray, d_dot: np.ndarray, times, nq: int) -> np.ndarray:
+    """E at each row of the stacks d, d_dot (m, ndof) at the m times: one
+    product per field for the whole stack, and each of the density's four
+    integrals one product with the weights."""
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(d_dot))):
+        raise ValueError("energy of a non-finite state is undefined")
+    k, r, b1, b2, s0 = np.array([(f.k, f.r, f.b1, f.b2, f.s0) for f in (
+        time_factors(boundary, params, float(t)) for t in times)]).T
+    dim, m = space.mesh.dim, len(d)
+    tab = space.basis_tables(nq)
+    w = np.tile(tab["w"], space.mesh.ncells)
+    pts = tab["points"].reshape(-1, dim)
+
+    def field(x, deriv):
+        return space.eval_at_quad(x, nq, deriv).reshape(m, -1)
+
+    grads = [field(d, f"grad{i}") for i in range(dim)]
+    y_dot_grad = sum(pts[:, i] * grads[i] for i in range(dim))
+    u_prime = field(d_dot, "N") - r[:, None] * y_dot_grad
+    grad_sq = sum(g * g for g in grads)
+    lap = field(d, "lap")
+    density = (u_prime**2 @ w + b2 * (lap**2 @ w) + s0 * (grad_sq @ w)
+               + 0.5 * b1 * (grad_sq**2 @ w))
+    return 0.5 * k**dim * density
+
+
 def energy_from_state(
     space: HermiteSpace,
     boundary: MovingBoundary,
@@ -28,38 +55,7 @@ def energy_from_state(
     nq: int = 8,
 ) -> float:
     """E(t) = 1/2 int |u'|^2 + |lap_x u|^2 + zeta0 |grad_x u|^2 + zeta1/2 |grad_x u|^4 dx."""
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(d_dot))):
-        raise ValueError("energy of a non-finite state is undefined")
-    f = time_factors(boundary, params, t)
-    dim = space.mesh.dim
-    tab = space.basis_tables(nq)
-    w = tab["w"]
-
-    v_dot = space.eval_at_quad(d_dot, nq, "N")
-    lap = space.eval_at_quad(d, nq, "lap")
-    grads = [space.eval_at_quad(d, nq, f"grad{i}") for i in range(dim)]
-    pts = tab["points"]
-
-    y_dot_grad = sum(pts[:, :, i] * grads[i] for i in range(dim))
-    u_prime = v_dot - f.r * y_dot_grad
-    grad_sq = sum(g * g for g in grads)
-
-    density = u_prime**2 + f.b2 * lap**2 + f.s0 * grad_sq + 0.5 * f.b1 * grad_sq**2
-    return 0.5 * f.k**dim * float(np.sum(density * w[None, :]))
-
-
-def _velocity_series(trajectory: Trajectory) -> list[np.ndarray]:
-    """Second-order discrete velocities: central inside, one-sided at the ends."""
-    d = trajectory.d
-    n = len(d) - 1
-    if n < 2:
-        raise ValueError("need at least two steps to reconstruct velocities")
-    dt = float(trajectory.times[1] - trajectory.times[0])
-    vels = [(-3.0 * d[0] + 4.0 * d[1] - d[2]) / (2.0 * dt)]
-    for eta in range(1, n):
-        vels.append((d[eta + 1] - d[eta - 1]) / (2.0 * dt))
-    vels.append((3.0 * d[n] - 4.0 * d[n - 1] + d[n - 2]) / (2.0 * dt))
-    return vels
+    return float(_energies(space, boundary, params, d[None], d_dot[None], [t], nq)[0])
 
 
 def energy_series(
@@ -69,19 +65,32 @@ def energy_series(
     trajectory: Trajectory,
     nq: int = 8,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(times, E(t)) along a completed trajectory."""
+    """(times, E(t)) along a completed trajectory, with second-order discrete
+    velocities: central inside, one-sided at the ends.
+
+    The states are evaluated in blocks (``HermiteSpace.state_blocks``); a
+    block stacks its own states and takes their velocities from the
+    neighbours in ``trajectory.d``, so the trajectory is never copied whole."""
     if not trajectory.completed:
         raise ValueError("cannot compute the energy of a diverged trajectory")
-    vels = _velocity_series(trajectory)
-    E = np.array(
-        [
-            energy_from_state(
-                space, boundary, params, d, v, float(t), nq=nq
-            )
-            for d, v, t in zip(trajectory.d, vels, trajectory.times)
-        ]
-    )
-    return np.asarray(trajectory.times, dtype=float), E
+    d, times = trajectory.d, np.asarray(trajectory.times, dtype=float)
+    n = len(d) - 1
+    if n < 2:
+        raise ValueError("need at least two steps to reconstruct velocities")
+    dt = float(times[1] - times[0])
+    E = np.empty(n + 1)
+    for lo, hi in space.state_blocks(n + 1, nq):
+        a = max(lo - 1, 0)
+        ext = np.array(d[a:hi + 1])  # the block and its neighbours
+        v = np.empty((hi - lo, ext.shape[1]))
+        v[(lo == 0):hi - lo - (hi == n + 1)] = ext[2:] - ext[:-2]  # states inside the run
+        if lo == 0:
+            v[0] = -3.0 * d[0] + 4.0 * d[1] - d[2]
+        if hi == n + 1:
+            v[-1] = 3.0 * d[n] - 4.0 * d[n - 1] + d[n - 2]
+        E[lo:hi] = _energies(space, boundary, params, ext[lo - a:hi - a], v / (2.0 * dt),
+                             times[lo:hi], nq)
+    return times, E
 
 
 @dataclass

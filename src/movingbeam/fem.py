@@ -39,6 +39,7 @@ __all__ = [
 
 DEFAULT_OPERATOR_QUAD = 5   # exact through degree 9 per axis
 DEFAULT_LOAD_QUAD = 6
+_BLOCK_VALUES = 2 ** 16     # quadrature values per field in a block of states
 
 
 def _product(axes) -> np.ndarray:
@@ -236,18 +237,20 @@ class HermiteSpace:
     # -- evaluation of discrete functions ------------------------------------
 
     def expand(self, d_free: np.ndarray) -> np.ndarray:
-        """Free-DOF vector -> full DOF vector with zeros on constrained DOFs."""
-        full = np.zeros(self.ndof_full)
-        full[self.free_dofs] = d_free
+        """Free-DOF vectors (..., ndof) -> full DOF vectors with zeros on constrained DOFs."""
+        full = np.zeros(np.shape(d_free)[:-1] + (self.ndof_full,))
+        full[..., self.free_dofs] = d_free
         return full
 
     def eval_at_quad(self, d_free: np.ndarray, nq: int, deriv: str = "N") -> np.ndarray:
-        """Values of the discrete function at the quadrature grid, (ncells, nq^dim).
+        """Values of the discrete functions d_free (..., ndof) at the quadrature
+        grid, (..., ncells, nq^dim): one product of the gathered element DOFs
+        of the whole stack with the basis table.
 
         ``deriv``: "N", "lap" or "grad<i>" for axis i.
         """
         tab = self.basis_tables(nq)
-        de = self.expand(d_free)[self.element_dofs]
+        de = self.expand(d_free)[..., self.element_dofs]
         if deriv == "N":
             basis = tab["N"]
         elif deriv == "lap":
@@ -256,7 +259,13 @@ class HermiteSpace:
             basis = tab["grad"][:, :, int(deriv[4:])]
         else:
             raise ValueError(f"unknown derivative selector {deriv!r}")
-        return np.einsum("ca,qa->cq", de, basis)
+        return (de.reshape(-1, de.shape[-1]) @ basis.T).reshape(de.shape[:-1] + (-1,))
+
+    def state_blocks(self, count: int, nq: int) -> list[tuple[int, int]]:
+        """Ranges (lo, hi) covering states 0..count-1 in blocks of one state or
+        more, with at most ``_BLOCK_VALUES`` :meth:`eval_at_quad` values per field."""
+        size = max(1, _BLOCK_VALUES // (self.mesh.ncells * nq ** self.mesh.dim))
+        return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
     def eval_points(self, d_free: np.ndarray, points, deriv: str = "N") -> np.ndarray:
         """Evaluate the discrete function, or its ``deriv`` as in :meth:`eval_at_quad`,

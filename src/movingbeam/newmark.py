@@ -345,13 +345,12 @@ class StepProblem:
             K1z = K1X - K1s
             yield b, b * float((X - s) @ K1z), K1z
 
-    def residual(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """R(X), and the products O X it is formed from."""
-        OX = self.ops.products(X)
+    def residual(self, X: np.ndarray, OX: np.ndarray) -> np.ndarray:
+        """R(X), formed from its products OX = ``ops.products(X)``."""
         r = self.c_lin @ OX + self.const
         for _, g, K1z in self._kirchhoff(X, OX[1]):
             r += self.th_dt2 * g * K1z
-        return r, OX
+        return r
 
     def jacobian_parts(self, X: np.ndarray, K1X: np.ndarray):
         """(c, U, V) with J = S(c) + U V^T at X, given K1X = K1 X: c is the
@@ -364,13 +363,15 @@ class StepProblem:
         return c, U, V
 
 
-def newton_solve(problem: StepProblem, x0: np.ndarray, solver: LinearSolver | None = None):
-    """Newton iteration; returns (X, O X, iterations, max |R(X)|), all from a residual at X.
-    The linear solves go through ``solver``, whose factors carry over between calls."""
+def newton_solve(problem: StepProblem, start: tuple[np.ndarray, np.ndarray],
+                 solver: LinearSolver | None = None):
+    """Newton iteration from ``start`` = (x0, O x0); returns (X, O X, iterations,
+    max |R(X)|), all from a residual at X.  The linear solves go through
+    ``solver``, whose factors carry over between calls."""
     solver = solver or LinearSolver(problem.ops)
-    X = x0.copy()
+    X, OX = start[0].copy(), start[1]
     for it in range(1, NEWTON_MAX_ITER + 1):
-        r, OX = problem.residual(X)
+        r = problem.residual(X, OX)
         if not np.all(np.isfinite(r)):
             raise NewtonNoConvergence("non-finite residual")
         rn = float(np.max(np.abs(r)))
@@ -381,9 +382,9 @@ def newton_solve(problem: StepProblem, x0: np.ndarray, solver: LinearSolver | No
         X = X + step
         if not np.all(np.isfinite(X)):
             raise NewtonNoConvergence("non-finite Newton iterate")
+        OX = problem.ops.products(X)
         if float(np.max(np.abs(step))) < NEWTON_TOL_STEP:
-            r, OX = problem.residual(X)
-            return X, OX, it, float(np.max(np.abs(r)))
+            return X, OX, it, float(np.max(np.abs(problem.residual(X, OX))))
     raise NewtonNoConvergence(f"no convergence in {NEWTON_MAX_ITER} iterations")
 
 
@@ -411,7 +412,7 @@ def advance(system: BeamSystem, cfg: NewmarkConfig, d0: np.ndarray,
         prob = StepProblem(system.ops, cfg, levels, build_step_operators(cfg, levels),
                            curr, prev, d1)
         try:
-            d_next, Od_next, nit, resid = newton_solve(prob, curr[0], solver)
+            d_next, Od_next, nit, resid = newton_solve(prob, curr, solver)
         except (NewtonNoConvergence, SingularJacobian):
             break
         dinf = float(np.max(np.abs(d_next))) if d_next.size else 0.0

@@ -123,34 +123,26 @@ def error_norms(
     nq: int = 8,
 ) -> ErrorReport:
     """Per-step L2 and Laplacian-seminorm errors against the exact solution
-    amp * T(t) * g(y); g and its Laplacian are evaluated once per call."""
+    amp * T(t) * g(y); g and its Laplacian are evaluated once per call, and the
+    states in blocks (``HermiteSpace.state_blocks``), one product per field."""
     if not trajectory.completed:
-        return ErrorReport(
-            linf_l2=math.nan, linf_h2=math.nan,
-            times=trajectory.times, l2_series=np.array([]), h2_series=np.array([]),
-            diverged=True,
-        )
+        return ErrorReport(math.nan, math.nan, trajectory.times, np.array([]), np.array([]),
+                           diverged=True)
     tab = space.basis_tables(nq)
-    dim, shape, w = space.mesh.dim, tab["points"].shape[:2], tab["w"]
+    dim = space.mesh.dim
+    w = np.tile(tab["w"], space.mesh.ncells)
     pts = tab["points"].reshape(-1, dim)
-    g = case.spatial_factor(pts, (0,) * dim).reshape(shape)
-    lap_g = sum(case.spatial_factor(pts, tuple(2 * e))
-                for e in np.eye(dim, dtype=int)).reshape(shape)
-    l2 = np.empty(len(trajectory.d))
-    h2 = np.empty(len(trajectory.d))
-    for eta, d in enumerate(trajectory.d):
-        scale = case.amplitude * case.temporal_factor(float(trajectory.times[eta]))
-        vh = space.eval_at_quad(d, nq, "N")
-        l2[eta] = math.sqrt(float(np.sum(((vh - scale * g) ** 2) * w[None, :])))
-        lh = space.eval_at_quad(d, nq, "lap")
-        h2[eta] = math.sqrt(float(np.sum(((lh - scale * lap_g) ** 2) * w[None, :])))
-    return ErrorReport(
-        linf_l2=float(l2.max()),
-        linf_h2=float(h2.max()),
-        times=trajectory.times,
-        l2_series=l2,
-        h2_series=h2,
-    )
+    g = case.spatial_factor(pts, (0,) * dim)
+    lap_g = sum(case.spatial_factor(pts, tuple(2 * e)) for e in np.eye(dim, dtype=int))
+    l2, h2 = np.empty((2, len(trajectory.d)))
+    for lo, hi in space.state_blocks(len(trajectory.d), nq):
+        d = np.array(trajectory.d[lo:hi])
+        scale = case.amplitude * np.array(
+            [case.temporal_factor(float(t)) for t in trajectory.times[lo:hi]])[:, None]
+        for out, deriv, exact in ((l2, "N", g), (h2, "lap", lap_g)):
+            vals = space.eval_at_quad(d, nq, deriv).reshape(hi - lo, -1)
+            out[lo:hi] = np.sqrt((vals - scale * exact) ** 2 @ w)
+    return ErrorReport(float(l2.max()), float(h2.max()), trajectory.times, l2, h2)
 
 
 def exact_nodal_trajectory(space: HermiteSpace, case: ManufacturedCase, times) -> Trajectory:

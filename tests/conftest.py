@@ -58,6 +58,44 @@ def jacobian_dense(problem, X):
     return problem.ops.combine(c).toarray() + U @ V.T
 
 
+def velocity_series(trajectory):
+    """Second-order discrete velocities, one state at a time: central inside,
+    one-sided at the ends; the formulas ``energy_series`` applies per block."""
+    d, n = trajectory.d, len(trajectory.d) - 1
+    dt = float(trajectory.times[1] - trajectory.times[0])
+    return ([(-3.0 * d[0] + 4.0 * d[1] - d[2]) / (2.0 * dt)]
+            + [(d[eta + 1] - d[eta - 1]) / (2.0 * dt) for eta in range(1, n)]
+            + [(3.0 * d[n] - 4.0 * d[n - 1] + d[n - 2]) / (2.0 * dt)])
+
+
+def error_series(space, trajectory, case, nq=8):
+    """(L2, Laplacian) errors of each state against amp T(t) g(y), one state at
+    a time: the reference ``error_norms`` is checked against."""
+    tab = space.basis_tables(nq)
+    dim, shape, w = space.mesh.dim, tab["points"].shape[:2], tab["w"]
+    pts = tab["points"].reshape(-1, dim)
+    g = case.spatial_factor(pts, (0,) * dim).reshape(shape)
+    lap_g = sum(case.spatial_factor(pts, tuple(2 * e))
+                for e in np.eye(dim, dtype=int)).reshape(shape)
+    l2, h2 = [], []
+    for t, d in zip(trajectory.times, trajectory.d):
+        scale = case.amplitude * case.temporal_factor(float(t))
+        vh, lh = (space.eval_at_quad(d, nq, deriv) for deriv in ("N", "lap"))
+        l2.append(np.sqrt(np.sum((vh - scale * g) ** 2 * w[None, :])))
+        h2.append(np.sqrt(np.sum((lh - scale * lap_g) ** 2 * w[None, :])))
+    return np.array(l2), np.array(h2)
+
+
+def residual_at(problem, X):
+    """R(X) of a ``StepProblem``, with the products of X formed here."""
+    return problem.residual(X, problem.ops.products(X))
+
+
+def start_at(problem, x0):
+    """The (x0, O x0) pair ``newton_solve`` starts from."""
+    return x0, problem.ops.products(x0)
+
+
 def step_levels(system, cfg, eta):
     """The levels (eta-1, eta, eta+1) of step eta; at startup level 0 stands
     in for level -1, as in ``advance``."""

@@ -42,7 +42,7 @@ from movingbeam import (
 )
 from movingbeam.geometry import time_factors
 
-from conftest import jacobian_dense, step_problem
+from conftest import jacobian_dense, residual_at, step_problem
 
 PARAMS = BeamParameters(zeta0=128.0, zeta1=2.0, nu=1.0)
 DT = 2.0 ** -7
@@ -106,7 +106,7 @@ class TestCriterion1Jacobian:
                         e = np.zeros(space.ndof)
                         e[k] = eps
                         Jfd[:, k] = (
-                            prob.residual(X + e)[0] - prob.residual(X - e)[0]
+                            residual_at(prob, X + e) - residual_at(prob, X - e)
                         ) / (2 * eps)
                     rel = np.max(np.abs(J - Jfd)) / np.max(np.abs(Jfd))
                     worst = max(worst, rel)

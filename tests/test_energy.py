@@ -1,4 +1,6 @@
 """Physical energy evaluation and the exponential decay fit."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,21 @@ from movingbeam import (
     energy_series,
     interpolate_initial,
 )
+
+from conftest import velocity_series
+
+
+def _homogeneous_run(b, params, case, dim, cells, n_steps, zero=False):
+    """(space, trajectory) of a homogeneous run from the case's initial data,
+    or from rest with ``zero``."""
+    space = HermiteSpace(Mesh.uniform(dim, cells))
+    system = BeamSystem(space, assemble_constant(space), b, params)
+    d0 = interpolate_initial(space, case.initial_displacement())
+    d1 = interpolate_initial(space, case.initial_velocity())
+    if zero:
+        d0 = d1 = np.zeros(space.ndof)
+    cfg = NewmarkConfig(theta=0.25, dt=2.0**-6, n_steps=n_steps)
+    return space, advance(system, cfg, d0, d1)
 
 
 class TestEnergyFromState:
@@ -68,6 +85,44 @@ class TestEnergyFromState:
         times, E = energy_series(space, b1_1d, params, traj)
         tail = E[times >= 1.0]
         assert np.all(np.diff(tail) < 0.0)
+
+
+class TestEnergySeries:
+    # 1D at 64 cells: 128 states per block; 2D at 8x8 cells: 16 per block.
+    # Neither state count is a multiple of the block.
+    @pytest.mark.parametrize("dim,cells,n_steps", [(1, 64, 300), (2, 8, 40)])
+    def test_blocks_match_per_state_energies(self, dim, cells, n_steps, params):
+        b = MovingBoundary.b1(dim)
+        space, traj = _homogeneous_run(b, params, ManufacturedCase.standard("S1", dim),
+                                       dim, cells, n_steps)
+        assert traj.completed
+        times, E = energy_series(space, b, params, traj)
+        ref = [energy_from_state(space, b, params, d, v, float(t))
+               for d, v, t in zip(traj.d, velocity_series(traj), traj.times)]
+        assert np.array_equal(times, traj.times)
+        np.testing.assert_allclose(E, ref, rtol=1e-14, atol=0.0)
+
+    def test_trajectory_is_not_copied(self, b1_1d, params, s1_1d):
+        # 2048 cells and 1024 steps: 34 MB of states, a block of 4 states.
+        # The states start at rest, which changes nothing that is allocated.
+        space, traj = _homogeneous_run(b1_1d, params, s1_1d, 1, 2048, 1024, zero=True)
+        assert traj.completed
+        states = sum(d.nbytes for d in traj.d)
+        tracemalloc.start()
+        try:
+            energy_series(space, b1_1d, params, traj)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * states
+
+    @pytest.mark.parametrize("bad", [127, 128])
+    def test_non_finite_state_mid_run_rejected(self, b1_1d, params, s1_1d, bad):
+        # blocks of 128 states: state 127 ends the first, 128 starts the second
+        space, traj = _homogeneous_run(b1_1d, params, s1_1d, 1, 64, 300)
+        traj.d[bad] = np.full(space.ndof, np.nan)
+        with pytest.raises(ValueError, match="non-finite"):
+            energy_series(space, b1_1d, params, traj)
 
 
 class TestDecayFit:

@@ -14,7 +14,7 @@ from movingbeam import (
     gauss_rule,
     interpolate_initial,
 )
-from movingbeam.fem import _elem_integrals
+from movingbeam.fem import _BLOCK_VALUES, _elem_integrals
 from movingbeam.geometry import time_factors
 
 from conftest import assemble_time_dependent, step_problem
@@ -421,6 +421,33 @@ class TestInterpolation:
             ve = s1_1d.eval(tab["points"].reshape(-1, 1), 0.0).reshape(vh.shape)
             errs.append(np.sqrt(np.sum((vh - ve) ** 2 * tab["w"][None, :])))
         assert errs[0] / errs[1] > 12.0
+
+
+class TestBlockEvaluation:
+    @pytest.mark.parametrize("dim,cells", [(1, 8), (2, 4)])
+    def test_stack_rows_equal_single_states(self, dim, cells, rng):
+        space = HermiteSpace(Mesh.uniform(dim, cells))
+        stack = rng.standard_normal((5, space.ndof))
+        for deriv in ["N", "lap"] + [f"grad{i}" for i in range(dim)]:
+            rows = space.eval_at_quad(stack, 8, deriv)
+            single = [space.eval_at_quad(d, 8, deriv) for d in stack]
+            assert rows.shape == (5, space.mesh.ncells, 8 ** dim) == (5,) + single[0].shape
+            scale = np.max(np.abs(rows))
+            np.testing.assert_allclose(rows, single, rtol=0.0, atol=1e-14 * scale)
+
+    @pytest.mark.parametrize("dim,cells,nq", [(1, 64, 8), (2, 8, 8), (2, 32, 8), (1, 8, 3)])
+    def test_state_blocks_cover_the_states(self, dim, cells, nq):
+        space = HermiteSpace(Mesh.uniform(dim, cells))
+        per_state = space.mesh.ncells * nq ** dim
+        for count in (1, 3, 300):
+            blocks = space.state_blocks(count, nq)
+            assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+            assert blocks[-1][1] == count
+            # each block holds at most _BLOCK_VALUES values per field, or one
+            # state; every block but the last is full
+            assert all(hi > lo and (hi - lo == 1 or (hi - lo) * per_state <= _BLOCK_VALUES)
+                       for lo, hi in blocks)
+            assert all((hi - lo + 1) * per_state > _BLOCK_VALUES for lo, hi in blocks[:-1])
 
 
 class TestConformity:

@@ -38,7 +38,7 @@ from movingbeam.newmark import (
     newton_solve,
 )
 
-from conftest import jacobian_dense, step_levels, step_problem
+from conftest import jacobian_dense, residual_at, start_at, step_levels, step_problem
 
 # K = 1 + t/2: K^-4, and with it the Newton matrix, drifts by about 3% per step at dt = 2^-6
 FAST = MovingBoundary(BoundaryKind.LINEAR_DRIFT, base=1.0, slope=0.5,
@@ -207,9 +207,9 @@ class TestNewton:
             else:
                 lo = mid
         root = 0.5 * (lo + hi)
-        X, _, iters, _ = newton_solve(prob, np.zeros(1))
+        X, _, iters, _ = newton_solve(prob, start_at(prob, np.zeros(1)))
         assert X[0] == pytest.approx(root, abs=1e-13)
-        assert prob.residual(X)[0][0] == pytest.approx(0.0, abs=1e-13)
+        assert residual_at(prob, X)[0] == pytest.approx(0.0, abs=1e-13)
 
     @pytest.mark.parametrize("dim,cells", [(1, 8), (2, 4)])
     def test_jacobian_matches_finite_differences(self, dim, cells, rng):
@@ -224,7 +224,7 @@ class TestNewton:
             for k in range(len(X)):
                 e = np.zeros_like(X)
                 e[k] = eps
-                Jfd[:, k] = (prob.residual(X + e)[0] - prob.residual(X - e)[0]) / (2 * eps)
+                Jfd[:, k] = (residual_at(prob, X + e) - residual_at(prob, X - e)) / (2 * eps)
             denom = np.max(np.abs(Jfd))
             assert np.max(np.abs(J - Jfd)) / denom < 1e-6
 
@@ -259,7 +259,7 @@ class TestNewton:
                 - dt * dt * so.F_avg
             )
             scale = np.max(np.abs(ref))
-            assert np.max(np.abs(prob.residual(X)[0] - ref)) <= 1e-13 * scale
+            assert np.max(np.abs(residual_at(prob, X) - ref)) <= 1e-13 * scale
 
     def test_newton_iteration_counts_small(self):
         case, system, d0, d1 = _mms_system()
@@ -329,8 +329,9 @@ class TestAdvance:
     @pytest.mark.parametrize("boundary,amplitude", [(None, None), (FAST, 1.0)])
     def test_each_level_and_product_formed_once(self, boundary, amplitude, monkeypatch):
         # a homogeneous 1D run evaluates the time factors once per level, and
-        # makes one five-operator product per residual and per refinement
-        # sweep (one sweep per linear solve in 1D), plus O d0 and O d1 at startup
+        # makes one five-operator product per residual but each step's first,
+        # whose O d^eta comes from the window, and per refinement sweep (one
+        # sweep per linear solve in 1D), plus O d0 and O d1 at startup
         factors = _count_calls(monkeypatch, newmark, "time_factors")
         products = _count_calls(monkeypatch, AssembledOperators, "products")
         residuals = _count_calls(monkeypatch, StepProblem, "residual")
@@ -341,7 +342,7 @@ class TestAdvance:
         traj = advance(system, cfg, d0, d1)
         assert traj.completed
         assert len(factors) == cfg.n_steps + 1
-        assert len(products) == len(residuals) + len(solves) + 2
+        assert len(products) == len(residuals) - cfg.n_steps + len(solves) + 2
 
 
 def _woodbury_reference(S, rhs, U, V):
@@ -468,7 +469,7 @@ class TestLinearSolver:
         so = build_step_operators(cfg, step_levels(system, cfg, 1))
         prob = _scalar_problem(system, cfg, 1, so)
         with pytest.raises(SingularJacobian):
-            newton_solve(prob, np.zeros(1))
+            newton_solve(prob, start_at(prob, np.zeros(1)))
         # also when the kept factors belong to a regular matrix (K1 = [[1]], A = 0)
         solver, none = LinearSolver(system.ops), np.zeros((1, 0))
         regular, zero = np.eye(5)[1], np.eye(5)[0]

@@ -22,6 +22,8 @@ from movingbeam import (
 from movingbeam.newmark import Trajectory
 from movingbeam.verification import ConvergenceRow, ConvergenceTable, exact_nodal_trajectory
 
+from conftest import error_series
+
 
 class TestErrorNorms:
     def test_zero_case(self, b1_1d, params):
@@ -44,6 +46,20 @@ class TestErrorNorms:
             rep = error_norms(space, traj, s1_1d)
             errs.append(rep.linf_l2)
         assert errs[0] / errs[1] >= 12.0
+
+    # 1D at 64 cells: 128 states per block; 2D at 8x8 cells: 16 per block.
+    # Neither state count is a multiple of the block.
+    @pytest.mark.parametrize("dim,cells,n_steps", [(1, 64, 300), (2, 8, 40)])
+    def test_blocks_match_per_state_oracle(self, dim, cells, n_steps, params):
+        case = ManufacturedCase.standard("S1", dim)
+        cfg = NewmarkConfig(theta=0.25, dt=2.0**-6, n_steps=n_steps)
+        res = simulate(case, MovingBoundary.b1(dim), params, cells, cfg)
+        assert res.trajectory.completed
+        rep = error_norms(res.space, res.trajectory, case)
+        l2, h2 = error_series(res.space, res.trajectory, case)
+        np.testing.assert_allclose(rep.l2_series, l2, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(rep.h2_series, h2, rtol=1e-14, atol=0.0)
+        assert (rep.linf_l2, rep.linf_h2) == (rep.l2_series.max(), rep.h2_series.max())
 
     def test_diverged_trajectory_marker(self, s1_1d):
         space = HermiteSpace(Mesh.uniform(1, 8))

@@ -88,16 +88,18 @@ class TestEnergyFromState:
 
 
 class TestEnergySeries:
-    # 1D at 64 cells: 128 states per block; 2D at 8x8 cells: 16 per block.
-    # Neither state count is a multiple of the block.
-    @pytest.mark.parametrize("dim,cells,n_steps", [(1, 64, 300), (2, 8, 40)])
-    def test_blocks_match_per_state_energies(self, dim, cells, n_steps, params):
+    # 1D at 64 cells: 128 states per block; 2D at 8x8 cells: 16 per block,
+    # neither a divisor of the state count; with 33^2 points, one per block
+    @pytest.mark.parametrize("dim,cells,n_steps,nq", [(1, 64, 300, 8), (2, 8, 40, 8),
+                                                      (2, 8, 6, 33)])
+    def test_blocks_match_per_state_energies(self, dim, cells, n_steps, nq, params):
         b = MovingBoundary.b1(dim)
         space, traj = _homogeneous_run(b, params, ManufacturedCase.standard("S1", dim),
                                        dim, cells, n_steps)
         assert traj.completed
-        times, E = energy_series(space, b, params, traj)
-        ref = [energy_from_state(space, b, params, d, v, float(t))
+        assert len(space.state_blocks(n_steps + 1, nq)) > 1
+        times, E = energy_series(space, b, params, traj, nq=nq)
+        ref = [energy_from_state(space, b, params, d, v, float(t), nq=nq)
                for d, v, t in zip(traj.d, velocity_series(traj), traj.times)]
         assert np.array_equal(times, traj.times)
         np.testing.assert_allclose(E, ref, rtol=1e-14, atol=0.0)

@@ -47,16 +47,18 @@ class TestErrorNorms:
             errs.append(rep.linf_l2)
         assert errs[0] / errs[1] >= 12.0
 
-    # 1D at 64 cells: 128 states per block; 2D at 8x8 cells: 16 per block.
-    # Neither state count is a multiple of the block.
-    @pytest.mark.parametrize("dim,cells,n_steps", [(1, 64, 300), (2, 8, 40)])
-    def test_blocks_match_per_state_oracle(self, dim, cells, n_steps, params):
+    # 1D at 64 cells: 128 states per block; 2D at 8x8 cells: 16 per block,
+    # neither a divisor of the state count; with 33^2 points, one per block
+    @pytest.mark.parametrize("dim,cells,n_steps,nq", [(1, 64, 300, 8), (2, 8, 40, 8),
+                                                      (2, 8, 6, 33)])
+    def test_blocks_match_per_state_oracle(self, dim, cells, n_steps, nq, params):
         case = ManufacturedCase.standard("S1", dim)
         cfg = NewmarkConfig(theta=0.25, dt=2.0**-6, n_steps=n_steps)
         res = simulate(case, MovingBoundary.b1(dim), params, cells, cfg)
         assert res.trajectory.completed
-        rep = error_norms(res.space, res.trajectory, case)
-        l2, h2 = error_series(res.space, res.trajectory, case)
+        assert len(res.space.state_blocks(n_steps + 1, nq)) > 1
+        rep = error_norms(res.space, res.trajectory, case, nq=nq)
+        l2, h2 = error_series(res.space, res.trajectory, case, nq=nq)
         np.testing.assert_allclose(rep.l2_series, l2, rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(rep.h2_series, h2, rtol=1e-14, atol=0.0)
         assert (rep.linf_l2, rep.linf_h2) == (rep.l2_series.max(), rep.h2_series.max())

@@ -13,8 +13,6 @@ from .geometry import (
     MovingBoundary,
     SingularMappingError,
     eval_boundary,
-    map_back,
-    map_point,
     validate_hypotheses,
 )
 from .fem import (
@@ -25,7 +23,6 @@ from .fem import (
     assemble_load,
     gauss_rule,
     interpolate_initial,
-    project_initial,
 )
 from .newmark import (
     BeamSystem,
@@ -37,7 +34,6 @@ from .newmark import (
     Trajectory,
     advance,
     build_step_operators,
-    kirchhoff_scalar,
     newton_solve,
 )
 from .manufactured import CASE_IDS, ManufacturedCase, make_source

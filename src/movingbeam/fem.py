@@ -34,7 +34,6 @@ __all__ = [
     "l_coefficients",
     "assemble_load",
     "interpolate_initial",
-    "project_initial",
 ]
 
 DEFAULT_OPERATOR_QUAD = 5   # exact through degree 9 per axis
@@ -454,17 +453,3 @@ def interpolate_initial(
     for d, mi in enumerate(local_layout(space.mesh.dim)[1][:dpn]):
         full[d::dpn] = derivs(nodes, tuple(int(o) for o in mi))
     return full if full_space else full[space.free_dofs]
-
-
-def project_initial(
-    space: HermiteSpace,
-    ops: AssembledOperators,
-    value: Callable[[np.ndarray, float], np.ndarray],
-    t: float = 0.0,
-    nq: int = DEFAULT_LOAD_QUAD,
-) -> np.ndarray:
-    """L2 projection alternative to nodal interpolation: solve A d = (v, phi)."""
-    from scipy.sparse.linalg import spsolve
-
-    rhs = assemble_load(space, value, t, nq=nq)
-    return spsolve(ops.A.tocsc(), rhs)

@@ -1,4 +1,4 @@
-"""Moving-boundary geometry: K(t), the domain mapping and transformed coefficients.
+"""Moving-boundary geometry: K(t) and the transformed coefficients.
 
 The physical beam occupies ``Omega_t = K(t) * Omega`` where ``Omega`` is a fixed
 reference box.  Pulling the equation back to the reference box turns the
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -26,8 +26,6 @@ __all__ = [
     "eval_boundary",
     "time_factors",
     "validate_hypotheses",
-    "map_point",
-    "map_back",
 ]
 
 
@@ -169,22 +167,6 @@ def time_factors(b: MovingBoundary, p: BeamParameters, t: float) -> TimeFactors:
     return TimeFactors(k=k, b1=p.zeta1 * k ** -4, b2=k ** -4, s0=p.zeta0 / k ** 2, r=kp / k,
                        c3=(2.0 * kp * kp - damping) / k ** 2,
                        c4=(-2.0 * kp * kp - damping) / k ** 2)
-
-
-def map_point(b: MovingBoundary, t: float, y: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Reference -> physical: x = K(t) y (componentwise)."""
-    k, _, _ = eval_boundary(b, t)
-    if k <= 0.0:
-        raise SingularMappingError(f"K(t) must be positive, got K({t}) = {k}")
-    return k * np.asarray(y, dtype=float)
-
-
-def map_back(b: MovingBoundary, t: float, x: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Physical -> reference: y = x / K(t)."""
-    k, _, _ = eval_boundary(b, t)
-    if k <= 0.0:
-        raise SingularMappingError(f"K(t) must be positive, got K({t}) = {k}")
-    return np.asarray(x, dtype=float) / k
 
 
 @dataclass

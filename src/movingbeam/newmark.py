@@ -19,11 +19,11 @@ Each implicit step, the startup step with its ghost level included, solves
 one form of nonlinear system (``StepProblem``) whose Jacobian is a step
 matrix plus a low-rank correction coming from the differential of G.  Its one
 factorization is LAPACK's general-band LU, applied with the Woodbury identity
-(``LinearSolver``): in 1D each linear solve factors its own matrix, since
-that costs less than one refinement sweep; in 2D a run keeps one band LU
-across Newton iterations and steps, refines each solve with it, and
-refactors when refinement stalls.  Results are deterministic for a fixed
-configuration.
+(``LinearSolver``): in 1D each linear solve is one band LU of its own matrix
+and one ``dgbtrs`` with r + 1 right-hand sides, and no refinement sweep, since
+an LU costs less than a sweep; in 2D a run keeps one band LU across Newton
+iterations and steps, refines each solve with it, and refactors when
+refinement stalls.  Results are deterministic for a fixed configuration.
 
 theta in ]1/4, 1] gives the unconditionally convergent family; theta < 1/4 is
 conditionally stable and may legitimately diverge on fine meshes, which is
@@ -36,8 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgesv
 
 from .fem import AssembledOperators, HermiteSpace, assemble_load, l_coefficients
 from .geometry import BeamParameters, MovingBoundary, time_factors
@@ -51,7 +50,6 @@ __all__ = [
     "NewtonNoConvergence",
     "SingularJacobian",
     "LinearSolver",
-    "kirchhoff_scalar",
     "build_step_operators",
     "newton_solve",
     "advance",
@@ -133,28 +131,27 @@ class Trajectory:
         return self.status == "completed"
 
 
-def kirchhoff_scalar(b1_t: float, d: np.ndarray, K1: sp.spmatrix) -> float:
-    """G(t, d) = b1(t) * d^T K1 d."""
-    return float(b1_t * (d @ (K1 @ d)))
-
-
 class LinearSolver:
     """Solves (S + U V^T) x = b for the drifting Newton matrices of one run.
 
     S is given by its coefficient vector c over the constant operators
     ``ops``; it is written straight into LAPACK band storage and factored by
     ``dgbtrf`` (kl = ku = ``ops.bandwidth``), the only factorization.  The
-    band LU of an earlier Newton matrix, with the Woodbury identity for
+    solve with the factors takes the right-hand side and the r columns of U
+    together (one ``dgbtrs``), and the r x r Woodbury capacitance is solved by
+    ``dgesv``.
+
+    ``sweeps``: how many refinement sweeps (a five-operator product and a band
+    solve each) cost no more flops than one band LU, capped at
+    ``MAX_SWEEPS``.  It is counted from the sizes, not timed, so reruns repeat
+    bit for bit.  It is 0 in 1D: every solve factors its own matrix and
+    returns the Woodbury solution of that one ``dgbtrs``, with no sweep.  In
+    2D the band LU of an earlier Newton matrix, with the Woodbury identity for
     U V^T, preconditions iterative refinement on the true residual (a chord
     method for the linear solves).  The one sweep after each factorization
     sets the accuracy target, eight times its correction; S is refactored when
     the corrections contract by less than half per sweep or would need more
     than ``sweeps`` sweeps.
-
-    ``sweeps``: how many sweeps (a five-operator product and a band solve
-    each) cost no more flops than one band LU, capped at ``MAX_SWEEPS``.  It
-    is counted from the sizes, not timed, so reruns repeat bit for bit.  It is
-    0 in 1D, where every solve factors its own matrix.
     """
 
     MAX_SWEEPS = 8
@@ -188,24 +185,29 @@ class LinearSolver:
 
     def _refine(self, c, rhs, U, V, fresh: bool) -> np.ndarray | None:
         lu, piv = self._lu
-        bw = self.ops.bandwidth
+        bw, r = self.ops.bandwidth, U.shape[1]
 
         def lu_solve(b):
-            return dgbtrs(lu, bw, bw, b, piv)[0]
+            return dgbtrs(lu, bw, bw, b, piv, overwrite_b=1)[0]
 
-        Y = lu_solve(np.column_stack([rhs, U]))
+        Y = np.empty((rhs.size, r + 1), order="F")  # [rhs, U], in LAPACK's layout
+        Y[:, 0], Y[:, 1:] = rhs, U
+        Y = lu_solve(Y)
         Z = Y[:, 1:]
-        try:
-            W = np.linalg.solve(np.eye(U.shape[1]) + V.T @ Z, V.T)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(f"singular Woodbury capacitance: {exc}") from exc
+        W = V.T  # r = 0 leaves no capacitance (and dgesv rejects a 0 x 0 matrix)
+        if r:
+            *_, W, info = dgesv(np.eye(r) + V.T @ Z, V.T)
+            if info > 0:
+                raise SingularJacobian(f"singular Woodbury capacitance: zero pivot {info}")
 
         def woodbury(y):  # S^-1 b -> (S + U V^T)^-1 b
             return y - Z @ (W @ y)
 
         x = woodbury(Y[:, 0])
+        if not self.sweeps:  # the factors are never kept, so no target is needed
+            return x
         last = math.inf
-        for sweep in range(1, max(self.sweeps, 1) + 1):  # a fresh LU always sweeps once
+        for sweep in range(1, self.sweeps + 1):
             dx = woodbury(lu_solve(rhs - c @ self.ops.products(x) - U @ (V.T @ x)))
             x = x + dx
             size = float(np.max(np.abs(dx))) / (float(np.max(np.abs(x))) or 1.0)
@@ -358,8 +360,9 @@ class StepProblem:
         pair theta dt^2 K1 z_j, 2 b_j K1 z_j, for z_j = X - s_j."""
         terms = list(self._kirchhoff(X, K1X))
         c = self.c_lin + self.th_dt2 * sum(g for _, g, _ in terms) * _K1
-        U = np.column_stack([self.th_dt2 * K1z for _, _, K1z in terms])
-        V = np.column_stack([2.0 * b * K1z for b, _, K1z in terms])
+        U, V = np.empty((2, X.size, len(terms)))
+        for j, (b, _, K1z) in enumerate(terms):
+            U[:, j], V[:, j] = self.th_dt2 * K1z, 2.0 * b * K1z
         return c, U, V
 
 
@@ -372,9 +375,9 @@ def newton_solve(problem: StepProblem, start: tuple[np.ndarray, np.ndarray],
     X, OX = start[0].copy(), start[1]
     for it in range(1, NEWTON_MAX_ITER + 1):
         r = problem.residual(X, OX)
-        if not np.all(np.isfinite(r)):
+        rn = float(np.max(np.abs(r)))  # NaN and inf carry through the max
+        if not math.isfinite(rn):
             raise NewtonNoConvergence("non-finite residual")
-        rn = float(np.max(np.abs(r)))
         if rn < NEWTON_TOL_RESID:
             return X, OX, it - 1, rn
         c, U, V = problem.jacobian_parts(X, OX[1])

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from movingbeam import (
     BeamParameters,
@@ -12,9 +13,12 @@ from movingbeam import (
     ManufacturedCase,
     Mesh,
     MovingBoundary,
+    SingularMappingError,
     assemble_constant,
+    assemble_load,
+    eval_boundary,
 )
-from movingbeam.fem import DEFAULT_OPERATOR_QUAD, _elem_integrals
+from movingbeam.fem import DEFAULT_LOAD_QUAD, DEFAULT_OPERATOR_QUAD, _elem_integrals
 from movingbeam.geometry import time_factors
 from movingbeam.newmark import StepProblem, build_step_operators
 
@@ -50,6 +54,33 @@ def assemble_time_dependent(space, boundary, params, t, nq=DEFAULT_OPERATOR_QUAD
         sum(integrate(a5[..., i], gi, tab["N"]) for i, gi in enumerate(g)),
     )
     return TimeDependentOperators(*(space.scatter(e) for e in elems), t=t)
+
+
+def kirchhoff_scalar(b1_t, d, K1):
+    """G(t, d) = b1(t) * d^T K1 d."""
+    return float(b1_t * (d @ (K1 @ d)))
+
+
+def project_initial(space, ops, value, t=0.0, nq=DEFAULT_LOAD_QUAD):
+    """L2 projection alternative to nodal interpolation: solve A d = (v, phi)."""
+    return spsolve(ops.A.tocsc(), assemble_load(space, value, t, nq=nq))
+
+
+def _scale(b, t):
+    k, _, _ = eval_boundary(b, t)
+    if k <= 0.0:
+        raise SingularMappingError(f"K(t) must be positive, got K({t}) = {k}")
+    return k
+
+
+def map_point(b, t, y):
+    """Reference -> physical: x = K(t) y (componentwise)."""
+    return _scale(b, t) * np.asarray(y, dtype=float)
+
+
+def map_back(b, t, x):
+    """Physical -> reference: y = x / K(t)."""
+    return np.asarray(x, dtype=float) / _scale(b, t)
 
 
 def jacobian_dense(problem, X):

@@ -17,7 +17,7 @@ from movingbeam import (
 from movingbeam.fem import _BLOCK_VALUES, _elem_integrals
 from movingbeam.geometry import time_factors
 
-from conftest import assemble_time_dependent, step_problem
+from conftest import assemble_time_dependent, kirchhoff_scalar, project_initial, step_problem
 
 
 class TestQuadrature:
@@ -165,8 +165,6 @@ class TestTimeDependentAssembly:
     def test_quadratic_form_positivity(self, params, rng):
         # discrete coercivity surrogate: w^T (B1 + G K1 + b2 K2) w > 0 for
         # admissible boundaries, sampled times and random states
-        from movingbeam import kirchhoff_scalar
-
         for b in (MovingBoundary.b1(1), MovingBoundary.b2(1)):
             space = HermiteSpace(Mesh.uniform(1, 8))
             ops = assemble_constant(space)
@@ -392,8 +390,6 @@ class TestInterpolation:
         # projection solves A d = (v, phi); for the quartic datum it agrees
         # with nodal interpolation to interpolation-error accuracy and its
         # own L2 error is no larger
-        from movingbeam import project_initial
-
         space = HermiteSpace(Mesh.uniform(1, 16))
         ops = assemble_constant(space)
         d_i = interpolate_initial(space, s1_1d.initial_displacement())

@@ -14,11 +14,11 @@ from movingbeam import (
     MovingBoundary,
     SingularMappingError,
     eval_boundary,
-    map_back,
-    map_point,
     validate_hypotheses,
 )
 from movingbeam.geometry import time_factors
+
+from conftest import map_back, map_point
 
 
 class TestEvalBoundary:

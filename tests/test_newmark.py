@@ -24,7 +24,6 @@ from movingbeam import (
     assemble_load,
     build_step_operators,
     interpolate_initial,
-    kirchhoff_scalar,
     make_source,
 )
 from movingbeam import newmark
@@ -38,7 +37,8 @@ from movingbeam.newmark import (
     newton_solve,
 )
 
-from conftest import jacobian_dense, residual_at, start_at, step_levels, step_problem
+from conftest import (jacobian_dense, kirchhoff_scalar, residual_at, start_at, step_levels,
+                      step_problem)
 
 # K = 1 + t/2: K^-4, and with it the Newton matrix, drifts by about 3% per step at dt = 2^-6
 FAST = MovingBoundary(BoundaryKind.LINEAR_DRIFT, base=1.0, slope=0.5,
@@ -261,6 +261,16 @@ class TestNewton:
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(residual_at(prob, X) - ref)) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("load", [np.nan, np.inf, -np.inf])
+    def test_non_finite_residual_is_no_convergence(self, load):
+        system = _ScalarSystem()
+        cfg = NewmarkConfig(theta=0.25, dt=0.1, n_steps=2)
+        so = build_step_operators(cfg, step_levels(system, cfg, 1))
+        so.F_avg[:] = load
+        prob = _scalar_problem(system, cfg, 1, so)
+        with pytest.raises(newmark.NewtonNoConvergence, match="non-finite residual"):
+            newton_solve(prob, start_at(prob, np.zeros(1)))
+
     def test_newton_iteration_counts_small(self):
         case, system, d0, d1 = _mms_system()
         cfg = NewmarkConfig(theta=0.25, dt=2.0**-5, n_steps=16)
@@ -330,19 +340,18 @@ class TestAdvance:
     def test_each_level_and_product_formed_once(self, boundary, amplitude, monkeypatch):
         # a homogeneous 1D run evaluates the time factors once per level, and
         # makes one five-operator product per residual but each step's first,
-        # whose O d^eta comes from the window, and per refinement sweep (one
-        # sweep per linear solve in 1D), plus O d0 and O d1 at startup
+        # whose O d^eta comes from the window, plus O d0 and O d1 at startup;
+        # a 1D linear solve makes none, as it runs no refinement sweep
         factors = _count_calls(monkeypatch, newmark, "time_factors")
         products = _count_calls(monkeypatch, AssembledOperators, "products")
         residuals = _count_calls(monkeypatch, StepProblem, "residual")
-        solves = _count_calls(monkeypatch, LinearSolver, "solve")
         _, forced, d0, d1 = _mms_system(cells=16, boundary=boundary, amplitude=amplitude)
         system = BeamSystem(forced.space, forced.ops, forced.boundary, forced.params)
         cfg = NewmarkConfig(theta=0.25, dt=2.0**-6, n_steps=16)
         traj = advance(system, cfg, d0, d1)
         assert traj.completed
         assert len(factors) == cfg.n_steps + 1
-        assert len(products) == len(residuals) - cfg.n_steps + len(solves) + 2
+        assert len(products) == len(residuals) - cfg.n_steps + 2
 
 
 def _woodbury_reference(S, rhs, U, V):
@@ -399,6 +408,29 @@ class TestLinearSolver:
         assert solver.factorizations == 1
         ref = _woodbury_reference(system.ops.combine(c), rhs, U, V)
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_1d_solve_is_one_lu_and_one_triangular_solve(self, r, rng, monkeypatch):
+        # each 1D solve factors its own matrix and answers from one dgbtrs with
+        # r + 1 right-hand sides: no refinement sweep, so no operator product
+        _, system, _, _ = _mms_system(cells=64)
+        cfg = NewmarkConfig(theta=0.25, dt=2.0**-7, n_steps=128)
+        n = system.space.ndof
+        U = 0.1 * rng.standard_normal((n, r))
+        V = 2.0 * U
+        solver = LinearSolver(system.ops)
+        products = _count_calls(monkeypatch, AssembledOperators, "products")
+        triangular = _count_calls(monkeypatch, newmark, "dgbtrs")
+        results = []
+        for eta in (1, 64, 128):
+            c = build_step_operators(cfg, step_levels(system, cfg, eta)).c1
+            rhs = rng.standard_normal(n)
+            results.append((c, rhs, solver.solve(c, rhs, U, V)))
+        assert solver.factorizations == len(results) == len(triangular)
+        assert products == []
+        for c, rhs, x in results:
+            ref = _woodbury_reference(system.ops.combine(c), rhs, U, V)
+            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_sweep_budget_follows_the_band(self):
         # sweeps whose flops fit in one band LU: none in 1D, the cap in 2D
@@ -485,6 +517,12 @@ class TestLinearSolver:
             with pytest.raises(SingularJacobian, match="zero pivot"):
                 LinearSolver(ops).solve(np.zeros(5), np.ones(n), np.zeros((n, 0)),
                                         np.zeros((n, 0)))
+
+    def test_singular_woodbury_capacitance(self):
+        # S = K1 = [[1]] is regular, but U V^T = -1 makes I + V^T S^-1 U exactly 0
+        solver = LinearSolver(_ScalarSystem().ops)
+        with pytest.raises(SingularJacobian, match="capacitance"):
+            solver.solve(np.eye(5)[1], np.ones(1), np.ones((1, 1)), -np.ones((1, 1)))
 
     def test_reruns_are_byte_identical(self):
         for dim, cells in ((1, 32), (2, 8)):

@@ -29,11 +29,9 @@ from .newmark import (
     NewmarkConfig,
     NewtonNoConvergence,
     SingularJacobian,
-    StepOperators,
     StepProblem,
     Trajectory,
     advance,
-    build_step_operators,
     newton_solve,
 )
 from .manufactured import CASE_IDS, ManufacturedCase, make_source

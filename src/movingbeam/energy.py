@@ -54,7 +54,10 @@ def energy_from_state(
     t: float,
     nq: int = 8,
 ) -> float:
-    """E(t) = 1/2 int |u'|^2 + |lap_x u|^2 + zeta0 |grad_x u|^2 + zeta1/2 |grad_x u|^4 dx."""
+    """E(t) = 1/2 int |u'|^2 + |lap_x u|^2 + zeta0 |grad_x u|^2 dx + (zeta1/4) int |grad_x u|^4 dx.
+
+    The quartic term is pointwise; it is not the nonlocal Kirchhoff energy
+    (zeta1/4) (int |grad_x u|^2 dx)^2 of the equation the scheme solves."""
     return float(_energies(space, boundary, params, d[None], d_dot[None], [t], nq)[0])
 
 

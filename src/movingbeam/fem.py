@@ -229,10 +229,6 @@ class HermiteSpace:
         keep = fr >= 0
         return np.bincount(fr[keep], weights=elem_vecs.ravel()[keep], minlength=self.ndof)
 
-    def bandwidth(self, full_space: bool = False) -> int:
-        pattern = self._pattern(full_space)[2].tocoo()
-        return int(np.max(np.abs(pattern.row - pattern.col), initial=0))
-
     # -- evaluation of discrete functions ------------------------------------
 
     def expand(self, d_free: np.ndarray) -> np.ndarray:
@@ -248,16 +244,10 @@ class HermiteSpace:
 
         ``deriv``: "N", "lap" or "grad<i>" for axis i.
         """
-        tab = self.basis_tables(nq)
+        kind, axis = _selector(self.mesh.dim, deriv)
+        basis = self.basis_tables(nq)[kind]
+        basis = basis if axis is None else basis[:, :, axis]
         de = self.expand(d_free)[..., self.element_dofs]
-        if deriv == "N":
-            basis = tab["N"]
-        elif deriv == "lap":
-            basis = tab["lap"]
-        elif deriv.startswith("grad"):
-            basis = tab["grad"][:, :, int(deriv[4:])]
-        else:
-            raise ValueError(f"unknown derivative selector {deriv!r}")
         return (de.reshape(-1, de.shape[-1]) @ basis.T).reshape(de.shape[:-1] + (-1,))
 
     def state_blocks(self, count: int, nq: int) -> list[tuple[int, int]]:
@@ -278,17 +268,22 @@ class HermiteSpace:
         return np.einsum("pa,pa->p", de, table)
 
 
-def _derivative(table: Callable, dim: int, deriv: str) -> np.ndarray:
-    """Shape table of the selector ``deriv`` ("N", "lap", "grad<i>") from
-    ``hermite.shape_eval``'s ``table``."""
-    eye = np.eye(dim, dtype=int)
-    if deriv == "N":
-        return table(0 * eye[0])
-    if deriv == "lap":
-        return functools.reduce(np.add, (table(2 * e) for e in eye))
+def _selector(dim: int, deriv: str) -> tuple[str, int | None]:
+    """(kind, axis) of the selector "N", "lap" or "grad<i>" (axis i < dim); no other."""
+    if deriv in ("N", "lap"):
+        return deriv, None
     if deriv.startswith("grad") and deriv[4:] in [str(i) for i in range(dim)]:
-        return table(eye[int(deriv[4:])])
+        return "grad", int(deriv[4:])
     raise ValueError(f"unknown derivative selector {deriv!r}")
+
+
+def _derivative(table: Callable, dim: int, deriv: str) -> np.ndarray:
+    """Shape table of the selector ``deriv`` from ``hermite.shape_eval``'s ``table``."""
+    kind, axis = _selector(dim, deriv)
+    eye = np.eye(dim, dtype=int)
+    if kind == "lap":
+        return functools.reduce(np.add, (table(2 * e) for e in eye))
+    return table(0 * eye[0] if axis is None else eye[axis])
 
 
 @dataclass
@@ -303,8 +298,9 @@ class AssembledOperators:
     a view of its row), so :meth:`combine` forms any linear combination as
     one coefficient-vector product, and :meth:`products` applies all five
     with one sparse product, so that S x = c @ products(x) needs no matrix
-    of S; :meth:`band` writes S straight into the band array LAPACK factors.
-    The step loop relies on slots 0 and 1 being A and K1.
+    of S; :meth:`band` writes S straight into the band array LAPACK factors,
+    whose ``bandwidth``, max |i - j| over the pattern, is read from the pattern
+    at construction.  The step loop relies on slots 0 and 1 being A and K1.
     """
 
     BASIS: ClassVar[tuple[str, ...]] = ("A", "K1", "K2", "Q", "P")
@@ -314,7 +310,7 @@ class AssembledOperators:
     K2: sp.csr_matrix
     Q: sp.csr_matrix
     P: sp.csr_matrix
-    bandwidth: int
+    bandwidth: int = field(init=False)
     stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -322,6 +318,8 @@ class AssembledOperators:
         if not all(np.array_equal(m.indptr, self.A.indptr)
                    and np.array_equal(m.indices, self.A.indices) for m in mats):
             raise ValueError("constant operators must share one CSR pattern")
+        pattern = self.A.tocoo()
+        self.bandwidth = int(np.max(np.abs(pattern.row - pattern.col), initial=0))
         self.stack = np.stack([m.data for m in mats])
         for m, row in zip(mats, self.stack):
             m.data = row
@@ -351,9 +349,9 @@ class AssembledOperators:
     def band_index(self) -> np.ndarray:
         """Flat position in :meth:`band` of each pattern entry; built at the
         first factorization."""
-        bw, cols = self.bandwidth, self.A.indices
-        rows = np.repeat(np.arange(self.A.shape[0]), np.diff(self.A.indptr))
-        return (3 * bw + 1) * cols + 2 * bw + rows - cols
+        bw, pattern = self.bandwidth, self.A.tocoo()
+        cols = pattern.col.astype(np.int64)  # the band has n (3 bw + 1) entries
+        return (3 * bw + 1) * cols + 2 * bw + pattern.row - cols
 
     def band(self, coefs: np.ndarray) -> np.ndarray:
         """sum_k coefs[k] * (A, K1, K2, Q, P)[k] in LAPACK general-band storage
@@ -398,7 +396,7 @@ def assemble_constant(
                          for i, j in pairs)),
         "P": scatter(sum(integrate(y[..., i], gi, tab["N"]) for i, gi in enumerate(g))),
     }
-    return AssembledOperators(**mats, bandwidth=space.bandwidth(full_space))
+    return AssembledOperators(**mats)
 
 
 def l_coefficients(f: TimeFactors, nu: float) -> tuple[np.ndarray, np.ndarray]:

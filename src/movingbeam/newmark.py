@@ -15,15 +15,13 @@ written, straight into LAPACK band storage, only when the solver factors
 it (``AssembledOperators.band``).  The load F(t) follows the same rule over
 the source's five spatial terms, integrated once per run.  ``advance`` forms
 each time level's data (``BeamSystem.level``) and each state's products once.
-Each implicit step, the startup step with its ghost level included, solves
-one form of nonlinear system (``StepProblem``) whose Jacobian is a step
-matrix plus a low-rank correction coming from the differential of G.  Its one
-factorization is LAPACK's general-band LU, applied with the Woodbury identity
-(``LinearSolver``): in 1D each linear solve is one band LU of its own matrix
-and one ``dgbtrs`` with r + 1 right-hand sides, and no refinement sweep, since
-an LU costs less than a sweep; in 2D a run keeps one band LU across Newton
-iterations and steps, refines each solve with it, and refactors when
-refinement stalls.  Results are deterministic for a fixed configuration.
+Each implicit step is one ``StepProblem``: it forms the step's matrices and
+averaged load from three time levels and poses one nonlinear system, the
+startup step with its ghost level included.  Its Jacobian is a step matrix
+plus a low-rank correction from the differential of G, solved with one band
+LU and the Woodbury identity (``LinearSolver``): a fresh LU per solve in 1D,
+one LU kept across iterations and steps, with refinement, in 2D.  Results are
+deterministic for a fixed configuration.
 
 theta in ]1/4, 1] gives the unconditionally convergent family; theta < 1/4 is
 conditionally stable and may legitimately diverge on fine meshes, which is
@@ -33,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgesv
@@ -44,13 +42,12 @@ from .geometry import BeamParameters, MovingBoundary, time_factors
 __all__ = [
     "NewmarkConfig",
     "TimeLevel",
-    "StepOperators",
+    "Source",
     "StepProblem",
     "Trajectory",
     "NewtonNoConvergence",
     "SingularJacobian",
     "LinearSolver",
-    "build_step_operators",
     "newton_solve",
     "advance",
     "BeamSystem",
@@ -99,19 +96,8 @@ class NewmarkConfig:
 
 
 # one time level: b1, the coefficient vectors of L1 and L2 over AssembledOperators.BASIS, F
-TimeLevel = NamedTuple("TimeLevel", [("t", float), ("b1", float), ("L1", np.ndarray),
+TimeLevel = NamedTuple("TimeLevel", [("b1", float), ("L1", np.ndarray),
                                      ("L2", np.ndarray), ("F", np.ndarray)])
-
-
-@dataclass
-class StepOperators:
-    """The three matrices M1, M2, M3 of one step of the scheme, as coefficient
-    vectors over ``AssembledOperators.BASIS``, and the averaged load."""
-
-    c1: np.ndarray
-    c2: np.ndarray
-    c3: np.ndarray
-    F_avg: np.ndarray
 
 
 @dataclass
@@ -223,35 +209,40 @@ class LinearSolver:
         return None
 
 
+@runtime_checkable
+class Source(Protocol):
+    """A load sum_k c_k(t) h_k(y) as ``make_source`` returns it."""
+
+    terms: Sequence[Callable[[np.ndarray], np.ndarray]]
+    coefficients: Callable[[float], np.ndarray]
+
+
+@dataclass(eq=False)
 class BeamSystem:
     """Assembled context for one run: constant operators, time factors, loads.
 
-    ``source`` is None (a homogeneous run, zero load) or a callable from
+    ``source`` is None (a homogeneous run, zero load) or a ``Source`` from
     ``make_source``, whose data attributes ``terms`` and ``coefficients`` give
-    it as sum_k c_k(t) h_k(y).  At the first load each h_k is integrated
-    against the basis into row k of Phi; every load is then c(t) @ Phi, with
-    no quadrature per step.
+    it as sum_k c_k(t) h_k(y); a plain f(y, t) is refused here.  At the first
+    load each h_k is integrated against the basis into row k of Phi; every
+    load is then c(t) @ Phi, with no quadrature per step.
     """
 
-    def __init__(
-        self,
-        space: HermiteSpace,
-        ops: AssembledOperators,
-        boundary: MovingBoundary,
-        params: BeamParameters,
-        source: Callable[[np.ndarray, float], np.ndarray] | None = None,
-    ):
-        self.space = space
-        self.ops = ops
-        self.boundary = boundary
-        self.params = params
-        self.source = source
-        self._phi: np.ndarray | None = None
+    space: HermiteSpace
+    ops: AssembledOperators
+    boundary: MovingBoundary
+    params: BeamParameters
+    source: Source | None = None
+    _phi: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.source is not None and not isinstance(self.source, Source):
+            raise TypeError("source must come from make_source, with `terms` and `coefficients`")
 
     def level(self, t: float) -> TimeLevel:
         """b1, L1, L2 and F at time t, from one evaluation of the time factors."""
         f = time_factors(self.boundary, self.params, t)
-        return TimeLevel(t, f.b1, *l_coefficients(f, self.params.nu), self.load(t))
+        return TimeLevel(f.b1, *l_coefficients(f, self.params.nu), self.load(t))
 
     def load(self, t: float) -> np.ndarray:
         """F(t) = c(t) @ Phi; Phi is built here, in the march, at the first call."""
@@ -267,79 +258,66 @@ class BeamSystem:
         return F
 
 
-def build_step_operators(cfg: NewmarkConfig, levels: tuple[TimeLevel, ...]) -> StepOperators:
-    """M1, M2, M3 and the theta-averaged load for step eta -> eta+1 from levels eta-1..eta+1.
+class StepProblem:
+    """One implicit step eta -> eta+1, formed from the levels eta-1, eta, eta+1,
+    with its residual and Jacobian in Woodbury-friendly form.
 
-    M1  = A + (dt/2) L1^eta + theta dt^2 L2^{eta+1}
-    M2  = dt^2 (1-2 theta)(G^eta K1 + L2^eta) - 2A        (G supplied later)
-    M3  = A - (dt/2) L1^eta + theta dt^2 L2^{eta-1}
-    F   = theta F^{eta-1} + (1-2 theta) F^eta + theta F^{eta+1}   (eta >= 1)
-    F   = theta F^1 + (1-theta) F^0                               (eta = 0)
+    ``c1``, ``c2``, ``c3`` hold the step's matrices as coefficient vectors over
+    ``AssembledOperators.BASIS``, and ``F_avg`` its averaged load:
+
+      M1 = A + (dt/2) L1^eta + theta dt^2 L2^{eta+1}
+      M2 = dt^2 (1-2 theta) L2^eta - 2A
+      M3 = A - (dt/2) L1^eta + theta dt^2 L2^{eta-1}
+      F  = theta F^{eta-1} + (1-2 theta) F^eta + theta F^{eta+1}   (eta >= 1)
+      F  = theta F^1 + (1-theta) F^0                               (eta = 0)
 
     L1 is taken at t_eta, where (d^{eta+1} - d^{eta-1}) / (2 dt) approximates
-    d'; at t_{eta+1} and t_{eta-1} it would approximate (L1 d)' instead.  For
-    eta = 0 the level "eta-1" is level 0 itself (ghost level), which is how
-    the startup step is told apart.  Each matrix is kept as its coefficient
-    vector over the constant operators, formed from those of L1 and L2; no
-    matrix is formed here.
-    """
-    dt, th = cfg.dt, cfg.theta
-    lm, ln, lp = levels
-    c1 = _A + 0.5 * dt * ln.L1 + th * dt * dt * lp.L2
-    c2 = dt * dt * (1.0 - 2.0 * th) * ln.L2 - 2.0 * _A
-    c3 = _A - 0.5 * dt * ln.L1 + th * dt * dt * lm.L2
-    if lm.t == ln.t:
-        F_avg = th * lp.F + (1.0 - th) * ln.F
-    else:
-        F_avg = th * lm.F + (1.0 - 2.0 * th) * ln.F + th * lp.F
-    return StepOperators(c1, c2, c3, F_avg)
+    d'; at t_{eta+1} or t_{eta-1} it would approximate (L1 d)'.  A generic step
+    finds X = d^{eta+1} with
 
+      R(X) = (M1 + theta dt^2 G^{eta+1}(X) K1) X + (M2 + dt^2 (1-2 theta) G^eta K1) d^eta
+             + (M3 + theta dt^2 G^{eta-1} K1) d^{eta-1} - dt^2 F.
 
-class StepProblem:
-    """Residual/Jacobian of one implicit step, in Woodbury-friendly form.
-
-    Generic step (eta >= 1): find X = d^{eta+1} with
-
-      R(X) = (M1 + theta dt^2 G^{eta+1}(X) K1) X + M2 d^eta
-             + (M3 + theta dt^2 G^{eta-1} K1) d^{eta-1} - dt^2 F_avg
-
-    where M2 carries its explicit part dt^2 (1-2 theta) G^eta K1.  Startup
-    step (eta = 0): X = d^1 in the same formula, with the ghost level
-    d^{-1} = X - 2 dt d1 and b1^{-1} taken as b1^0.  Both are one form,
+    The startup step, the one with no ``prev``, solves it for X = d^1 with the
+    ghost level d^{-1} = X - 2 dt d1 from the initial velocity ``d1``, level 0
+    standing in for level -1.  Both are one form,
 
       R(X) = S X + theta dt^2 sum_j G_j(X) K1 (X - s_j) + const,
       G_j(X) = b_j (X - s_j)^T K1 (X - s_j),
 
     with S = M1 and the one term (b1^{eta+1}, 0) on a generic step, and
     S = M1 + M3 and the terms (b1^1, 0), (b1^0, 2 dt d1) at startup.
-
-    ``curr`` and ``prev`` are d^eta and d^{eta-1} as pairs (d, ``ops.products(d)``);
-    the startup step has no ``prev`` and takes the initial velocity ``d1``.
+    ``curr`` and ``prev`` are d^eta and d^{eta-1} as pairs (d, ``ops.products(d)``).
     """
 
     def __init__(self, ops: AssembledOperators, cfg: NewmarkConfig, levels: tuple[TimeLevel, ...],
-                 step_ops: StepOperators, curr: tuple[np.ndarray, np.ndarray],
+                 curr: tuple[np.ndarray, np.ndarray],
                  prev: tuple[np.ndarray, np.ndarray] | None, d1: np.ndarray | None):
-        dt = cfg.dt
+        dt, th = cfg.dt, cfg.theta
         lm, ln, lp = levels
         self.ops = ops
-        self.th_dt2 = cfg.theta * dt * dt
+        self.th_dt2 = th * dt * dt
+        self.c1 = _A + 0.5 * dt * ln.L1 + self.th_dt2 * lp.L2
+        self.c2 = dt * dt * (1.0 - 2.0 * th) * ln.L2 - 2.0 * _A
+        self.c3 = _A - 0.5 * dt * ln.L1 + self.th_dt2 * lm.L2
         d, Od = curr  # Od rows: A d, K1 d, K2 d, Q d, P d
         g_curr = ln.b1 * float(d @ Od[1])
-        const = (step_ops.c2 @ Od + dt * dt * (1.0 - 2.0 * cfg.theta) * g_curr * Od[1]
-                 - dt * dt * step_ops.F_avg)
+        explicit = self.c2 @ Od + dt * dt * (1.0 - 2.0 * th) * g_curr * Od[1]
         # (b_j, s_j, K1 s_j) of each Kirchhoff term
         self.terms = [(lp.b1, 0.0, 0.0)]
         if prev is None:
+            self.F_avg = th * lp.F + (1.0 - th) * ln.F
             Od1 = ops.products(d1)
-            self.c_lin = step_ops.c1 + step_ops.c3
+            self.c_lin = self.c1 + self.c3
             self.terms.append((lm.b1, 2.0 * dt * d1, 2.0 * dt * Od1[1]))
-            self.const = const - 2.0 * dt * (step_ops.c3 @ Od1)
+            self.const = explicit - dt * dt * self.F_avg - 2.0 * dt * (self.c3 @ Od1)
         else:
+            self.F_avg = th * lm.F + (1.0 - 2.0 * th) * ln.F + th * lp.F
             dp, Odp = prev
             g_prev = lm.b1 * float(dp @ Odp[1])
-            self.c_lin = step_ops.c1
-            self.const = const + step_ops.c3 @ Odp + self.th_dt2 * g_prev * Odp[1]
+            self.c_lin = self.c1
+            self.const = (explicit - dt * dt * self.F_avg + self.c3 @ Odp
+                          + self.th_dt2 * g_prev * Odp[1])
 
     def _kirchhoff(self, X: np.ndarray, K1X: np.ndarray):
         """(b_j, G_j(X), K1 (X - s_j)) for each term."""
@@ -402,8 +380,7 @@ def advance(system: BeamSystem, cfg: NewmarkConfig, d0: np.ndarray,
     """
     times = cfg.dt * np.arange(cfg.n_steps + 1)
     ds = [np.asarray(d0, dtype=float)]
-    iters: list[int] = []
-    residuals: list[float] = []
+    iters, residuals = [], []  # Newton's iterations and final max |R| per step
 
     solver = LinearSolver(system.ops)  # local to the run, so no factor outlives it
     lm = ln = system.level(0.0)  # the startup's ghost level is level 0 itself
@@ -412,8 +389,7 @@ def advance(system: BeamSystem, cfg: NewmarkConfig, d0: np.ndarray,
         if eta == 1:  # the startup matrix M1 + M3 is about 2 M1: too far to refine from
             solver.reset()
         levels = lm, ln, system.level((eta + 1) * cfg.dt)
-        prob = StepProblem(system.ops, cfg, levels, build_step_operators(cfg, levels),
-                           curr, prev, d1)
+        prob = StepProblem(system.ops, cfg, levels, curr, prev, d1)
         try:
             d_next, Od_next, nit, resid = newton_solve(prob, curr, solver)
         except (NewtonNoConvergence, SingularJacobian):

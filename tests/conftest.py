@@ -20,7 +20,7 @@ from movingbeam import (
 )
 from movingbeam.fem import DEFAULT_LOAD_QUAD, DEFAULT_OPERATOR_QUAD, _elem_integrals
 from movingbeam.geometry import time_factors
-from movingbeam.newmark import StepProblem, build_step_operators
+from movingbeam.newmark import StepProblem
 
 
 @dataclass
@@ -134,14 +134,11 @@ def step_levels(system, cfg, eta):
 
 
 def step_problem(system, cfg, eta, d_curr, d_prev, d1):
-    """(step operators, ``StepProblem``) of step eta from the states d^eta and
-    d^{eta-1}, or from d^0 and the velocity d1 at startup (eta = 0)."""
-    levels = step_levels(system, cfg, eta)
-    so = build_step_operators(cfg, levels)
+    """The ``StepProblem`` of step eta from the states d^eta and d^{eta-1}, or
+    from d^0 and the velocity d1 at startup (eta = 0)."""
     prev = None if eta == 0 else (d_prev, system.ops.products(d_prev))
-    prob = StepProblem(system.ops, cfg, levels, so, (d_curr, system.ops.products(d_curr)),
-                       prev, d1)
-    return so, prob
+    return StepProblem(system.ops, cfg, step_levels(system, cfg, eta),
+                       (d_curr, system.ops.products(d_curr)), prev, d1)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Configuration parsing, CLI commands, CSV outputs, exit codes."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from movingbeam.config import (
     apply_overrides,
     parse_config_file,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestConfig:
@@ -91,6 +94,10 @@ class TestCommands:
         assert main(["validate"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "pass" in out
+
+    @pytest.mark.parametrize("manifest", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+    def test_shipped_manifests_validate(self, manifest, capsys):
+        assert main(["validate", "--config", str(manifest)]) == EXIT_OK
 
     def test_validate_hypothesis_failure_exit_code(self, capsys):
         rc = main([

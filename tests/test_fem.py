@@ -1,9 +1,11 @@
 """Mesh, quadrature, assembly and interpolation, checked against independent oracles."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from movingbeam import (
+    AssembledOperators,
     BeamParameters,
     HermiteSpace,
     ManufacturedCase,
@@ -16,6 +18,7 @@ from movingbeam import (
 )
 from movingbeam.fem import _BLOCK_VALUES, _elem_integrals
 from movingbeam.geometry import time_factors
+from movingbeam.newmark import LinearSolver
 
 from conftest import assemble_time_dependent, kirchhoff_scalar, project_initial, step_problem
 
@@ -116,6 +119,35 @@ class TestConstantAssembly:
     def test_bandwidth_metadata(self, space_1d_coarse):
         ops = assemble_constant(space_1d_coarse)
         assert ops.bandwidth == 3  # 1D Hermite couples 4 consecutive free DOFs
+
+    def test_bandwidth_is_read_from_the_pattern(self, rng):
+        # hand-made operators on one pattern, tridiagonal plus an entry at (0, 4):
+        # a band of width 3 or less would drop that entry from the LU
+        n = 16
+        pattern = sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(n, n), format="lil")
+        pattern[0, 4] = 1.0
+        pattern = pattern.tocsr()
+        mats = {}
+        for name in AssembledOperators.BASIS:  # diagonally dominant, so regular
+            mats[name] = pattern.copy()
+            mats[name].data *= rng.uniform(0.9, 1.1, pattern.nnz)
+        ops = AssembledOperators(**mats)
+        assert ops.bandwidth == 4
+        c, rhs, none = rng.uniform(0.5, 1.5, 5), rng.standard_normal(n), np.zeros((n, 0))
+        x = LinearSolver(ops).solve(c, rhs, none, none)
+        ref = spla.spsolve(ops.combine(c).tocsc(), rhs)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("cells", [2, 3, 4])
+    @pytest.mark.parametrize("full_space", [False, True])
+    def test_2d_bandwidth_spans_the_pattern(self, cells, full_space):
+        space = HermiteSpace(Mesh.uniform(2, cells))
+        ops = assemble_constant(space, full_space=full_space)
+        A = ops.A.tocoo()
+        assert ops.bandwidth == np.max(np.abs(A.row - A.col))
+        # the DOFs of one cell are all coupled: the widest cell sets the width
+        dofs = space.element_dofs if full_space else space.full_to_free[space.element_dofs]
+        assert ops.bandwidth == max(np.ptp(row[row >= 0]) for row in dofs if np.any(row >= 0))
 
 
 class TestTimeDependentAssembly:
@@ -261,8 +293,8 @@ class TestAffineOperators:
         level = system.level(0.1)
         coefs = [level.L1, level.L2]
         for eta in (0, 2):
-            so, prob = step_problem(system, cfg, eta, d, d, d)
-            coefs += [so.c1, so.c2, so.c3, prob.jacobian_parts(d, ops.K1 @ d)[0]]
+            prob = step_problem(system, cfg, eta, d, d, d)
+            coefs += [prob.c1, prob.c2, prob.c3, prob.jacobian_parts(d, ops.K1 @ d)[0]]
         for M in [ops.K1, ops.K2, ops.Q, ops.P, *map(ops.combine, coefs)]:
             assert np.array_equal(M.indptr, ops.A.indptr)
             assert np.array_equal(M.indices, ops.A.indices)
@@ -444,6 +476,19 @@ class TestBlockEvaluation:
             assert all(hi > lo and (hi - lo == 1 or (hi - lo) * per_state <= _BLOCK_VALUES)
                        for lo, hi in blocks)
             assert all((hi - lo + 1) * per_state > _BLOCK_VALUES for lo, hi in blocks[:-1])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("method", ["eval_at_quad", "eval_points"])
+@pytest.mark.parametrize("deriv", ["grad", "gradx", "grad{dim}", "grad-0", "lapl", "n", ""])
+def test_unknown_selector_is_refused(dim, method, deriv):
+    # both evaluators parse "N", "lap" and "grad<i>" (i < dim) alike
+    space = HermiteSpace(Mesh.uniform(dim, 2))
+    evaluate = {"eval_at_quad": lambda sel: space.eval_at_quad(np.zeros(space.ndof), 3, sel),
+                "eval_points": lambda sel: space.eval_points(np.zeros(space.ndof),
+                                                             np.zeros((1, dim)), sel)}[method]
+    with pytest.raises(ValueError, match="unknown derivative selector"):
+        evaluate(deriv.format(dim=dim))
 
 
 class TestConformity:

@@ -22,7 +22,6 @@ from movingbeam import (
     advance,
     assemble_constant,
     assemble_load,
-    build_step_operators,
     interpolate_initial,
     make_source,
 )
@@ -111,13 +110,15 @@ class _ScalarSystem:
         self._F = F
 
     def level(self, t):
-        return TimeLevel(t, self._b1, np.eye(5)[2], np.eye(5)[3], np.array([self._F]))
+        return TimeLevel(self._b1, np.eye(5)[2], np.eye(5)[3], np.array([self._F]))
 
 
-def _scalar_problem(system, cfg, eta, so):
-    """The ``StepProblem`` of a generic step of ``_ScalarSystem`` from zero history."""
+def _scalar_problem(system, cfg, eta, levels=None):
+    """The ``StepProblem`` of step eta of ``_ScalarSystem`` from zero history,
+    and zero velocity at startup (eta = 0), on ``levels`` when given."""
     zero = (np.zeros(1), system.ops.products(np.zeros(1)))
-    return StepProblem(system.ops, cfg, step_levels(system, cfg, eta), so, zero, zero, None)
+    return StepProblem(system.ops, cfg, levels or step_levels(system, cfg, eta), zero,
+                       None if eta == 0 else zero, np.zeros(1))
 
 
 class TestStepOperators:
@@ -125,8 +126,8 @@ class TestStepOperators:
         # M1 = A + (dt/2) L1 + theta dt^2 L2 = 1 + 0.1 + 0.25*0.01*3 = 1.1075
         system = _ScalarSystem(A=1.0, L1=2.0, L2=3.0)
         cfg = NewmarkConfig(theta=0.25, dt=0.1, n_steps=1)
-        so = build_step_operators(cfg, step_levels(system, cfg, 1))
-        M1, M3 = (system.ops.combine(c).toarray()[0, 0] for c in (so.c1, so.c3))
+        prob = _scalar_problem(system, cfg, 1)
+        M1, M3 = (system.ops.combine(c).toarray()[0, 0] for c in (prob.c1, prob.c3))
         assert M1 == pytest.approx(1.1075, abs=1e-15)
         assert M3 == pytest.approx(1.0 - 0.1 + 0.0075, abs=1e-15)
 
@@ -134,24 +135,28 @@ class TestStepOperators:
         # theta = 0 and L1 = L2 = 0 reduce to (A, -2A, A) with zero load
         system = _ScalarSystem(A=2.5, L1=0.0, L2=0.0)
         cfg = NewmarkConfig(theta=0.0, dt=0.1, n_steps=1)
-        so = build_step_operators(cfg, step_levels(system, cfg, 3))
-        M1, M2, M3 = (system.ops.combine(c).toarray()[0, 0] for c in (so.c1, so.c2, so.c3))
+        prob = _scalar_problem(system, cfg, 3)
+        M1, M2, M3 = (system.ops.combine(c).toarray()[0, 0] for c in (prob.c1, prob.c2, prob.c3))
         assert (M1, M2, M3) == (2.5, -5.0, 2.5)
-        assert np.all(so.F_avg == 0.0)
+        assert np.all(prob.F_avg == 0.0)
 
     def test_constant_load_average(self):
         # theta = 1/4 with equal loads at the three levels returns the load
         system = _ScalarSystem(F=3.25)
         cfg = NewmarkConfig(theta=0.25, dt=0.1, n_steps=1)
-        so = build_step_operators(cfg, step_levels(system, cfg, 2))
-        assert so.F_avg[0] == pytest.approx(3.25, rel=1e-15)
+        assert _scalar_problem(system, cfg, 2).F_avg[0] == pytest.approx(3.25, rel=1e-15)
 
     def test_startup_load_average(self):
-        # eta = 0 uses theta F^1 + (1-theta) F^0
+        # the step with no d^{eta-1} (prev=None) uses theta F^1 + (1-theta) F^0,
+        # with level 0 standing in for level -1; a generic step weighs all three
         system = _ScalarSystem(F=2.0)
         cfg = NewmarkConfig(theta=0.3, dt=0.1, n_steps=1)
-        so = build_step_operators(cfg, step_levels(system, cfg, 0))
-        assert so.F_avg[0] == pytest.approx(2.0, rel=1e-15)
+        assert _scalar_problem(system, cfg, 0).F_avg[0] == pytest.approx(2.0, rel=1e-15)
+        F0, F1, F2 = (system.level(0.0)._replace(F=np.array([f])) for f in (2.0, 5.0, 7.0))
+        startup = _scalar_problem(system, cfg, 0, (F0, F0, F1))
+        assert startup.F_avg[0] == pytest.approx(0.3 * 5.0 + 0.7 * 2.0, rel=1e-15)
+        generic = _scalar_problem(system, cfg, 1, (F0, F1, F2))
+        assert generic.F_avg[0] == pytest.approx(0.3 * (2.0 + 7.0) + 0.4 * 5.0, rel=1e-15)
 
     def test_sum_identity(self, b1_1d, params):
         # with L1 at t_eta, M1 + M2 + M3 (with the explicit Kirchhoff part
@@ -159,17 +164,16 @@ class TestStepOperators:
         # and M1 - M3 = dt L1^n + theta dt^2 (L2^{n+1} - L2^{n-1})
         case, system, d0, _ = _mms_system(cells=8)
         cfg = NewmarkConfig(theta=0.3, dt=2.0**-5, n_steps=4)
-        levels = step_levels(system, cfg, 2)
-        so = build_step_operators(cfg, levels)
-        lm, ln, lp = levels
+        prob = step_problem(system, cfg, 2, d0, d0, d0)
+        lm, ln, lp = step_levels(system, cfg, 2)
         g = kirchhoff_scalar(ln.b1, d0, system.ops.K1)
         dt, th = cfg.dt, cfg.theta
         ops = system.ops
         L2p, L2m, L1n, L2n = map(ops.combine, (lp.L2, lm.L2, ln.L1, ln.L2))
         for lhs, rhs in (
-            (ops.combine(so.c1 + so.c2 + so.c3) + dt * dt * (1 - 2 * th) * g * ops.K1,
+            (ops.combine(prob.c1 + prob.c2 + prob.c3) + dt * dt * (1 - 2 * th) * g * ops.K1,
              dt * dt * ((1 - 2 * th) * (g * system.ops.K1 + L2n) + th * (L2p + L2m))),
-            (ops.combine(so.c1 - so.c3), dt * L1n + th * dt * dt * (L2p - L2m)),
+            (ops.combine(prob.c1 - prob.c3), dt * L1n + th * dt * dt * (L2p - L2m)),
         ):
             lhs, rhs = lhs.toarray(), rhs.toarray()
             scale = np.max(np.abs(rhs)) + 1.0
@@ -189,12 +193,10 @@ class TestNewton:
         # residual (m + theta dt^2 b x^2) x + gamma = 0 with K1 = [[1]]
         m, bcoef, gamma = 2.0, 5.0, -1.3
         theta, dt = 0.25, 0.5
-        system = _ScalarSystem(A=m, L1=0.0, L2=0.0, b1=bcoef, K1=1.0)
-        cfg = NewmarkConfig(theta=theta, dt=dt, n_steps=1)
-        so = build_step_operators(cfg, step_levels(system, cfg, 1))
         # zero history, constant load producing the affine term gamma
-        so.F_avg[:] = -gamma / dt**2
-        prob = _scalar_problem(system, cfg, 1, so)
+        system = _ScalarSystem(A=m, L1=0.0, L2=0.0, b1=bcoef, K1=1.0, F=-gamma / dt**2)
+        cfg = NewmarkConfig(theta=theta, dt=dt, n_steps=1)
+        prob = _scalar_problem(system, cfg, 1)
 
         def f(x):
             return (m + theta * dt * dt * bcoef * x * x) * x + gamma
@@ -216,7 +218,7 @@ class TestNewton:
         case, system, d0, d1 = _mms_system(dim=dim, cells=cells)
         cfg = NewmarkConfig(theta=0.25, dt=2.0**-5, n_steps=4)
         for eta in (0, 2):
-            _, prob = step_problem(system, cfg, eta, d0, 0.5 * d0, d1)
+            prob = step_problem(system, cfg, eta, d0, 0.5 * d0, d1)
             X = d0 + 0.01 * rng.standard_normal(len(d0))
             J = jacobian_dense(prob, X)
             eps = 1e-6
@@ -242,8 +244,8 @@ class TestNewton:
         dt, th, ops = cfg.dt, cfg.theta, system.ops
         K1 = ops.K1.toarray()
         d_prev = 0.5 * d0 + 0.1
-        so, prob = step_problem(system, cfg, eta, d0, d_prev, d1)
-        M1, M2, M3 = (ops.combine(c).toarray() for c in (so.c1, so.c2, so.c3))
+        prob = step_problem(system, cfg, eta, d0, d_prev, d1)
+        M1, M2, M3 = (ops.combine(c).toarray() for c in (prob.c1, prob.c2, prob.c3))
         lm, ln, lp = step_levels(system, cfg, eta)
 
         def G(level, d):
@@ -256,18 +258,16 @@ class TestNewton:
                 (M1 + th * dt * dt * G(lp, X) * K1) @ X
                 + (M2 + dt * dt * (1 - 2 * th) * G(ln, d0) * K1) @ d0
                 + (M3 + th * dt * dt * G(lm, dm) * K1) @ dm
-                - dt * dt * so.F_avg
+                - dt * dt * prob.F_avg
             )
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(residual_at(prob, X) - ref)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("load", [np.nan, np.inf, -np.inf])
     def test_non_finite_residual_is_no_convergence(self, load):
-        system = _ScalarSystem()
+        system = _ScalarSystem(F=load)
         cfg = NewmarkConfig(theta=0.25, dt=0.1, n_steps=2)
-        so = build_step_operators(cfg, step_levels(system, cfg, 1))
-        so.F_avg[:] = load
-        prob = _scalar_problem(system, cfg, 1, so)
+        prob = _scalar_problem(system, cfg, 1)
         with pytest.raises(newmark.NewtonNoConvergence, match="non-finite residual"):
             newton_solve(prob, start_at(prob, np.zeros(1)))
 
@@ -376,6 +376,12 @@ class _PerIterationLU:
         return np.linalg.solve(self.ops.combine(c).toarray() + U @ V.T, rhs)
 
 
+def _step_matrix(system, cfg, eta):
+    """The coefficient vector of M1 of generic step eta; no state enters it."""
+    zero = np.zeros(system.space.ndof)
+    return step_problem(system, cfg, eta, zero, zero, zero).c1
+
+
 def _count_calls(monkeypatch, owner, name):
     """Calls of owner.name from here on, made through the owner."""
     calls, original = [], getattr(owner, name)
@@ -393,9 +399,8 @@ class TestLinearSolver:
         # the factors of the step-1 matrix refine the solve with the step-64 one
         _, system, _, _ = _mms_system(dim=2, cells=16)
         cfg = NewmarkConfig(theta=0.25, dt=2.0**-6, n_steps=64)
-        c0, c = (build_step_operators(cfg, step_levels(system, cfg, eta)).c1
-                 for eta in (1, 64))
         n = system.space.ndof
+        c0, c = (_step_matrix(system, cfg, eta) for eta in (1, 64))
         # columns in the Kirchhoff terms' form, V a positive multiple of U; in
         # 2D independent random U and V make S + U V^T near singular (cond ~1e13),
         # where neither solve is accurate to better than 1e-5
@@ -419,11 +424,11 @@ class TestLinearSolver:
         U = 0.1 * rng.standard_normal((n, r))
         V = 2.0 * U
         solver = LinearSolver(system.ops)
+        matrices = [_step_matrix(system, cfg, eta) for eta in (1, 64, 128)]
         products = _count_calls(monkeypatch, AssembledOperators, "products")
         triangular = _count_calls(monkeypatch, newmark, "dgbtrs")
         results = []
-        for eta in (1, 64, 128):
-            c = build_step_operators(cfg, step_levels(system, cfg, eta)).c1
+        for c in matrices:
             rhs = rng.standard_normal(n)
             results.append((c, rhs, solver.solve(c, rhs, U, V)))
         assert solver.factorizations == len(results) == len(triangular)
@@ -498,8 +503,7 @@ class TestLinearSolver:
         # A = L1 = L2 = 0 and b1 = 0 leave the zero Newton matrix
         system = _ScalarSystem(A=0.0, L1=0.0, L2=0.0, F=1.0)
         cfg = NewmarkConfig(theta=0.25, dt=0.1, n_steps=2)
-        so = build_step_operators(cfg, step_levels(system, cfg, 1))
-        prob = _scalar_problem(system, cfg, 1, so)
+        prob = _scalar_problem(system, cfg, 1)
         with pytest.raises(SingularJacobian):
             newton_solve(prob, start_at(prob, np.zeros(1)))
         # also when the kept factors belong to a regular matrix (K1 = [[1]], A = 0)
@@ -595,6 +599,18 @@ class TestLoadBasis:
         traj = advance(homogeneous, NewmarkConfig(dt=2.0**-6, n_steps=8), d0, d1)
         assert traj.completed and calls == []
         assert np.all(homogeneous.load(0.5) == 0.0)
+
+    def test_plain_source_is_refused_at_construction(self, b1_1d, params):
+        # a plain f(y, t) gives no terms to integrate once: refused before any level
+        space = HermiteSpace(Mesh.uniform(1, 8))
+        ops = assemble_constant(space)
+        source = make_source(ManufacturedCase.standard("S1", 1), b1_1d, params)
+        only_terms = functools.partial(source)  # an f(y, t) with `terms` but no `coefficients`
+        only_terms.terms = source.terms
+        for f in (lambda y, t: np.zeros(len(y)), only_terms):
+            with pytest.raises(TypeError, match="make_source"):
+                BeamSystem(space, ops, b1_1d, params, f)
+        assert BeamSystem(space, ops, b1_1d, params, source).source is source
 
     def test_non_finite_load_names_the_time(self, b1_1d, params):
         case = dataclasses.replace(ManufacturedCase.standard("S1", 1), amplitude=np.inf)

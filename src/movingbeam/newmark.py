@@ -13,15 +13,16 @@ coefficient vector c over them: S x is c contracted with the five products
 of one stacked sparse matrix (``AssembledOperators.products``), and S is
 written, straight into LAPACK band storage, only when the solver factors
 it (``AssembledOperators.band``).  The load F(t) follows the same rule over
-the source's five spatial terms, integrated once per run.  ``advance`` forms
-each time level's data (``BeamSystem.level``) and each state's products once.
-Each implicit step is one ``StepProblem``: it forms the step's matrices and
-averaged load from three time levels and poses one nonlinear system, the
-startup step with its ghost level included.  Its Jacobian is a step matrix
-plus a low-rank correction from the differential of G, solved with one band
-LU and the Woodbury identity (``LinearSolver``): a fresh LU per solve in 1D,
-one LU kept across iterations and steps, with refinement, in 2D.  Results are
-deterministic for a fixed configuration.
+the source's five spatial terms, integrated once per run; a homogeneous
+run's load is the scalar 0.0.  ``advance`` forms each time level's data
+(``BeamSystem.level``) and each state's products once.  Each implicit step is
+one ``StepProblem``: it forms the step's matrices and averaged load from three
+time levels and poses one nonlinear system, the startup step with its ghost
+level included.  Its Jacobian is a step matrix plus a low-rank correction
+from the differential of G, solved with one band LU and the Woodbury identity
+(``LinearSolver``): in 1D each solve is one band LU, one triangular solve and
+one r x r ``dgesv``; in 2D one LU is kept across iterations and steps, with
+refinement.  Results are deterministic for a fixed configuration.
 
 theta in ]1/4, 1] gives the unconditionally convergent family; theta < 1/4 is
 conditionally stable and may legitimately diverge on fine meshes, which is
@@ -53,8 +54,8 @@ __all__ = [
     "BeamSystem",
 ]
 
-# coefficient vectors of A and K1 over AssembledOperators.BASIS
-_A, _K1 = np.eye(len(AssembledOperators.BASIS))[:2]
+# coefficient vector of A over AssembledOperators.BASIS
+_A = np.eye(len(AssembledOperators.BASIS))[0]
 
 # Newton stops on a step or a residual below these absolute values
 NEWTON_TOL_STEP = 1e-14
@@ -95,9 +96,10 @@ class NewmarkConfig:
         return NewmarkConfig(dt=dt, n_steps=n, **kw)
 
 
-# one time level: b1, the coefficient vectors of L1 and L2 over AssembledOperators.BASIS, F
+# one time level: b1, the coefficient vectors of L1 and L2 over
+# AssembledOperators.BASIS, and F (the scalar 0.0 in a homogeneous run)
 TimeLevel = NamedTuple("TimeLevel", [("b1", float), ("L1", np.ndarray),
-                                     ("L2", np.ndarray), ("F", np.ndarray)])
+                                     ("L2", np.ndarray), ("F", np.ndarray | float)])
 
 
 @dataclass
@@ -124,20 +126,20 @@ class LinearSolver:
     ``ops``; it is written straight into LAPACK band storage and factored by
     ``dgbtrf`` (kl = ku = ``ops.bandwidth``), the only factorization.  The
     solve with the factors takes the right-hand side and the r columns of U
-    together (one ``dgbtrs``), and the r x r Woodbury capacitance is solved by
-    ``dgesv``.
+    together (one ``dgbtrs``), and the r x r Woodbury capacitance
+    I + V^T S^-1 U is solved by ``dgesv`` (``_woodbury``).
 
     ``sweeps``: how many refinement sweeps (a five-operator product and a band
     solve each) cost no more flops than one band LU, capped at
     ``MAX_SWEEPS``.  It is counted from the sizes, not timed, so reruns repeat
-    bit for bit.  It is 0 in 1D: every solve factors its own matrix and
-    returns the Woodbury solution of that one ``dgbtrs``, with no sweep.  In
-    2D the band LU of an earlier Newton matrix, with the Woodbury identity for
-    U V^T, preconditions iterative refinement on the true residual (a chord
-    method for the linear solves).  The one sweep after each factorization
-    sets the accuracy target, eight times its correction; S is refactored when
-    the corrections contract by less than half per sweep or would need more
-    than ``sweeps`` sweeps.
+    bit for bit.  It is 0 in 1D, where a solve is one straight line: the band
+    array, ``dgbtrf``, one ``dgbtrs`` on [rhs, U], ``dgesv`` and the Woodbury
+    update; no factors are kept and no sweep is made.  In 2D the band LU of an
+    earlier Newton matrix, with the Woodbury identity for U V^T, preconditions
+    iterative refinement on the true residual (a chord method for the linear
+    solves).  The one sweep after each factorization sets the accuracy target,
+    eight times its correction; S is refactored when the corrections contract
+    by less than half per sweep or would need more than ``sweeps`` sweeps.
     """
 
     MAX_SWEEPS = 8
@@ -156,47 +158,48 @@ class LinearSolver:
 
     def solve(self, c: np.ndarray, rhs: np.ndarray, U: np.ndarray,
               V: np.ndarray) -> np.ndarray:
-        kept = self._lu is not None and self.sweeps > 0
-        x = self._refine(c, rhs, U, V, fresh=False) if kept else None
-        if x is None:
-            self._lu = None  # free the old factors before making new ones
-            bw = self.ops.bandwidth
-            lu, piv, info = dgbtrf(self.ops.band(c), bw, bw, overwrite_ab=1)
+        if self._lu is not None:  # only a solver with sweeps keeps factors
+            x = self._refine(c, rhs, U, V, fresh=False)
+            if x is not None:
+                return x
+        self._lu = None  # free the old factors before making new ones
+        bw = self.ops.bandwidth
+        lu, piv, info = dgbtrf(self.ops.band(c), bw, bw, overwrite_ab=1)
+        if info > 0:
+            raise SingularJacobian(f"zero pivot in column {info} of the band LU")
+        self.factorizations += 1
+        if not self.sweeps:  # 1D: the factors are never kept, so no target is needed
+            return self._woodbury(lu, piv, rhs, U, V)[0]
+        self._lu = lu, piv
+        return self._refine(c, rhs, U, V, fresh=True)
+
+    def _woodbury(self, lu, piv, rhs, U, V):
+        """(x, Z, W) from the factors of S: Z = S^-1 U, W = (I + V^T Z)^-1 V^T
+        and x = (S + U V^T)^-1 rhs = y - Z W y for y = S^-1 rhs."""
+        bw, r = self.ops.bandwidth, U.shape[1]
+        Y = np.empty((rhs.size, r + 1), order="F")  # [rhs, U], in LAPACK's layout
+        Y[:, 0], Y[:, 1:] = rhs, U
+        Y = dgbtrs(lu, bw, bw, Y, piv, overwrite_b=1)[0]
+        y, Z, W = Y[:, 0], Y[:, 1:], V.T
+        if r:  # r = 0 leaves no capacitance (and dgesv rejects a 0 x 0 matrix)
+            C = V.T @ Z
+            C.flat[::r + 1] += 1.0
+            *_, W, info = dgesv(C, V.T, overwrite_a=1)
             if info > 0:
-                raise SingularJacobian(f"zero pivot in column {info} of the band LU")
-            self._lu = lu, piv
-            self.factorizations += 1
-            x = self._refine(c, rhs, U, V, fresh=True)
-        return x
+                raise SingularJacobian(f"singular Woodbury capacitance: zero pivot {info}")
+        return y - Z @ (W @ y), Z, W
 
     def _refine(self, c, rhs, U, V, fresh: bool) -> np.ndarray | None:
         lu, piv = self._lu
-        bw, r = self.ops.bandwidth, U.shape[1]
-
-        def lu_solve(b):
-            return dgbtrs(lu, bw, bw, b, piv, overwrite_b=1)[0]
-
-        Y = np.empty((rhs.size, r + 1), order="F")  # [rhs, U], in LAPACK's layout
-        Y[:, 0], Y[:, 1:] = rhs, U
-        Y = lu_solve(Y)
-        Z = Y[:, 1:]
-        W = V.T  # r = 0 leaves no capacitance (and dgesv rejects a 0 x 0 matrix)
-        if r:
-            *_, W, info = dgesv(np.eye(r) + V.T @ Z, V.T)
-            if info > 0:
-                raise SingularJacobian(f"singular Woodbury capacitance: zero pivot {info}")
-
-        def woodbury(y):  # S^-1 b -> (S + U V^T)^-1 b
-            return y - Z @ (W @ y)
-
-        x = woodbury(Y[:, 0])
-        if not self.sweeps:  # the factors are never kept, so no target is needed
-            return x
+        bw = self.ops.bandwidth
+        x, Z, W = self._woodbury(lu, piv, rhs, U, V)
         last = math.inf
         for sweep in range(1, self.sweeps + 1):
-            dx = woodbury(lu_solve(rhs - c @ self.ops.products(x) - U @ (V.T @ x)))
+            y = dgbtrs(lu, bw, bw, rhs - c @ self.ops.products(x) - U @ (V.T @ x), piv,
+                       overwrite_b=1)[0]
+            dx = y - Z @ (W @ y)
             x = x + dx
-            size = float(np.max(np.abs(dx))) / (float(np.max(np.abs(x))) or 1.0)
+            size = float(np.abs(dx).max()) / (float(np.abs(x).max()) or 1.0)
             if fresh:
                 self._target = 8.0 * max(size, np.finfo(float).eps)
             if fresh or size <= self._target:
@@ -244,10 +247,11 @@ class BeamSystem:
         f = time_factors(self.boundary, self.params, t)
         return TimeLevel(f.b1, *l_coefficients(f, self.params.nu), self.load(t))
 
-    def load(self, t: float) -> np.ndarray:
-        """F(t) = c(t) @ Phi; Phi is built here, in the march, at the first call."""
+    def load(self, t: float) -> np.ndarray | float:
+        """F(t) = c(t) @ Phi; Phi is built here, in the march, at the first call.
+        A homogeneous run's load is the scalar 0.0, exact in every sum it enters."""
         if self.source is None:
-            return np.zeros(self.space.ndof)
+            return 0.0
         if self._phi is None:
             self._phi = np.array([
                 assemble_load(self.space, lambda y, _t, h=h: h(y), t)
@@ -297,37 +301,44 @@ class StepProblem:
         lm, ln, lp = levels
         self.ops = ops
         self.th_dt2 = th * dt * dt
-        self.c1 = _A + 0.5 * dt * ln.L1 + self.th_dt2 * lp.L2
+        half_L1 = 0.5 * dt * ln.L1
+        self.c1 = _A + half_L1 + self.th_dt2 * lp.L2
         self.c2 = dt * dt * (1.0 - 2.0 * th) * ln.L2 - 2.0 * _A
-        self.c3 = _A - 0.5 * dt * ln.L1 + self.th_dt2 * lm.L2
+        self.c3 = _A - half_L1 + self.th_dt2 * lm.L2
         d, Od = curr  # Od rows: A d, K1 d, K2 d, Q d, P d
         g_curr = ln.b1 * float(d @ Od[1])
-        explicit = self.c2 @ Od + dt * dt * (1.0 - 2.0 * th) * g_curr * Od[1]
-        # (b_j, s_j, K1 s_j) of each Kirchhoff term
-        self.terms = [(lp.b1, 0.0, 0.0)]
+        self.const = const = self.c2 @ Od  # summed in place, term by term
+        const += dt * dt * (1.0 - 2.0 * th) * g_curr * Od[1]
+        # (b_j, s_j, K1 s_j) of each Kirchhoff term; None is a zero shift
+        self.terms = [(lp.b1, None, None)]
         if prev is None:
             self.F_avg = th * lp.F + (1.0 - th) * ln.F
             Od1 = ops.products(d1)
             self.c_lin = self.c1 + self.c3
             self.terms.append((lm.b1, 2.0 * dt * d1, 2.0 * dt * Od1[1]))
-            self.const = explicit - dt * dt * self.F_avg - 2.0 * dt * (self.c3 @ Od1)
+            const -= dt * dt * self.F_avg
+            const -= 2.0 * dt * (self.c3 @ Od1)
         else:
             self.F_avg = th * lm.F + (1.0 - 2.0 * th) * ln.F + th * lp.F
             dp, Odp = prev
             g_prev = lm.b1 * float(dp @ Odp[1])
             self.c_lin = self.c1
-            self.const = (explicit - dt * dt * self.F_avg + self.c3 @ Odp
-                          + self.th_dt2 * g_prev * Odp[1])
+            const -= dt * dt * self.F_avg
+            const += self.c3 @ Odp
+            const += self.th_dt2 * g_prev * Odp[1]
 
-    def _kirchhoff(self, X: np.ndarray, K1X: np.ndarray):
-        """(b_j, G_j(X), K1 (X - s_j)) for each term."""
+    def _kirchhoff(self, X: np.ndarray, K1X: np.ndarray) -> list:
+        """[(b_j, G_j(X), K1 (X - s_j))] over the terms."""
+        out = []
         for b, s, K1s in self.terms:
-            K1z = K1X - K1s
-            yield b, b * float((X - s) @ K1z), K1z
+            z, K1z = (X, K1X) if s is None else (X - s, K1X - K1s)
+            out.append((b, b * float(z @ K1z), K1z))
+        return out
 
     def residual(self, X: np.ndarray, OX: np.ndarray) -> np.ndarray:
         """R(X), formed from its products OX = ``ops.products(X)``."""
-        r = self.c_lin @ OX + self.const
+        r = self.c_lin @ OX
+        r += self.const
         for _, g, K1z in self._kirchhoff(X, OX[1]):
             r += self.th_dt2 * g * K1z
         return r
@@ -336,11 +347,13 @@ class StepProblem:
         """(c, U, V) with J = S(c) + U V^T at X, given K1X = K1 X: c is the
         coefficient vector of the sparse part, and each term adds the column
         pair theta dt^2 K1 z_j, 2 b_j K1 z_j, for z_j = X - s_j."""
-        terms = list(self._kirchhoff(X, K1X))
-        c = self.c_lin + self.th_dt2 * sum(g for _, g, _ in terms) * _K1
+        terms = self._kirchhoff(X, K1X)
+        c = self.c_lin.copy()
+        c[1] += self.th_dt2 * sum(g for _, g, _ in terms)  # slot 1 is K1
         U, V = np.empty((2, X.size, len(terms)))
         for j, (b, _, K1z) in enumerate(terms):
-            U[:, j], V[:, j] = self.th_dt2 * K1z, 2.0 * b * K1z
+            np.multiply(self.th_dt2, K1z, out=U[:, j])
+            np.multiply(2.0 * b, K1z, out=V[:, j])
         return c, U, V
 
 
@@ -353,19 +366,19 @@ def newton_solve(problem: StepProblem, start: tuple[np.ndarray, np.ndarray],
     X, OX = start[0].copy(), start[1]
     for it in range(1, NEWTON_MAX_ITER + 1):
         r = problem.residual(X, OX)
-        rn = float(np.max(np.abs(r)))  # NaN and inf carry through the max
+        rn = float(np.abs(r).max())  # NaN and inf carry through the max
         if not math.isfinite(rn):
             raise NewtonNoConvergence("non-finite residual")
         if rn < NEWTON_TOL_RESID:
             return X, OX, it - 1, rn
         c, U, V = problem.jacobian_parts(X, OX[1])
-        step = solver.solve(c, -r, U, V)
-        X = X + step
-        if not np.all(np.isfinite(X)):
+        step = solver.solve(c, np.negative(r, out=r), U, V)
+        X += step  # X is Newton's own copy
+        if not np.isfinite(X).all():
             raise NewtonNoConvergence("non-finite Newton iterate")
         OX = problem.ops.products(X)
-        if float(np.max(np.abs(step))) < NEWTON_TOL_STEP:
-            return X, OX, it, float(np.max(np.abs(problem.residual(X, OX))))
+        if np.abs(step).max() < NEWTON_TOL_STEP:
+            return X, OX, it, float(np.abs(problem.residual(X, OX)).max())
     raise NewtonNoConvergence(f"no convergence in {NEWTON_MAX_ITER} iterations")
 
 
@@ -394,7 +407,7 @@ def advance(system: BeamSystem, cfg: NewmarkConfig, d0: np.ndarray,
             d_next, Od_next, nit, resid = newton_solve(prob, curr, solver)
         except (NewtonNoConvergence, SingularJacobian):
             break
-        dinf = float(np.max(np.abs(d_next))) if d_next.size else 0.0
+        dinf = float(np.abs(d_next).max()) if d_next.size else 0.0
         if not math.isfinite(dinf) or dinf > DIVERGENCE_THRESHOLD:
             break
         ds.append(d_next)

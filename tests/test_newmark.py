@@ -528,6 +528,18 @@ class TestLinearSolver:
         with pytest.raises(SingularJacobian, match="capacitance"):
             solver.solve(np.eye(5)[1], np.ones(1), np.ones((1, 1)), -np.ones((1, 1)))
 
+    def test_singular_woodbury_capacitance_at_startup(self):
+        # the startup step's two Kirchhoff terms (r = 2) at X = 1, with theta dt^2 = 1,
+        # b1 = -1/4 and S = 2A - K1/2 = [[1]]: U = [1, 1] and V = -[1/2, 1/2] make
+        # I + V^T S^-1 U = [[1/2, -1/2], [-1/2, 1/2]], whose second pivot is exactly 0
+        system = _ScalarSystem(A=0.75, L2=0.0, b1=-0.25)
+        prob = _scalar_problem(system, NewmarkConfig(theta=0.25, dt=2.0, n_steps=1), 0)
+        c, U, V = prob.jacobian_parts(np.ones(1), np.ones(1))
+        assert system.ops.band(c)[0, 0] == 1.0
+        assert np.array_equal(U, [[1.0, 1.0]]) and np.array_equal(V, [[-0.5, -0.5]])
+        with pytest.raises(SingularJacobian, match="capacitance"):
+            newton_solve(prob, start_at(prob, np.ones(1)))
+
     def test_reruns_are_byte_identical(self):
         for dim, cells in ((1, 32), (2, 8)):
             _, system, d0, d1 = _mms_system(dim=dim, cells=cells, boundary=FAST,
@@ -599,6 +611,28 @@ class TestLoadBasis:
         traj = advance(homogeneous, NewmarkConfig(dt=2.0**-6, n_steps=8), d0, d1)
         assert traj.completed and calls == []
         assert np.all(homogeneous.load(0.5) == 0.0)
+
+    @pytest.mark.parametrize("dim,cells", [(1, 16), (2, 4)])
+    def test_homogeneous_run_equals_zero_source_run(self, dim, cells):
+        # the scalar 0.0 load of a source-free run against a source whose
+        # coefficients are all zero: the same states, bit for bit
+        case, system, d0, d1 = _mms_system(dim=dim, cells=cells, boundary=FAST,
+                                           amplitude=1.0)
+        b, p = system.boundary, system.params
+        zero = make_source(dataclasses.replace(case, amplitude=0.0), b, p)
+        assert all(np.all(zero.coefficients(t) == 0.0) for t in (0.0, 0.3, 1.0))
+        cfg = NewmarkConfig(theta=0.25, dt=2.0**-6, n_steps=16)
+        homogeneous, zero_source = (
+            advance(BeamSystem(system.space, system.ops, b, p, f), cfg, d0, d1)
+            for f in (None, zero))
+        assert homogeneous.completed and zero_source.completed
+        assert homogeneous.newton_iterations == zero_source.newton_iterations
+        assert homogeneous.factorizations == zero_source.factorizations
+        assert all(np.array_equal(u, v) for u, v in zip(homogeneous.d, zero_source.d))
+        source_free = BeamSystem(system.space, system.ops, b, p)
+        for eta in (0, 1):
+            prob = step_problem(source_free, cfg, eta, d0, d0, d1)
+            assert isinstance(prob.F_avg, float) and prob.F_avg == 0.0
 
     def test_plain_source_is_refused_at_construction(self, b1_1d, params):
         # a plain f(y, t) gives no terms to integrate once: refused before any level

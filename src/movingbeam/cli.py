@@ -3,6 +3,9 @@
     movingbeam <subcommand> [--config PATH] [--out DIR] [--set key=value ...]
 
 Subcommands: validate, solve, mms, convergence, theta-sweep, energy.
+Each loads its configuration, validates it once and checks the boundary's
+hypotheses on [0, T] before any march; mms, convergence and theta-sweep
+refuse a run without the manufactured source (case zero or homogeneous).
 Each writes plot-ready CSV files (header row, scientific notation with 11
 significant digits, '.' decimal point) into the output directory and prints
 a short summary.  Re-running a command with an identical configuration
@@ -22,9 +25,9 @@ import numpy as np
 from .config import ConfigError, RunConfig, apply_overrides, parse_config_file
 from .energy import decay_fit, energy_series
 from .geometry import validate_hypotheses
-from .manufactured import ManufacturedCase
 from .newmark import NewmarkConfig, NewtonNoConvergence, SingularJacobian
 from .verification import (
+    SimulationResult,
     cells_for_h,
     convergence_study,
     error_norms,
@@ -50,55 +53,40 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _load_config(args) -> RunConfig:
+def _prepare(args) -> RunConfig | None:
+    """Load the configuration, apply the overrides and validate it once;
+    refuse an unforced run for a command that measures against the
+    manufactured solution; check the hypotheses on [0, T].  Returns None when
+    a hypothesis fails."""
     cfg = parse_config_file(args.config) if args.config else RunConfig()
-    if args.set:
-        cfg = apply_overrides(cfg, args.set)
+    cfg = apply_overrides(cfg, args.set)
     cfg.validate()
-    return cfg
-
-
-def _check_hypotheses(cfg: RunConfig) -> int | None:
+    if COMMANDS[args.command][1] and (cfg.case == "zero" or cfg.homogeneous):
+        raise ConfigError(
+            f"{args.command} requires a forced run: case S1 or S2 with homogeneous = false")
     report = validate_hypotheses(
-        cfg.moving_boundary(), cfg.beam_parameters(), cfg.T,
-        relaxed=cfg.relaxed_h1,
+        cfg.moving_boundary(), cfg.beam_parameters(), cfg.T, relaxed=cfg.relaxed_h1,
     )
     print(report.summary())
     if not report.ok:
         print("hypothesis validation failed")
-        return EXIT_HYPOTHESIS
-    return None
-
-
-def _case(cfg: RunConfig) -> ManufacturedCase | None:
-    if cfg.case == "zero":
         return None
-    return ManufacturedCase.standard(cfg.case, cfg.dimension)
+    return cfg
 
 
-def _newmark_config(cfg: RunConfig) -> NewmarkConfig:
-    try:
-        return NewmarkConfig.for_horizon(cfg.T, cfg.dt, theta=cfg.theta)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _run(cfg: RunConfig, homogeneous: bool):
-    case = _case(cfg)
-    cells = cells_for_h(cfg.box, cfg.h)
-    ncfg = _newmark_config(cfg)
-    boundary = cfg.moving_boundary()
-    params = cfg.beam_parameters()
-    if case is None:
-        zero = lambda pts, mi: np.zeros(len(np.atleast_2d(pts)))
-        return simulate(
-            None, boundary, params, cells, ncfg, dim=cfg.dimension, box=cfg.box,
-            initial_displacement=zero, initial_velocity=zero,
-        )
-    return simulate(
-        case, boundary, params, cells, ncfg, box=cfg.box,
-        homogeneous=homogeneous or cfg.homogeneous,
+def _march(cfg: RunConfig, out: Path, homogeneous: bool) -> SimulationResult | None:
+    """Run the configured case and write its trace; None if it diverged."""
+    case = cfg.manufactured_case()
+    res = simulate(
+        case, cfg.moving_boundary(), cfg.beam_parameters(), cells_for_h(case.box, cfg.h),
+        NewmarkConfig.for_horizon(cfg.T, cfg.dt, theta=cfg.theta),
+        homogeneous=homogeneous or cfg.case == "zero",
     )
+    _write_trace(out, res)
+    if not res.trajectory.completed:
+        print(f"diverged at step {res.trajectory.diverged_step}")
+        return None
+    return res
 
 
 def _write_trace(out: Path, res) -> None:
@@ -115,14 +103,12 @@ def _write_snapshots(out: Path, cfg: RunConfig, res) -> None:
     times = res.trajectory.times
     nodes = res.space.mesh.node_coords()
     dpn = res.space.dofs_per_node
+    coord_cols = [f"y{i+1}" for i in range(cfg.dimension)]
     wanted = cfg.snapshots if cfg.snapshots else (0.0, float(times[-1]))
     for t_req in wanted:
         eta = int(np.argmin(np.abs(times - t_req)))
-        if eta >= len(res.trajectory.d):
-            continue
         full = res.space.expand(res.trajectory.d[eta])
         values = full[0::dpn]
-        coord_cols = [f"y{i+1}" for i in range(cfg.dimension)]
         rows = [
             [_fmt(c) for c in nodes[i]] + [_fmt(values[i])]
             for i in range(nodes.shape[0])
@@ -131,47 +117,25 @@ def _write_snapshots(out: Path, cfg: RunConfig, res) -> None:
         _write_csv(out / name, coord_cols + ["value"], rows)
 
 
-def cmd_validate(args) -> int:
-    cfg = _load_config(args)
-    rc = _check_hypotheses(cfg)
-    if rc is not None:
-        return rc
+def cmd_validate(cfg: RunConfig, out: Path) -> int:
     print("hypotheses satisfied")
     return EXIT_OK
 
 
-def cmd_solve(args) -> int:
-    cfg = _load_config(args)
-    rc = _check_hypotheses(cfg)
-    if rc is not None:
-        return rc
-    out = Path(args.out)
-    res = _run(cfg, homogeneous=cfg.homogeneous)
-    _write_trace(out, res)
-    if not res.trajectory.completed:
-        print(f"diverged at step {res.trajectory.diverged_step}")
+def cmd_solve(cfg: RunConfig, out: Path) -> int:
+    res = _march(cfg, out, homogeneous=cfg.homogeneous)
+    if res is None:
         return EXIT_DIVERGENCE
     _write_snapshots(out, cfg, res)
     print(f"completed {res.config.n_steps} steps; outputs in {out}")
     return EXIT_OK
 
 
-def cmd_mms(args) -> int:
-    cfg = _load_config(args)
-    if cfg.case == "zero":
-        print("mms requires case S1 or S2")
-        return EXIT_CONFIG
-    rc = _check_hypotheses(cfg)
-    if rc is not None:
-        return rc
-    out = Path(args.out)
-    res = _run(cfg, homogeneous=False)
-    _write_trace(out, res)
-    if not res.trajectory.completed:
-        print(f"diverged at step {res.trajectory.diverged_step}")
+def cmd_mms(cfg: RunConfig, out: Path) -> int:
+    res = _march(cfg, out, homogeneous=False)
+    if res is None:
         return EXIT_DIVERGENCE
-    case = _case(cfg)
-    rep = error_norms(res.space, res.trajectory, case)
+    rep = error_norms(res.space, res.trajectory, cfg.manufactured_case())
     rows = [
         [str(i), _fmt(rep.times[i]), _fmt(rep.l2_series[i]), _fmt(rep.h2_series[i])]
         for i in range(len(rep.l2_series))
@@ -181,67 +145,42 @@ def cmd_mms(args) -> int:
     return EXIT_OK
 
 
-def cmd_convergence(args) -> int:
-    cfg = _load_config(args)
-    if cfg.case == "zero":
-        print("convergence requires case S1 or S2")
-        return EXIT_CONFIG
-    rc = _check_hypotheses(cfg)
-    if rc is not None:
-        return rc
-    case = _case(cfg)
+def cmd_convergence(cfg: RunConfig, out: Path) -> int:
     table = convergence_study(
-        case, cfg.moving_boundary(), cfg.beam_parameters(),
+        cfg.manufactured_case(), cfg.moving_boundary(), cfg.beam_parameters(),
         mode=cfg.mode, levels=cfg.levels, theta=cfg.theta, T=cfg.T,
-        fixed_h=cfg.h, fixed_dt=cfg.dt, box=cfg.box,
+        fixed_h=cfg.h, fixed_dt=cfg.dt,
     )
     rows = []
     for r in table.rows:
         err = "DIVERGE" if r.diverged else _fmt(r.error)
         rate = "" if r.rate is None else _fmt(r.rate)
         rows.append([str(r.level), _fmt(r.h), _fmt(r.dt), err, rate])
-    out = Path(args.out)
     _write_csv(out / "convergence.csv", ["level", "h", "dt", "error_linf_l2", "rate"], rows)
     for r in rows:
         print(" ".join(r))
     return EXIT_OK
 
 
-def cmd_theta_sweep(args) -> int:
-    cfg = _load_config(args)
-    if cfg.case == "zero":
-        print("theta-sweep requires case S1 or S2")
-        return EXIT_CONFIG
-    rc = _check_hypotheses(cfg)
-    if rc is not None:
-        return rc
-    case = _case(cfg)
+def cmd_theta_sweep(cfg: RunConfig, out: Path) -> int:
     sweep = theta_sweep(
-        case, cfg.moving_boundary(), cfg.beam_parameters(),
-        h_values=cfg.h_list, theta_values=cfg.theta_list,
-        dt=cfg.dt, T=cfg.T, box=cfg.box,
+        cfg.manufactured_case(), cfg.moving_boundary(), cfg.beam_parameters(),
+        h_values=cfg.h_list, theta_values=cfg.theta_list, dt=cfg.dt, T=cfg.T,
     )
     rows = []
     for h in sweep.h_values:
         for th in sweep.theta_values:
             err = sweep.errors[(h, th)]
             rows.append([_fmt(h), _fmt(th), "DIVERGE" if err is None else _fmt(err)])
-    out = Path(args.out)
     _write_csv(out / "theta_sweep.csv", ["h", "theta", "error_or_DIVERGE"], rows)
     for r in rows:
         print(" ".join(r))
     return EXIT_OK
 
 
-def cmd_energy(args) -> int:
-    cfg = _load_config(args)
-    rc = _check_hypotheses(cfg)
-    if rc is not None:
-        return rc
-    out = Path(args.out)
-    res = _run(cfg, homogeneous=True)
-    if not res.trajectory.completed:
-        print(f"diverged at step {res.trajectory.diverged_step}")
+def cmd_energy(cfg: RunConfig, out: Path) -> int:
+    res = _march(cfg, out, homogeneous=True)
+    if res is None:
         return EXIT_DIVERGENCE
     times, E = energy_series(
         res.space, cfg.moving_boundary(), cfg.beam_parameters(), res.trajectory,
@@ -260,21 +199,24 @@ def cmd_energy(args) -> int:
     return EXIT_OK
 
 
+# each command, and whether it needs a forced run (a manufactured source)
+COMMANDS = {
+    "validate": (cmd_validate, False),
+    "solve": (cmd_solve, False),
+    "mms": (cmd_mms, True),
+    "convergence": (cmd_convergence, True),
+    "theta-sweep": (cmd_theta_sweep, True),
+    "energy": (cmd_energy, False),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="movingbeam",
         description="Nonlinear beam on a moving domain: solver and verification harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "validate": cmd_validate,
-        "solve": cmd_solve,
-        "mms": cmd_mms,
-        "convergence": cmd_convergence,
-        "theta-sweep": cmd_theta_sweep,
-        "energy": cmd_energy,
-    }
-    for name, fn in commands.items():
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="path to a key = value config file")
         p.add_argument("--out", default="out", help="output directory for CSV files")
@@ -282,21 +224,20 @@ def build_parser() -> argparse.ArgumentParser:
             "--set", action="append", default=[], metavar="KEY=VALUE",
             help="override a config key (repeatable)",
         )
-        p.set_defaults(func=fn)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _prepare(args)
+        if cfg is None:
+            return EXIT_HYPOTHESIS
+        return COMMANDS[args.command][0](cfg, Path(args.out))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NewtonNoConvergence, SingularJacobian) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ValueError, FloatingPointError) as exc:
+    except (NewtonNoConvergence, SingularJacobian, ValueError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

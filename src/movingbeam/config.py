@@ -1,23 +1,22 @@
 """Flat-key run configuration: text files of ``key = value`` lines.
 
 Unknown keys are rejected so experiment manifests stay trustworthy;
-``--set key=value`` command-line overrides win over file values.
+``--set key=value`` command-line overrides win over file values.  Parsing
+checks each value's type only; ``RunConfig.validate`` checks the whole run,
+once, after the overrides.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .geometry import BeamParameters, BoundaryKind, MovingBoundary
+from .manufactured import ManufacturedCase
+from .newmark import ConfigError, NewmarkConfig
 from .verification import cells_for_h
 
 __all__ = ["RunConfig", "ConfigError", "parse_config_file", "apply_overrides"]
-
-
-class ConfigError(ValueError):
-    """Malformed configuration: parse failure or invariant violation."""
-
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
@@ -28,7 +27,7 @@ class RunConfig:
 
     dimension: int = 1
     case: str = "S1"                  # S1 | S2 | zero
-    homogeneous: bool = False         # drop the manufactured source, keep initial data
+    homogeneous: bool = False         # solve only: drop the source, keep initial data
     boundary: str = "B1"              # B1 | B2 | constant | linear | exponential
     boundary_base: float = 64.0
     boundary_slope: float = 0.0
@@ -41,13 +40,11 @@ class RunConfig:
     h: float = 2.0 ** -6
     dt: float = 2.0 ** -7
     T: float = 1.0
-    box_lo: float = -1.0
-    box_hi: float = 1.0
     levels: int = 6                   # convergence study depth
     mode: str = "coupled_h_eq_2dt"    # convergence study mode
     h_list: tuple[float, ...] = (2**-1, 2**-2, 2**-3, 2**-4, 2**-5, 2**-6)
     theta_list: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
-    snapshots: tuple[float, ...] = ()
+    snapshots: tuple[float, ...] = ()  # solve: times in [0, T] to write
     fit_window_lo: float = 1.0
     fit_window_hi: float = 20.0
     relaxed_h1: bool = False
@@ -63,17 +60,16 @@ class RunConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {v}")
-        if not (math.isfinite(self.theta) and 0.0 <= self.theta <= 1.0):
-            raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
-        if not self.box_hi > self.box_lo:
-            raise ConfigError(f"empty box [{self.box_lo}, {self.box_hi}]")
+        for theta in (self.theta, *self.theta_list):
+            NewmarkConfig.for_horizon(self.T, self.dt, theta=theta)
+        box = self.manufactured_case().box
         for h in (self.h, *self.h_list):
-            try:
-                cells = cells_for_h(self.box, h)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            cells = cells_for_h(box, h)
             if cells < 2:  # clamping would eliminate every DOF
                 raise ConfigError(f"cell size {h} leaves {cells} cell per axis; need >= 2")
+        for t in self.snapshots:
+            if not 0.0 <= t <= self.T:
+                raise ConfigError(f"snapshot time {t} lies outside [0, T] = [0, {self.T}]")
         for name in ("zeta0", "zeta1", "nu", "boundary_base", "boundary_slope",
                      "boundary_amplitude", "boundary_rate", "fit_window_lo",
                      "fit_window_hi"):
@@ -88,9 +84,11 @@ class RunConfig:
 
     # -- object construction ---------------------------------------------------
 
-    @property
-    def box(self) -> tuple[tuple[float, float], ...]:
-        return ((self.box_lo, self.box_hi),) * self.dimension
+    def manufactured_case(self) -> ManufacturedCase:
+        """The run's case; ``zero`` is the S1 shape at amplitude 0."""
+        if self.case == "zero":
+            return replace(ManufacturedCase.standard("S1", self.dimension), amplitude=0.0)
+        return ManufacturedCase.standard(self.case, self.dimension)
 
     def beam_parameters(self) -> BeamParameters:
         return BeamParameters(zeta0=self.zeta0, zeta1=self.zeta1, nu=self.nu)
@@ -146,7 +144,10 @@ def _parse_value(key: str, raw: str):
 
 
 def parse_config_file(path: str | Path) -> RunConfig:
-    """Read ``key = value`` lines; '#' starts a comment; blank lines ignored."""
+    """Read ``key = value`` lines; '#' starts a comment; blank lines ignored.
+
+    The result is not validated: call ``RunConfig.validate`` once all
+    overrides are applied."""
     cfg = RunConfig()
     path = Path(path)
     if not path.exists():
@@ -163,7 +164,6 @@ def parse_config_file(path: str | Path) -> RunConfig:
             setattr(cfg, key, _parse_value(key, raw))
         except ConfigError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    cfg.validate()
     return cfg
 
 
@@ -174,5 +174,4 @@ def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         setattr(cfg, key.strip(), _parse_value(key.strip(), raw))
-    cfg.validate()
     return cfg

@@ -41,6 +41,7 @@ from .fem import AssembledOperators, HermiteSpace, assemble_load, l_coefficients
 from .geometry import BeamParameters, MovingBoundary, time_factors
 
 __all__ = [
+    "ConfigError",
     "NewmarkConfig",
     "TimeLevel",
     "Source",
@@ -64,6 +65,10 @@ NEWTON_MAX_ITER = 50
 DIVERGENCE_THRESHOLD = 1e8   # a larger max |d| ends the run as diverged
 
 
+class ConfigError(ValueError):
+    """Malformed configuration: parse failure or invariant violation."""
+
+
 class NewtonNoConvergence(RuntimeError):
     """Newton hit the iteration cap without meeting either tolerance."""
 
@@ -74,7 +79,7 @@ class SingularJacobian(RuntimeError):
 
 @dataclass(frozen=True)
 class NewmarkConfig:
-    """Scheme parameters."""
+    """Scheme parameters; an invalid value raises ``ConfigError``."""
 
     theta: float = 0.25
     dt: float = 2.0 ** -7
@@ -82,17 +87,17 @@ class NewmarkConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
+            raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
         if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+            raise ConfigError(f"n_steps must be >= 1, got {self.n_steps}")
 
     @staticmethod
     def for_horizon(T: float, dt: float, **kw) -> "NewmarkConfig":
         n = int(round(T / dt))
         if abs(n * dt - T) > 1e-12 * max(1.0, abs(T)):
-            raise ValueError(f"dt = {dt} does not divide T = {T} evenly")
+            raise ConfigError(f"dt = {dt} does not divide T = {T} evenly")
         return NewmarkConfig(dt=dt, n_steps=n, **kw)
 
 

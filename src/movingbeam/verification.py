@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fem import (
-    AssembledOperators,
     HermiteSpace,
     Mesh,
     assemble_constant,
@@ -24,7 +23,7 @@ from .fem import (
 )
 from .geometry import BeamParameters, MovingBoundary, time_factors
 from .manufactured import ManufacturedCase, make_source, strong_operator
-from .newmark import BeamSystem, NewmarkConfig, Trajectory, advance
+from .newmark import BeamSystem, ConfigError, NewmarkConfig, Trajectory, advance
 
 __all__ = [
     "SimulationResult",
@@ -47,61 +46,38 @@ def cells_for_h(box: Sequence[tuple[float, float]], h: float) -> int:
     length = box[0][1] - box[0][0]
     n = length / h
     if abs(n - round(n)) > 1e-9 or round(n) < 1:
-        raise ValueError(f"cell size {h} does not tile a box of length {length}")
+        raise ConfigError(f"cell size {h} does not tile a box of length {length}")
     return int(round(n))
 
 
 @dataclass
 class SimulationResult:
     space: HermiteSpace
-    ops: AssembledOperators
-    system: BeamSystem
     trajectory: Trajectory
     config: NewmarkConfig
 
 
 def simulate(
-    case: ManufacturedCase | None,
+    case: ManufacturedCase,
     boundary: MovingBoundary,
     params: BeamParameters,
     cells: int,
     cfg: NewmarkConfig,
-    dim: int | None = None,
-    box=None,
     homogeneous: bool = False,
-    initial_displacement: Callable | None = None,
-    initial_velocity: Callable | None = None,
 ) -> SimulationResult:
-    """Assemble and march one run.
+    """Assemble and march one run on the case's box (-1, 1)^n, ``cells`` per axis.
 
-    With a manufactured ``case`` the source and initial data come from it
-    (``homogeneous=True`` keeps the case's initial data but drops the
-    source).  Otherwise initial data callbacks must be supplied.
+    The initial data and the source come from ``case``; ``homogeneous=True``
+    keeps the initial data but drops the source.  The zero run is a case of
+    amplitude 0 run homogeneously.
     """
-    if case is not None:
-        dim = case.dim
-        box = box or case.box
-    if dim is None:
-        raise ValueError("dim is required when no manufactured case is given")
-    mesh = Mesh.uniform(dim, cells, box)
-    space = HermiteSpace(mesh)
+    space = HermiteSpace(Mesh.uniform(case.dim, cells, case.box))
     ops = assemble_constant(space)
-
-    source = None
-    if case is not None and not homogeneous:
-        source = make_source(case, boundary, params)
+    source = None if homogeneous else make_source(case, boundary, params)
     system = BeamSystem(space, ops, boundary, params, source)
-
-    if initial_displacement is None:
-        if case is None:
-            raise ValueError("initial data callbacks are required without a case")
-        initial_displacement = case.initial_displacement()
-        initial_velocity = case.initial_velocity()
-    d0 = interpolate_initial(space, initial_displacement)
-    d1 = interpolate_initial(space, initial_velocity)
-
-    traj = advance(system, cfg, d0, d1)
-    return SimulationResult(space, ops, system, traj, cfg)
+    d0 = interpolate_initial(space, case.initial_displacement())
+    d1 = interpolate_initial(space, case.initial_velocity())
+    return SimulationResult(space, advance(system, cfg, d0, d1), cfg)
 
 
 @dataclass
@@ -201,7 +177,6 @@ def convergence_study(
     T: float = 1.0,
     fixed_h: float = 2.0 ** -6,
     fixed_dt: float = 2.0 ** -7,
-    box=None,
 ) -> ConvergenceTable:
     """Run a refinement study and tabulate errors with observed rates.
 
@@ -210,7 +185,6 @@ def convergence_study(
     """
     if levels < 2:
         raise ValueError("need at least two levels for a convergence study")
-    box = box or case.box
     table = ConvergenceTable(mode=mode)
     for i in range(1, levels + 1):
         if mode == "coupled_h_eq_2dt":
@@ -224,9 +198,9 @@ def convergence_study(
             h = 2.0 ** -i
         else:
             raise ValueError(f"unknown study mode {mode!r}")
-        cells = cells_for_h(box, h)
+        cells = cells_for_h(case.box, h)
         cfg = NewmarkConfig.for_horizon(T, dt, theta=theta)
-        res = simulate(case, boundary, params, cells, cfg, box=box)
+        res = simulate(case, boundary, params, cells, cfg)
         if not res.trajectory.completed:
             table.rows.append(ConvergenceRow(i, h, dt, math.nan, diverged=True))
             continue
@@ -257,16 +231,14 @@ def theta_sweep(
     theta_values: Sequence[float],
     dt: float = 2.0 ** -7,
     T: float = 1.0,
-    box=None,
 ) -> ThetaSweepResult:
     """Error per (h, theta) cell at fixed dt; divergence recorded as None."""
-    box = box or case.box
     out = ThetaSweepResult(h_values=list(h_values), theta_values=list(theta_values))
     for h in h_values:
-        cells = cells_for_h(box, h)
+        cells = cells_for_h(case.box, h)
         for theta in theta_values:
             cfg = NewmarkConfig.for_horizon(T, dt, theta=theta)
-            res = simulate(case, boundary, params, cells, cfg, box=box)
+            res = simulate(case, boundary, params, cells, cfg)
             if res.trajectory.completed:
                 rep = error_norms(res.space, res.trajectory, case)
                 out.errors[(h, theta)] = rep.linf_l2

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from movingbeam import verification
 from movingbeam.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGENCE,
@@ -20,6 +21,10 @@ from movingbeam.config import (
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _no_march(*args, **kwargs):
+    raise AssertionError("a configuration error must be found before any march")
 
 
 class TestConfig:
@@ -88,6 +93,24 @@ class TestConfig:
             k, kp, kpp = b(0.0)
             assert math.isfinite(k) and k > 0
 
+    def test_constant_boundary_takes_its_base(self):
+        b = RunConfig(boundary="constant", boundary_base=2.0).moving_boundary()
+        for t in (0.0, 0.5, 7.0):
+            assert b(t) == (2.0, 0.0, 0.0)
+
+    def test_exponential_boundary_takes_its_base_and_rate(self):
+        for rate in (0.5, 3.0):
+            cfg = RunConfig(boundary="exponential", boundary_base=8.0,
+                            boundary_amplitude=2.0, boundary_rate=rate)
+            k, kp, _ = cfg.moving_boundary()(0.0)
+            assert k == 8.0
+            assert kp == 2.0 * rate
+
+    @pytest.mark.parametrize("snapshots", [(-0.25,), (0.0, 1.5), (math.nan,)])
+    def test_snapshot_outside_horizon_rejected(self, snapshots):
+        with pytest.raises(ConfigError, match="snapshot time"):
+            RunConfig(snapshots=snapshots).validate()
+
 
 class TestCommands:
     def test_validate_ok(self, capsys):
@@ -107,10 +130,54 @@ class TestCommands:
         ])
         assert rc == EXIT_HYPOTHESIS
 
-    def test_config_error_exit_code(self):
+    def test_config_error_exit_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(verification, "advance", _no_march)
         assert main(["validate", "--set", "theta=1.5"]) == EXIT_CONFIG
         assert main(["validate", "--set", "dt=0"]) == EXIT_CONFIG
         assert main(["validate", "--set", "bogus=1"]) == EXIT_CONFIG
+        # errors a study would meet only when it builds a later run, and a
+        # snapshot that would snap to the nearest state
+        out = ["--out", str(tmp_path / "o")]
+        assert main(["theta-sweep", *out, "--set", "theta_list=0.25,1.5"]) == EXIT_CONFIG
+        assert main(["convergence", *out, "--set", "mode=fix_dt_vary_h",
+                     "--set", "dt=0.3"]) == EXIT_CONFIG
+        assert main(["theta-sweep", *out, "--set", "dt=0.3"]) == EXIT_CONFIG
+        assert main(["solve", *out, "--set", "snapshots=5.0", "--set", "T=0.5"]) == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["mms", "convergence", "theta-sweep"])
+    @pytest.mark.parametrize("unforced", ["case=zero", "homogeneous=true"])
+    def test_error_commands_refuse_an_unforced_run(self, tmp_path, monkeypatch, capsys,
+                                                   command, unforced):
+        # errors against the manufactured solution mean nothing without its source
+        monkeypatch.setattr(verification, "advance", _no_march)
+        rc = main([command, "--out", str(tmp_path / "o"), "--set", unforced,
+                   "--set", "h=0.5", "--set", "dt=0.25", "--set", "T=0.5"])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"{command} requires a forced run" in captured.err
+        assert "H1 bounds" not in captured.out  # refused before the hypotheses
+        assert not (tmp_path / "o").exists()
+
+    def test_snapshots_write_each_requested_state(self, tmp_path, monkeypatch):
+        import movingbeam.cli as cli
+
+        runs, simulate = [], cli.simulate
+        monkeypatch.setattr(cli, "simulate",
+                            lambda *a, **kw: runs.append(simulate(*a, **kw)) or runs[-1])
+        out = tmp_path / "snap"
+        assert main(["solve", "--out", str(out), "--set", "snapshots=0.5,0,0.25",
+                     "--set", "T=0.5", "--set", "h=0.25", "--set", "dt=0.125"]) == EXIT_OK
+        res = runs[0]
+        nodes = res.space.mesh.node_coords()[:, 0]
+        assert sorted(p.name for p in out.glob("solution_*.csv")) == [
+            "solution_0.25.csv", "solution_0.5.csv", "solution_0.csv"]
+        for name, eta in (("0", 0), ("0.25", 2), ("0.5", 4)):
+            lines = (out / f"solution_{name}.csv").read_text().splitlines()
+            assert lines[0] == "y1,value"
+            values = res.space.expand(res.trajectory.d[eta])[0::res.space.dofs_per_node]
+            assert lines[1:] == [f"{y:.10e},{v:.10e}" for y, v in zip(nodes, values)]
+        assert np.any(values != 0.0)
 
     def test_untiled_cell_size_is_config_error(self, tmp_path, capsys):
         # 0.3 does not divide the box length 2: rejected before the march
@@ -135,21 +202,28 @@ class TestCommands:
         assert main(["convergence", "--set", "h_list=0.5,2.0"]) == EXIT_CONFIG
 
     def test_zero_case_solve_writes_zero_snapshots(self, tmp_path):
-        out = tmp_path / "run"
-        rc = main([
-            "solve", "--out", str(out),
-            "--set", "case=zero",
-            "--set", "h=0.25", "--set", "dt=0.125", "--set", "T=0.5",
-        ])
-        assert rc == EXIT_OK
-        snaps = sorted(out.glob("solution_*.csv"))
-        assert snaps
-        for snap in snaps:
-            lines = snap.read_text().strip().splitlines()
-            assert lines[0] == "y1,value"
-            vals = [float(l.split(",")[-1]) for l in lines[1:]]
-            assert all(v == 0.0 for v in vals)
-        assert (out / "trace.csv").exists()
+        # the zero case is the S1 shape at amplitude 0: every printed value is
+        # +0, never -0
+        zero = "0.0000000000e+00"
+        for dim, header in ((1, "y1,value"), (2, "y1,y2,value")):
+            out = tmp_path / f"run{dim}"
+            rc = main([
+                "solve", "--out", str(out),
+                "--set", "case=zero", "--set", f"dimension={dim}",
+                "--set", "h=0.25", "--set", "dt=0.125", "--set", "T=0.5",
+            ])
+            assert rc == EXIT_OK
+            snaps = sorted(out.glob("solution_*.csv"))
+            assert [p.name for p in snaps] == ["solution_0.5.csv", "solution_0.csv"]
+            for snap in snaps:
+                lines = snap.read_text().strip().splitlines()
+                assert lines[0] == header
+                assert len(lines) == 1 + 9 ** dim
+                assert all(l.split(",")[-1] == zero for l in lines[1:])
+            trace = (out / "trace.csv").read_text().strip().splitlines()
+            assert len(trace) == 1 + 4
+            for step, line in enumerate(trace[1:], start=1):
+                assert line.split(",") == [str(step), f"{0.125 * step:.10e}", "0", zero, zero]
 
     def test_mms_outputs(self, tmp_path, capsys):
         out = tmp_path / "mms"

@@ -1,11 +1,11 @@
 """Uniform-box C1 Hermite finite elements: mesh, space, quadrature, assembly.
 
-The mesh is a uniform product grid on an axis-aligned box.  Degrees of
-freedom are nodal values plus nodal derivatives (2 per node in 1D, 4 per
-node in 2D), which makes the space C1 across cell interfaces.  Clamped
-boundary conditions (value and all derivative DOFs zero on boundary nodes)
-are imposed by elimination, so all assembled operators live on the free
-DOFs only.
+The mesh is a uniform product grid on an axis-aligned box, in every run the
+reference box (-1, 1)^n (``Mesh.uniform``).  Degrees of freedom are nodal
+values plus nodal derivatives (2 per node in 1D, 4 per node in 2D), which
+makes the space C1 across cell interfaces.  Clamped boundary conditions
+(value and all derivative DOFs zero on boundary nodes) are imposed by
+elimination, so all assembled operators live on the free DOFs only.
 
 Assembly is vectorized over cells but accumulates in fixed cell order, so
 two assemblies of the same inputs are bitwise identical.  Every matrix is
@@ -39,6 +39,7 @@ __all__ = [
 DEFAULT_OPERATOR_QUAD = 5   # exact through degree 9 per axis
 DEFAULT_LOAD_QUAD = 6
 _BLOCK_VALUES = 2 ** 16     # quadrature values per field in a block of states
+REFERENCE_INTERVAL = (-1.0, 1.0)  # each axis of the reference box
 
 
 def _product(axes) -> np.ndarray:
@@ -72,10 +73,9 @@ class Mesh:
                 raise ValueError(f"cells_per_axis must be >= 1, got {n}")
 
     @staticmethod
-    def uniform(dim: int, cells: int, box=None) -> "Mesh":
-        if box is None:
-            box = ((-1.0, 1.0),) * dim
-        return Mesh(dim, tuple(tuple(b) for b in box), (cells,) * dim)
+    def uniform(dim: int, cells: int) -> "Mesh":
+        """The reference box (-1, 1)^dim with ``cells`` cells per axis."""
+        return Mesh(dim, (REFERENCE_INTERVAL,) * dim, (cells,) * dim)
 
     @property
     def h(self) -> tuple[float, ...]:

@@ -1,17 +1,16 @@
 """Moving-boundary geometry: K(t) and the transformed coefficients.
 
-The physical beam occupies ``Omega_t = K(t) * Omega`` where ``Omega`` is a fixed
-reference box.  Pulling the equation back to the reference box turns the
-constant-coefficient operator into one with the time/space dependent
-coefficients ``b1, b2, a1..a5`` evaluated here.  Everything in this module is
-pure and stateless; callers may evaluate from any number of workers.
+The physical beam occupies ``Omega_t = K(t) * Omega``, where ``Omega`` is the
+reference box (-1, 1)^n and K a linear drift or an exponential saturation.
+Pulling the equation back to the reference box turns the constant-coefficient
+operator into one with the time/space dependent coefficients ``b1, b2,
+a1..a5`` evaluated here.  Everything in this module is pure and stateless.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -40,8 +39,6 @@ class SingularMappingError(ValueError):
 class BoundaryKind(Enum):
     LINEAR_DRIFT = "linear_drift"            # K(t) = base + slope * t
     EXPONENTIAL_SATURATION = "exp_saturation"  # K(t) = base + amp * (1 - e^{-rate t})
-    CONSTANT = "constant"                    # K(t) = base
-    CUSTOM = "custom"                        # user-supplied callbacks
 
 
 @dataclass(frozen=True)
@@ -61,11 +58,7 @@ class MovingBoundary:
     k0: float = 1e-8
     k1_bound: float = math.inf
     k2_bound: float = math.inf
-    custom: tuple[Callable[[float], float], ...] | None = None  # (K, K', K'')
     label: str = ""
-
-    def __call__(self, t: float) -> tuple[float, float, float]:
-        return eval_boundary(self, t)
 
     # -- canonical boundaries used throughout the verification harness -----
 
@@ -90,7 +83,7 @@ class MovingBoundary:
     @staticmethod
     def constant(value: float = 64.0) -> "MovingBoundary":
         return MovingBoundary(
-            BoundaryKind.CONSTANT, base=value,
+            BoundaryKind.LINEAR_DRIFT, base=value,
             k0=value / 2.0, k1_bound=2.0 * value, k2_bound=1.0, label="constant",
         )
 
@@ -118,21 +111,15 @@ def eval_boundary(b: MovingBoundary, t: float) -> tuple[float, float, float]:
     """Return (K, K', K'') at time t, analytically per kind."""
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    if b.kind is BoundaryKind.CUSTOM:
-        if b.custom is None or len(b.custom) != 3:
-            raise ValueError("custom boundary requires (K, K', K'') callbacks")
-        k, kp, kpp = (float(f(t)) for f in b.custom)
-    elif b.kind is BoundaryKind.LINEAR_DRIFT:
+    if b.kind is BoundaryKind.LINEAR_DRIFT:
         k, kp, kpp = b.base + b.slope * t, b.slope, 0.0
-    elif b.kind is BoundaryKind.EXPONENTIAL_SATURATION:
+    else:
         try:
             e = math.exp(-b.rate * t)
         except OverflowError:   # a negative rate; reported as non-finite below
             e = math.inf
         k, kp = b.base + b.amplitude * (1.0 - e), b.amplitude * b.rate * e
         kpp = -b.amplitude * b.rate * b.rate * e
-    else:
-        k, kp, kpp = b.base, 0.0, 0.0
     if not (math.isfinite(k) and math.isfinite(kp) and math.isfinite(kpp)):
         raise InvalidBoundaryError(f"non-finite boundary value at t={t}: {(k, kp, kpp)}")
     return k, kp, kpp
@@ -202,68 +189,41 @@ class HypothesisReport:
         return "\n".join(lines)
 
 
-def _sample_times(b: MovingBoundary, T: float, per_unit: int) -> np.ndarray:
-    # K and K' of the built-in kinds are monotone, so the interval ends are
-    # their extrema; a custom boundary is sampled densely, ends included.
-    if b.kind is not BoundaryKind.CUSTOM:
-        return np.array([0.0, T])
-    return np.linspace(0.0, T, max(int(per_unit * T), 64) + 1)
-
-
 def validate_hypotheses(
     b: MovingBoundary,
     p: BeamParameters,
     T: float,
-    samples_per_unit_time: int = 10_000,
     relaxed: bool = False,
 ) -> HypothesisReport:
-    """Check the admissibility hypotheses on [0, T].
+    """Check the admissibility hypotheses on [0, T], exactly.
 
-    A built-in boundary is checked at t = 0 and t = T, where its monotone K
-    and K' take their extrema; a ``CUSTOM`` one at ``samples_per_unit_time``
-    evenly spaced times per unit time (at least 64 intervals).  ``relaxed``
-    permits K' = 0 (stationary domain) so that fixed-domain regression runs
-    are not rejected; the report still records the strict outcome of the
-    speed clause.
+    K and K' of both kinds are monotone, so they take their extrema at t = 0
+    and t = T, the only times evaluated.  ``relaxed`` permits K' = 0
+    (stationary domain) so that fixed-domain regression runs are not
+    rejected; the report still records the strict outcome of the speed
+    clause.
     """
     if not T > 0:
         raise ValueError(f"horizon must be positive, got T={T}")
-    ts = _sample_times(b, T, samples_per_unit_time)
+    ts = np.array([0.0, T])
     ks, kps, _ = np.array([eval_boundary(b, float(t)) for t in ts]).T
-
-    failures: list[str] = []
-    lo = bool(np.all(ks >= b.k0) and b.k0 > 0.0)
-    hi = bool(np.all(ks <= b.k1_bound))
-    if not lo:
-        t_bad = float(ts[np.argmin(ks - b.k0)])
-        failures.append(f"K(t) < K0 = {b.k0} near t = {t_bad:.6g}")
-    if not hi:
-        t_bad = float(ts[np.argmax(ks)])
-        failures.append(f"K(t) > K1 = {b.k1_bound} near t = {t_bad:.6g}")
-
-    pos = bool(np.all(kps > 0.0))
-    spd = bool(np.all(kps <= b.k2_bound))
-    if not pos:
-        t_bad = float(ts[np.argmin(kps)])
-        failures.append(f"K'(t) <= 0 near t = {t_bad:.6g}")
-    if not spd:
-        t_bad = float(ts[np.argmax(kps)])
-        failures.append(f"K'(t) > K2 = {b.k2_bound} near t = {t_bad:.6g}")
-
     max_kp_sq = float(np.max(kps ** 2))
-    h4 = max_kp_sq < p.zeta0 / 4.0
-    if not h4:
-        t_bad = float(ts[np.argmax(kps ** 2)])
-        failures.append(
-            f"max (K')^2 = {max_kp_sq:.6e} >= zeta0/4 = {p.zeta0 / 4.0:.6e}"
-            f" near t = {t_bad:.6g}"
-        )
-
+    # each clause: (holds, what fails, index of the end time that decides it)
+    clauses = [
+        (bool(np.all(ks >= b.k0) and b.k0 > 0.0), f"K(t) < K0 = {b.k0}", np.argmin(ks - b.k0)),
+        (bool(np.all(ks <= b.k1_bound)), f"K(t) > K1 = {b.k1_bound}", np.argmax(ks)),
+        (bool(np.all(kps > 0.0)), "K'(t) <= 0", np.argmin(kps)),
+        (bool(np.all(kps <= b.k2_bound)), f"K'(t) > K2 = {b.k2_bound}", np.argmax(kps)),
+        (max_kp_sq < p.zeta0 / 4.0,
+         f"max (K')^2 = {max_kp_sq:.6e} >= zeta0/4 = {p.zeta0 / 4.0:.6e}", np.argmax(kps ** 2)),
+    ]
+    lo, hi, pos, spd, h4 = (holds for holds, _, _ in clauses)
     return HypothesisReport(
         h1_bounds=lo and hi,
         h1_speed=pos and spd,
         h4=h4,
         max_kprime_sq=max_kp_sq,
-        failures=failures,
+        failures=[f"{what} near t = {float(ts[i]):.6g}" for holds, what, i in clauses
+                  if not holds],
         relaxed=relaxed,
     )

@@ -84,10 +84,6 @@ class ManufacturedCase:
             temporal=_TEMPORAL[case_id],
         )
 
-    @property
-    def box(self) -> tuple[tuple[float, float], ...]:
-        return ((-1.0, 1.0),) * self.dim
-
     # -- factors ---------------------------------------------------------------
 
     def temporal_factor(self, t: float, dt_order: int = 0) -> float:

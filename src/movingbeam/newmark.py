@@ -43,6 +43,7 @@ from .geometry import BeamParameters, MovingBoundary, time_factors
 __all__ = [
     "ConfigError",
     "NewmarkConfig",
+    "whole_steps",
     "TimeLevel",
     "Source",
     "StepProblem",
@@ -95,10 +96,15 @@ class NewmarkConfig:
 
     @staticmethod
     def for_horizon(T: float, dt: float, **kw) -> "NewmarkConfig":
-        n = int(round(T / dt))
-        if abs(n * dt - T) > 1e-12 * max(1.0, abs(T)):
-            raise ConfigError(f"dt = {dt} does not divide T = {T} evenly")
-        return NewmarkConfig(dt=dt, n_steps=n, **kw)
+        return NewmarkConfig(dt=dt, n_steps=whole_steps(T, dt), **kw)
+
+
+def whole_steps(t: float, dt: float, name: str = "T") -> int:
+    """Steps of size dt up to time t; ``ConfigError`` unless dt divides t evenly."""
+    n = int(round(t / dt))
+    if abs(n * dt - t) > 1e-12 * max(1.0, abs(t)):
+        raise ConfigError(f"dt = {dt} does not divide {name} = {t} evenly")
+    return n
 
 
 # one time level: b1, the coefficient vectors of L1 and L2 over
@@ -340,22 +346,23 @@ class StepProblem:
             out.append((b, b * float(z @ K1z), K1z))
         return out
 
-    def residual(self, X: np.ndarray, OX: np.ndarray) -> np.ndarray:
-        """R(X), formed from its products OX = ``ops.products(X)``."""
+    def residual(self, X: np.ndarray, OX: np.ndarray) -> tuple[np.ndarray, list]:
+        """(R(X), terms), formed from the products OX = ``ops.products(X)``;
+        ``terms`` are the Kirchhoff terms at X that ``jacobian_parts`` takes."""
+        terms = self._kirchhoff(X, OX[1])
         r = self.c_lin @ OX
         r += self.const
-        for _, g, K1z in self._kirchhoff(X, OX[1]):
+        for _, g, K1z in terms:
             r += self.th_dt2 * g * K1z
-        return r
+        return r, terms
 
-    def jacobian_parts(self, X: np.ndarray, K1X: np.ndarray):
-        """(c, U, V) with J = S(c) + U V^T at X, given K1X = K1 X: c is the
-        coefficient vector of the sparse part, and each term adds the column
-        pair theta dt^2 K1 z_j, 2 b_j K1 z_j, for z_j = X - s_j."""
-        terms = self._kirchhoff(X, K1X)
+    def jacobian_parts(self, terms: list):
+        """(c, U, V) with J = S(c) + U V^T at the X whose ``residual`` gave
+        ``terms``: c is the coefficient vector of the sparse part, and each term
+        adds the column pair theta dt^2 K1 z_j, 2 b_j K1 z_j, for z_j = X - s_j."""
         c = self.c_lin.copy()
         c[1] += self.th_dt2 * sum(g for _, g, _ in terms)  # slot 1 is K1
-        U, V = np.empty((2, X.size, len(terms)))
+        U, V = np.empty((2, terms[0][2].size, len(terms)))
         for j, (b, _, K1z) in enumerate(terms):
             np.multiply(self.th_dt2, K1z, out=U[:, j])
             np.multiply(2.0 * b, K1z, out=V[:, j])
@@ -370,20 +377,20 @@ def newton_solve(problem: StepProblem, start: tuple[np.ndarray, np.ndarray],
     solver = solver or LinearSolver(problem.ops)
     X, OX = start[0].copy(), start[1]
     for it in range(1, NEWTON_MAX_ITER + 1):
-        r = problem.residual(X, OX)
+        r, terms = problem.residual(X, OX)
         rn = float(np.abs(r).max())  # NaN and inf carry through the max
         if not math.isfinite(rn):
             raise NewtonNoConvergence("non-finite residual")
         if rn < NEWTON_TOL_RESID:
             return X, OX, it - 1, rn
-        c, U, V = problem.jacobian_parts(X, OX[1])
+        c, U, V = problem.jacobian_parts(terms)
         step = solver.solve(c, np.negative(r, out=r), U, V)
         X += step  # X is Newton's own copy
         if not np.isfinite(X).all():
             raise NewtonNoConvergence("non-finite Newton iterate")
         OX = problem.ops.products(X)
         if np.abs(step).max() < NEWTON_TOL_STEP:
-            return X, OX, it, float(np.abs(problem.residual(X, OX)).max())
+            return X, OX, it, float(np.abs(problem.residual(X, OX)[0]).max())
     raise NewtonNoConvergence(f"no convergence in {NEWTON_MAX_ITER} iterations")
 
 

@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fem import (
+    REFERENCE_INTERVAL,
     HermiteSpace,
     Mesh,
     assemble_constant,
@@ -41,9 +42,9 @@ __all__ = [
 ]
 
 
-def cells_for_h(box: Sequence[tuple[float, float]], h: float) -> int:
-    """Cells per axis for a target cell size h; h must divide the box evenly."""
-    length = box[0][1] - box[0][0]
+def cells_for_h(h: float) -> int:
+    """Cells per axis of the reference box for a cell size h that tiles it."""
+    length = REFERENCE_INTERVAL[1] - REFERENCE_INTERVAL[0]
     n = length / h
     if abs(n - round(n)) > 1e-9 or round(n) < 1:
         raise ConfigError(f"cell size {h} does not tile a box of length {length}")
@@ -65,13 +66,13 @@ def simulate(
     cfg: NewmarkConfig,
     homogeneous: bool = False,
 ) -> SimulationResult:
-    """Assemble and march one run on the case's box (-1, 1)^n, ``cells`` per axis.
+    """Assemble and march one run on the reference box (-1, 1)^n, ``cells`` per axis.
 
     The initial data and the source come from ``case``; ``homogeneous=True``
     keeps the initial data but drops the source.  The zero run is a case of
     amplitude 0 run homogeneously.
     """
-    space = HermiteSpace(Mesh.uniform(case.dim, cells, case.box))
+    space = HermiteSpace(Mesh.uniform(case.dim, cells))
     ops = assemble_constant(space)
     source = None if homogeneous else make_source(case, boundary, params)
     system = BeamSystem(space, ops, boundary, params, source)
@@ -198,7 +199,7 @@ def convergence_study(
             h = 2.0 ** -i
         else:
             raise ValueError(f"unknown study mode {mode!r}")
-        cells = cells_for_h(case.box, h)
+        cells = cells_for_h(h)
         cfg = NewmarkConfig.for_horizon(T, dt, theta=theta)
         res = simulate(case, boundary, params, cells, cfg)
         if not res.trajectory.completed:
@@ -235,7 +236,7 @@ def theta_sweep(
     """Error per (h, theta) cell at fixed dt; divergence recorded as None."""
     out = ThetaSweepResult(h_values=list(h_values), theta_values=list(theta_values))
     for h in h_values:
-        cells = cells_for_h(case.box, h)
+        cells = cells_for_h(h)
         for theta in theta_values:
             cfg = NewmarkConfig.for_horizon(T, dt, theta=theta)
             res = simulate(case, boundary, params, cells, cfg)

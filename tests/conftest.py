@@ -85,7 +85,7 @@ def map_back(b, t, x):
 
 def jacobian_dense(problem, X):
     """The Newton matrix of a ``StepProblem`` at X as a dense array."""
-    c, U, V = problem.jacobian_parts(X, problem.ops.products(X)[1])
+    c, U, V = problem.jacobian_parts(problem.residual(X, problem.ops.products(X))[1])
     return problem.ops.combine(c).toarray() + U @ V.T
 
 
@@ -119,7 +119,7 @@ def error_series(space, trajectory, case, nq=8):
 
 def residual_at(problem, X):
     """R(X) of a ``StepProblem``, with the products of X formed here."""
-    return problem.residual(X, problem.ops.products(X))
+    return problem.residual(X, problem.ops.products(X))[0]
 
 
 def start_at(problem, x0):

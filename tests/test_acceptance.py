@@ -128,7 +128,7 @@ class TestCriterion2StationaryRegression:
         errs = []
         for i in (3, 4, 5, 6):
             dt = 2.0 ** -(i + 1)
-            cells = cells_for_h(s1_1d.box, 2 * dt)
+            cells = cells_for_h(2 * dt)
             cfg = NewmarkConfig.for_horizon(1.0, dt, theta=0.25)
             res = simulate(s1_1d, b, p_lin, cells, cfg)
             assert res.trajectory.completed

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from movingbeam import verification
+from movingbeam import eval_boundary, verification
 from movingbeam.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGENCE,
@@ -89,20 +89,19 @@ class TestConfig:
         for name in ("B1", "B2", "constant", "linear", "exponential"):
             cfg = RunConfig(boundary=name, boundary_slope=0.01, boundary_amplitude=1.0)
             cfg.validate()
-            b = cfg.moving_boundary()
-            k, kp, kpp = b(0.0)
+            k, kp, kpp = eval_boundary(cfg.moving_boundary(), 0.0)
             assert math.isfinite(k) and k > 0
 
     def test_constant_boundary_takes_its_base(self):
         b = RunConfig(boundary="constant", boundary_base=2.0).moving_boundary()
         for t in (0.0, 0.5, 7.0):
-            assert b(t) == (2.0, 0.0, 0.0)
+            assert eval_boundary(b, t) == (2.0, 0.0, 0.0)
 
     def test_exponential_boundary_takes_its_base_and_rate(self):
         for rate in (0.5, 3.0):
             cfg = RunConfig(boundary="exponential", boundary_base=8.0,
                             boundary_amplitude=2.0, boundary_rate=rate)
-            k, kp, _ = cfg.moving_boundary()(0.0)
+            k, kp, _ = eval_boundary(cfg.moving_boundary(), 0.0)
             assert k == 8.0
             assert kp == 2.0 * rate
 
@@ -110,6 +109,20 @@ class TestConfig:
     def test_snapshot_outside_horizon_rejected(self, snapshots):
         with pytest.raises(ConfigError, match="snapshot time"):
             RunConfig(snapshots=snapshots).validate()
+
+    @pytest.mark.parametrize("snapshots,match", [
+        ((0.3,), "does not divide snapshot time = 0.3"),
+        ((0.0, 0.3, 0.31), "does not divide snapshot time = 0.3"),
+        ((0.25, 0.5, 0.25), "repeat a time level"),
+        ((0.25, 0.25 + 1e-14), "repeat a time level"),
+    ])
+    def test_snapshot_off_the_step_grid_or_repeated_rejected(self, snapshots, match):
+        # each snapshot must be its own time level: one file per request
+        cfg = RunConfig(snapshots=snapshots, dt=0.125, T=0.5, h=0.25)
+        with pytest.raises(ConfigError, match=match):
+            cfg.validate()
+        cfg.snapshots = (0.0, 0.125, 0.5 - 1e-14)  # within the horizon's tolerance
+        cfg.validate()
 
 
 class TestCommands:
@@ -143,6 +156,8 @@ class TestCommands:
                      "--set", "dt=0.3"]) == EXIT_CONFIG
         assert main(["theta-sweep", *out, "--set", "dt=0.3"]) == EXIT_CONFIG
         assert main(["solve", *out, "--set", "snapshots=5.0", "--set", "T=0.5"]) == EXIT_CONFIG
+        assert main(["solve", *out, "--set", "snapshots=0.3,0.31", "--set", "h=0.25",
+                     "--set", "dt=0.125", "--set", "T=0.5"]) == EXIT_CONFIG
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["mms", "convergence", "theta-sweep"])

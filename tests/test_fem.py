@@ -17,7 +17,7 @@ from movingbeam import (
     interpolate_initial,
 )
 from movingbeam.fem import _BLOCK_VALUES, _elem_integrals
-from movingbeam.geometry import time_factors
+from movingbeam.geometry import eval_boundary, time_factors
 from movingbeam.newmark import LinearSolver
 
 from conftest import assemble_time_dependent, kirchhoff_scalar, project_initial, step_problem
@@ -171,10 +171,7 @@ class TestTimeDependentAssembly:
     def test_singular_mapping_propagates(self, params):
         from movingbeam import BoundaryKind, SingularMappingError
 
-        b = MovingBoundary(
-            BoundaryKind.CUSTOM,
-            custom=(lambda t: 0.0, lambda t: 0.0, lambda t: 0.0),
-        )
+        b = MovingBoundary(BoundaryKind.LINEAR_DRIFT, base=0.0)
         space = HermiteSpace(Mesh.uniform(1, 4))
         with pytest.raises(SingularMappingError):
             assemble_time_dependent(space, b, params, 1.0)
@@ -214,7 +211,7 @@ class TestTimeDependentAssembly:
 def _quadrature_l_matrices(space, ops, b, params, t):
     """L1, L2 from the pointwise B1..B4 quadrature, the affine path's reference."""
     bt = assemble_time_dependent(space, b, params, t)
-    k = b(t)[0]
+    k = eval_boundary(b, t)[0]
     return (
         (params.nu * ops.A + bt.B3).toarray(),
         (k**-4 * ops.K2 + bt.B1 + bt.B4 - bt.B2).toarray(),
@@ -260,15 +257,12 @@ class TestAffineOperators:
     def test_combination_matches_quadrature(self, params, dim, cells, which):
         from movingbeam import BeamSystem, BoundaryKind
 
-        # custom: K = 1 + t/2 + t^2/4, so K'' != 0 and K'/K = 0.57 at t = 0.5
+        # custom: K = 2 - e^-t, so K'' != 0 and K'/K is 1 at t = 0 and 0.43 at t = 0.5
         b = {
             "B1": MovingBoundary.b1(dim),
             "B2": MovingBoundary.b2(dim),
-            "custom": MovingBoundary(
-                BoundaryKind.CUSTOM,
-                custom=(lambda t: 1.0 + t / 2 + t * t / 4, lambda t: 0.5 + t / 2,
-                        lambda t: 0.5),
-            ),
+            "custom": MovingBoundary(BoundaryKind.EXPONENTIAL_SATURATION, base=1.0,
+                                     amplitude=1.0, rate=1.0),
         }[which]
         space = HermiteSpace(Mesh.uniform(dim, cells))
         ops = assemble_constant(space)
@@ -294,7 +288,8 @@ class TestAffineOperators:
         coefs = [level.L1, level.L2]
         for eta in (0, 2):
             prob = step_problem(system, cfg, eta, d, d, d)
-            coefs += [prob.c1, prob.c2, prob.c3, prob.jacobian_parts(d, ops.K1 @ d)[0]]
+            terms = prob.residual(d, ops.products(d))[1]
+            coefs += [prob.c1, prob.c2, prob.c3, prob.jacobian_parts(terms)[0]]
         for M in [ops.K1, ops.K2, ops.Q, ops.P, *map(ops.combine, coefs)]:
             assert np.array_equal(M.indptr, ops.A.indptr)
             assert np.array_equal(M.indices, ops.A.indices)

@@ -1,6 +1,6 @@
 """Moving-boundary evaluation, transformed coefficients, hypothesis checks."""
-import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,18 +51,10 @@ class TestEvalBoundary:
         with pytest.raises(ValueError):
             eval_boundary(b1_1d, -0.5)
 
-    def test_custom_callbacks(self):
-        b = MovingBoundary(
-            BoundaryKind.CUSTOM, custom=(lambda t: 2.0 + t * t, lambda t: 2 * t, lambda t: 2.0),
-            k0=1.0,
-        )
-        assert eval_boundary(b, 3.0) == (11.0, 6.0, 2.0)
-
     def test_non_finite_custom_rejected(self):
-        b = MovingBoundary(
-            BoundaryKind.CUSTOM,
-            custom=(lambda t: math.inf, lambda t: 0.0, lambda t: 0.0),
-        )
+        # a negative rate overflows e^{-rate t}; K is then reported as non-finite
+        b = MovingBoundary(BoundaryKind.EXPONENTIAL_SATURATION, base=2.0, amplitude=1.0,
+                           rate=-1000.0)
         with pytest.raises(InvalidBoundaryError):
             eval_boundary(b, 1.0)
 
@@ -87,10 +79,7 @@ class TestEvalCoefficients:
         assert a4[0] == pytest.approx(-(2.0 ** -12), rel=1e-15)
 
     def test_singular_mapping(self, params):
-        b = MovingBoundary(
-            BoundaryKind.CUSTOM,
-            custom=(lambda t: 0.0, lambda t: 0.0, lambda t: 0.0),
-        )
+        b = MovingBoundary(BoundaryKind.LINEAR_DRIFT, base=0.0)
         with pytest.raises(SingularMappingError):
             time_factors(b, params, 1.0)
 
@@ -120,7 +109,7 @@ class TestEvalCoefficients:
 
 class TestHypotheses:
     def test_b1_passes(self, b1_1d, params):
-        rep = validate_hypotheses(b1_1d, params, 1.0, samples_per_unit_time=2000)
+        rep = validate_hypotheses(b1_1d, params, 1.0)
         assert rep.ok
         # analytic max of (K')^2 for the linear drift: slope^2 = 2^-14
         assert rep.max_kprime_sq == pytest.approx(2.0 ** -14, rel=1e-12)
@@ -131,31 +120,25 @@ class TestHypotheses:
             BoundaryKind.LINEAR_DRIFT, base=64.0, slope=10.0,
             k0=1.0, k1_bound=1e6, k2_bound=100.0,
         )
-        rep = validate_hypotheses(b, params, 1.0, samples_per_unit_time=500)
+        rep = validate_hypotheses(b, params, 1.0)
         assert not rep.h4
         assert not rep.ok
         assert any("zeta0/4" in f for f in rep.failures)
 
     def test_constant_fails_strict_speed_but_relaxed_ok(self, params):
         b = MovingBoundary.constant(64.0)
-        strict = validate_hypotheses(b, params, 1.0, samples_per_unit_time=500)
+        strict = validate_hypotheses(b, params, 1.0)
         assert not strict.h1_speed
         assert not strict.ok
-        relaxed = validate_hypotheses(
-            b, params, 1.0, samples_per_unit_time=500, relaxed=True
-        )
+        relaxed = validate_hypotheses(b, params, 1.0, relaxed=True)
         assert relaxed.ok
 
     @settings(max_examples=30, deadline=None)
     @given(z_lo=st.floats(1.0, 50.0), bump=st.floats(0.0, 500.0))
     def test_h4_monotone_in_zeta0(self, z_lo, bump):
         b = MovingBoundary.b2(1)
-        lo = validate_hypotheses(
-            b, BeamParameters(zeta0=z_lo), 1.0, samples_per_unit_time=200
-        )
-        hi = validate_hypotheses(
-            b, BeamParameters(zeta0=z_lo + bump), 1.0, samples_per_unit_time=200
-        )
+        lo = validate_hypotheses(b, BeamParameters(zeta0=z_lo), 1.0)
+        hi = validate_hypotheses(b, BeamParameters(zeta0=z_lo + bump), 1.0)
         if lo.h4:
             assert hi.h4
 
@@ -168,40 +151,41 @@ class TestHypotheses:
         MovingBoundary.b2(1),
         MovingBoundary.b2(2),
         MovingBoundary.constant(64.0),
+        # K falls from 64 to 54 through K0 = 60, and K' = -1/2 < 0: two failures
+        MovingBoundary(BoundaryKind.LINEAR_DRIFT, base=64.0, slope=-0.5,
+                       k0=60.0, k1_bound=128.0, k2_bound=1.0),
+        # K' = -20 e^{-10 t}: K' < 0, and max K'^2 = 400 >= zeta0/4 at t = 0
+        MovingBoundary(BoundaryKind.EXPONENTIAL_SATURATION, base=64.0, amplitude=-2.0,
+                       rate=10.0, k0=1.0, k1_bound=128.0, k2_bound=1.0),
         # K = 1 + t/2 leaves K1 = 2.5 and K2 = 0.25: two failures
         MovingBoundary(BoundaryKind.LINEAR_DRIFT, base=1.0, slope=0.5,
                        k0=0.5, k1_bound=2.5, k2_bound=0.25),
-    ], ids=["B1", "B2", "B2-2D", "constant", "failing"])
-    def test_array_sampling_matches_scalar_loop(self, b, params):
-        # as CUSTOM callbacks the same boundary is sampled one call at a time
-        scalar = dataclasses.replace(b, kind=BoundaryKind.CUSTOM, custom=tuple(
-            (lambda t, i=i: eval_boundary(b, t)[i]) for i in range(3)))
-        rep = validate_hypotheses(b, params, 20.0, samples_per_unit_time=2000)
-        ref = validate_hypotheses(scalar, params, 20.0, samples_per_unit_time=2000)
-        assert (rep.h1_bounds, rep.h1_speed, rep.h4, rep.failures) == (
-            ref.h1_bounds, ref.h1_speed, ref.h4, ref.failures)
-        assert rep.max_kprime_sq == pytest.approx(ref.max_kprime_sq, rel=1e-15, abs=0.0)
-
-    def test_custom_sampling_matches_scalar_loop(self, params):
-        b = MovingBoundary(
-            BoundaryKind.CUSTOM, k0=1.0, k1_bound=10.0, k2_bound=1.0,
-            custom=(lambda t: 2.0 + t * t / 100.0, lambda t: t / 50.0, lambda t: 0.02),
-        )
-        rep = validate_hypotheses(b, params, 20.0, samples_per_unit_time=2000)
-        ts = np.linspace(0.0, 20.0, 40_001)
-        kps = np.array([eval_boundary(b, float(t))[1] for t in ts])
+    ], ids=["B1", "B2", "B2-2D", "constant", "negative-slope", "negative-amplitude",
+            "failing"])
+    def test_ends_match_dense_sweep(self, b, params):
+        # K and K' are monotone, so t = 0 and t = T decide every clause exactly
+        T = 20.0
+        ts = np.linspace(0.0, T, 20_001)
+        ks, kps, _ = np.array([eval_boundary(b, float(t)) for t in ts]).T
+        clauses = [b.k0 > 0.0 and bool(np.all(ks >= b.k0)), bool(np.all(ks <= b.k1_bound)),
+                   bool(np.all(kps > 0.0)), bool(np.all(kps <= b.k2_bound)),
+                   float(np.max(kps ** 2)) < params.zeta0 / 4.0]
+        rep = validate_hypotheses(b, params, T)
+        assert (rep.h1_bounds, rep.h1_speed, rep.h4) == (
+            clauses[0] and clauses[1], clauses[2] and clauses[3], clauses[4])
         assert rep.max_kprime_sq == pytest.approx(float(np.max(kps ** 2)), rel=1e-15, abs=0.0)
-        assert (rep.h1_bounds, rep.h1_speed, rep.h4) == (True, False, True)
+        assert len(rep.failures) == clauses.count(False)
+        for failure in rep.failures:
+            assert float(re.search(r"near t = (\S+)$", failure)[1]) in (0.0, T)
 
     def test_non_finite_samples_rejected(self, params):
-        custom = MovingBoundary(
-            BoundaryKind.CUSTOM,
-            custom=(lambda t: 2.0 if t < 10.0 else math.nan, lambda t: 0.1, lambda t: 0.0),
-        )
         built_in = MovingBoundary(BoundaryKind.LINEAR_DRIFT, base=math.inf, slope=1.0)
-        for b in (custom, built_in):
+        # finite at t = 0; e^{-rate T} overflows at the end of the horizon
+        saturation = MovingBoundary(BoundaryKind.EXPONENTIAL_SATURATION, base=2.0,
+                                    amplitude=1.0, rate=-1000.0)
+        for b in (built_in, saturation):
             with pytest.raises(InvalidBoundaryError):
-                validate_hypotheses(b, params, 20.0, samples_per_unit_time=100)
+                validate_hypotheses(b, params, 20.0)
 
 
 class TestMapping:

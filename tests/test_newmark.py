@@ -341,10 +341,13 @@ class TestAdvance:
         # a homogeneous 1D run evaluates the time factors once per level, and
         # makes one five-operator product per residual but each step's first,
         # whose O d^eta comes from the window, plus O d0 and O d1 at startup;
-        # a 1D linear solve makes none, as it runs no refinement sweep
+        # a 1D linear solve makes none, as it runs no refinement sweep.  The
+        # Kirchhoff terms are formed once per residual: the Jacobian at the
+        # same X takes them from it.
         factors = _count_calls(monkeypatch, newmark, "time_factors")
         products = _count_calls(monkeypatch, AssembledOperators, "products")
         residuals = _count_calls(monkeypatch, StepProblem, "residual")
+        kirchhoff = _count_calls(monkeypatch, StepProblem, "_kirchhoff")
         _, forced, d0, d1 = _mms_system(cells=16, boundary=boundary, amplitude=amplitude)
         system = BeamSystem(forced.space, forced.ops, forced.boundary, forced.params)
         cfg = NewmarkConfig(theta=0.25, dt=2.0**-6, n_steps=16)
@@ -352,6 +355,7 @@ class TestAdvance:
         assert traj.completed
         assert len(factors) == cfg.n_steps + 1
         assert len(products) == len(residuals) - cfg.n_steps + 2
+        assert len(kirchhoff) == len(residuals) > cfg.n_steps
 
 
 def _woodbury_reference(S, rhs, U, V):
@@ -534,7 +538,7 @@ class TestLinearSolver:
         # I + V^T S^-1 U = [[1/2, -1/2], [-1/2, 1/2]], whose second pivot is exactly 0
         system = _ScalarSystem(A=0.75, L2=0.0, b1=-0.25)
         prob = _scalar_problem(system, NewmarkConfig(theta=0.25, dt=2.0, n_steps=1), 0)
-        c, U, V = prob.jacobian_parts(np.ones(1), np.ones(1))
+        c, U, V = prob.jacobian_parts(prob.residual(*start_at(prob, np.ones(1)))[1])
         assert system.ops.band(c)[0, 0] == 1.0
         assert np.array_equal(U, [[1.0, 1.0]]) and np.array_equal(V, [[-0.5, -0.5]])
         with pytest.raises(SingularJacobian, match="capacitance"):
@@ -574,11 +578,8 @@ class TestLoadBasis:
         b = {
             "B1": MovingBoundary.b1(dim),
             "B2": MovingBoundary.b2(dim),
-            "custom": MovingBoundary(  # K'' != 0 and K'/K of order 1
-                BoundaryKind.CUSTOM,
-                custom=(lambda t: 1.0 + t / 2 + t * t / 4, lambda t: 0.5 + t / 2,
-                        lambda t: 0.5),
-            ),
+            "custom": MovingBoundary(  # K = 2 - e^-t: K'' != 0 and K'/K of order 1
+                BoundaryKind.EXPONENTIAL_SATURATION, base=1.0, amplitude=1.0, rate=1.0),
         }[which]
         case = ManufacturedCase.standard(case_id, dim)
         space = HermiteSpace(Mesh.uniform(dim, 8 if dim == 1 else 4))

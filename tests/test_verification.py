@@ -97,11 +97,10 @@ class TestConvergenceTable:
         assert table.rows[2].rate is None  # no valid predecessor
 
     def test_cells_for_h(self):
-        box = ((-1.0, 1.0),)
-        assert cells_for_h(box, 0.5) == 4
-        assert cells_for_h(box, 2.0**-6) == 128
+        assert cells_for_h(0.5) == 4
+        assert cells_for_h(2.0**-6) == 128
         with pytest.raises(ValueError):
-            cells_for_h(box, 0.3)
+            cells_for_h(0.3)
 
     def test_study_validation(self, s1_1d, b1_1d, params):
         with pytest.raises(ValueError):

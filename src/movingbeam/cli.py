@@ -5,7 +5,8 @@
 Subcommands: validate, solve, mms, convergence, theta-sweep, energy.
 Each loads its configuration, validates it once and checks the boundary's
 hypotheses on [0, T] before any march; mms, convergence and theta-sweep
-refuse a run without the manufactured source (case zero or homogeneous).
+refuse a run without the manufactured source (case zero or homogeneous),
+and energy refuses case zero, whose energy is 0 throughout.
 Each writes plot-ready CSV files (header row, scientific notation with 11
 significant digits, '.' decimal point) into the output directory and prints
 a short summary.  Re-running a command with an identical configuration
@@ -56,14 +57,17 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 def _prepare(args) -> RunConfig | None:
     """Load the configuration, apply the overrides and validate it once;
     refuse an unforced run for a command that measures against the
-    manufactured solution; check the hypotheses on [0, T].  Returns None when
-    a hypothesis fails."""
+    manufactured solution, and zero data for one that needs them; check the
+    hypotheses on [0, T].  Returns None when a hypothesis fails."""
     cfg = parse_config_file(args.config) if args.config else RunConfig()
     cfg = apply_overrides(cfg, args.set)
     cfg.validate()
-    if COMMANDS[args.command][1] and (cfg.case == "zero" or cfg.homogeneous):
+    needs = COMMANDS[args.command][1]
+    if needs == "forced" and (cfg.case == "zero" or cfg.homogeneous):
         raise ConfigError(
             f"{args.command} requires a forced run: case S1 or S2 with homogeneous = false")
+    if needs == "data" and cfg.case == "zero":
+        raise ConfigError(f"{args.command} requires nonzero initial data: case S1 or S2")
     report = validate_hypotheses(
         cfg.moving_boundary(), cfg.beam_parameters(), cfg.T, relaxed=cfg.relaxed_h1,
     )
@@ -198,14 +202,14 @@ def cmd_energy(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-# each command, and whether it needs a forced run (a manufactured source)
+# each command, and what its run needs: a source ("forced"), nonzero data ("data") or None
 COMMANDS = {
-    "validate": (cmd_validate, False),
-    "solve": (cmd_solve, False),
-    "mms": (cmd_mms, True),
-    "convergence": (cmd_convergence, True),
-    "theta-sweep": (cmd_theta_sweep, True),
-    "energy": (cmd_energy, False),
+    "validate": (cmd_validate, None),
+    "solve": (cmd_solve, None),
+    "mms": (cmd_mms, "forced"),
+    "convergence": (cmd_convergence, "forced"),
+    "theta-sweep": (cmd_theta_sweep, "forced"),
+    "energy": (cmd_energy, "data"),
 }
 
 

@@ -10,19 +10,19 @@ with K scalar, L1 and L2 are fixed combinations of the constant operators
 (A, K1, K2, Q, P) with scalar weights in (K, K', K''): they are assembled
 once per run on one CSR pattern.  A step matrix S is held only as its
 coefficient vector c over them: S x is c contracted with the five products
-of one stacked sparse matrix (``AssembledOperators.products``), and S is
-written, straight into LAPACK band storage, only when the solver factors
-it (``AssembledOperators.band``).  The load F(t) follows the same rule over
-the source's five spatial terms, integrated once per run; a homogeneous
+(``AssembledOperators.products``: one stacked sparse matrix in 1D, Kronecker
+sums of 1D products in 2D); S is written, straight into LAPACK band storage,
+only when the 1D solver factors it.  The load F(t) follows the same rule
+over the source's five spatial terms, integrated once per run; a homogeneous
 run's load is the scalar 0.0.  ``advance`` forms each time level's data
 (``BeamSystem.level``) and each state's products once.  Each implicit step is
 one ``StepProblem``: it forms the step's matrices and averaged load from three
 time levels and poses one nonlinear system, the startup step with its ghost
 level included.  Its Jacobian is a step matrix plus a low-rank correction
-from the differential of G, solved with one band LU and the Woodbury identity
-(``LinearSolver``): in 1D each solve is one band LU, one triangular solve and
-one r x r ``dgesv``; in 2D one LU is kept across iterations and steps, with
-refinement.  Results are deterministic for a fixed configuration.
+from the differential of G (``LinearSolver``): in 1D each solve is one band
+LU, one triangular solve and the Woodbury identity; in 2D it is GMRES on the
+Kronecker form, preconditioned by a kept fast diagonalization of the
+separable part.  Results are deterministic for a fixed configuration.
 
 theta in ]1/4, 1] gives the unconditionally convergent family; theta < 1/4 is
 conditionally stable and may legitimately diverge on fine meshes, which is
@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Protocol, Sequence, runtime_checkable
 
 import numpy as np
+from scipy.linalg import eigh, solve_triangular
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgesv
 
 from .fem import AssembledOperators, HermiteSpace, assemble_load, l_coefficients
@@ -51,6 +52,7 @@ __all__ = [
     "NewtonNoConvergence",
     "SingularJacobian",
     "LinearSolver",
+    "gmres",
     "newton_solve",
     "advance",
     "BeamSystem",
@@ -64,6 +66,12 @@ NEWTON_TOL_STEP = 1e-14
 NEWTON_TOL_RESID = 1e-14
 NEWTON_MAX_ITER = 50
 DIVERGENCE_THRESHOLD = 1e8   # a larger max |d| ends the run as diverged
+
+# 2D GMRES: target ||r|| / ||b||, restart length, cap, iterations that refresh the preconditioner
+GMRES_TOL = 1e-14
+GMRES_RESTART = 30
+GMRES_MAX_ITER = 300
+GMRES_REFRESH = 16
 
 
 class ConfigError(ValueError):
@@ -123,7 +131,7 @@ class Trajectory:
     residuals: list[float] = field(default_factory=list)  # Newton's final max |R| per step
     status: str = "completed"          # "completed" | "diverged"
     diverged_step: int | None = None
-    factorizations: int = 0            # LUs of the Newton matrix made by the run
+    factorizations: int = 0            # band LUs (1D) or eigendecompositions (2D) made
 
     @property
     def completed(self) -> bool:
@@ -131,63 +139,39 @@ class Trajectory:
 
 
 class LinearSolver:
-    """Solves (S + U V^T) x = b for the drifting Newton matrices of one run.
-
-    S is given by its coefficient vector c over the constant operators
-    ``ops``; it is written straight into LAPACK band storage and factored by
-    ``dgbtrf`` (kl = ku = ``ops.bandwidth``), the only factorization.  The
-    solve with the factors takes the right-hand side and the r columns of U
-    together (one ``dgbtrs``), and the r x r Woodbury capacitance
-    I + V^T S^-1 U is solved by ``dgesv`` (``_woodbury``).
-
-    ``sweeps``: how many refinement sweeps (a five-operator product and a band
-    solve each) cost no more flops than one band LU, capped at
-    ``MAX_SWEEPS``.  It is counted from the sizes, not timed, so reruns repeat
-    bit for bit.  It is 0 in 1D, where a solve is one straight line: the band
-    array, ``dgbtrf``, one ``dgbtrs`` on [rhs, U], ``dgesv`` and the Woodbury
-    update; no factors are kept and no sweep is made.  In 2D the band LU of an
-    earlier Newton matrix, with the Woodbury identity for U V^T, preconditions
-    iterative refinement on the true residual (a chord method for the linear
-    solves).  The one sweep after each factorization sets the accuracy target,
-    eight times its correction; S is refactored when the corrections contract
-    by less than half per sweep or would need more than ``sweeps`` sweeps.
+    """Solves (S + U V^T) x = b for the Newton matrices of one run, S given by
+    its coefficient vector c over the constant operators ``ops``, which choose how.
+    1D: S is written straight into LAPACK band storage and factored by
+    ``dgbtrf`` (kl = ku = ``ops.bandwidth``); one ``dgbtrs`` takes [b, U], and
+    ``dgesv`` the r x r Woodbury capacitance I + V^T S^-1 U.  Nothing is kept.
+    2D (``ops.axes``): ``gmres`` applies S in Kronecker form plus U (V^T x),
+    right-preconditioned by the fast diagonalization of the separable symmetric
+    part A(x)T + T(x)A of S, T = (c_A - c_P)/2 A + c_K1 S + c_K2 B + c_Q Q per
+    axis (P + P^T = -A): with T W = A W diag(lam) (``eigh``) its inverse is
+    X -> W_y [(W_y^T X W_x) / (lam_y,i + lam_x,j)] W_x^T.  The eigendecompositions
+    are kept, and refreshed at the first solve, after ``reset`` and after a
+    solve of more than ``GMRES_REFRESH`` iterations.  ``factorizations`` counts
+    the band LUs in 1D and the refreshes in 2D.
     """
-
-    MAX_SWEEPS = 8
 
     def __init__(self, ops: AssembledOperators):
         self.ops = ops
         self.factorizations = 0
-        self._lu = None
-        n, nnz, bw = ops.A.shape[0], ops.A.nnz, ops.bandwidth
-        self.sweeps = min(self.MAX_SWEEPS,
-                          4 * n * bw * bw // (10 * nnz + 2 * n * (3 * bw + 1)))
+        self._fd = None  # (W_x, W_y, lam_y,i + lam_x,j) of the kept preconditioner
 
     def reset(self) -> None:
-        """Drop the factors; the next solve factors its own matrix."""
-        self._lu = None
+        """Drop the preconditioner; the next 2D solve diagonalizes its own matrix."""
+        self._fd = None
 
     def solve(self, c: np.ndarray, rhs: np.ndarray, U: np.ndarray,
               V: np.ndarray) -> np.ndarray:
-        if self._lu is not None:  # only a solver with sweeps keeps factors
-            x = self._refine(c, rhs, U, V, fresh=False)
-            if x is not None:
-                return x
-        self._lu = None  # free the old factors before making new ones
-        bw = self.ops.bandwidth
+        if self.ops.axes:
+            return self._krylov(c, rhs, U, V)
+        bw, r = self.ops.bandwidth, U.shape[1]
         lu, piv, info = dgbtrf(self.ops.band(c), bw, bw, overwrite_ab=1)
         if info > 0:
             raise SingularJacobian(f"zero pivot in column {info} of the band LU")
         self.factorizations += 1
-        if not self.sweeps:  # 1D: the factors are never kept, so no target is needed
-            return self._woodbury(lu, piv, rhs, U, V)[0]
-        self._lu = lu, piv
-        return self._refine(c, rhs, U, V, fresh=True)
-
-    def _woodbury(self, lu, piv, rhs, U, V):
-        """(x, Z, W) from the factors of S: Z = S^-1 U, W = (I + V^T Z)^-1 V^T
-        and x = (S + U V^T)^-1 rhs = y - Z W y for y = S^-1 rhs."""
-        bw, r = self.ops.bandwidth, U.shape[1]
         Y = np.empty((rhs.size, r + 1), order="F")  # [rhs, U], in LAPACK's layout
         Y[:, 0], Y[:, 1:] = rhs, U
         Y = dgbtrs(lu, bw, bw, Y, piv, overwrite_b=1)[0]
@@ -198,29 +182,66 @@ class LinearSolver:
             *_, W, info = dgesv(C, V.T, overwrite_a=1)
             if info > 0:
                 raise SingularJacobian(f"singular Woodbury capacitance: zero pivot {info}")
-        return y - Z @ (W @ y), Z, W
+        return y - Z @ (W @ y)
 
-    def _refine(self, c, rhs, U, V, fresh: bool) -> np.ndarray | None:
-        lu, piv = self._lu
-        bw = self.ops.bandwidth
-        x, Z, W = self._woodbury(lu, piv, rhs, U, V)
-        last = math.inf
-        for sweep in range(1, self.sweeps + 1):
-            y = dgbtrs(lu, bw, bw, rhs - c @ self.ops.products(x) - U @ (V.T @ x), piv,
-                       overwrite_b=1)[0]
-            dx = y - Z @ (W @ y)
-            x = x + dx
-            size = float(np.abs(dx).max()) / (float(np.abs(x).max()) or 1.0)
-            if fresh:
-                self._target = 8.0 * max(size, np.finfo(float).eps)
-            if fresh or size <= self._target:
-                return x
-            rate, last = size / last, size
-            # refactor on a stall, or when this rate needs more sweeps than allowed
-            if not rate < 0.5 or (sweep > 1 and sweep + math.log(
-                    self._target / size, rate) > self.sweeps):
-                return None
-        return None
+    def _krylov(self, c, rhs, U, V) -> np.ndarray:
+        ops, (to, back) = self.ops, self.ops.grid
+        if self._fd is None:
+            t = np.array([0.5 * (c[0] - c[4]), c[1], c[2], c[3], 0.0])
+            eig = {ax: eigh(ax.combine(t).toarray(), ax.A.toarray())
+                   for ax in dict.fromkeys(ops.axes)}  # equal axes are one object
+            (lx, Wx), (ly, Wy) = (eig[ax] for ax in ops.axes)
+            if not (lam := ly[:, None] + lx).all():
+                raise SingularJacobian("zero eigenvalue sum in the fast diagonalization")
+            self._fd, self.factorizations = (Wx, Wy, lam), self.factorizations + 1
+        (Wx, Wy, lam), Ug, Vg = self._fd, U.T.take(to.ravel(), 1), V.T.take(to.ravel(), 1)
+
+        def matvec(z):
+            return (np.tensordot(c, ops.grid_products(z.reshape(to.shape)), 1).ravel()
+                    + (Vg @ z) @ Ug)
+
+        def psolve(v):
+            return (Wy @ ((Wy.T @ v.reshape(to.shape) @ Wx) / lam) @ Wx.T).ravel()
+
+        x, iterations = gmres(matvec, psolve, rhs.take(to.ravel()))
+        self._fd = None if iterations > GMRES_REFRESH else self._fd  # a slow solve refreshes
+        return x.take(back)
+
+
+def gmres(matvec, psolve, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x, iterations): right-preconditioned GMRES (MGS) from x = 0, restarted every
+    ``GMRES_RESTART`` iterations, to a residual estimate <= ``GMRES_TOL`` ||b||;
+    ``SingularJacobian`` past ``GMRES_MAX_ITER`` iterations or on breakdown."""
+    x, r, iterations = np.zeros_like(b), b, 0
+    target = GMRES_TOL * float(np.linalg.norm(b))
+    while (beta := float(np.linalg.norm(r))) > 0.0:
+        H, g = np.zeros((GMRES_RESTART + 1, GMRES_RESTART)), np.zeros(GMRES_RESTART + 1)
+        g[0], basis, dirs, rotations = beta, [r / beta], [], []
+        for j in range(GMRES_RESTART):
+            if iterations == GMRES_MAX_ITER:
+                raise SingularJacobian(f"GMRES missed its target in {iterations} iterations")
+            iterations += 1
+            dirs.append(psolve(basis[j]))
+            w = matvec(dirs[j])
+            for i, v in enumerate(basis):
+                H[i, j] = w @ v
+                w -= H[i, j] * v
+            for i, (cs, sn) in enumerate(rotations):
+                H[i:i + 2, j] = cs * H[i, j] + sn * H[i + 1, j], cs * H[i + 1, j] - sn * H[i, j]
+            h_next = float(np.linalg.norm(w))
+            if (rho := math.hypot(H[j, j], h_next)) == 0.0:
+                raise SingularJacobian("singular Hessenberg matrix in GMRES")
+            rotations.append((H[j, j] / rho, h_next / rho))
+            H[j, j], g[j + 1], g[j] = rho, -g[j] * h_next / rho, g[j] * H[j, j] / rho
+            if abs(g[j + 1]) <= target:
+                break
+            basis.append(w / h_next)
+        k = len(dirs)
+        x += solve_triangular(H[:k, :k], g[:k]) @ np.array(dirs)
+        if abs(g[k]) <= target:
+            return x, iterations
+        r = b - matvec(x)
+    return x, iterations
 
 
 @runtime_checkable
@@ -373,7 +394,7 @@ def newton_solve(problem: StepProblem, start: tuple[np.ndarray, np.ndarray],
                  solver: LinearSolver | None = None):
     """Newton iteration from ``start`` = (x0, O x0); returns (X, O X, iterations,
     max |R(X)|), all from a residual at X.  The linear solves go through
-    ``solver``, whose factors carry over between calls."""
+    ``solver``, whose preconditioner carries over between calls."""
     solver = solver or LinearSolver(problem.ops)
     X, OX = start[0].copy(), start[1]
     for it in range(1, NEWTON_MAX_ITER + 1):
@@ -411,7 +432,7 @@ def advance(system: BeamSystem, cfg: NewmarkConfig, d0: np.ndarray,
     lm = ln = system.level(0.0)  # the startup's ghost level is level 0 itself
     curr, prev = (ds[0], system.ops.products(ds[0])), None  # (d, O d) at eta, eta-1
     for eta in range(cfg.n_steps):
-        if eta == 1:  # the startup matrix M1 + M3 is about 2 M1: too far to refine from
+        if eta == 1:  # the startup matrix M1 + M3 is about 2 M1: too far to precondition
             solver.reset()
         levels = lm, ln, system.level((eta + 1) * cfg.dt)
         prob = StepProblem(system.ops, cfg, levels, curr, prev, d1)

@@ -174,6 +174,17 @@ class TestCommands:
         assert "H1 bounds" not in captured.out  # refused before the hypotheses
         assert not (tmp_path / "o").exists()
 
+    def test_energy_refuses_zero_data(self, tmp_path, monkeypatch, capsys):
+        # the zero case's energy is 0 at every step: no decay to fit
+        monkeypatch.setattr(verification, "advance", _no_march)
+        rc = main(["energy", "--out", str(tmp_path / "o"), "--set", "case=zero",
+                   "--set", "h=0.5", "--set", "dt=0.25", "--set", "T=0.5"])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "energy requires nonzero initial data" in captured.err
+        assert "H1 bounds" not in captured.out  # refused before the hypotheses
+        assert not (tmp_path / "o").exists()
+
     def test_snapshots_write_each_requested_state(self, tmp_path, monkeypatch):
         import movingbeam.cli as cli
 

@@ -225,8 +225,6 @@ class TestKroneckerStructure:
 
     @pytest.mark.parametrize("cells", [4, 8, 16])
     def test_2d_operators_are_kronecker_sums(self, cells):
-        import scipy.sparse as sp
-
         o1 = assemble_constant(HermiteSpace(Mesh.uniform(1, cells)))
         o2 = assemble_constant(HermiteSpace(Mesh.uniform(2, cells)))
         A1, S1, B1, Q1, P1 = o1.A, o1.K1, o1.K2, o1.Q, o1.P
@@ -237,18 +235,35 @@ class TestKroneckerStructure:
             "Q": sp.kron(A1, Q1) + sp.kron(Q1, A1) + sp.kron(P1.T, P1) + sp.kron(P1, P1.T),
             "P": sp.kron(A1, P1) + sp.kron(P1, A1),
         }
-        # 1D free DOF a = 2 (node - 1) + d on each axis; the 2D free DOF of
-        # x-DOF a and y-DOF b is 4 (interior node, x fastest) + d_a + 2 d_b,
-        # while the Kronecker products index it as b * n1 + a
-        n1 = A1.shape[0]
-        a, b = np.meshgrid(np.arange(n1), np.arange(n1), indexing="xy")
-        node = (b // 2) * (n1 // 2) + a // 2
-        perm = np.empty(n1 * n1, dtype=int)
-        perm[(4 * node + a % 2 + 2 * (b % 2)).ravel()] = (b * n1 + a).ravel()
+        # the Kronecker products index x-DOF a and y-DOF b as b * n1 + a, the
+        # flat entry of the grid X[b, a]; fem maps it to the free DOF
+        to_free = o2.grid[0].ravel()
         for name, k in kron.items():
-            m2 = getattr(o2, name).toarray()
-            k = k.toarray()[np.ix_(perm, perm)]
-            assert np.max(np.abs(m2 - k)) <= 1e-14 * np.max(np.abs(m2)), name
+            m2 = getattr(o2, name).toarray()[np.ix_(to_free, to_free)]
+            assert np.max(np.abs(m2 - k.toarray())) <= 1e-14 * np.max(np.abs(m2)), name
+
+    def test_grid_numbers_the_nodes_x_fastest(self):
+        # free DOF 4 (interior node) + d_a + 2 d_b sits at a = 2 x node + d_a, b = 2 y node + d_b
+        ops = assemble_constant(HermiteSpace(Mesh(2, ((-1.0, 1.0), (-1.0, 1.0)), (3, 5))))
+        to, back = ops.grid
+        assert to.shape == (8, 4)  # 2 (5 - 1) y-DOFs by 2 (3 - 1) x-DOFs
+        assert to[0].tolist() == [0, 1, 4, 5] and to[1].tolist() == [2, 3, 6, 7]
+        assert to[2, 0] == 8
+        assert np.array_equal(to.take(back), np.arange(to.size))
+
+    @pytest.mark.parametrize("cells", [(3, 3), (8, 8), (3, 5), (6, 2)])
+    def test_2d_products_match_the_assembled_matrices(self, cells, rng):
+        # (F (x) C) x is F X C^T on the grid: no 2D sparse product is made
+        space = HermiteSpace(Mesh(2, ((-1.0, 1.0), (-1.0, 1.0)), cells))
+        ops = assemble_constant(space)
+        x = rng.standard_normal(space.ndof)
+        got = ops.products(x)
+        for k, name in enumerate(AssembledOperators.BASIS):
+            ref = getattr(ops, name) @ x
+            assert np.max(np.abs(got[k] - ref)) <= 1e-14 * np.max(np.abs(ref)), name
+        assert "stacked" not in vars(ops)
+        # equal axes share one set of 1D operators
+        assert (ops.axes[0] is ops.axes[1]) == (cells[0] == cells[1])
 
 
 class TestAffineOperators:

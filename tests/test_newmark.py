@@ -101,6 +101,7 @@ class _ScalarSystem:
         self.ops = SimpleNamespace(
             A=sp.csr_matrix(np.array([[A]])),
             K1=sp.csr_matrix(np.array([[K1]])),
+            axes=(),  # no tensor form: the band LU solves it
             bandwidth=0,
             band=lambda c: np.array([[c @ stack]]),
             combine=lambda c: sp.csr_matrix(np.array([[c @ stack]])),
@@ -394,29 +395,36 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
+def _kirchhoff_columns(system, cfg, rng, r):
+    """U and V in the Kirchhoff terms' form: theta dt^2 K1 z_j and 2 b_j K1 z_j,
+    for random z_j and b_j = 1."""
+    K1z = system.ops.K1 @ rng.standard_normal((system.space.ndof, r))
+    return cfg.theta * cfg.dt ** 2 * K1z, 2.0 * K1z
+
+
 class TestLinearSolver:
-    # In 1D a band LU costs less than one refinement sweep, so every solve
-    # factors; the chord path (kept factors, refinement sweeps) runs in 2D.
+    # 1D: a band LU per solve.  2D: GMRES on the Kronecker form, preconditioned
+    # by the fast diagonalization of a kept Newton matrix.
 
     @pytest.mark.parametrize("r", [0, 1, 3])
-    def test_refined_solve_matches_fresh_lu(self, r, rng):
-        # the factors of the step-1 matrix refine the solve with the step-64 one
-        _, system, _, _ = _mms_system(dim=2, cells=16)
-        cfg = NewmarkConfig(theta=0.25, dt=2.0**-6, n_steps=64)
-        n = system.space.ndof
-        c0, c = (_step_matrix(system, cfg, eta) for eta in (1, 64))
-        # columns in the Kirchhoff terms' form, V a positive multiple of U; in
-        # 2D independent random U and V make S + U V^T near singular (cond ~1e13),
-        # where neither solve is accurate to better than 1e-5
-        U = 0.1 * rng.standard_normal((n, r))
-        V = U.copy()
-        rhs = rng.standard_normal(n)
-        solver = LinearSolver(system.ops)
-        solver.solve(c0, rhs, U, V)
-        x = solver.solve(c, rhs, U, V)
-        assert solver.factorizations == 1
-        ref = _woodbury_reference(system.ops.combine(c), rhs, U, V)
-        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    def test_refined_solve_matches_fresh_lu(self, r, rng, monkeypatch):
+        # the eigendecompositions of the step-1 matrix precondition the solve
+        # with the step-64 one, in the paper's regime (B1) and with K = 1 + t/2,
+        # where a random right-hand side needs 20-33 iterations and a restart
+        monkeypatch.setattr(newmark, "GMRES_REFRESH", newmark.GMRES_MAX_ITER)
+        for boundary, amplitude in ((None, None), (FAST, 1.0)):
+            _, system, _, _ = _mms_system(dim=2, cells=16, boundary=boundary,
+                                          amplitude=amplitude)
+            cfg = NewmarkConfig(theta=0.25, dt=2.0**-6, n_steps=64)
+            c0, c = (_step_matrix(system, cfg, eta) for eta in (1, 64))
+            U, V = _kirchhoff_columns(system, cfg, rng, r)
+            rhs = rng.standard_normal(system.space.ndof)
+            solver = LinearSolver(system.ops)
+            solver.solve(c0, rhs, U, V)
+            x = solver.solve(c, rhs, U, V)
+            assert solver.factorizations == 1
+            ref = _woodbury_reference(system.ops.combine(c), rhs, U, V)
+            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_1d_solve_is_one_lu_and_one_triangular_solve(self, r, rng, monkeypatch):
@@ -441,29 +449,37 @@ class TestLinearSolver:
             ref = _woodbury_reference(system.ops.combine(c), rhs, U, V)
             assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_sweep_budget_follows_the_band(self):
-        # sweeps whose flops fit in one band LU: none in 1D, the cap in 2D
-        for dim, cells, sweeps in ((1, 8, 0), (1, 512, 0), (2, 4, 4), (2, 8, 8),
-                                   (2, 32, 8)):
-            ops = assemble_constant(HermiteSpace(Mesh.uniform(dim, cells)))
-            assert LinearSolver(ops).sweeps == sweeps
-
     def test_slow_boundary_keeps_one_factorization(self, monkeypatch):
-        calls = _count_calls(monkeypatch, newmark, "dgbtrf")
+        calls = _count_calls(monkeypatch, newmark, "eigh")
         _, system, d0, d1 = _mms_system(dim=2, cells=16)
         traj = advance(system, NewmarkConfig(theta=0.25, dt=2.0**-7, n_steps=128), d0, d1)
         assert traj.completed
-        # one for the startup step, one for the rest of the run
+        # one eigendecomposition for the startup step, one for the rest of the
+        # run; the two axes of the square are one
         assert traj.factorizations == len(calls) <= 3
 
-    def test_fast_boundary_refactors_and_matches_per_iteration_lu(self, monkeypatch):
+    def test_slow_solve_refreshes_the_preconditioner(self, monkeypatch):
+        # a solve of more than GMRES_REFRESH iterations drops the eigendecompositions;
+        # each solve here takes 2, so a limit of 1 diagonalizes every Newton matrix
+        _, system, d0, d1 = _mms_system(dim=2, cells=8)
+        cfg = NewmarkConfig(theta=0.25, dt=2.0**-4, n_steps=16)
+        kept = advance(system, cfg, d0, d1)
+        monkeypatch.setattr(newmark, "GMRES_REFRESH", 1)
+        fresh = advance(system, cfg, d0, d1)
+        assert kept.factorizations == 2
+        assert fresh.factorizations == sum(fresh.newton_iterations) > 2
+        assert fresh.newton_iterations == kept.newton_iterations
+        scale = max(np.max(np.abs(d)) for d in kept.d)
+        assert max(np.max(np.abs(a - b)) for a, b in zip(kept.d, fresh.d)) <= 1e-12 * scale
+
+    def test_fast_boundary_matches_per_iteration_lu(self, monkeypatch):
         _, system, d0, d1 = _mms_system(dim=2, cells=8, boundary=FAST, amplitude=1.0)
         cfg = NewmarkConfig(theta=0.25, dt=2.0**-6, n_steps=64)
         traj = advance(system, cfg, d0, d1)
         monkeypatch.setattr(newmark, "LinearSolver", _PerIterationLU)
         ref = advance(system, cfg, d0, d1)
         assert traj.completed and ref.completed
-        assert 2 < traj.factorizations < sum(traj.newton_iterations)
+        assert traj.newton_iterations == ref.newton_iterations
         scale = max(np.max(np.abs(d)) for d in ref.d)
         assert max(np.max(np.abs(a - b)) for a, b in zip(traj.d, ref.d)) <= 1e-8 * scale
 
@@ -489,19 +505,33 @@ class TestLinearSolver:
         (None, 16, 2.0**-7, None),     # B1
         (FAST, 8, 2.0**-6, 1.0),
     ])
-    def test_chord_sweeps_form_no_matrix(self, boundary, cells, dt, amplitude,
-                                         monkeypatch):
-        # 2D: a band array only for each LU, and fewer LUs than linear solves
-        combined = _count_calls(monkeypatch, AssembledOperators, "combine")
-        banded = _count_calls(monkeypatch, AssembledOperators, "band")
-        solves = _count_calls(monkeypatch, LinearSolver, "solve")
+    def test_2d_march_forms_no_matrix(self, boundary, cells, dt, amplitude, monkeypatch):
+        # 2D: no band LU, and no band array, CSR combination or sparse product
+        # of the 2D operators (the preconditioner combines the 1D ones)
         _, system, d0, d1 = _mms_system(dim=2, cells=cells, boundary=boundary,
                                         amplitude=amplitude)
+        factored = _count_calls(monkeypatch, newmark, "dgbtrf")
+        combined = _count_calls(monkeypatch, system.ops, "combine")
+        banded = _count_calls(monkeypatch, system.ops, "band")
         traj = advance(system, NewmarkConfig(theta=0.25, dt=dt, n_steps=int(1 / dt)),
                        d0, d1)
-        assert traj.completed
-        assert len(banded) == traj.factorizations < len(solves)
-        assert combined == []
+        assert traj.completed and 0 < traj.factorizations < sum(traj.newton_iterations)
+        assert factored == banded == combined == []
+        assert "stacked" not in vars(system.ops) and "band_index" not in vars(system.ops)
+
+    def test_gmres_missing_its_target_is_a_singular_jacobian(self, monkeypatch):
+        # the paper's regime needs 2 iterations per solve: a cap of 1 misses the
+        # target, which raises and never returns the unconverged step
+        _, system, d0, d1 = _mms_system(dim=2, cells=8)
+        cfg = NewmarkConfig(theta=0.25, dt=2.0**-4, n_steps=16)
+        monkeypatch.setattr(newmark, "GMRES_MAX_ITER", 1)
+        prob = step_problem(system, cfg, 1, d0, d0, d1)
+        with pytest.raises(SingularJacobian, match="GMRES"):
+            newton_solve(prob, start_at(prob, d0))
+        traj = advance(system, cfg, d0, d1)
+        assert traj.status == "diverged" and traj.diverged_step == 1 and len(traj.d) == 1
+        monkeypatch.setattr(newmark, "GMRES_MAX_ITER", 2)
+        assert advance(system, cfg, d0, d1).completed
 
     def test_singular_newton_matrix(self):
         # A = L1 = L2 = 0 and b1 = 0 leave the zero Newton matrix
@@ -518,11 +548,12 @@ class TestLinearSolver:
             solver.solve(zero, np.ones(1), none, none)
         traj = advance(system, cfg, np.zeros(1), np.zeros(1))
         assert traj.status == "diverged" and traj.diverged_step == 1
-        # a zero pivot of the band LU of an assembled system, in 1D and in 2D
-        for dim in (1, 2):
+        # the zero matrix of an assembled system: a zero pivot of the band LU in
+        # 1D, a zero eigenvalue sum of the preconditioner in 2D
+        for dim, match in ((1, "zero pivot"), (2, "zero eigenvalue sum")):
             ops = assemble_constant(HermiteSpace(Mesh.uniform(dim, 4)))
             n = ops.A.shape[0]
-            with pytest.raises(SingularJacobian, match="zero pivot"):
+            with pytest.raises(SingularJacobian, match=match):
                 LinearSolver(ops).solve(np.zeros(5), np.ones(n), np.zeros((n, 0)),
                                         np.zeros((n, 0)))
 
@@ -545,12 +576,14 @@ class TestLinearSolver:
             newton_solve(prob, start_at(prob, np.ones(1)))
 
     def test_reruns_are_byte_identical(self):
-        for dim, cells in ((1, 32), (2, 8)):
-            _, system, d0, d1 = _mms_system(dim=dim, cells=cells, boundary=FAST,
-                                            amplitude=1.0)
+        # factorizations: band LUs in 1D, refreshed eigendecompositions in 2D
+        for dim, cells, boundary in ((1, 32, FAST), (2, 8, FAST), (2, 16, None)):
+            _, system, d0, d1 = _mms_system(dim=dim, cells=cells, boundary=boundary,
+                                            amplitude=1.0 if boundary else None)
             cfg = NewmarkConfig(theta=0.25, dt=2.0**-6, n_steps=64)
             first, second = (advance(system, cfg, d0, d1) for _ in range(2))
-            assert first.factorizations == second.factorizations > 2
+            assert first.factorizations == second.factorizations >= 2
+            assert first.newton_iterations == second.newton_iterations
             assert (b"".join(d.tobytes() for d in first.d)
                     == b"".join(d.tobytes() for d in second.d))
 
@@ -628,6 +661,7 @@ class TestLoadBasis:
             for f in (None, zero))
         assert homogeneous.completed and zero_source.completed
         assert homogeneous.newton_iterations == zero_source.newton_iterations
+        # band LUs in 1D, refreshed eigendecompositions in 2D
         assert homogeneous.factorizations == zero_source.factorizations
         assert all(np.array_equal(u, v) for u, v in zip(homogeneous.d, zero_source.d))
         source_free = BeamSystem(system.space, system.ops, b, p)

@@ -18,6 +18,7 @@ from .geometry import (
 from .fem import (
     AssembledOperators,
     HermiteSpace,
+    KroneckerOperators,
     Mesh,
     assemble_constant,
     assemble_load,

@@ -11,9 +11,10 @@ Assembly is vectorized over cells but accumulates in fixed cell order, so
 two assemblies of the same inputs are bitwise identical.  Every matrix is
 scattered onto one CSR pattern computed once from the element connectivity,
 so all assembled operators share the same ``indptr``/``indices`` and any
-linear combination of them is a combination of their data arrays.  In 2D
-each is a Kronecker sum of the 1D operators of the two axes, and applies
-itself in that form, with no 2D sparse product.
+linear combination of them is a combination of their data arrays.  On the
+free DOFs of a 2D space only the 1D operators of the two axes are assembled
+(``KroneckerOperators``), and each 2D operator applies itself as a Kronecker
+sum of them, with no 2D matrix; only the full-space operators are 2D CSR.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ __all__ = [
     "Mesh",
     "HermiteSpace",
     "AssembledOperators",
+    "KroneckerOperators",
     "gauss_rule",
     "assemble_constant",
     "l_coefficients",
@@ -189,31 +191,20 @@ class HermiteSpace:
     def _pattern(self, full_space: bool) -> tuple:
         """(keep, slot, template): the element entries kept on this side, the
         CSR data position of each, and an all-zero matrix with the shared
-        ``indptr``/``indices``; computed once per side from the connectivity.
-        Clamping drops whole nodes, so only node pairs (dpn x dpn blocks) are sorted."""
+        ``indptr``/``indices``; computed once per side from the connectivity."""
         if full_space not in self._patterns:
-            dpn, free = self.dofs_per_node, self.full_to_free[::self.dofs_per_node]
-            to_node = np.arange(free.size) if full_space else free // dpn  # -1 stays -1
-            nodes = to_node[self.element_dofs[:, ::dpn] // dpn]  # (ncells, corners)
-            m, nc = int(to_node.max()) + 1, nodes.shape[1]
-            rn, cn = np.repeat(nodes, nc, axis=1), np.tile(nodes, (1, nc))
-            kept, pair = (rn >= 0) & (cn >= 0), np.full(rn.shape, -1)
+            ed, nloc = self.element_dofs, self.element_dofs.shape[1]
+            rows, cols = np.repeat(ed, nloc, axis=1).ravel(), np.tile(ed, (1, nloc)).ravel()
+            n, keep = self.ndof_full, slice(None)
+            if not full_space:
+                rows, cols = self.full_to_free[rows], self.full_to_free[cols]
+                keep = (rows >= 0) & (cols >= 0)
+                n, rows, cols = self.ndof, rows[keep], cols[keep]
             # row-major keys sort into CSR order: row by row, columns ascending
-            keys, pair[kept] = np.unique((rn * m + cn)[kept], return_inverse=True)
-            p = np.searchsorted(keys, np.arange(m + 1) * m)
-            # entry (a, b) of a cell joins DOF a % dpn of corner a // dpn to DOF b % dpn of
-            # corner b // dpn; DOF row (r, da) starts at dpn (dpn p[r] + da (p[r + 1] - p[r]))
-            shape, d = (-1, nc, 1, nc, 1), np.arange(dpn)
-            r, k = rn.reshape(shape), pair.reshape(shape)
-            slot = dpn * (dpn * p[r] + d[:, None, None] * (p[r + 1] - p[r]) + k - p[r]) + d
-            cols = np.broadcast_to(dpn * cn.reshape(shape) + d, slot.shape).ravel()
-            keep = slice(None) if full_space else np.broadcast_to(k >= 0, slot.shape).ravel()
-            slot, indices = slot.ravel()[keep], np.empty(dpn * dpn * keys.size, dtype=np.int64)
-            indices[slot] = cols[keep]
-            indptr = np.append(dpn * (dpn * p[:-1, None] + d * np.diff(p)[:, None]), indices.size)
-            template = sp.csr_matrix((np.zeros(indices.size), indices, indptr),
-                                     shape=(m * dpn, m * dpn))
-            self._patterns[full_space] = (keep, slot, template)
+            keys, slot = np.unique(rows * n + cols, return_inverse=True)
+            indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+            template = sp.csr_matrix((np.zeros(keys.size), keys % n, indptr), shape=(n, n))
+            self._patterns[full_space] = (keep, slot.ravel(), template)
         return self._patterns[full_space]
 
     def scatter(self, elem_mats: np.ndarray, full_space: bool = False) -> sp.csr_matrix:
@@ -304,17 +295,11 @@ class AssembledOperators:
 
     ``stack`` holds their data in ``BASIS`` order (each matrix's ``data`` is
     a view of its row), so :meth:`combine` forms any linear combination as
-    one coefficient-vector product, and :meth:`products` applies all five,
-    so that S x = c @ products(x) needs no matrix of S; :meth:`band` writes S
-    straight into the band array LAPACK factors, whose ``bandwidth``,
-    max |i - j| over the pattern, is read from the pattern at construction.
-    The step loop relies on slots 0 and 1 being A and K1.
-
-    On the free DOFs of a 2D ``mesh`` they are Kronecker sums of the 1D A,
-    S = K1, B = K2, Q and P of its ``axes``; on the grid X[b, a] (``grid``),
-    (F (x) C) x is F X C^T, y factor first, and :meth:`grid_products` applies
-        A = A(x)A,  K1 = A(x)S + S(x)A,  K2 = A(x)B + B(x)A + 2 S(x)S,
-        Q = A(x)Q + Q(x)A + P^T(x)P + P(x)P^T,  P = A(x)P + P(x)A.
+    one coefficient-vector product, and :meth:`products` applies all five
+    with one sparse product, so that S x = c @ products(x) needs no matrix
+    of S; :meth:`band` writes S straight into the band array LAPACK factors,
+    whose ``bandwidth``, max |i - j| over the pattern, is read from the pattern
+    at construction.  The step loop relies on slots 0 and 1 being A and K1.
     """
 
     BASIS: ClassVar[tuple[str, ...]] = ("A", "K1", "K2", "Q", "P")
@@ -324,7 +309,6 @@ class AssembledOperators:
     K2: sp.csr_matrix
     Q: sp.csr_matrix
     P: sp.csr_matrix
-    mesh: Mesh | None = None  # given for operators on the free DOFs of this mesh
     bandwidth: int = field(init=False)
     stack: np.ndarray = field(init=False, repr=False)
 
@@ -358,46 +342,7 @@ class AssembledOperators:
 
     def products(self, x: np.ndarray) -> np.ndarray:
         """(A x, K1 x, K2 x, Q x, P x) as one (5, n) array."""
-        if self.axes:
-            return self.grid_products(x.take(self.grid[0])).reshape(5, -1).take(self.grid[1], 1)
         return (self.stacked @ x).reshape(len(self.BASIS), -1)
-
-    @functools.cached_property
-    def axes(self) -> tuple["AssembledOperators", ...]:
-        """The 1D operators of each axis of a 2D ``mesh``, x first, one object
-        for equal axes; () otherwise.  Built at the first product."""
-        if self.mesh is None or self.mesh.dim == 1:
-            return ()
-        keys = [((box,), (n,)) for box, n in zip(self.mesh.box, self.mesh.cells_per_axis)]
-        made = {key: assemble_constant(HermiteSpace(Mesh(1, *key))) for key in set(keys)}
-        return tuple(made[key] for key in keys)
-
-    @functools.cached_property
-    def grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """(to, back) with X = x.take(to) (n_y, n_x) and x = X.take(back): free DOF
-        4 (interior node, x fastest) + d_a + 2 d_b is the grid entry X[b, a] of
-        y-DOF b = 2 (y node) + d_b and x-DOF a = 2 (x node) + d_a."""
-        (nx, _), (ny, _) = (ax.A.shape for ax in self.axes)
-        to = np.arange(nx * ny).reshape(ny // 2, nx // 2, 2, 2).swapaxes(1, 2)
-        return to.reshape(ny, nx), np.argsort(to, axis=None)
-
-    @functools.cached_property
-    def _left(self) -> sp.csr_matrix:
-        """Row block k, column block j: the y factor F of the term F (x) C_j of
-        operator k, C_j the x axis' ``BASIS``; P^T = -A - P on the clamped space."""
-        A, S, B, Q, P = (getattr(self.axes[1], name) for name in self.BASIS)
-        return sp.bmat([[A, None, None, None, None],
-                        [S, A, None, None, None],
-                        [B, 2.0 * S, A, None, None],
-                        [Q - P, None, None, A, -A - 2.0 * P],
-                        [P, None, None, None, A]], format="csr")
-
-    def grid_products(self, X: np.ndarray) -> np.ndarray:
-        """The five operators applied to the grid X (n_y, n_x), as (5, n_y, n_x):
-        X C_j^T for the x axis' five, then the y factors on their stack."""
-        ny, nx = X.shape
-        XC = (self.axes[0].stacked @ X.T).reshape(-1, nx, ny).swapaxes(1, 2).reshape(-1, nx)
-        return (self._left @ XC).reshape(-1, ny, nx)
 
     @functools.cached_property
     def band_index(self) -> np.ndarray:
@@ -418,6 +363,50 @@ class AssembledOperators:
         return flat.reshape(n, rows).T
 
 
+@dataclass(eq=False)
+class KroneckerOperators:
+    """The free-DOF operators ``AssembledOperators.BASIS`` of a 2D space as
+    Kronecker sums of the 1D A, S = K1, B = K2, Q and P of its ``axes`` (x first,
+    one object for equal axes).  On the grid X[b, a] (``grid``), (F (x) C) x is
+    F X C^T, y factor first, and :meth:`grid_products` applies
+        A = A(x)A,  K1 = A(x)S + S(x)A,  K2 = A(x)B + B(x)A + 2 S(x)S,
+        Q = A(x)Q + Q(x)A + P^T(x)P + P(x)P^T,  P = A(x)P + P(x)A.
+    """
+
+    axes: tuple[AssembledOperators, AssembledOperators]
+
+    def products(self, x: np.ndarray) -> np.ndarray:
+        """(A x, K1 x, K2 x, Q x, P x) as one (5, n) array."""
+        return self.grid_products(x.take(self.grid[0])).reshape(5, -1).take(self.grid[1], 1)
+
+    @functools.cached_property
+    def grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """(to, back) with X = x.take(to) (n_y, n_x) and x = X.take(back): free DOF
+        4 (interior node, x fastest) + d_a + 2 d_b is the grid entry X[b, a] of
+        y-DOF b = 2 (y node) + d_b and x-DOF a = 2 (x node) + d_a."""
+        (nx, _), (ny, _) = (ax.A.shape for ax in self.axes)
+        to = np.arange(nx * ny).reshape(ny // 2, nx // 2, 2, 2).swapaxes(1, 2)
+        return to.reshape(ny, nx), np.argsort(to, axis=None)
+
+    @functools.cached_property
+    def _left(self) -> sp.csr_matrix:
+        """Row block k, column block j: the y factor F of the term F (x) C_j of
+        operator k, C_j the x axis' ``BASIS``; P^T = -A - P on the clamped space."""
+        A, S, B, Q, P = (getattr(self.axes[1], name) for name in AssembledOperators.BASIS)
+        return sp.bmat([[A, None, None, None, None],
+                        [S, A, None, None, None],
+                        [B, 2.0 * S, A, None, None],
+                        [Q - P, None, None, A, -A - 2.0 * P],
+                        [P, None, None, None, A]], format="csr")
+
+    def grid_products(self, X: np.ndarray) -> np.ndarray:
+        """The five operators applied to the grid X (n_y, n_x), as (5, n_y, n_x):
+        X C_j^T for the x axis' five, then the y factors on their stack."""
+        ny, nx = X.shape
+        XC = (self.axes[0].stacked @ X.T).reshape(-1, nx, ny).swapaxes(1, 2).reshape(-1, nx)
+        return (self._left @ XC).reshape(-1, ny, nx)
+
+
 def _elem_integrals(space: HermiteSpace, nq: int, coef, trial, test) -> np.ndarray:
     """Per-cell matrices sum_q w_q coef[c,q] trial[q,b] test[q,a] -> (c, a, b)."""
     tab = space.basis_tables(nq)
@@ -428,13 +417,22 @@ def _elem_integrals(space: HermiteSpace, nq: int, coef, trial, test) -> np.ndarr
 
 def assemble_constant(
     space: HermiteSpace, nq: int = DEFAULT_OPERATOR_QUAD, full_space: bool = False
-) -> AssembledOperators:
-    """Assemble A, K1, K2, Q and P, on the free DOFs unless ``full_space``.
+) -> AssembledOperators | KroneckerOperators:
+    """Assemble A, K1, K2, Q and P, on the free DOFs unless ``full_space``; on the
+    free DOFs of a 2D space only the 1D operators of its axes, with this ``nq``."""
+    if space.mesh.dim == 1 or full_space:
+        return _quadrature(space, nq, full_space)
+    keys = [((box,), (n,)) for box, n in zip(space.mesh.box, space.mesh.cells_per_axis)]
+    made = {key: _quadrature(HermiteSpace(Mesh(1, *key)), nq, False)
+            for key in dict.fromkeys(keys)}
+    return KroneckerOperators(tuple(made[key] for key in keys))
 
-    The contributions of each matrix are summed per cell and scattered at
-    once, before the next one is integrated: no sparse addition prunes
-    entries, all five share one pattern, and one set of element arrays lives.
-    """
+
+def _quadrature(space: HermiteSpace, nq: int, full_space: bool) -> AssembledOperators:
+    """The five operators of ``space`` by quadrature.  The contributions of each
+    matrix are summed per cell and scattered at once, before the next one is
+    integrated: no sparse addition prunes entries, all five share one pattern,
+    and one set of element arrays lives."""
     tab = space.basis_tables(nq)
     y = tab["points"]
     g = [tab["grad"][:, :, i] for i in range(space.mesh.dim)]
@@ -442,16 +440,15 @@ def assemble_constant(
     ones = np.ones(y.shape[:2])
     integrate = functools.partial(_elem_integrals, space, nq)
     scatter = functools.partial(space.scatter, full_space=full_space)
-    mats = {
-        "A": scatter(integrate(ones, tab["N"], tab["N"])),
-        "K1": scatter(sum(integrate(ones, gi, gi) for gi in g)),
-        "K2": scatter(integrate(ones, tab["lap"], tab["lap"])),
+    return AssembledOperators(
+        A=scatter(integrate(ones, tab["N"], tab["N"])),
+        K1=scatter(sum(integrate(ones, gi, gi) for gi in g)),
+        K2=scatter(integrate(ones, tab["lap"], tab["lap"])),
         # Q1 adds the diagonal i = j terms of Q2 once more
-        "Q": scatter(sum(integrate((1.0 + (i == j)) * y[..., i] * y[..., j], g[i], g[j])
-                         for i, j in pairs)),
-        "P": scatter(sum(integrate(y[..., i], gi, tab["N"]) for i, gi in enumerate(g))),
-    }
-    return AssembledOperators(**mats, mesh=None if full_space else space.mesh)
+        Q=scatter(sum(integrate((1.0 + (i == j)) * y[..., i] * y[..., j], g[i], g[j])
+                      for i, j in pairs)),
+        P=scatter(sum(integrate(y[..., i], gi, tab["N"]) for i, gi in enumerate(g))),
+    )
 
 
 def l_coefficients(f: TimeFactors, nu: float) -> tuple[np.ndarray, np.ndarray]:

@@ -8,11 +8,12 @@ with G(t, d) = b1(t) * d^T K1 d (squared gradient seminorm of the discrete
 function), L1 = nu A + B3 and L2 = b2 K2 + B1 + B4 - B2.  Since x = K(t) y
 with K scalar, L1 and L2 are fixed combinations of the constant operators
 (A, K1, K2, Q, P) with scalar weights in (K, K', K''): they are assembled
-once per run on one CSR pattern.  A step matrix S is held only as its
-coefficient vector c over them: S x is c contracted with the five products
-(``AssembledOperators.products``: one stacked sparse matrix in 1D, Kronecker
-sums of 1D products in 2D); S is written, straight into LAPACK band storage,
-only when the 1D solver factors it.  The load F(t) follows the same rule
+once per run, in 1D on one CSR pattern and in 2D as the 1D operators of the
+two axes.  A step matrix S is held only as its coefficient vector c over them:
+S x is c contracted with the five products (``ops.products``: one stacked
+sparse matrix in 1D, Kronecker sums of 1D products in 2D); S is written,
+straight into LAPACK band storage, only when the 1D solver factors it.  The
+load F(t) follows the same rule
 over the source's five spatial terms, integrated once per run; a homogeneous
 run's load is the scalar 0.0.  ``advance`` forms each time level's data
 (``BeamSystem.level``) and each state's products once.  Each implicit step is
@@ -38,7 +39,8 @@ import numpy as np
 from scipy.linalg import eigh, solve_triangular
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgesv
 
-from .fem import AssembledOperators, HermiteSpace, assemble_load, l_coefficients
+from .fem import (AssembledOperators, HermiteSpace, KroneckerOperators, assemble_load,
+                  l_coefficients)
 from .geometry import BeamParameters, MovingBoundary, time_factors
 
 __all__ = [
@@ -140,11 +142,11 @@ class Trajectory:
 
 class LinearSolver:
     """Solves (S + U V^T) x = b for the Newton matrices of one run, S given by
-    its coefficient vector c over the constant operators ``ops``, which choose how.
+    its coefficient vector c over the constant operators ``ops``, whose type chooses how.
     1D: S is written straight into LAPACK band storage and factored by
     ``dgbtrf`` (kl = ku = ``ops.bandwidth``); one ``dgbtrs`` takes [b, U], and
     ``dgesv`` the r x r Woodbury capacitance I + V^T S^-1 U.  Nothing is kept.
-    2D (``ops.axes``): ``gmres`` applies S in Kronecker form plus U (V^T x),
+    2D (``KroneckerOperators``): ``gmres`` applies S in Kronecker form plus U (V^T x),
     right-preconditioned by the fast diagonalization of the separable symmetric
     part A(x)T + T(x)A of S, T = (c_A - c_P)/2 A + c_K1 S + c_K2 B + c_Q Q per
     axis (P + P^T = -A): with T W = A W diag(lam) (``eigh``) its inverse is
@@ -154,7 +156,7 @@ class LinearSolver:
     the band LUs in 1D and the refreshes in 2D.
     """
 
-    def __init__(self, ops: AssembledOperators):
+    def __init__(self, ops: AssembledOperators | KroneckerOperators):
         self.ops = ops
         self.factorizations = 0
         self._fd = None  # (W_x, W_y, lam_y,i + lam_x,j) of the kept preconditioner
@@ -165,7 +167,7 @@ class LinearSolver:
 
     def solve(self, c: np.ndarray, rhs: np.ndarray, U: np.ndarray,
               V: np.ndarray) -> np.ndarray:
-        if self.ops.axes:
+        if isinstance(self.ops, KroneckerOperators):
             return self._krylov(c, rhs, U, V)
         bw, r = self.ops.bandwidth, U.shape[1]
         lu, piv, info = dgbtrf(self.ops.band(c), bw, bw, overwrite_ab=1)
@@ -264,7 +266,7 @@ class BeamSystem:
     """
 
     space: HermiteSpace
-    ops: AssembledOperators
+    ops: AssembledOperators | KroneckerOperators
     boundary: MovingBoundary
     params: BeamParameters
     source: Source | None = None
@@ -326,8 +328,8 @@ class StepProblem:
     ``curr`` and ``prev`` are d^eta and d^{eta-1} as pairs (d, ``ops.products(d)``).
     """
 
-    def __init__(self, ops: AssembledOperators, cfg: NewmarkConfig, levels: tuple[TimeLevel, ...],
-                 curr: tuple[np.ndarray, np.ndarray],
+    def __init__(self, ops: AssembledOperators | KroneckerOperators, cfg: NewmarkConfig,
+                 levels: tuple[TimeLevel, ...], curr: tuple[np.ndarray, np.ndarray],
                  prev: tuple[np.ndarray, np.ndarray] | None, d1: np.ndarray | None):
         dt, th = cfg.dt, cfg.theta
         lm, ln, lp = levels

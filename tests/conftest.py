@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from movingbeam import (
+    AssembledOperators,
     BeamParameters,
     HermiteSpace,
     ManufacturedCase,
@@ -83,10 +84,22 @@ def map_back(b, t, x):
     return np.asarray(x, dtype=float) / _scale(b, t)
 
 
-def jacobian_dense(problem, X):
-    """The Newton matrix of a ``StepProblem`` at X as a dense array."""
+def free_operators(space, nq=DEFAULT_OPERATOR_QUAD):
+    """The free-DOF operators as CSR matrices: ``assemble_constant`` itself in
+    1D; in 2D, where it keeps only the 1D operators of the axes, the full-space
+    quadrature restricted to the free DOFs."""
+    if space.mesh.dim == 1:
+        return assemble_constant(space, nq)
+    full, free = assemble_constant(space, nq, full_space=True), space.free_dofs
+    return AssembledOperators(**{name: getattr(full, name)[free][:, free]
+                                 for name in AssembledOperators.BASIS})
+
+
+def jacobian_dense(problem, X, csr):
+    """The Newton matrix of a ``StepProblem`` at X as a dense array, its step
+    matrix combined from ``csr``, the run's operators as ``free_operators``."""
     c, U, V = problem.jacobian_parts(problem.residual(X, problem.ops.products(X))[1])
-    return problem.ops.combine(c).toarray() + U @ V.T
+    return csr.combine(c).toarray() + U @ V.T
 
 
 def velocity_series(trajectory):

@@ -42,7 +42,7 @@ from movingbeam import (
 )
 from movingbeam.geometry import time_factors
 
-from conftest import jacobian_dense, residual_at, step_problem
+from conftest import free_operators, jacobian_dense, residual_at, step_problem
 
 PARAMS = BeamParameters(zeta0=128.0, zeta1=2.0, nu=1.0)
 DT = 2.0 ** -7
@@ -95,11 +95,12 @@ class TestCriterion1Jacobian:
             cfg = NewmarkConfig(theta=0.25, dt=2.0**-5, n_steps=4)
             d0 = interpolate_initial(space, case.initial_displacement())
             d1 = interpolate_initial(space, case.initial_velocity())
+            csr = free_operators(space)
             for eta in (0, 2):
                 prob = step_problem(system, cfg, eta, d0, 0.7 * d0, d1)
                 for _ in range(2):
                     X = d0 + 0.05 * rng.standard_normal(space.ndof)
-                    J = jacobian_dense(prob, X)
+                    J = jacobian_dense(prob, X, csr)
                     eps = 1e-6
                     Jfd = np.empty_like(J)
                     for k in range(space.ndof):
@@ -342,8 +343,8 @@ class TestCriterion7PropertySuites:
         worst = 0.0
         for dim, cells in ((1, 8), (2, 4)):
             space = HermiteSpace(Mesh.uniform(dim, cells))
-            lo = assemble_constant(space, nq=5)
-            hi = assemble_constant(space, nq=13)
+            lo = free_operators(space, nq=5)
+            hi = free_operators(space, nq=13)
             for a, b in ((lo.A, hi.A), (lo.K1, hi.K1), (lo.K2, hi.K2)):
                 da, db = a.toarray(), b.toarray()
                 worst = max(worst, np.max(np.abs(da - db)) / np.max(np.abs(db)))

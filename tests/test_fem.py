@@ -8,6 +8,7 @@ from movingbeam import (
     AssembledOperators,
     BeamParameters,
     HermiteSpace,
+    KroneckerOperators,
     ManufacturedCase,
     Mesh,
     MovingBoundary,
@@ -20,7 +21,8 @@ from movingbeam.fem import _BLOCK_VALUES, _elem_integrals
 from movingbeam.geometry import eval_boundary, time_factors
 from movingbeam.newmark import LinearSolver
 
-from conftest import assemble_time_dependent, kirchhoff_scalar, project_initial, step_problem
+from conftest import (assemble_time_dependent, free_operators, kirchhoff_scalar, project_initial,
+                      step_problem)
 
 
 class TestQuadrature:
@@ -103,18 +105,42 @@ class TestConstantAssembly:
 
     def test_2d_element_against_brute_force_quadrature(self, space_2d_coarse):
         # oracle: 12-point tensor rule, independent of the default 5-point one
-        ops5 = assemble_constant(space_2d_coarse, nq=5)
-        ops12 = assemble_constant(space_2d_coarse, nq=12)
+        ops5 = free_operators(space_2d_coarse, nq=5)
+        ops12 = free_operators(space_2d_coarse, nq=12)
         for a, b in ((ops5.A, ops12.A), (ops5.K1, ops12.K1), (ops5.K2, ops12.K2)):
             da, db = a.toarray(), b.toarray()
             assert np.max(np.abs(da - db)) < 1e-12 * max(1.0, np.max(np.abs(db)))
 
     def test_determinism_bitwise(self, space_2d_coarse):
-        o1 = assemble_constant(space_2d_coarse)
-        o2 = assemble_constant(space_2d_coarse)
+        o1 = free_operators(space_2d_coarse)
+        o2 = free_operators(space_2d_coarse)
         for a, b in ((o1.A, o2.A), (o1.K1, o2.K1), (o1.K2, o2.K2)):
             assert np.array_equal(a.data, b.data)
             assert np.array_equal(a.indices, b.indices)
+        k1, k2 = (assemble_constant(space_2d_coarse) for _ in range(2))
+        assert np.array_equal(k1.axes[0].stack, k2.axes[0].stack)
+
+    @pytest.mark.parametrize("cells", [(4, 4), (3, 5)])
+    def test_2d_integrates_only_the_1d_axes(self, cells, monkeypatch):
+        # a 2D free-DOF set-up integrates the five 1D operators of each distinct
+        # axis and no 2D cell
+        from movingbeam import fem
+
+        dims, original = [], fem._elem_integrals
+        monkeypatch.setattr(fem, "_elem_integrals",
+                            lambda space, *a: dims.append(space.mesh.dim) or original(space, *a))
+        ops = assemble_constant(HermiteSpace(Mesh(2, ((-1.0, 1.0),) * 2, cells)))
+        assert isinstance(ops, KroneckerOperators)
+        assert dims == [1] * 5 * len(set(cells))
+
+    def test_axes_take_the_callers_rule(self):
+        # each axis holds the 1D operators of its own cells at the caller's nq, bit for bit
+        cells = (3, 5)
+        ops = assemble_constant(HermiteSpace(Mesh(2, ((-1.0, 1.0),) * 2, cells)), nq=12)
+        for ax, n in zip(ops.axes, cells):
+            ref = assemble_constant(HermiteSpace(Mesh.uniform(1, n)), nq=12)
+            for name in AssembledOperators.BASIS:
+                assert getattr(ax, name).data.tobytes() == getattr(ref, name).data.tobytes()
 
     def test_bandwidth_metadata(self, space_1d_coarse):
         ops = assemble_constant(space_1d_coarse)
@@ -139,15 +165,14 @@ class TestConstantAssembly:
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("cells", [2, 3, 4])
-    @pytest.mark.parametrize("full_space", [False, True])
+    @pytest.mark.parametrize("full_space", [True])  # a 2D free-DOF set-up forms no 2D pattern
     def test_2d_bandwidth_spans_the_pattern(self, cells, full_space):
         space = HermiteSpace(Mesh.uniform(2, cells))
         ops = assemble_constant(space, full_space=full_space)
         A = ops.A.tocoo()
         assert ops.bandwidth == np.max(np.abs(A.row - A.col))
         # the DOFs of one cell are all coupled: the widest cell sets the width
-        dofs = space.element_dofs if full_space else space.full_to_free[space.element_dofs]
-        assert ops.bandwidth == max(np.ptp(row[row >= 0]) for row in dofs if np.any(row >= 0))
+        assert ops.bandwidth == max(np.ptp(row) for row in space.element_dofs)
 
 
 class TestTimeDependentAssembly:
@@ -226,7 +251,8 @@ class TestKroneckerStructure:
     @pytest.mark.parametrize("cells", [4, 8, 16])
     def test_2d_operators_are_kronecker_sums(self, cells):
         o1 = assemble_constant(HermiteSpace(Mesh.uniform(1, cells)))
-        o2 = assemble_constant(HermiteSpace(Mesh.uniform(2, cells)))
+        space = HermiteSpace(Mesh.uniform(2, cells))
+        o2 = free_operators(space)
         A1, S1, B1, Q1, P1 = o1.A, o1.K1, o1.K2, o1.Q, o1.P
         kron = {
             "A": sp.kron(A1, A1),
@@ -237,7 +263,7 @@ class TestKroneckerStructure:
         }
         # the Kronecker products index x-DOF a and y-DOF b as b * n1 + a, the
         # flat entry of the grid X[b, a]; fem maps it to the free DOF
-        to_free = o2.grid[0].ravel()
+        to_free = assemble_constant(space).grid[0].ravel()
         for name, k in kron.items():
             m2 = getattr(o2, name).toarray()[np.ix_(to_free, to_free)]
             assert np.max(np.abs(m2 - k.toarray())) <= 1e-14 * np.max(np.abs(m2)), name
@@ -257,11 +283,10 @@ class TestKroneckerStructure:
         space = HermiteSpace(Mesh(2, ((-1.0, 1.0), (-1.0, 1.0)), cells))
         ops = assemble_constant(space)
         x = rng.standard_normal(space.ndof)
-        got = ops.products(x)
+        got, csr = ops.products(x), free_operators(space)
         for k, name in enumerate(AssembledOperators.BASIS):
-            ref = getattr(ops, name) @ x
+            ref = getattr(csr, name) @ x
             assert np.max(np.abs(got[k] - ref)) <= 1e-14 * np.max(np.abs(ref)), name
-        assert "stacked" not in vars(ops)
         # equal axes share one set of 1D operators
         assert (ops.axes[0] is ops.axes[1]) == (cells[0] == cells[1])
 
@@ -280,8 +305,8 @@ class TestAffineOperators:
                                      amplitude=1.0, rate=1.0),
         }[which]
         space = HermiteSpace(Mesh.uniform(dim, cells))
-        ops = assemble_constant(space)
-        system = BeamSystem(space, ops, b, params)
+        ops = free_operators(space)
+        system = BeamSystem(space, assemble_constant(space), b, params)
         for t in (0.0, 0.5):
             level = system.level(t)
             for c, ref in zip(
@@ -290,7 +315,7 @@ class TestAffineOperators:
                 got = ops.combine(c)
                 assert np.max(np.abs(got.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("dim,cells", [(1, 8), (2, 3)])
+    @pytest.mark.parametrize("dim,cells", [(1, 8)])  # 2D: no CSR step matrix exists
     def test_one_pattern_for_every_step_matrix(self, params, dim, cells):
         from movingbeam import BeamSystem, NewmarkConfig
 
@@ -312,15 +337,16 @@ class TestAffineOperators:
     @pytest.mark.parametrize("dim,cells", [(1, 8), (2, 3)])
     def test_products_match_combined_matrices(self, dim, cells, rng):
         space = HermiteSpace(Mesh.uniform(dim, cells))
-        ops = assemble_constant(space)
+        ops, csr = assemble_constant(space), free_operators(space)
         x = rng.standard_normal(space.ndof)
         for c in (np.eye(5)[3], rng.standard_normal(5)):
-            ref = ops.combine(c) @ x
+            ref = csr.combine(c) @ x
             assert np.max(np.abs(c @ ops.products(x) - ref)) <= 1e-14 * np.max(np.abs(ref))
-        # the stacked matrix reads the operators' data in place
-        assert np.shares_memory(ops.stacked.data, ops.stack)
+        # the stacked matrix (of the x axis in 2D) reads the operators' data in place
+        held = ops if dim == 1 else ops.axes[0]
+        assert np.shares_memory(held.stacked.data, held.stack)
 
-    @pytest.mark.parametrize("dim,cells", [(1, 8), (2, 3), (2, 4)])
+    @pytest.mark.parametrize("dim,cells", [(1, 8)])  # 2D solves form no band
     def test_band_matches_combined_matrix(self, dim, cells, rng):
         # LAPACK general-band storage with kl = ku = bw: ab[2 bw + i - j, j] = S[i, j]
         ops = assemble_constant(HermiteSpace(Mesh.uniform(dim, cells)))
@@ -336,7 +362,8 @@ class TestAffineOperators:
             # the band holds all of S: nothing lies outside it
             assert np.array_equal(np.triu(np.tril(S, bw), -bw), S)
 
-    def test_advance_never_assembles_per_step(self, params, monkeypatch):
+    @pytest.mark.parametrize("dim,cells", [(1, 8), (2, 4)])
+    def test_advance_never_assembles_per_step(self, dim, cells, params, monkeypatch):
         # every quadrature of the package goes through _elem_integrals (matrices),
         # assemble_load (vectors) or HermiteSpace.scatter; none may run in the march
         import sys
@@ -346,10 +373,11 @@ class TestAffineOperators:
         def boom(*args, **kwargs):
             raise AssertionError("per-step quadrature assembly")
 
-        case = ManufacturedCase.standard("S1", 1)
-        space = HermiteSpace(Mesh.uniform(1, 8))
-        system = BeamSystem(space, assemble_constant(space), MovingBoundary.b2(1), params)
+        case = ManufacturedCase.standard("S1", dim)
+        space = HermiteSpace(Mesh.uniform(dim, cells))
+        system = BeamSystem(space, assemble_constant(space), MovingBoundary.b2(dim), params)
         d0 = interpolate_initial(space, case.initial_displacement())
+        nloc = space.element_dofs.shape[1]
         for name, mod in list(sys.modules.items()):
             if name.split(".")[0] == "movingbeam":
                 for attr, value in list(vars(mod).items()):
@@ -359,7 +387,7 @@ class TestAffineOperators:
         # the guards are live: set-up, which integrates, trips each of them
         for integrates in (lambda: fem.assemble_constant(space),
                            lambda: fem.assemble_load(space, lambda y, t: 0 * y[:, 0], 0.0),
-                           lambda: space.scatter(np.zeros((8, 4, 4)))):
+                           lambda: space.scatter(np.zeros((space.mesh.ncells, nloc, nloc)))):
             with pytest.raises(AssertionError, match="per-step quadrature"):
                 integrates()
         traj = advance(system, NewmarkConfig(dt=2.0**-5, n_steps=4), d0, 0.0 * d0)

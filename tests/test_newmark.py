@@ -14,6 +14,7 @@ from movingbeam import (
     BeamSystem,
     BoundaryKind,
     HermiteSpace,
+    KroneckerOperators,
     ManufacturedCase,
     Mesh,
     MovingBoundary,
@@ -36,8 +37,8 @@ from movingbeam.newmark import (
     newton_solve,
 )
 
-from conftest import (jacobian_dense, kirchhoff_scalar, residual_at, start_at, step_levels,
-                      step_problem)
+from conftest import (free_operators, jacobian_dense, kirchhoff_scalar, residual_at, start_at,
+                      step_levels, step_problem)
 
 # K = 1 + t/2: K^-4, and with it the Newton matrix, drifts by about 3% per step at dt = 2^-6
 FAST = MovingBoundary(BoundaryKind.LINEAR_DRIFT, base=1.0, slope=0.5,
@@ -101,7 +102,6 @@ class _ScalarSystem:
         self.ops = SimpleNamespace(
             A=sp.csr_matrix(np.array([[A]])),
             K1=sp.csr_matrix(np.array([[K1]])),
-            axes=(),  # no tensor form: the band LU solves it
             bandwidth=0,
             band=lambda c: np.array([[c @ stack]]),
             combine=lambda c: sp.csr_matrix(np.array([[c @ stack]])),
@@ -221,7 +221,7 @@ class TestNewton:
         for eta in (0, 2):
             prob = step_problem(system, cfg, eta, d0, 0.5 * d0, d1)
             X = d0 + 0.01 * rng.standard_normal(len(d0))
-            J = jacobian_dense(prob, X)
+            J = jacobian_dense(prob, X, free_operators(system.space))
             eps = 1e-6
             Jfd = np.empty_like(J)
             for k in range(len(X)):
@@ -242,7 +242,7 @@ class TestNewton:
                                           boundary=FAST, amplitude=1.0)
         d0 = d1 / case.omega
         cfg = NewmarkConfig(theta=0.3, dt=2.0**-5, n_steps=4)
-        dt, th, ops = cfg.dt, cfg.theta, system.ops
+        dt, th, ops = cfg.dt, cfg.theta, free_operators(system.space)
         K1 = ops.K1.toarray()
         d_prev = 0.5 * d0 + 0.1
         prob = step_problem(system, cfg, eta, d0, d_prev, d1)
@@ -367,18 +367,19 @@ def _woodbury_reference(S, rhs, U, V):
 
 
 class _PerIterationLU:
-    """Reference solver: a dense LU of the whole Newton matrix at every iteration."""
+    """Reference solver: a dense LU of the whole Newton matrix at every
+    iteration, combined from ``csr``, the run's operators as ``free_operators``."""
 
     factorizations = 0
 
-    def __init__(self, ops):
-        self.ops = ops
+    def __init__(self, csr):
+        self.csr = csr
 
     def reset(self):
         pass
 
     def solve(self, c, rhs, U, V):
-        return np.linalg.solve(self.ops.combine(c).toarray() + U @ V.T, rhs)
+        return np.linalg.solve(self.csr.combine(c).toarray() + U @ V.T, rhs)
 
 
 def _step_matrix(system, cfg, eta):
@@ -398,7 +399,7 @@ def _count_calls(monkeypatch, owner, name):
 def _kirchhoff_columns(system, cfg, rng, r):
     """U and V in the Kirchhoff terms' form: theta dt^2 K1 z_j and 2 b_j K1 z_j,
     for random z_j and b_j = 1."""
-    K1z = system.ops.K1 @ rng.standard_normal((system.space.ndof, r))
+    K1z = free_operators(system.space).K1 @ rng.standard_normal((system.space.ndof, r))
     return cfg.theta * cfg.dt ** 2 * K1z, 2.0 * K1z
 
 
@@ -423,7 +424,7 @@ class TestLinearSolver:
             solver.solve(c0, rhs, U, V)
             x = solver.solve(c, rhs, U, V)
             assert solver.factorizations == 1
-            ref = _woodbury_reference(system.ops.combine(c), rhs, U, V)
+            ref = _woodbury_reference(free_operators(system.space).combine(c), rhs, U, V)
             assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
@@ -476,7 +477,8 @@ class TestLinearSolver:
         _, system, d0, d1 = _mms_system(dim=2, cells=8, boundary=FAST, amplitude=1.0)
         cfg = NewmarkConfig(theta=0.25, dt=2.0**-6, n_steps=64)
         traj = advance(system, cfg, d0, d1)
-        monkeypatch.setattr(newmark, "LinearSolver", _PerIterationLU)
+        monkeypatch.setattr(newmark, "LinearSolver",
+                            lambda ops: _PerIterationLU(free_operators(system.space)))
         ref = advance(system, cfg, d0, d1)
         assert traj.completed and ref.completed
         assert traj.newton_iterations == ref.newton_iterations
@@ -506,18 +508,20 @@ class TestLinearSolver:
         (FAST, 8, 2.0**-6, 1.0),
     ])
     def test_2d_march_forms_no_matrix(self, boundary, cells, dt, amplitude, monkeypatch):
-        # 2D: no band LU, and no band array, CSR combination or sparse product
-        # of the 2D operators (the preconditioner combines the 1D ones)
+        # 2D: the operators are the 1D ones of the axes; no band LU or band
+        # array, and the only CSR combinations are the preconditioner's, one
+        # per refresh (the two axes of the square are one)
         _, system, d0, d1 = _mms_system(dim=2, cells=cells, boundary=boundary,
                                         amplitude=amplitude)
         factored = _count_calls(monkeypatch, newmark, "dgbtrf")
-        combined = _count_calls(monkeypatch, system.ops, "combine")
-        banded = _count_calls(monkeypatch, system.ops, "band")
+        combined = _count_calls(monkeypatch, AssembledOperators, "combine")
+        banded = _count_calls(monkeypatch, AssembledOperators, "band")
         traj = advance(system, NewmarkConfig(theta=0.25, dt=dt, n_steps=int(1 / dt)),
                        d0, d1)
         assert traj.completed and 0 < traj.factorizations < sum(traj.newton_iterations)
-        assert factored == banded == combined == []
-        assert "stacked" not in vars(system.ops) and "band_index" not in vars(system.ops)
+        assert isinstance(system.ops, KroneckerOperators)
+        assert factored == banded == [] and len(combined) == traj.factorizations
+        assert all("band_index" not in vars(ax) for ax in system.ops.axes)
 
     def test_gmres_missing_its_target_is_a_singular_jacobian(self, monkeypatch):
         # the paper's regime needs 2 iterations per solve: a cap of 1 misses the
@@ -551,8 +555,8 @@ class TestLinearSolver:
         # the zero matrix of an assembled system: a zero pivot of the band LU in
         # 1D, a zero eigenvalue sum of the preconditioner in 2D
         for dim, match in ((1, "zero pivot"), (2, "zero eigenvalue sum")):
-            ops = assemble_constant(HermiteSpace(Mesh.uniform(dim, 4)))
-            n = ops.A.shape[0]
+            space = HermiteSpace(Mesh.uniform(dim, 4))
+            ops, n = assemble_constant(space), space.ndof
             with pytest.raises(SingularJacobian, match=match):
                 LinearSolver(ops).solve(np.zeros(5), np.ones(n), np.zeros((n, 0)),
                                         np.zeros((n, 0)))

@@ -105,13 +105,11 @@ def _write_trace(out: Path, res) -> None:
 def _write_snapshots(out: Path, cfg: RunConfig, res) -> None:
     times = res.trajectory.times
     nodes = res.space.mesh.node_coords()
-    dpn = res.space.dofs_per_node
     coord_cols = [f"y{i+1}" for i in range(cfg.dimension)]
     wanted = cfg.snapshots if cfg.snapshots else (0.0, float(times[-1]))
     for t_req in wanted:  # validated: each request is its own time level
         eta = int(round(t_req / cfg.dt))
-        full = res.space.expand(res.trajectory.d[eta])
-        values = full[0::dpn]
+        values = res.space.nodal_values(res.trajectory.d[eta])
         rows = [
             [_fmt(c) for c in nodes[i]] + [_fmt(values[i])]
             for i in range(nodes.shape[0])

@@ -1,24 +1,25 @@
 """Uniform-box C1 Hermite finite elements: mesh, space, quadrature, assembly.
 
-The mesh is a uniform product grid on an axis-aligned box, in every run the
-reference box (-1, 1)^n (``Mesh.uniform``).  Degrees of freedom are nodal
-values plus nodal derivatives (2 per node in 1D, 4 per node in 2D), which
-makes the space C1 across cell interfaces.  Clamped boundary conditions
-(value and all derivative DOFs zero on boundary nodes) are imposed by
-elimination, so all assembled operators live on the free DOFs only.
+The mesh is a uniform product grid on the reference box (-1, 1)^n, equal on
+every axis.  Degrees of freedom are nodal values plus nodal derivatives, which
+makes the space C1 across cell interfaces; the 2D space is the tensor square
+of the 1D one, DOF numbering included.  Clamped boundary conditions (value
+and all derivative DOFs zero on boundary nodes) are imposed by elimination,
+so all assembled operators live on the free DOFs only.
 
 Assembly is vectorized over cells but accumulates in fixed cell order, so
 two assemblies of the same inputs are bitwise identical.  Every matrix is
 scattered onto one CSR pattern computed once from the element connectivity,
 so all assembled operators share the same ``indptr``/``indices`` and any
 linear combination of them is a combination of their data arrays.  On the
-free DOFs of a 2D space only the 1D operators of the two axes are assembled
+free DOFs of a 2D space only the 1D operators of one axis are assembled
 (``KroneckerOperators``), and each 2D operator applies itself as a Kronecker
 sum of them, with no 2D matrix; only the full-space operators are 2D CSR.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
@@ -52,55 +53,47 @@ def _product(axes) -> np.ndarray:
     return np.column_stack([g.ravel() for g in grids[::-1]])
 
 
-def _strides(counts) -> np.ndarray:
-    """Flat-index weight of each axis of a grid with ``counts`` entries, first axis fastest."""
-    return np.cumprod((1,) + tuple(counts[:-1]))
-
-
 @dataclass(frozen=True)
 class Mesh:
-    """Uniform product mesh with ``cells_per_axis`` cells on each axis."""
+    """Uniform mesh of the reference box (-1, 1)^dim with ``cells`` cells per axis."""
 
     dim: int
-    box: tuple[tuple[float, float], ...]
-    cells_per_axis: tuple[int, ...]
+    cells: int
 
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if len(self.box) != self.dim or len(self.cells_per_axis) != self.dim:
-            raise ValueError("box and cells_per_axis must match dim")
-        for (lo, hi), n in zip(self.box, self.cells_per_axis):
-            if not hi > lo:
-                raise ValueError(f"degenerate box interval ({lo}, {hi})")
-            if n < 1:
-                raise ValueError(f"cells_per_axis must be >= 1, got {n}")
+        if self.cells < 1:
+            raise ValueError(f"cells must be >= 1, got {self.cells}")
 
     @staticmethod
     def uniform(dim: int, cells: int) -> "Mesh":
-        """The reference box (-1, 1)^dim with ``cells`` cells per axis."""
-        return Mesh(dim, (REFERENCE_INTERVAL,) * dim, (cells,) * dim)
+        """The same mesh as ``Mesh(dim, cells)``."""
+        return Mesh(dim, cells)
+
+    @property
+    def box(self) -> tuple[tuple[float, float], ...]:
+        return (REFERENCE_INTERVAL,) * self.dim
+
+    @property
+    def cells_per_axis(self) -> tuple[int, ...]:
+        return (self.cells,) * self.dim
 
     @property
     def h(self) -> tuple[float, ...]:
-        return tuple((hi - lo) / n for (lo, hi), n in zip(self.box, self.cells_per_axis))
-
-    @property
-    def nodes_per_axis(self) -> tuple[int, ...]:
-        return tuple(n + 1 for n in self.cells_per_axis)
+        return ((REFERENCE_INTERVAL[1] - REFERENCE_INTERVAL[0]) / self.cells,) * self.dim
 
     @property
     def ncells(self) -> int:
-        return int(np.prod(self.cells_per_axis))
+        return self.cells ** self.dim
 
     @property
     def nnodes(self) -> int:
-        return int(np.prod(self.nodes_per_axis))
+        return (self.cells + 1) ** self.dim
 
     def node_coords(self) -> np.ndarray:
         """Node coordinates, shape (nnodes, dim), x fastest."""
-        return _product([np.linspace(lo, hi, n + 1)
-                         for (lo, hi), n in zip(self.box, self.cells_per_axis)])
+        return _product([np.linspace(*REFERENCE_INTERVAL, self.cells + 1)] * self.dim)
 
 
 # Gauss-Legendre nodes and weights on [-1, 1], computed once per size;
@@ -122,20 +115,22 @@ def gauss_rule(dim: int, npts: int):
 class HermiteSpace:
     """C1 Hermite space on a uniform mesh with clamped-boundary elimination.
 
-    DOF layout: node-major, nodes with the first axis fastest; per node the
-    2^dim mixed derivatives in the order of ``hermite`` (derivative bit k for
-    axis k): ``[v, v']`` in 1D, ``[v, vx, vy, vxy]`` in 2D.  ``full_to_free``
-    maps full DOF index to free index (-1 when constrained).
+    DOF layout: the Kronecker order of the 1D one, whose DOF 2 node + d is the
+    derivative of order d at the node: 2D DOF i_x + n_1 i_y, n_1 = 2 (cells + 1).
+    Free DOFs keep that order, so a 2D free-DOF vector reshaped to (n, n),
+    n = 2 (cells - 1), is the grid X[b, a] of y-DOF b and x-DOF a.
+    ``full_to_free`` maps full DOF index to free index (-1 when constrained).
     """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.dofs_per_node = 2 ** mesh.dim
-        self.ndof_full = mesh.nnodes * self.dofs_per_node
+        per_axis = 2 * (mesh.cells + 1)
+        self.ndof_full = per_axis ** mesh.dim
 
-        node = _product([np.arange(n) for n in mesh.nodes_per_axis])
-        boundary = np.any((node == 0) | (node == np.array(mesh.nodes_per_axis) - 1), axis=1)
-        constrained = np.repeat(boundary, self.dofs_per_node)
+        # clamped: the value and slope of an end node on some axis
+        ends = np.zeros(per_axis, dtype=bool)
+        ends[[0, 1, -2, -1]] = True
+        constrained = functools.reduce(np.logical_or.outer, [ends] * mesh.dim).ravel()
 
         self.full_to_free = np.full(self.ndof_full, -1, dtype=np.int64)
         self.free_dofs = np.flatnonzero(~constrained)
@@ -149,18 +144,18 @@ class HermiteSpace:
     # -- connectivity -------------------------------------------------------
 
     def _element_dof_matrix(self) -> np.ndarray:
-        """Global DOF of each local DOF of each cell, (ncells, 4^dim)."""
-        m, dpn = self.mesh, self.dofs_per_node
-        corner, _ = local_layout(m.dim)
-        cells = _product([np.arange(n) for n in m.cells_per_axis])
-        nodes = (cells[:, None, :] + corner[None]) @ _strides(m.nodes_per_axis)
-        return dpn * nodes + np.arange(dpn * dpn) % dpn
+        """Global DOF of each local DOF of each cell, (ncells, 4^dim): on axis k
+        the 1D DOF 2 (cell_k + corner_k) + d_k."""
+        m = self.mesh
+        corner, deriv = local_layout(m.dim)
+        cells = _product([np.arange(m.cells)] * m.dim)
+        per_axis = 2 * (cells[:, None, :] + corner[None]) + deriv[None]
+        return per_axis @ (2 * (m.cells + 1)) ** np.arange(m.dim)  # first axis fastest
 
     def cell_origins(self) -> np.ndarray:
         """Lower-left corner of each cell, shape (ncells, dim)."""
         m = self.mesh
-        return _product([lo + h * np.arange(n)
-                         for (lo, _), h, n in zip(m.box, m.h, m.cells_per_axis)])
+        return _product([REFERENCE_INTERVAL[0] + m.h[0] * np.arange(m.cells)] * m.dim)
 
     # -- reference basis tables ---------------------------------------------
 
@@ -230,6 +225,15 @@ class HermiteSpace:
 
     # -- evaluation of discrete functions ------------------------------------
 
+    def node_grid(self, full: np.ndarray) -> np.ndarray:
+        """The full DOF vector ``full`` as a view with the axes (node, derivative
+        order) of each mesh axis, the last mesh axis first."""
+        return full.reshape((self.mesh.cells + 1, 2) * self.mesh.dim)
+
+    def nodal_values(self, d_free: np.ndarray) -> np.ndarray:
+        """The values of ``d_free`` at the nodes, in ``Mesh.node_coords`` order."""
+        return self.node_grid(self.expand(d_free))[(slice(None), 0) * self.mesh.dim].ravel()
+
     def expand(self, d_free: np.ndarray) -> np.ndarray:
         """Free-DOF vectors (..., ndof) -> full DOF vectors with zeros on constrained DOFs."""
         full = np.zeros(np.shape(d_free)[:-1] + (self.ndof_full,))
@@ -260,10 +264,10 @@ class HermiteSpace:
         at arbitrary points (npts, dim) in the box."""
         m = self.mesh
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        lo, hs = np.array([b[0] for b in m.box]), np.array(m.h)
-        idx = np.clip(np.floor((pts - lo) / hs).astype(int), 0, np.array(m.cells_per_axis) - 1)
+        lo, hs = REFERENCE_INTERVAL[0], m.h[0]
+        idx = np.clip(np.floor((pts - lo) / hs).astype(int), 0, m.cells - 1)
         table = _derivative(shape_eval((pts - (lo + idx * hs)) / hs, m.h), m.dim, deriv)
-        de = self.expand(d_free)[self.element_dofs[idx @ _strides(m.cells_per_axis)]]
+        de = self.expand(d_free)[self.element_dofs[idx @ m.cells ** np.arange(m.dim)]]
         return np.einsum("pa,pa->p", de, table)
 
 
@@ -366,33 +370,26 @@ class AssembledOperators:
 @dataclass(eq=False)
 class KroneckerOperators:
     """The free-DOF operators ``AssembledOperators.BASIS`` of a 2D space as
-    Kronecker sums of the 1D A, S = K1, B = K2, Q and P of its ``axes`` (x first,
-    one object for equal axes).  On the grid X[b, a] (``grid``), (F (x) C) x is
+    Kronecker sums of the 1D A, S = K1, B = K2, Q and P of its ``axis``, the
+    same on x and y.  A free-DOF vector x is the grid X = x.reshape(n, n),
+    X[b, a] of y-DOF b and x-DOF a (``HermiteSpace``), on which (F (x) C) x is
     F X C^T, y factor first, and :meth:`grid_products` applies
         A = A(x)A,  K1 = A(x)S + S(x)A,  K2 = A(x)B + B(x)A + 2 S(x)S,
         Q = A(x)Q + Q(x)A + P^T(x)P + P(x)P^T,  P = A(x)P + P(x)A.
     """
 
-    axes: tuple[AssembledOperators, AssembledOperators]
+    axis: AssembledOperators
 
     def products(self, x: np.ndarray) -> np.ndarray:
-        """(A x, K1 x, K2 x, Q x, P x) as one (5, n) array."""
-        return self.grid_products(x.take(self.grid[0])).reshape(5, -1).take(self.grid[1], 1)
-
-    @functools.cached_property
-    def grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """(to, back) with X = x.take(to) (n_y, n_x) and x = X.take(back): free DOF
-        4 (interior node, x fastest) + d_a + 2 d_b is the grid entry X[b, a] of
-        y-DOF b = 2 (y node) + d_b and x-DOF a = 2 (x node) + d_a."""
-        (nx, _), (ny, _) = (ax.A.shape for ax in self.axes)
-        to = np.arange(nx * ny).reshape(ny // 2, nx // 2, 2, 2).swapaxes(1, 2)
-        return to.reshape(ny, nx), np.argsort(to, axis=None)
+        """(A x, K1 x, K2 x, Q x, P x) as one (5, n^2) array."""
+        n = self.axis.A.shape[0]
+        return self.grid_products(x.reshape(n, n)).reshape(5, -1)
 
     @functools.cached_property
     def _left(self) -> sp.csr_matrix:
         """Row block k, column block j: the y factor F of the term F (x) C_j of
-        operator k, C_j the x axis' ``BASIS``; P^T = -A - P on the clamped space."""
-        A, S, B, Q, P = (getattr(self.axes[1], name) for name in AssembledOperators.BASIS)
+        operator k, C_j the axis' ``BASIS``; P^T = -A - P on the clamped space."""
+        A, S, B, Q, P = (getattr(self.axis, name) for name in AssembledOperators.BASIS)
         return sp.bmat([[A, None, None, None, None],
                         [S, A, None, None, None],
                         [B, 2.0 * S, A, None, None],
@@ -400,11 +397,11 @@ class KroneckerOperators:
                         [P, None, None, None, A]], format="csr")
 
     def grid_products(self, X: np.ndarray) -> np.ndarray:
-        """The five operators applied to the grid X (n_y, n_x), as (5, n_y, n_x):
-        X C_j^T for the x axis' five, then the y factors on their stack."""
-        ny, nx = X.shape
-        XC = (self.axes[0].stacked @ X.T).reshape(-1, nx, ny).swapaxes(1, 2).reshape(-1, nx)
-        return (self._left @ XC).reshape(-1, ny, nx)
+        """The five operators applied to the grid X (n, n), as (5, n, n):
+        X C_j^T for the axis' five, then the y factors on their stack."""
+        n = X.shape[0]
+        XC = (self.axis.stacked @ X.T).reshape(-1, n, n).swapaxes(1, 2).reshape(-1, n)
+        return (self._left @ XC).reshape(-1, n, n)
 
 
 def _elem_integrals(space: HermiteSpace, nq: int, coef, trial, test) -> np.ndarray:
@@ -419,13 +416,10 @@ def assemble_constant(
     space: HermiteSpace, nq: int = DEFAULT_OPERATOR_QUAD, full_space: bool = False
 ) -> AssembledOperators | KroneckerOperators:
     """Assemble A, K1, K2, Q and P, on the free DOFs unless ``full_space``; on the
-    free DOFs of a 2D space only the 1D operators of its axes, with this ``nq``."""
+    free DOFs of a 2D space only the 1D operators of its axis, with this ``nq``."""
     if space.mesh.dim == 1 or full_space:
         return _quadrature(space, nq, full_space)
-    keys = [((box,), (n,)) for box, n in zip(space.mesh.box, space.mesh.cells_per_axis)]
-    made = {key: _quadrature(HermiteSpace(Mesh(1, *key)), nq, False)
-            for key in dict.fromkeys(keys)}
-    return KroneckerOperators(tuple(made[key] for key in keys))
+    return KroneckerOperators(_quadrature(HermiteSpace(Mesh(1, space.mesh.cells)), nq, False))
 
 
 def _quadrature(space: HermiteSpace, nq: int, full_space: bool) -> AssembledOperators:
@@ -497,9 +491,10 @@ def interpolate_initial(
     is the startup accuracy the error analysis assumes.  ``full_space``
     returns all DOFs including the ones the clamped space constrains.
     """
-    nodes, dpn = space.mesh.node_coords(), space.dofs_per_node
-    full = np.zeros(space.ndof_full)
-    # nodal DOF d is local DOF d of a cell's first corner: its derivative bits
-    for d, mi in enumerate(local_layout(space.mesh.dim)[1][:dpn]):
-        full[d::dpn] = derivs(nodes, tuple(int(o) for o in mi))
+    m = space.mesh
+    nodes, full = m.node_coords(), np.zeros(space.ndof_full)
+    grid = space.node_grid(full)
+    for mi in itertools.product((0, 1), repeat=m.dim):  # derivative order per axis
+        at = sum(((slice(None), o) for o in mi[::-1]), ())
+        grid[at] = derivs(nodes, mi).reshape((m.cells + 1,) * m.dim)
     return full if full_space else full[space.free_dofs]

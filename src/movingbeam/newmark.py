@@ -8,13 +8,13 @@ with G(t, d) = b1(t) * d^T K1 d (squared gradient seminorm of the discrete
 function), L1 = nu A + B3 and L2 = b2 K2 + B1 + B4 - B2.  Since x = K(t) y
 with K scalar, L1 and L2 are fixed combinations of the constant operators
 (A, K1, K2, Q, P) with scalar weights in (K, K', K''): they are assembled
-once per run, in 1D on one CSR pattern and in 2D as the 1D operators of the
-two axes.  A step matrix S is held only as its coefficient vector c over them:
-S x is c contracted with the five products (``ops.products``: one stacked
-sparse matrix in 1D, Kronecker sums of 1D products in 2D); S is written,
-straight into LAPACK band storage, only when the 1D solver factors it.  The
-load F(t) follows the same rule
-over the source's five spatial terms, integrated once per run; a homogeneous
+once per run, in 1D on one CSR pattern and in 2D as the 1D operators of its
+axis, the same on x and y.  A step matrix S is held only as its coefficient
+vector c over them: S x is c contracted with the five products
+(``ops.products``: one stacked sparse matrix in 1D, Kronecker sums of 1D
+products in 2D); S is written, straight into LAPACK band storage, only when
+the 1D solver factors it.  The load F(t) follows the same rule over the
+source's five spatial terms, integrated once per run; a homogeneous
 run's load is the scalar 0.0.  ``advance`` forms each time level's data
 (``BeamSystem.level``) and each state's products once.  Each implicit step is
 one ``StepProblem``: it forms the step's matrices and averaged load from three
@@ -146,20 +146,21 @@ class LinearSolver:
     1D: S is written straight into LAPACK band storage and factored by
     ``dgbtrf`` (kl = ku = ``ops.bandwidth``); one ``dgbtrs`` takes [b, U], and
     ``dgesv`` the r x r Woodbury capacitance I + V^T S^-1 U.  Nothing is kept.
-    2D (``KroneckerOperators``): ``gmres`` applies S in Kronecker form plus U (V^T x),
-    right-preconditioned by the fast diagonalization of the separable symmetric
-    part A(x)T + T(x)A of S, T = (c_A - c_P)/2 A + c_K1 S + c_K2 B + c_Q Q per
-    axis (P + P^T = -A): with T W = A W diag(lam) (``eigh``) its inverse is
-    X -> W_y [(W_y^T X W_x) / (lam_y,i + lam_x,j)] W_x^T.  The eigendecompositions
-    are kept, and refreshed at the first solve, after ``reset`` and after a
-    solve of more than ``GMRES_REFRESH`` iterations.  ``factorizations`` counts
-    the band LUs in 1D and the refreshes in 2D.
+    2D (``KroneckerOperators``): ``gmres`` applies S in Kronecker form plus U (V^T x)
+    to the free-DOF vector, the grid X = x.reshape(n, n), right-preconditioned by
+    the fast diagonalization of the separable symmetric part A(x)T + T(x)A of S,
+    T = (c_A - c_P)/2 A + c_K1 S + c_K2 B + c_Q Q on the axis (P + P^T = -A):
+    with T W = A W diag(lam) (``eigh``, one for both axes) its inverse is
+    X -> W [(W^T X W) / (lam_i + lam_j)] W^T.  The eigendecomposition is kept,
+    and refreshed at the first solve, after ``reset`` and after a solve of more
+    than ``GMRES_REFRESH`` iterations.  ``factorizations`` counts the band LUs
+    in 1D and the refreshes in 2D.
     """
 
     def __init__(self, ops: AssembledOperators | KroneckerOperators):
         self.ops = ops
         self.factorizations = 0
-        self._fd = None  # (W_x, W_y, lam_y,i + lam_x,j) of the kept preconditioner
+        self._fd = None  # (W, lam_i + lam_j) of the kept preconditioner
 
     def reset(self) -> None:
         """Drop the preconditioner; the next 2D solve diagonalizes its own matrix."""
@@ -187,27 +188,25 @@ class LinearSolver:
         return y - Z @ (W @ y)
 
     def _krylov(self, c, rhs, U, V) -> np.ndarray:
-        ops, (to, back) = self.ops, self.ops.grid
+        axis = self.ops.axis
         if self._fd is None:
             t = np.array([0.5 * (c[0] - c[4]), c[1], c[2], c[3], 0.0])
-            eig = {ax: eigh(ax.combine(t).toarray(), ax.A.toarray())
-                   for ax in dict.fromkeys(ops.axes)}  # equal axes are one object
-            (lx, Wx), (ly, Wy) = (eig[ax] for ax in ops.axes)
-            if not (lam := ly[:, None] + lx).all():
+            lam1, W = eigh(axis.combine(t).toarray(), axis.A.toarray())
+            if not (lam := lam1[:, None] + lam1).all():
                 raise SingularJacobian("zero eigenvalue sum in the fast diagonalization")
-            self._fd, self.factorizations = (Wx, Wy, lam), self.factorizations + 1
-        (Wx, Wy, lam), Ug, Vg = self._fd, U.T.take(to.ravel(), 1), V.T.take(to.ravel(), 1)
+            self._fd, self.factorizations = (W, lam), self.factorizations + 1
+        W, lam = self._fd
 
         def matvec(z):
-            return (np.tensordot(c, ops.grid_products(z.reshape(to.shape)), 1).ravel()
-                    + (Vg @ z) @ Ug)
+            return (np.tensordot(c, self.ops.grid_products(z.reshape(lam.shape)), 1).ravel()
+                    + (V.T @ z) @ U.T)
 
         def psolve(v):
-            return (Wy @ ((Wy.T @ v.reshape(to.shape) @ Wx) / lam) @ Wx.T).ravel()
+            return (W @ ((W.T @ v.reshape(lam.shape) @ W) / lam) @ W.T).ravel()
 
-        x, iterations = gmres(matvec, psolve, rhs.take(to.ravel()))
+        x, iterations = gmres(matvec, psolve, rhs)
         self._fd = None if iterations > GMRES_REFRESH else self._fd  # a slow solve refreshes
-        return x.take(back)
+        return x
 
 
 def gmres(matvec, psolve, b: np.ndarray) -> tuple[np.ndarray, int]:

@@ -72,7 +72,7 @@ def simulate(
     keeps the initial data but drops the source.  The zero run is a case of
     amplitude 0 run homogeneously.
     """
-    space = HermiteSpace(Mesh.uniform(case.dim, cells))
+    space = HermiteSpace(Mesh(case.dim, cells))
     ops = assemble_constant(space)
     source = None if homogeneous else make_source(case, boundary, params)
     system = BeamSystem(space, ops, boundary, params, source)

@@ -13,6 +13,7 @@ content of the table (conditional instability for theta < 1/4, stability
 and error ordering for theta >= 1/4, matching temporal error floors) is
 asserted by the neighbouring passing tests.
 """
+import json
 import math
 import time
 
@@ -30,22 +31,18 @@ from movingbeam import (
     assemble_constant,
     cells_for_h,
     convergence_study,
-    decay_fit,
-    energy_series,
     error_norms,
     eval_boundary,
     interpolate_initial,
     make_source,
     simulate,
-    theta_sweep,
     weak_strong_consistency,
 )
 from movingbeam.geometry import time_factors
 
+import reproduced_numbers as recorded
 from conftest import free_operators, jacobian_dense, residual_at, step_problem
-
-PARAMS = BeamParameters(zeta0=128.0, zeta1=2.0, nu=1.0)
-DT = 2.0 ** -7
+from reproduced_numbers import DT, PARAMS
 
 # reference table: L-inf(0,T;L2) errors at dt = 2^-7, case S1, boundary B1
 PAPER_THETA = {
@@ -71,14 +68,27 @@ def s1_1d():
 
 
 @pytest.fixture(scope="module")
-def sweep(s1_1d):
+def sweep():
     """The full theta sweep of criterion 3 (shared across its sub-checks)."""
-    return theta_sweep(
-        s1_1d, MovingBoundary.b1(1), PARAMS,
-        h_values=[2.0**-i for i in range(1, 7)],
-        theta_values=[0.0, 0.25, 0.5, 0.75, 1.0],
-        dt=DT, T=1.0,
-    )
+    return recorded.sweep_run()
+
+
+@pytest.fixture(scope="module")
+def coupled_1d():
+    return recorded.coupled_run(1)
+
+
+@pytest.fixture(scope="module")
+def coupled_2d():
+    """Criterion 4's 2D study and its runtime in seconds."""
+    t0 = time.time()
+    return recorded.coupled_run(2), time.time() - t0
+
+
+@pytest.fixture(scope="module")
+def energy_run():
+    """Criterion 6's run: (result, times, E, decay fit)."""
+    return recorded.energy_run()
 
 
 class TestCriterion1Jacobian:
@@ -252,13 +262,8 @@ class TestCriterion3ThetaSweep:
 
 
 class TestCriterion4CoupledRates:
-    def test_1d_rates(self):
-        case = ManufacturedCase.standard("S2", 1)
-        table = convergence_study(
-            case, MovingBoundary.b1(1), PARAMS, "coupled_h_eq_2dt",
-            levels=6, theta=0.25, T=1.0,
-        )
-        rates = table.rates[2:]  # from level 3 onward
+    def test_1d_rates(self, coupled_1d):
+        rates = coupled_1d.rates[2:]  # from level 3 onward
         ok = all(r is not None and 1.8 <= r <= 2.3 for r in rates)
         _report(
             "ACCEPTANCE 4 (1D coupled rates, S2/B1, levels 3-6): "
@@ -269,15 +274,9 @@ class TestCriterion4CoupledRates:
         for r in rates:
             assert r is not None and 1.8 <= r <= 2.3
 
-    def test_2d_rates_one_level_coarser(self):
-        t0 = time.time()
-        case = ManufacturedCase.standard("S2", 2)
-        table = convergence_study(
-            case, MovingBoundary.b1(2), PARAMS, "coupled_h_eq_2dt",
-            levels=5, theta=0.25, T=1.0,
-        )
+    def test_2d_rates_one_level_coarser(self, coupled_2d):
+        table, elapsed = coupled_2d
         rates = [r for r in table.rates[2:] if r is not None]
-        elapsed = time.time() - t0
         ok = rates and all(1.5 <= r <= 2.6 for r in rates) and elapsed < 1800
         _report(
             "ACCEPTANCE 4 (2D coupled rates, S2/B1, one level coarser): "
@@ -315,14 +314,10 @@ class TestCriterion5FixedMeshTemporalStudy:
 
 
 class TestCriterion6EnergyDecay:
-    def test_windowed_exponential_fit(self, s1_1d):
-        b = MovingBoundary.b1(1)
-        cfg = NewmarkConfig.for_horizon(20.0, DT, theta=0.25)
-        res = simulate(s1_1d, b, PARAMS, 128, cfg, homogeneous=True)
+    def test_windowed_exponential_fit(self, energy_run):
+        res, _, E, fit = energy_run
         assert res.trajectory.completed
-        times, E = energy_series(res.space, b, PARAMS, res.trajectory)
         assert np.all(E >= 0.0)
-        fit = decay_fit(times, E, (1.0, 20.0))
         ok = fit.A1 > 0.0 and fit.r_squared > 0.98
         _report(
             "ACCEPTANCE 6 (energy decay, homogeneous S1/B1): "
@@ -331,6 +326,21 @@ class TestCriterion6EnergyDecay:
         )
         assert fit.A1 > 0.0
         assert fit.r_squared > 0.98
+
+
+class TestReproducedNumbers:
+    def test_runs_reproduce_the_recorded_numbers(self, sweep, coupled_1d, coupled_2d,
+                                                 energy_run):
+        # criteria 3, 4 and 6 against tests/reproduced_numbers.json, at 1e-10
+        # relative; a diverged cell must stay diverged
+        got = recorded.record(sweep, coupled_1d, coupled_2d[0], energy_run)
+        moved = recorded.mismatches(json.loads(recorded.RECORD.read_text()), got)
+        _report(
+            "ACCEPTANCE (reproduced numbers, criteria 3, 4 and 6): "
+            f"{'PASS' if not moved else 'FAIL'} - {len(moved)} entries moved "
+            f"by more than {recorded.RTOL:g} relative"
+        )
+        assert not moved, "\n".join(moved)
 
 
 class TestCriterion7PropertySuites:

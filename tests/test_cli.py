@@ -185,7 +185,8 @@ class TestCommands:
         assert "H1 bounds" not in captured.out  # refused before the hypotheses
         assert not (tmp_path / "o").exists()
 
-    def test_snapshots_write_each_requested_state(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_snapshots_write_each_requested_state(self, dim, tmp_path, monkeypatch):
         import movingbeam.cli as cli
 
         runs, simulate = [], cli.simulate
@@ -193,16 +194,20 @@ class TestCommands:
                             lambda *a, **kw: runs.append(simulate(*a, **kw)) or runs[-1])
         out = tmp_path / "snap"
         assert main(["solve", "--out", str(out), "--set", "snapshots=0.5,0,0.25",
-                     "--set", "T=0.5", "--set", "h=0.25", "--set", "dt=0.125"]) == EXIT_OK
+                     "--set", f"dimension={dim}", "--set", "T=0.5", "--set", "h=0.25",
+                     "--set", "dt=0.125"]) == EXIT_OK
         res = runs[0]
-        nodes = res.space.mesh.node_coords()[:, 0]
+        nodes = res.space.mesh.node_coords()
         assert sorted(p.name for p in out.glob("solution_*.csv")) == [
             "solution_0.25.csv", "solution_0.5.csv", "solution_0.csv"]
         for name, eta in (("0", 0), ("0.25", 2), ("0.5", 4)):
             lines = (out / f"solution_{name}.csv").read_text().splitlines()
-            assert lines[0] == "y1,value"
-            values = res.space.expand(res.trajectory.d[eta])[0::res.space.dofs_per_node]
-            assert lines[1:] == [f"{y:.10e},{v:.10e}" for y, v in zip(nodes, values)]
+            assert lines[0] == ",".join([f"y{i + 1}" for i in range(dim)] + ["value"])
+            rows = [line.rsplit(",", 1) for line in lines[1:]]
+            assert [y for y, _ in rows] == [",".join(f"{c:.10e}" for c in p) for p in nodes]
+            # the value at each node, read through the basis: independent of the DOF layout
+            values = res.space.eval_points(res.trajectory.d[eta], nodes)
+            assert [float(v) for _, v in rows] == [float(f"{v:.10e}") for v in values]
         assert np.any(values != 0.0)
 
     def test_untiled_cell_size_is_config_error(self, tmp_path, capsys):

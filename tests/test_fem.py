@@ -78,8 +78,8 @@ def _symbolic_element_matrices(L):
 
 class TestConstantAssembly:
     def test_element_matrices_match_closed_forms(self):
-        L = 0.7
-        space = HermiteSpace(Mesh(1, ((0.0, L),), (1,)))
+        space = HermiteSpace(Mesh(1, 3))
+        L = space.mesh.h[0]
         tab = space.basis_tables(5)
         ones = np.ones((1, tab["w"].size))
         Me = _elem_integrals(space, 5, ones, tab["N"], tab["N"])[0]
@@ -118,29 +118,26 @@ class TestConstantAssembly:
             assert np.array_equal(a.data, b.data)
             assert np.array_equal(a.indices, b.indices)
         k1, k2 = (assemble_constant(space_2d_coarse) for _ in range(2))
-        assert np.array_equal(k1.axes[0].stack, k2.axes[0].stack)
+        assert np.array_equal(k1.axis.stack, k2.axis.stack)
 
-    @pytest.mark.parametrize("cells", [(4, 4), (3, 5)])
+    @pytest.mark.parametrize("cells", [4, 3])
     def test_2d_integrates_only_the_1d_axes(self, cells, monkeypatch):
-        # a 2D free-DOF set-up integrates the five 1D operators of each distinct
-        # axis and no 2D cell
+        # a 2D free-DOF set-up integrates the five 1D operators of its axis and no 2D cell
         from movingbeam import fem
 
         dims, original = [], fem._elem_integrals
         monkeypatch.setattr(fem, "_elem_integrals",
                             lambda space, *a: dims.append(space.mesh.dim) or original(space, *a))
-        ops = assemble_constant(HermiteSpace(Mesh(2, ((-1.0, 1.0),) * 2, cells)))
+        ops = assemble_constant(HermiteSpace(Mesh(2, cells)))
         assert isinstance(ops, KroneckerOperators)
-        assert dims == [1] * 5 * len(set(cells))
+        assert dims == [1] * 5
 
     def test_axes_take_the_callers_rule(self):
-        # each axis holds the 1D operators of its own cells at the caller's nq, bit for bit
-        cells = (3, 5)
-        ops = assemble_constant(HermiteSpace(Mesh(2, ((-1.0, 1.0),) * 2, cells)), nq=12)
-        for ax, n in zip(ops.axes, cells):
-            ref = assemble_constant(HermiteSpace(Mesh.uniform(1, n)), nq=12)
-            for name in AssembledOperators.BASIS:
-                assert getattr(ax, name).data.tobytes() == getattr(ref, name).data.tobytes()
+        # the axis holds the 1D operators of the space's cells at the caller's nq, bit for bit
+        ops = assemble_constant(HermiteSpace(Mesh(2, 3)), nq=12)
+        ref = assemble_constant(HermiteSpace(Mesh(1, 3)), nq=12)
+        for name in AssembledOperators.BASIS:
+            assert getattr(ops.axis, name).data.tobytes() == getattr(ref, name).data.tobytes()
 
     def test_bandwidth_metadata(self, space_1d_coarse):
         ops = assemble_constant(space_1d_coarse)
@@ -243,52 +240,84 @@ def _quadrature_l_matrices(space, ops, b, params, t):
     )
 
 
+def _kronecker_sums(o1):
+    """The 2D operators from the 1D ones (A1, S1 = K1, B1 = K2, Q1 = Q, P1 = P)."""
+    A1, S1, B1, Q1, P1 = o1.A, o1.K1, o1.K2, o1.Q, o1.P
+    return {
+        "A": sp.kron(A1, A1),
+        "K1": sp.kron(A1, S1) + sp.kron(S1, A1),
+        "K2": sp.kron(A1, B1) + sp.kron(B1, A1) + 2.0 * sp.kron(S1, S1),
+        "Q": sp.kron(A1, Q1) + sp.kron(Q1, A1) + sp.kron(P1.T, P1) + sp.kron(P1, P1.T),
+        "P": sp.kron(A1, P1) + sp.kron(P1, A1),
+    }
+
+
 class TestKroneckerStructure:
     """The BFS space is the tensor product of the 1D Hermite space, so each 2D
-    operator is a sum of Kronecker products of the 1D ones (A1, S1 = K1,
-    B1 = K2, Q1 = Q, P1 = P of the 1D space)."""
+    operator is a sum of Kronecker products of the 1D ones."""
 
     @pytest.mark.parametrize("cells", [4, 8, 16])
     def test_2d_operators_are_kronecker_sums(self, cells):
         o1 = assemble_constant(HermiteSpace(Mesh.uniform(1, cells)))
-        space = HermiteSpace(Mesh.uniform(2, cells))
-        o2 = free_operators(space)
-        A1, S1, B1, Q1, P1 = o1.A, o1.K1, o1.K2, o1.Q, o1.P
-        kron = {
-            "A": sp.kron(A1, A1),
-            "K1": sp.kron(A1, S1) + sp.kron(S1, A1),
-            "K2": sp.kron(A1, B1) + sp.kron(B1, A1) + 2.0 * sp.kron(S1, S1),
-            "Q": sp.kron(A1, Q1) + sp.kron(Q1, A1) + sp.kron(P1.T, P1) + sp.kron(P1, P1.T),
-            "P": sp.kron(A1, P1) + sp.kron(P1, A1),
-        }
-        # the Kronecker products index x-DOF a and y-DOF b as b * n1 + a, the
-        # flat entry of the grid X[b, a]; fem maps it to the free DOF
-        to_free = assemble_constant(space).grid[0].ravel()
-        for name, k in kron.items():
-            m2 = getattr(o2, name).toarray()[np.ix_(to_free, to_free)]
+        o2 = free_operators(HermiteSpace(Mesh.uniform(2, cells)))
+        # the Kronecker products index x-DOF a and y-DOF b as b * n1 + a, which
+        # is the free-DOF order itself: no permutation
+        for name, k in _kronecker_sums(o1).items():
+            m2 = getattr(o2, name).toarray()
             assert np.max(np.abs(m2 - k.toarray())) <= 1e-14 * np.max(np.abs(m2)), name
 
-    def test_grid_numbers_the_nodes_x_fastest(self):
-        # free DOF 4 (interior node) + d_a + 2 d_b sits at a = 2 x node + d_a, b = 2 y node + d_b
-        ops = assemble_constant(HermiteSpace(Mesh(2, ((-1.0, 1.0), (-1.0, 1.0)), (3, 5))))
-        to, back = ops.grid
-        assert to.shape == (8, 4)  # 2 (5 - 1) y-DOFs by 2 (3 - 1) x-DOFs
-        assert to[0].tolist() == [0, 1, 4, 5] and to[1].tolist() == [2, 3, 6, 7]
-        assert to[2, 0] == 8
-        assert np.array_equal(to.take(back), np.arange(to.size))
+    def test_free_dofs_are_the_kronecker_product_of_the_axes(self):
+        # a separable datum p(x) q(y) has the free-DOF vector kron(q, p) of its
+        # 1D interpolants, bit for bit: x fastest, one 1D DOF per axis
+        def p(x, order):  # (x^2 - 1)^2 (x + 2), or its derivative
+            if order:
+                return (x * x - 1) * (4 * x * (x + 2) + x * x - 1)
+            return (x * x - 1) ** 2 * (x + 2)
 
-    @pytest.mark.parametrize("cells", [(3, 3), (8, 8), (3, 5), (6, 2)])
+        def q(y, order):  # (y^2 - 1)^2 (1 - y / 3), or its derivative
+            if order:
+                return (y * y - 1) * (4 * y * (1 - y / 3) - (y * y - 1) / 3)
+            return (y * y - 1) ** 2 * (1 - y / 3)
+
+        line, plane = (HermiteSpace(Mesh.uniform(dim, 5)) for dim in (1, 2))
+        dp, dq = (interpolate_initial(line, lambda pts, mi, f=f: f(pts[:, 0], mi[0]))
+                  for f in (p, q))
+        d = interpolate_initial(plane, lambda pts, mi: p(pts[:, 0], mi[0]) * q(pts[:, 1], mi[1]))
+        assert d.tobytes() == np.kron(dq, dp).tobytes()
+
+    def test_an_asymmetric_datum_keeps_its_orientation(self, rng):
+        # u(x, y) = p(x) q(y), p != q two clamped 1D Hermite functions: the BFS
+        # interpolant is u itself, where a transposed grid would give p(y) q(x)
+        line, plane = (HermiteSpace(Mesh(dim, 4)) for dim in (1, 2))
+        dp, dq = rng.standard_normal((2, line.ndof))
+
+        def factor(d, x, order):
+            return line.eval_points(d, x[:, None], ("N", "grad0")[order])
+
+        u = interpolate_initial(
+            plane, lambda pts, mi: factor(dp, pts[:, 0], mi[0]) * factor(dq, pts[:, 1], mi[1]))
+        pts = rng.uniform(-1.0, 1.0, (64, 2))  # off the diagonal x = y
+        exact, swapped = (factor(dp, pts[:, i], 0) * factor(dq, pts[:, 1 - i], 0) for i in (0, 1))
+        got = plane.eval_points(u, pts)
+        assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
+        assert np.max(np.abs(got - swapped)) > 0.1 * np.max(np.abs(exact))
+        # the products are the Kronecker sums of the 1D matrices, applied in DOF order
+        got = assemble_constant(plane).products(u)
+        kron = _kronecker_sums(assemble_constant(line))
+        for k, name in enumerate(AssembledOperators.BASIS):
+            ref = kron[name] @ u
+            assert np.max(np.abs(got[k] - ref)) <= 1e-14 * np.max(np.abs(ref)), name
+
+    @pytest.mark.parametrize("cells", [3, 8, 5, 2])
     def test_2d_products_match_the_assembled_matrices(self, cells, rng):
         # (F (x) C) x is F X C^T on the grid: no 2D sparse product is made
-        space = HermiteSpace(Mesh(2, ((-1.0, 1.0), (-1.0, 1.0)), cells))
+        space = HermiteSpace(Mesh(2, cells))
         ops = assemble_constant(space)
         x = rng.standard_normal(space.ndof)
         got, csr = ops.products(x), free_operators(space)
         for k, name in enumerate(AssembledOperators.BASIS):
             ref = getattr(csr, name) @ x
             assert np.max(np.abs(got[k] - ref)) <= 1e-14 * np.max(np.abs(ref)), name
-        # equal axes share one set of 1D operators
-        assert (ops.axes[0] is ops.axes[1]) == (cells[0] == cells[1])
 
 
 class TestAffineOperators:
@@ -342,8 +371,8 @@ class TestAffineOperators:
         for c in (np.eye(5)[3], rng.standard_normal(5)):
             ref = csr.combine(c) @ x
             assert np.max(np.abs(c @ ops.products(x) - ref)) <= 1e-14 * np.max(np.abs(ref))
-        # the stacked matrix (of the x axis in 2D) reads the operators' data in place
-        held = ops if dim == 1 else ops.axes[0]
+        # the stacked matrix (of the axis in 2D) reads the operators' data in place
+        held = ops if dim == 1 else ops.axis
         assert np.shares_memory(held.stacked.data, held.stack)
 
     @pytest.mark.parametrize("dim,cells", [(1, 8)])  # 2D solves form no band
@@ -448,7 +477,7 @@ class TestInterpolation:
         d0 = interpolate_initial(space, s1_1d.initial_displacement())
         full = space.expand(d0)
         # node y=0 is the middle node: value 0.1, derivative 0
-        mid = space.mesh.nodes_per_axis[0] // 2
+        mid = space.mesh.cells // 2
         assert full[2 * mid] == pytest.approx(0.1)
         assert full[2 * mid + 1] == 0.0
 
@@ -565,11 +594,11 @@ class TestConformity:
 class TestMeshValidation:
     def test_bad_dim(self):
         with pytest.raises(ValueError):
-            Mesh(3, ((0, 1),) * 3, (2,) * 3)
+            Mesh(3, 2)
 
-    def test_degenerate_box(self):
+    def test_no_cells(self):
         with pytest.raises(ValueError):
-            Mesh(1, ((1.0, 1.0),), (4,))
+            Mesh(1, 0)
 
     def test_h_property(self):
         m = Mesh.uniform(2, 8)

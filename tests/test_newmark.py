@@ -508,9 +508,9 @@ class TestLinearSolver:
         (FAST, 8, 2.0**-6, 1.0),
     ])
     def test_2d_march_forms_no_matrix(self, boundary, cells, dt, amplitude, monkeypatch):
-        # 2D: the operators are the 1D ones of the axes; no band LU or band
+        # 2D: the operators are the 1D ones of the axis; no band LU or band
         # array, and the only CSR combinations are the preconditioner's, one
-        # per refresh (the two axes of the square are one)
+        # per refresh
         _, system, d0, d1 = _mms_system(dim=2, cells=cells, boundary=boundary,
                                         amplitude=amplitude)
         factored = _count_calls(monkeypatch, newmark, "dgbtrf")
@@ -521,7 +521,7 @@ class TestLinearSolver:
         assert traj.completed and 0 < traj.factorizations < sum(traj.newton_iterations)
         assert isinstance(system.ops, KroneckerOperators)
         assert factored == banded == [] and len(combined) == traj.factorizations
-        assert all("band_index" not in vars(ax) for ax in system.ops.axes)
+        assert "band_index" not in vars(system.ops.axis)
 
     def test_gmres_missing_its_target_is_a_singular_jacobian(self, monkeypatch):
         # the paper's regime needs 2 iterations per solve: a cap of 1 misses the

@@ -86,6 +86,18 @@ def coupled_2d():
 
 
 @pytest.fixture(scope="module")
+def temporal():
+    """Criterion 5's fixed-mesh temporal study."""
+    return recorded.temporal_run()
+
+
+@pytest.fixture(scope="module")
+def bench_levels():
+    """The levels of the benchmark's error workloads."""
+    return recorded.bench_runs()
+
+
+@pytest.fixture(scope="module")
 def energy_run():
     """Criterion 6's run: (result, times, E, decay fit)."""
     return recorded.energy_run()
@@ -291,12 +303,8 @@ class TestCriterion4CoupledRates:
 
 
 class TestCriterion5FixedMeshTemporalStudy:
-    def test_errors_strictly_decrease_to_below_1e4(self, s1_1d):
-        table = convergence_study(
-            s1_1d, MovingBoundary.b1(1), PARAMS, "fix_h_vary_dt",
-            levels=6, theta=0.25, T=1.0, fixed_h=2.0**-6,
-        )
-        errs = table.errors
+    def test_errors_strictly_decrease_to_below_1e4(self, temporal):
+        errs = temporal.errors
         decreasing = all(a > b for a, b in zip(errs, errs[1:]))
         last_ok = errs[-1] < 1e-4
         paper_last = 5.380e-5
@@ -329,14 +337,16 @@ class TestCriterion6EnergyDecay:
 
 
 class TestReproducedNumbers:
-    def test_runs_reproduce_the_recorded_numbers(self, sweep, coupled_1d, coupled_2d,
-                                                 energy_run):
-        # criteria 3, 4 and 6 against tests/reproduced_numbers.json, at 1e-10
-        # relative; a diverged cell must stay diverged
-        got = recorded.record(sweep, coupled_1d, coupled_2d[0], energy_run)
+    def test_runs_reproduce_the_recorded_numbers(self, sweep, coupled_1d, coupled_2d, temporal,
+                                                 energy_run, bench_levels):
+        # criteria 3 to 6 and the benchmark's error levels against
+        # tests/reproduced_numbers.json, at 1e-10 relative; a diverged cell
+        # must stay diverged
+        got = recorded.record(sweep, coupled_1d, coupled_2d[0], temporal, energy_run,
+                              bench_levels)
         moved = recorded.mismatches(json.loads(recorded.RECORD.read_text()), got)
         _report(
-            "ACCEPTANCE (reproduced numbers, criteria 3, 4 and 6): "
+            "ACCEPTANCE (reproduced numbers, criteria 3 to 6 and the benchmark levels): "
             f"{'PASS' if not moved else 'FAIL'} - {len(moved)} entries moved "
             f"by more than {recorded.RTOL:g} relative"
         )

@@ -141,6 +141,12 @@ class HermiteSpace:
         self._basis_cache: dict[int, dict] = {}
         self._patterns: dict[bool, tuple] = {}
 
+    @functools.cached_property
+    def operators(self) -> AssembledOperators | KroneckerOperators:
+        """The free-DOF constant operators, :func:`assemble_constant` at its
+        default rule, assembled at first use: a run and its error norms share them."""
+        return assemble_constant(self)
+
     # -- connectivity -------------------------------------------------------
 
     def _element_dof_matrix(self) -> np.ndarray:
@@ -348,6 +354,10 @@ class AssembledOperators:
         """(A x, K1 x, K2 x, Q x, P x) as one (5, n) array."""
         return (self.stacked @ x).reshape(len(self.BASIS), -1)
 
+    def error_forms(self, E: np.ndarray) -> np.ndarray:
+        """(e^T A e, e^T K2 e) of each column e of E (n, m), as (2, m)."""
+        return np.stack([np.einsum("im,im->m", E, M @ E) for M in (self.A, self.K2)])
+
     @functools.cached_property
     def band_index(self) -> np.ndarray:
         """Flat position in :meth:`band` of each pattern entry; built at the
@@ -395,6 +405,18 @@ class KroneckerOperators:
                         [B, 2.0 * S, A, None, None],
                         [Q - P, None, None, A, -A - 2.0 * P],
                         [P, None, None, None, A]], format="csr")
+
+    def error_forms(self, E: np.ndarray) -> np.ndarray:
+        """(e^T A e, e^T K2 e) of each column e of E (n^2, m), as (2, m), from
+        the grids X of the columns and the symmetric A, S, B of the axis:
+        e^T (A(x)A) e = <AX, XA> and e^T K2 e = <AX, XB> + <BX, XA> + 2 <SX, XS>."""
+        n, m = self.axis.A.shape[0], E.shape[1]
+        rows = self.axis.stacked[:3 * n]  # A, S, B
+        AX, SX, BX = (rows @ E.reshape(n, -1)).reshape(3, n, n, m)  # [b, a, state]
+        flipped = E.reshape(n, n, m).transpose(1, 0, 2).reshape(n, -1)
+        XA, XS, XB = (rows @ flipped).reshape(3, n, n, m)  # M X^T = (X M)^T: [a, b, state]
+        dot = functools.partial(np.einsum, "bas,abs->s")
+        return np.stack([dot(AX, XA), dot(AX, XB) + dot(BX, XA) + 2.0 * dot(SX, XS)])
 
     def grid_products(self, X: np.ndarray) -> np.ndarray:
         """The five operators applied to the grid X (n, n), as (5, n, n):

@@ -26,6 +26,8 @@ from .geometry import BeamParameters, MovingBoundary, time_factors
 from .manufactured import ManufacturedCase, make_source, strong_operator
 from .newmark import BeamSystem, ConfigError, NewmarkConfig, Trajectory, advance
 
+_FORM_VALUES = 2 ** 14   # entries of a block of states in error_norms
+
 __all__ = [
     "SimulationResult",
     "ErrorReport",
@@ -73,9 +75,8 @@ def simulate(
     amplitude 0 run homogeneously.
     """
     space = HermiteSpace(Mesh(case.dim, cells))
-    ops = assemble_constant(space)
     source = None if homogeneous else make_source(case, boundary, params)
-    system = BeamSystem(space, ops, boundary, params, source)
+    system = BeamSystem(space, space.operators, boundary, params, source)
     d0 = interpolate_initial(space, case.initial_displacement())
     d1 = interpolate_initial(space, case.initial_velocity())
     return SimulationResult(space, advance(system, cfg, d0, d1), cfg)
@@ -100,25 +101,32 @@ def error_norms(
     nq: int = 8,
 ) -> ErrorReport:
     """Per-step L2 and Laplacian-seminorm errors against the exact solution
-    amp * T(t) * g(y); g and its Laplacian are evaluated once per call, and the
-    states in blocks (``HermiteSpace.state_blocks``), one product per field."""
+    s(t) g(y), s = amp T(t).  With p the interpolant of g and e = d - s p, both
+    are quadratic forms of the run's operators (``HermiteSpace.operators``):
+    ||u_h - s g||^2 = e^T A e + 2 s e^T c0 + s^2 ||p - g||^2, c0 = (p - g, phi),
+    and likewise with K2, lap and c2 = (lap(p - g), lap phi).  ``nq`` sets only
+    the rule of the one quadrature of p - g (exact for nq >= 5); the states are
+    read in blocks of at most ``_FORM_VALUES`` values."""
     if not trajectory.completed:
         return ErrorReport(math.nan, math.nan, trajectory.times, np.array([]), np.array([]),
                            diverged=True)
-    tab = space.basis_tables(nq)
-    dim = space.mesh.dim
-    w = np.tile(tab["w"], space.mesh.ncells)
-    pts = tab["points"].reshape(-1, dim)
-    g = case.spatial_factor(pts, (0,) * dim)
-    lap_g = sum(case.spatial_factor(pts, tuple(2 * e)) for e in np.eye(dim, dtype=int))
-    l2, h2 = np.empty((2, len(trajectory.d)))
-    for lo, hi in space.state_blocks(len(trajectory.d), nq):
-        d = np.array(trajectory.d[lo:hi])
-        scale = case.amplitude * np.array(
-            [case.temporal_factor(float(t)) for t in trajectory.times[lo:hi]])[:, None]
-        for out, deriv, exact in ((l2, "N", g), (h2, "lap", lap_g)):
-            vals = space.eval_at_quad(d, nq, deriv).reshape(hi - lo, -1)
-            out[lo:hi] = np.sqrt((vals - scale * exact) ** 2 @ w)
+    tab, dim = space.basis_tables(nq), space.mesh.dim
+    pts, w = tab["points"].reshape(-1, dim), tab["w"]
+    p = interpolate_initial(space, case.spatial_factor)
+    c, r = np.empty((2, space.ndof)), np.empty((2, 1))
+    fields = {"N": [(0,) * dim], "lap": 2 * np.eye(dim, dtype=int)}  # derivatives of g
+    for k, (deriv, orders) in enumerate(fields.items()):
+        g = sum(case.spatial_factor(pts, tuple(o)) for o in orders)
+        res = space.eval_at_quad(p, nq, deriv) - g.reshape(space.mesh.ncells, -1)
+        c[k] = space.scatter_vector(res * w @ tab[deriv])
+        r[k] = np.sum(res * res @ w)
+    s = case.amplitude * np.array([case.temporal_factor(float(t)) for t in trajectory.times])
+    sq = s * s * r
+    size = max(1, _FORM_VALUES // space.ndof)
+    for lo in range(0, s.size, size):
+        e = np.column_stack(trajectory.d[lo:lo + size]) - np.outer(p, s[lo:lo + size])
+        sq[:, lo:lo + size] += space.operators.error_forms(e) + 2.0 * s[lo:lo + size] * (c @ e)
+    l2, h2 = np.sqrt(sq)
     return ErrorReport(float(l2.max()), float(h2.max()), trajectory.times, l2, h2)
 
 

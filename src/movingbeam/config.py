@@ -77,6 +77,9 @@ class RunConfig:
                      "fit_window_hi"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
+        if self.fit_window_lo >= self.fit_window_hi:
+            raise ConfigError(f"fit window [{self.fit_window_lo}, {self.fit_window_hi}] "
+                              "is empty: fit_window_lo must lie below fit_window_hi")
         if self.zeta1 < 0 or self.nu < 0:
             raise ConfigError("zeta1 and nu must be nonnegative")
         if self.levels < 2:

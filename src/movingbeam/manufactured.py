@@ -17,9 +17,10 @@ convention leaves an O(1) defect that caps the reachable accuracy, so this
 is the only formula under which the convergence studies can show their
 second-order rates.
 
-As v is separable and each coefficient is a time factor times a polynomial
-in y, f is five fixed functions of y times scalar functions of t
-(``make_source``), so a load never re-integrates f.
+Each coefficient is a time factor times a polynomial in y, so the operator
+is five fixed spatial terms (``strong_terms``) weighted by scalar functions
+of t (``strong_coefficients``).  As v is separable, f is those five terms of
+g times scalar functions of t (``make_source``): a load never re-integrates f.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .geometry import BeamParameters, MovingBoundary, TimeFactors, time_factors
 
-__all__ = ["ManufacturedCase", "make_source", "strong_operator", "CASE_IDS"]
+__all__ = ["ManufacturedCase", "make_source", "strong_terms", "strong_coefficients", "CASE_IDS"]
 
 CASE_IDS = ("S1", "S2")
 
@@ -116,10 +117,6 @@ class ManufacturedCase:
 
     # -- common composites -------------------------------------------------------
 
-    def laplacian(self, points, t: float, dt_order: int = 0) -> np.ndarray:
-        return sum(self.eval(points, t, dt_order, tuple(2 * e))
-                   for e in np.eye(self.dim, dtype=int))
-
     def grad_norm_sq(self, t: float) -> float:
         """|grad v(., t)|_0^2 over the box, exact for the polynomial factor."""
         # |grad g|^2 = sum_i q'(y_i)^2 prod_{j != i} q(y_j)^2 integrates to
@@ -138,31 +135,39 @@ class ManufacturedCase:
         return lambda pts, mi: self.eval(pts, 0.0, 1, tuple(mi))
 
 
-def strong_operator(
-    tf: TimeFactors,
-    derivs: Callable[[np.ndarray, tuple], np.ndarray],
-    pts: np.ndarray,
-) -> np.ndarray:
-    """Displacement terms of the strong operator, less the Kirchhoff term:
+def strong_terms(
+    derivs: Callable[[np.ndarray, tuple], np.ndarray], n: int,
+) -> tuple[Callable[[np.ndarray], np.ndarray], ...]:
+    """The five spatial terms of the strong form, as functions of points (npts, n),
 
-        b2 bilap v - a1_i d_ii v + a2_ij d_ij v + (a3_i + (4n+8) y_i (K'/K)^2) d_i v
+        h = (v, lap v, bilap v, sum_i y_i d_i v, 4 sum_ij (1 + delta_ij) y_i y_j d_ij v),
 
-    at points (npts, n), for v given by ``derivs(points, multi_index)``.
-    """
-    dim = pts.shape[1]
-    eye = np.eye(dim, dtype=int)
-    a1, a2, a3, _, _ = tf.a_coefficients(pts)
+    for v given by ``derivs(points, multi_index)``; ``strong_coefficients``
+    gives their weights."""
+    eye = np.eye(n, dtype=int)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
 
-    def d(mi):
-        return derivs(pts, tuple(int(o) for o in mi))
+    def d(y, mi):
+        return derivs(y, tuple(int(o) for o in mi))
 
-    out = tf.b2 * sum(d(2 * eye[i] + 2 * eye[j]) for i in range(dim) for j in range(dim))
-    for i in range(dim):
-        out -= a1[:, i] * d(2 * eye[i])
-        out += (a3[:, i] + (4.0 * dim + 8.0) * pts[:, i] * tf.r * tf.r) * d(eye[i])
-        for j in range(dim):
-            out += a2[:, i, j] * d(eye[i] + eye[j])
-    return out
+    return (
+        lambda y: d(y, 0 * eye[0]),
+        lambda y: sum(d(y, 2 * eye[i]) for i in range(n)),
+        lambda y: sum(d(y, 2 * eye[i] + 2 * eye[j]) for i, j in pairs),
+        lambda y: sum(y[:, i] * d(y, eye[i]) for i in range(n)),
+        lambda y: 4.0 * sum((1 + (i == j)) * y[:, i] * y[:, j] * d(y, eye[i] + eye[j])
+                            for i, j in pairs),
+    )
+
+
+def strong_coefficients(tf: TimeFactors, nu: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights over ``strong_terms`` of L1 and of L2 less the Kirchhoff term at
+    one time (r = K'/K): the strong-form twin of ``fem.l_coefficients``."""
+    r2 = tf.r * tf.r
+    return (
+        np.array([nu, 0.0, 0.0, -2.0 * tf.r, 0.0]),
+        np.array([0.0, -tf.s0, tf.b2, tf.c3 + (4.0 * n + 8.0) * r2, r2]),
+    )
 
 
 def make_source(
@@ -172,40 +177,26 @@ def make_source(
 ) -> Callable[[np.ndarray, float], np.ndarray]:
     """Source f(y, t) for which ``case`` solves the transformed equation.
 
-    With v = amp T(t) g(y) the formula of the module docstring is
-    f = sum_k c_k(t) h_k(y) over five fixed functions
-
-        h = (g, lap g, bilap g, sum_i y_i d_i g, 4 sum_ij (1 + delta_ij) y_i y_j d_ij g),
-        c = amp (T'' + nu T', -T (b1 |grad v|^2 + s0), b2 T,
-                 -2 r T' + (c3 + (4n+8) r^2) T, r^2 T).
+    With v = amp T(t) g(y), f = v_tt + L1 v_t + L2 v - b1 |grad v|^2 lap v is
+    sum_k c_k(t) h_k(y) over the five ``strong_terms`` h of g, with
+    c = T'' e_0 + T' l1 + T l2, (l1, l2) the ``strong_coefficients`` and the
+    Kirchhoff term added to l2's lap weight (amp folded into T).
 
     The returned callable carries them as data attributes: ``terms``, the
     h_k(points), and ``coefficients``, t -> c(t).  A load is so integrated
     once per term and formed per time level as c(t) times those vectors.
     """
-    n, d = case.dim, case.spatial_factor  # d(y, mi) = d^mi g
-    eye = np.eye(n, dtype=int)
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    terms = (
-        lambda y: d(y, 0 * eye[0]),
-        lambda y: sum(d(y, 2 * eye[i]) for i in range(n)),
-        lambda y: sum(d(y, 2 * eye[i] + 2 * eye[j]) for i, j in pairs),
-        lambda y: sum(y[:, i] * d(y, eye[i]) for i in range(n)),
-        lambda y: 4.0 * sum((1 + (i == j)) * y[:, i] * y[:, j] * d(y, eye[i] + eye[j])
-                            for i, j in pairs),
-    )
+    n = case.dim
+    terms = strong_terms(case.spatial_factor, n)
 
     def coefficients(t: float) -> np.ndarray:
         tf = time_factors(boundary, params, t)
         T0, T1, T2 = (case.amplitude * case.temporal_factor(t, k) for k in range(3))
-        r2 = tf.r * tf.r
-        return np.array([
-            T2 + params.nu * T1,
-            -T0 * (tf.b1 * case.grad_norm_sq(t) + tf.s0),
-            T0 * tf.b2,
-            -2.0 * tf.r * T1 + (tf.c3 + (4.0 * n + 8.0) * r2) * T0,
-            T0 * r2,
-        ])
+        l1, l2 = strong_coefficients(tf, params.nu, n)
+        l2[1] -= tf.b1 * case.grad_norm_sq(t)
+        c = T1 * l1 + T0 * l2
+        c[0] += T2
+        return c
 
     def f(points: np.ndarray, t: float) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -276,7 +276,8 @@ class BeamSystem:
             raise TypeError("source must come from make_source, with `terms` and `coefficients`")
 
     def level(self, t: float) -> TimeLevel:
-        """b1, L1, L2 and F at time t, from one evaluation of the time factors."""
+        """b1, L1, L2 and F at time t.  A forced level evaluates the time factors
+        twice: here, and in the source's c(t) for its load."""
         f = time_factors(self.boundary, self.params, t)
         return TimeLevel(f.b1, *l_coefficients(f, self.params.nu), self.load(t))
 

@@ -23,7 +23,7 @@ from .fem import (
     l_coefficients,
 )
 from .geometry import BeamParameters, MovingBoundary, time_factors
-from .manufactured import ManufacturedCase, make_source, strong_operator
+from .manufactured import ManufacturedCase, make_source, strong_coefficients, strong_terms
 from .newmark import BeamSystem, ConfigError, NewmarkConfig, Trajectory, advance
 
 _FORM_VALUES = 2 ** 14   # entries of a block of states in error_norms
@@ -114,10 +114,8 @@ def error_norms(
     pts, w = tab["points"].reshape(-1, dim), tab["w"]
     p = interpolate_initial(space, case.spatial_factor)
     c, r = np.empty((2, space.ndof)), np.empty((2, 1))
-    fields = {"N": [(0,) * dim], "lap": 2 * np.eye(dim, dtype=int)}  # derivatives of g
-    for k, (deriv, orders) in enumerate(fields.items()):
-        g = sum(case.spatial_factor(pts, tuple(o)) for o in orders)
-        res = space.eval_at_quad(p, nq, deriv) - g.reshape(space.mesh.ncells, -1)
+    for k, (deriv, g) in enumerate(zip(("N", "lap"), strong_terms(case.spatial_factor, dim))):
+        res = space.eval_at_quad(p, nq, deriv) - g(pts).reshape(space.mesh.ncells, -1)
         c[k] = space.scatter_vector(res * w @ tab[deriv])
         r[k] = np.sum(res * res @ w)
     s = case.amplitude * np.array([case.temporal_factor(float(t)) for t in trajectory.times])
@@ -275,16 +273,11 @@ def weak_strong_consistency(
     dim = space.mesh.dim
     f = time_factors(boundary, params, t)
 
-    def unit(ax, order):
-        mi = [0] * dim
-        mi[ax] = order
-        return tuple(mi)
-
     # exact Kirchhoff scalar from the exact gradient
     tab = space.basis_tables(nq)
     pts = tab["points"].reshape(-1, dim)
     w_q = np.tile(tab["w"], space.mesh.ncells)
-    grad_sq = sum(v_derivs(pts, unit(i, 1)) ** 2 for i in range(dim))
+    grad_sq = sum(v_derivs(pts, tuple(int(o) for o in e)) ** 2 for e in np.eye(dim))
     g_exact = f.b1 * float(np.sum(grad_sq * w_q))
 
     # full-space operators: the trial function need not satisfy the clamped
@@ -296,9 +289,9 @@ def weak_strong_consistency(
     d_w = space.expand(interpolate_initial(space, w_derivs))
     weak = float(d_w @ (L2f @ d_v)) + g_exact * float(d_w @ (ops.K1 @ d_v))
 
-    # strong operator of v at the quadrature grid
-    lap = sum(v_derivs(pts, unit(i, 2)) for i in range(dim))
-    strong = -g_exact * lap + strong_operator(f, v_derivs, pts)
-    w_vals = w_derivs(pts, (0,) * dim)
-    strong_val = float(np.sum(strong * w_vals * w_q))
+    # the same operator in strong form, applied to v at the quadrature grid
+    weights = strong_coefficients(f, params.nu, dim)[1]
+    weights[1] -= g_exact
+    strong = sum(c * h(pts) for c, h in zip(weights, strong_terms(v_derivs, dim)))
+    strong_val = float(np.sum(strong * w_derivs(pts, (0,) * dim) * w_q))
     return abs(weak - strong_val)

@@ -158,6 +158,9 @@ class TestCommands:
         assert main(["solve", *out, "--set", "snapshots=5.0", "--set", "T=0.5"]) == EXIT_CONFIG
         assert main(["solve", *out, "--set", "snapshots=0.3,0.31", "--set", "h=0.25",
                      "--set", "dt=0.125", "--set", "T=0.5"]) == EXIT_CONFIG
+        # a reversed decay-fit window, refused before the march
+        assert main(["energy", *out, "--set", "h=0.25", "--set", "dt=0.125", "--set", "T=2",
+                     "--set", "fit_window_lo=5", "--set", "fit_window_hi=2"]) == EXIT_CONFIG
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["mms", "convergence", "theta-sweep"])

@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from movingbeam import BeamParameters, ManufacturedCase, MovingBoundary, make_source
-from movingbeam.fem import gauss_rule
+from movingbeam import (AssembledOperators, BeamParameters, ManufacturedCase, MovingBoundary,
+                        make_source)
+from movingbeam.fem import gauss_rule, l_coefficients
+from movingbeam.geometry import BoundaryKind, time_factors
+from movingbeam.manufactured import strong_coefficients
 
 
 class TestExactEval:
@@ -204,3 +207,42 @@ class TestSource:
         vals = f(pts, 0.6)
         assert vals[0] == pytest.approx(vals[1], rel=1e-12)
         assert vals[2] == pytest.approx(vals[3], rel=1e-12)
+
+
+def _by_parts(n):
+    """M: row k is the strong form of operator ``AssembledOperators.BASIS[k]``
+    over ``strong_terms``, by integration by parts against a clamped w."""
+    M = np.zeros((5, 5))
+    row = dict(zip(AssembledOperators.BASIS, M))
+    row["A"][0] = 1.0                  # (v, w)
+    row["K1"][1] = -1.0                # (grad v, grad w) = -(lap v, w)
+    row["K2"][2] = 1.0                 # (lap v, lap w) = (bilap v, w)
+    row["P"][3] = 1.0                  # (y . grad v, w)
+    # sum_ij (1 + delta_ij)(y_i y_j d_j v, d_i w), by parts: d_i (y_i y_j) = y_j + delta_ij y_i
+    row["Q"][3:] = -(n + 3.0), -0.25
+    return M
+
+
+class TestStrongCoefficients:
+    """The strong weights are the by-parts image of the weak ones: the last
+    step of defining the coefficients once derives one from the other."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("which", ["B1", "B2", "linear", "saturation"])
+    def test_are_the_by_parts_image_of_l_coefficients(self, n, which, params):
+        b = {
+            "B1": MovingBoundary.b1(n),
+            "B2": MovingBoundary.b2(n),
+            "linear": MovingBoundary(BoundaryKind.LINEAR_DRIFT, base=1.0, slope=0.5),
+            "saturation": MovingBoundary(  # K = 2 - e^-2t: K'' != 0
+                BoundaryKind.EXPONENTIAL_SATURATION, base=1.0, amplitude=1.0, rate=2.0),
+        }[which]
+        M, rounded = _by_parts(n), np.arange(5) == 3
+        for t in np.linspace(0.0, 2.0, 17):
+            tf = time_factors(b, params, float(t))
+            for strong, weak in zip(strong_coefficients(tf, params.nu, n),
+                                    l_coefficients(tf, params.nu)):
+                image = weak @ M
+                assert np.array_equal(strong[~rounded], image[~rounded])
+                # L2's: c3 + (4n+8) r^2 against 4 (n+3) r^2 + c4, c4 = c3 - 4 r^2
+                assert abs(strong[3] - image[3]) <= 1e-14 * abs(strong[3])

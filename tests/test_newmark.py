@@ -28,7 +28,6 @@ from movingbeam import (
 )
 from movingbeam import newmark
 from movingbeam.geometry import time_factors
-from movingbeam.manufactured import strong_operator
 from movingbeam.newmark import (
     LinearSolver,
     SingularJacobian,
@@ -592,16 +591,43 @@ class TestLinearSolver:
                     == b"".join(d.tobytes() for d in second.d))
 
 
+def _strong_operator(tf, derivs, pts):
+    """Displacement terms of the strong operator, less the Kirchhoff term, from
+    the paper's a1..a3 at every point:
+
+        b2 bilap v - a1_i d_ii v + a2_ij d_ij v + (a3_i + (4n+8) y_i (K'/K)^2) d_i v
+
+    for v given by ``derivs(points, multi_index)``."""
+    dim = pts.shape[1]
+    eye = np.eye(dim, dtype=int)
+    a1, a2, a3, _, _ = tf.a_coefficients(pts)
+
+    def d(mi):
+        return derivs(pts, tuple(int(o) for o in mi))
+
+    out = tf.b2 * sum(d(2 * eye[i] + 2 * eye[j]) for i in range(dim) for j in range(dim))
+    for i in range(dim):
+        out -= a1[:, i] * d(2 * eye[i])
+        out += (a3[:, i] + (4.0 * dim + 8.0) * pts[:, i] * tf.r * tf.r) * d(eye[i])
+        for j in range(dim):
+            out += a2[:, i, j] * d(eye[i] + eye[j])
+    return out
+
+
 def _pointwise_source(case, b, p):
-    """The source formula of the manufactured module, term by term at each point."""
+    """The source formula of the manufactured module, term by term at each point,
+    with an oracle of its own rather than ``strong_terms``."""
+    eye = np.eye(case.dim, dtype=int)
+
     def f(pts, t):
         tf = time_factors(b, p, t)
         a4 = tf.a_coefficients(pts)[3]
         out = case.eval(pts, t, 2) + p.nu * case.eval(pts, t, 1)
-        out -= tf.b1 * case.grad_norm_sq(t) * case.laplacian(pts, t)
-        out += strong_operator(tf, lambda q, mi: case.eval(q, t, 0, mi), pts)
+        out -= tf.b1 * case.grad_norm_sq(t) * sum(case.eval(pts, t, 0, tuple(2 * e))
+                                                   for e in eye)
+        out += _strong_operator(tf, lambda q, mi: case.eval(q, t, 0, mi), pts)
         for i in range(case.dim):
-            out += a4[:, i] * case.eval(pts, t, 1, tuple(np.eye(case.dim, dtype=int)[i]))
+            out += a4[:, i] * case.eval(pts, t, 1, tuple(eye[i]))
         return out
     return f
 

@@ -25,6 +25,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .geometry import TimeFactors
 from .hermite import local_layout, shape_eval
@@ -87,12 +88,8 @@ class Mesh:
     def ncells(self) -> int:
         return self.cells ** self.dim
 
-    @property
-    def nnodes(self) -> int:
-        return (self.cells + 1) ** self.dim
-
     def node_coords(self) -> np.ndarray:
-        """Node coordinates, shape (nnodes, dim), x fastest."""
+        """Node coordinates, shape ((cells + 1)^dim, dim), x fastest."""
         return _product([np.linspace(*REFERENCE_INTERVAL, self.cells + 1)] * self.dim)
 
 
@@ -307,9 +304,9 @@ class AssembledOperators:
     a view of its row), so :meth:`combine` forms any linear combination as
     one coefficient-vector product, and :meth:`products` applies all five
     with one sparse product, so that S x = c @ products(x) needs no matrix
-    of S; :meth:`band` writes S straight into the band array LAPACK factors,
-    whose ``bandwidth``, max |i - j| over the pattern, is read from the pattern
-    at construction.  The step loop relies on slots 0 and 1 being A and K1.
+    of S; :meth:`band` forms the band array LAPACK factors as one product with
+    ``band_stack``, its ``bandwidth``, max |i - j| over the pattern, read from
+    the pattern at construction.  The step loop relies on slots 0 and 1 being A and K1.
     """
 
     BASIS: ClassVar[tuple[str, ...]] = ("A", "K1", "K2", "Q", "P")
@@ -351,30 +348,32 @@ class AssembledOperators:
         )
 
     def products(self, x: np.ndarray) -> np.ndarray:
-        """(A x, K1 x, K2 x, Q x, P x) as one (5, n) array."""
-        return (self.stacked @ x).reshape(len(self.BASIS), -1)
+        """(A x, K1 x, K2 x, Q x, P x) as one (5, n) array: the CSR kernel of ``stacked @ x``."""
+        if np.shape(x) != (self.A.shape[1],):  # the kernel reads x unchecked
+            raise ValueError(f"products takes {self.A.shape[1]} entries, got shape {np.shape(x)}")
+        M, out = self.stacked, np.zeros(self.stack.shape[0] * self.A.shape[0])
+        csr_matvec(*M.shape, M.indptr, M.indices, M.data, x, out)
+        return out.reshape(len(self.BASIS), -1)
 
     def error_forms(self, E: np.ndarray) -> np.ndarray:
         """(e^T A e, e^T K2 e) of each column e of E (n, m), as (2, m)."""
         return np.stack([np.einsum("im,im->m", E, M @ E) for M in (self.A, self.K2)])
 
     @functools.cached_property
-    def band_index(self) -> np.ndarray:
-        """Flat position in :meth:`band` of each pattern entry; built at the
-        first factorization."""
+    def band_stack(self) -> np.ndarray:
+        """``stack`` laid out as :meth:`band` flattened, (5, n (3 bw + 1)), zero off
+        the pattern; built at the first factorization."""
         bw, pattern = self.bandwidth, self.A.tocoo()
-        cols = pattern.col.astype(np.int64)  # the band has n (3 bw + 1) entries
-        return (3 * bw + 1) * cols + 2 * bw + pattern.row - cols
+        out = np.zeros((len(self.BASIS), self.A.shape[0], 3 * bw + 1))
+        out[:, pattern.col, 2 * bw + pattern.row - pattern.col] = self.stack
+        return out.reshape(len(self.BASIS), -1)
 
     def band(self, coefs: np.ndarray) -> np.ndarray:
         """sum_k coefs[k] * (A, K1, K2, Q, P)[k] in LAPACK general-band storage
         with kl = ku = ``bandwidth``: the Fortran-ordered (3 bw + 1, n) array
         whose entry [2 bw + i - j, j] is S[i, j].  Its first bw rows are zero,
-        the room ``dgbtrf`` needs for the fill of row pivoting."""
-        n, rows = self.A.shape[0], 3 * self.bandwidth + 1
-        flat = np.zeros(n * rows)
-        flat[self.band_index] = coefs @ self.stack
-        return flat.reshape(n, rows).T
+        the room ``dgbsv`` needs for the fill of row pivoting."""
+        return (coefs @ self.band_stack).reshape(self.A.shape[0], -1).T
 
 
 @dataclass(eq=False)

@@ -3,8 +3,8 @@
 The physical beam occupies ``Omega_t = K(t) * Omega``, where ``Omega`` is the
 reference box (-1, 1)^n and K a linear drift or an exponential saturation.
 Pulling the equation back to the reference box turns the constant-coefficient
-operator into one with the time/space dependent coefficients ``b1, b2,
-a1..a5`` evaluated here.  Everything in this module is pure and stateless.
+operator into one whose coefficients ``b1, b2, a1..a5`` are the time factors
+evaluated here times fixed polynomials in y.  The module is pure and stateless.
 """
 from __future__ import annotations
 
@@ -137,12 +137,6 @@ class TimeFactors:
     r: float       # K' / K
     c3: float      # (2 K'^2 - K (nu K' + K'')) / K^2
     c4: float      # (-2 K'^2 - K (nu K' + K'')) / K^2 = c3 - 4 r^2
-
-    def a_coefficients(self, y: np.ndarray):
-        """(a1, ..., a5) at points y of shape (..., n); a2 adds (n, n) axes."""
-        r2 = self.r * self.r
-        a2 = 4.0 * r2 * (y[..., :, None] * y[..., None, :])
-        return self.s0 - 4.0 * r2 * (y * y), a2, self.c3 * y, -2.0 * self.r * y, self.c4 * y
 
 
 def time_factors(b: MovingBoundary, p: BeamParameters, t: float) -> TimeFactors:

@@ -12,18 +12,18 @@ once per run, in 1D on one CSR pattern and in 2D as the 1D operators of its
 axis, the same on x and y.  A step matrix S is held only as its coefficient
 vector c over them: S x is c contracted with the five products
 (``ops.products``: one stacked sparse matrix in 1D, Kronecker sums of 1D
-products in 2D); S is written, straight into LAPACK band storage, only when
+products in 2D); S is formed in LAPACK band storage, by one product, only when
 the 1D solver factors it.  The load F(t) follows the same rule over the
-source's five spatial terms, integrated once per run; a homogeneous
-run's load is the scalar 0.0.  ``advance`` forms each time level's data
-(``BeamSystem.level``) and each state's products once.  Each implicit step is
-one ``StepProblem``: it forms the step's matrices and averaged load from three
-time levels and poses one nonlinear system, the startup step with its ghost
-level included.  Its Jacobian is a step matrix plus a low-rank correction
-from the differential of G (``LinearSolver``): in 1D each solve is one band
-LU, one triangular solve and the Woodbury identity; in 2D it is GMRES on the
-Kronecker form, preconditioned by a kept fast diagonalization of the
-separable part.  Results are deterministic for a fixed configuration.
+source's five spatial terms, integrated once per run; a homogeneous run's load
+is the scalar 0.0.  ``advance`` forms the run's time table before the first
+step (``BeamSystem.time_table``, ``StepProblem.step_matrices``), and each
+level's load and each state's products once.  Each implicit step is one
+``StepProblem``: from its row of the table it poses one nonlinear system, the
+startup step with its ghost level included.  Its Jacobian is a step matrix
+plus a low-rank correction from the differential of G (``LinearSolver``): in
+1D each solve is one LAPACK ``dgbsv`` and the Woodbury identity; in 2D it is
+GMRES on the Kronecker form, preconditioned by a kept fast diagonalization of
+the separable part.  Results are deterministic for a fixed configuration.
 
 theta in ]1/4, 1] gives the unconditionally convergent family; theta < 1/4 is
 conditionally stable and may legitimately diverge on fine meshes, which is
@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Protocol, Sequence, runtime_checkable
+from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 from scipy.linalg import eigh, solve_triangular
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgesv
+from scipy.linalg.lapack import dgbsv, dgesv
 
 from .fem import (AssembledOperators, HermiteSpace, KroneckerOperators, assemble_load,
                   l_coefficients)
@@ -47,7 +47,6 @@ __all__ = [
     "ConfigError",
     "NewmarkConfig",
     "whole_steps",
-    "TimeLevel",
     "Source",
     "StepProblem",
     "Trajectory",
@@ -59,9 +58,6 @@ __all__ = [
     "advance",
     "BeamSystem",
 ]
-
-# coefficient vector of A over AssembledOperators.BASIS
-_A = np.eye(len(AssembledOperators.BASIS))[0]
 
 # Newton stops on a step or a residual below these absolute values
 NEWTON_TOL_STEP = 1e-14
@@ -117,12 +113,6 @@ def whole_steps(t: float, dt: float, name: str = "T") -> int:
     return n
 
 
-# one time level: b1, the coefficient vectors of L1 and L2 over
-# AssembledOperators.BASIS, and F (the scalar 0.0 in a homogeneous run)
-TimeLevel = NamedTuple("TimeLevel", [("b1", float), ("L1", np.ndarray),
-                                     ("L2", np.ndarray), ("F", np.ndarray | float)])
-
-
 @dataclass
 class Trajectory:
     """Coefficient history d^0..d^N plus per-step Newton statistics."""
@@ -143,9 +133,9 @@ class Trajectory:
 class LinearSolver:
     """Solves (S + U V^T) x = b for the Newton matrices of one run, S given by
     its coefficient vector c over the constant operators ``ops``, whose type chooses how.
-    1D: S is written straight into LAPACK band storage and factored by
-    ``dgbtrf`` (kl = ku = ``ops.bandwidth``); one ``dgbtrs`` takes [b, U], and
-    ``dgesv`` the r x r Woodbury capacitance I + V^T S^-1 U.  Nothing is kept.
+    1D: S is formed in LAPACK band storage (``ops.band``), and one ``dgbsv``
+    (kl = ku = ``ops.bandwidth``) factors it and solves for [b, U]; ``dgesv``
+    takes the r x r Woodbury capacitance I + V^T S^-1 U.  Nothing is kept.
     2D (``KroneckerOperators``): ``gmres`` applies S in Kronecker form plus U (V^T x)
     to the free-DOF vector, the grid X = x.reshape(n, n), right-preconditioned by
     the fast diagonalization of the separable symmetric part A(x)T + T(x)A of S,
@@ -171,13 +161,13 @@ class LinearSolver:
         if isinstance(self.ops, KroneckerOperators):
             return self._krylov(c, rhs, U, V)
         bw, r = self.ops.bandwidth, U.shape[1]
-        lu, piv, info = dgbtrf(self.ops.band(c), bw, bw, overwrite_ab=1)
+        ab = self.ops.band(c)  # before Y: the other order leaves a larger heap behind
+        Y = np.empty((rhs.size, r + 1), order="F")  # [rhs, U], in LAPACK's layout
+        Y[:, 0], Y[:, 1:] = rhs, U
+        *_, Y, info = dgbsv(bw, bw, ab, Y, overwrite_ab=1, overwrite_b=1)
         if info > 0:
             raise SingularJacobian(f"zero pivot in column {info} of the band LU")
         self.factorizations += 1
-        Y = np.empty((rhs.size, r + 1), order="F")  # [rhs, U], in LAPACK's layout
-        Y[:, 0], Y[:, 1:] = rhs, U
-        Y = dgbtrs(lu, bw, bw, Y, piv, overwrite_b=1)[0]
         y, Z, W = Y[:, 0], Y[:, 1:], V.T
         if r:  # r = 0 leaves no capacitance (and dgesv rejects a 0 x 0 matrix)
             C = V.T @ Z
@@ -275,11 +265,14 @@ class BeamSystem:
         if self.source is not None and not isinstance(self.source, Source):
             raise TypeError("source must come from make_source, with `terms` and `coefficients`")
 
-    def level(self, t: float) -> TimeLevel:
-        """b1, L1, L2 and F at time t.  A forced level evaluates the time factors
-        twice: here, and in the source's c(t) for its load."""
-        f = time_factors(self.boundary, self.params, t)
-        return TimeLevel(f.b1, *l_coefficients(f, self.params.nu), self.load(t))
+    def time_table(self, cfg: NewmarkConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """b1 (n + 1,), L1 and L2 (n + 1, 5) at the levels t_i = i dt of a run, each from
+        one scalar ``time_factors`` call (numpy's vectorized power and exp differ in ulps)."""
+        b1, L = np.empty(cfg.n_steps + 1), np.empty((cfg.n_steps + 1, 2, 5))
+        for i in range(cfg.n_steps + 1):
+            f = time_factors(self.boundary, self.params, i * cfg.dt)
+            b1[i], L[i] = f.b1, l_coefficients(f, self.params.nu)
+        return b1, L[:, 0], L[:, 1]
 
     def load(self, t: float) -> np.ndarray | float:
         """F(t) = c(t) @ Phi; Phi is built here, in the march, at the first call.
@@ -300,8 +293,8 @@ class StepProblem:
     """One implicit step eta -> eta+1, formed from the levels eta-1, eta, eta+1,
     with its residual and Jacobian in Woodbury-friendly form.
 
-    ``c1``, ``c2``, ``c3`` hold the step's matrices as coefficient vectors over
-    ``AssembledOperators.BASIS``, and ``F_avg`` its averaged load:
+    ``row`` holds b1 and F at the levels eta-1, eta, eta+1 and the step's matrices
+    ``c1``, ``c2``, ``c3`` (:meth:`step_matrices`); ``F_avg`` is its averaged load:
 
       M1 = A + (dt/2) L1^eta + theta dt^2 L2^{eta+1}
       M2 = dt^2 (1-2 theta) L2^eta - 2A
@@ -329,37 +322,45 @@ class StepProblem:
     """
 
     def __init__(self, ops: AssembledOperators | KroneckerOperators, cfg: NewmarkConfig,
-                 levels: tuple[TimeLevel, ...], curr: tuple[np.ndarray, np.ndarray],
+                 row: tuple, curr: tuple[np.ndarray, np.ndarray],
                  prev: tuple[np.ndarray, np.ndarray] | None, d1: np.ndarray | None):
         dt, th = cfg.dt, cfg.theta
-        lm, ln, lp = levels
+        (bm, bn, bp), (self.c1, self.c2, self.c3), (Fm, Fn, Fp) = row
         self.ops = ops
         self.th_dt2 = th * dt * dt
-        half_L1 = 0.5 * dt * ln.L1
-        self.c1 = _A + half_L1 + self.th_dt2 * lp.L2
-        self.c2 = dt * dt * (1.0 - 2.0 * th) * ln.L2 - 2.0 * _A
-        self.c3 = _A - half_L1 + self.th_dt2 * lm.L2
         d, Od = curr  # Od rows: A d, K1 d, K2 d, Q d, P d
-        g_curr = ln.b1 * float(d @ Od[1])
+        g_curr = bn * float(d @ Od[1])
         self.const = const = self.c2 @ Od  # summed in place, term by term
         const += dt * dt * (1.0 - 2.0 * th) * g_curr * Od[1]
         # (b_j, s_j, K1 s_j) of each Kirchhoff term; None is a zero shift
-        self.terms = [(lp.b1, None, None)]
+        self.terms = [(bp, None, None)]
         if prev is None:
-            self.F_avg = th * lp.F + (1.0 - th) * ln.F
+            self.F_avg = th * Fp + (1.0 - th) * Fn
             Od1 = ops.products(d1)
             self.c_lin = self.c1 + self.c3
-            self.terms.append((lm.b1, 2.0 * dt * d1, 2.0 * dt * Od1[1]))
+            self.terms.append((bm, 2.0 * dt * d1, 2.0 * dt * Od1[1]))
             const -= dt * dt * self.F_avg
             const -= 2.0 * dt * (self.c3 @ Od1)
         else:
-            self.F_avg = th * lm.F + (1.0 - 2.0 * th) * ln.F + th * lp.F
+            self.F_avg = th * Fm + (1.0 - 2.0 * th) * Fn + th * Fp
             dp, Odp = prev
-            g_prev = lm.b1 * float(dp @ Odp[1])
+            g_prev = bm * float(dp @ Odp[1])
             self.c_lin = self.c1
             const -= dt * dt * self.F_avg
             const += self.c3 @ Odp
             const += self.th_dt2 * g_prev * Odp[1]
+
+    @staticmethod
+    def step_matrices(cfg: NewmarkConfig, L1: np.ndarray, L2: np.ndarray) -> np.ndarray:
+        """M1, M2, M3 over ``AssembledOperators.BASIS`` of each step of a time table
+        (``BeamSystem.time_table``), (n, 3, 5), by the elementwise + and x of the
+        formulas above in their order: each row has the bits of one step's own."""
+        dt, th = cfg.dt, cfg.theta
+        A = np.eye(len(AssembledOperators.BASIS))[0]  # A's coefficient vector
+        th_dt2, half_L1 = th * dt * dt, 0.5 * dt * L1[:-1]
+        return np.stack([A + half_L1 + th_dt2 * L2[1:],
+                         dt * dt * (1.0 - 2.0 * th) * L2[:-1] - 2.0 * A,
+                         A - half_L1 + th_dt2 * np.vstack([L2[:1], L2[:-2]])], axis=1)
 
     def _kirchhoff(self, X: np.ndarray, K1X: np.ndarray) -> list:
         """[(b_j, G_j(X), K1 (X - s_j))] over the terms."""
@@ -431,13 +432,17 @@ def advance(system: BeamSystem, cfg: NewmarkConfig, d0: np.ndarray,
     iters, residuals = [], []  # Newton's iterations and final max |R| per step
 
     solver = LinearSolver(system.ops)  # local to the run, so no factor outlives it
-    lm = ln = system.level(0.0)  # the startup's ghost level is level 0 itself
+    b1, L1, L2 = system.time_table(cfg)
+    step_mats = StepProblem.step_matrices(cfg, L1, L2)
+    del L1, L2  # the march reads only b1 and the step matrices
+    loads = (system.load(0.0),) * 2  # F at eta-1 and eta; level 0 stands in for -1
     curr, prev = (ds[0], system.ops.products(ds[0])), None  # (d, O d) at eta, eta-1
     for eta in range(cfg.n_steps):
         if eta == 1:  # the startup matrix M1 + M3 is about 2 M1: too far to precondition
             solver.reset()
-        levels = lm, ln, system.level((eta + 1) * cfg.dt)
-        prob = StepProblem(system.ops, cfg, levels, curr, prev, d1)
+        loads = loads[-2:] + (system.load((eta + 1) * cfg.dt),)
+        row = (b1[max(eta - 1, 0)], b1[eta], b1[eta + 1]), step_mats[eta], loads
+        prob = StepProblem(system.ops, cfg, row, curr, prev, d1)
         try:
             d_next, Od_next, nit, resid = newton_solve(prob, curr, solver)
         except (NewtonNoConvergence, SingularJacobian):
@@ -448,7 +453,6 @@ def advance(system: BeamSystem, cfg: NewmarkConfig, d0: np.ndarray,
         ds.append(d_next)
         iters.append(nit)
         residuals.append(resid)
-        lm, ln = levels[1:]
         prev, curr = curr, (d_next, Od_next)
     done = len(ds) == cfg.n_steps + 1  # a failed step eta + 1 leaves d^0..d^eta
     return Trajectory(ds, times[: len(ds)], iters, residuals,

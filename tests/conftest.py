@@ -1,4 +1,5 @@
 """Shared fixtures, and the quadrature oracles that only the tests use."""
+import dataclasses
 import functools
 from dataclasses import dataclass
 
@@ -24,6 +25,14 @@ from movingbeam.geometry import time_factors
 from movingbeam.newmark import StepProblem
 
 
+def a_coefficients(tf, y):
+    """The paper's (a1, ..., a5) of the time factors ``tf`` at points y of shape
+    (..., n); a2 adds (n, n) axes."""
+    r2 = tf.r * tf.r
+    a2 = 4.0 * r2 * (y[..., :, None] * y[..., None, :])
+    return tf.s0 - 4.0 * r2 * (y * y), a2, tf.c3 * y, -2.0 * tf.r * y, tf.c4 * y
+
+
 @dataclass
 class TimeDependentOperators:
     """Coefficient-weighted matrices at one time level.
@@ -44,7 +53,7 @@ def assemble_time_dependent(space, boundary, params, t, nq=DEFAULT_OPERATOR_QUAD
     """Assemble B1..B4 at time t by pointwise quadrature: the reference that
     the stepper's combinations (``l_coefficients``) are checked against."""
     tab = space.basis_tables(nq)
-    a1, a2, _, a4, a5 = time_factors(boundary, params, t).a_coefficients(tab["points"])
+    a1, a2, _, a4, a5 = a_coefficients(time_factors(boundary, params, t), tab["points"])
     g = [tab["grad"][:, :, i] for i in range(space.mesh.dim)]
     pairs = [(i, j) for i in range(len(g)) for j in range(len(g))]
     integrate = functools.partial(_elem_integrals, space, nq)
@@ -140,17 +149,22 @@ def start_at(problem, x0):
     return x0, problem.ops.products(x0)
 
 
-def step_levels(system, cfg, eta):
-    """The levels (eta-1, eta, eta+1) of step eta; at startup level 0 stands
-    in for level -1, as in ``advance``."""
-    return tuple(system.level(max(k, 0) * cfg.dt) for k in (eta - 1, eta, eta + 1))
+def step_row(system, cfg, eta):
+    """The row of step eta as ``advance`` forms it from the run's time table: b1
+    and F at the levels (eta-1, eta, eta+1), level 0 standing in for level -1 at
+    startup, and the step's M1, M2, M3; the table reaches step eta at least."""
+    cfg = dataclasses.replace(cfg, n_steps=max(cfg.n_steps, eta + 1))
+    b1, L1, L2 = system.time_table(cfg)
+    levels = max(eta - 1, 0), eta, eta + 1
+    return (tuple(b1[k] for k in levels), StepProblem.step_matrices(cfg, L1, L2)[eta],
+            tuple(system.load(k * cfg.dt) for k in levels))
 
 
 def step_problem(system, cfg, eta, d_curr, d_prev, d1):
     """The ``StepProblem`` of step eta from the states d^eta and d^{eta-1}, or
     from d^0 and the velocity d1 at startup (eta = 0)."""
     prev = None if eta == 0 else (d_prev, system.ops.products(d_prev))
-    return StepProblem(system.ops, cfg, step_levels(system, cfg, eta),
+    return StepProblem(system.ops, cfg, step_row(system, cfg, eta),
                        (d_curr, system.ops.products(d_curr)), prev, d1)
 
 

@@ -21,8 +21,8 @@ from movingbeam.fem import _BLOCK_VALUES, _elem_integrals
 from movingbeam.geometry import eval_boundary, time_factors
 from movingbeam.newmark import LinearSolver
 
-from conftest import (assemble_time_dependent, free_operators, kirchhoff_scalar, project_initial,
-                      step_problem)
+from conftest import (a_coefficients, assemble_time_dependent, free_operators, kirchhoff_scalar,
+                      project_initial, step_problem)
 
 
 class TestQuadrature:
@@ -204,7 +204,7 @@ class TestTimeDependentAssembly:
         # oracle: 32-point Gauss per cell of a1(y, 0) phi_k' phi_l'
         tab = space.basis_tables(32)
         pts = tab["points"].reshape(-1, 1)
-        a1 = time_factors(b1_1d, params, 0.0).a_coefficients(pts)[0][:, 0]
+        a1 = a_coefficients(time_factors(b1_1d, params, 0.0), pts)[0][:, 0]
         shape = tab["points"].shape[:2]
         g = tab["grad"][:, :, 0]
         elem = np.einsum(
@@ -324,7 +324,7 @@ class TestAffineOperators:
     @pytest.mark.parametrize("dim,cells", [(1, 8), (2, 3)])
     @pytest.mark.parametrize("which", ["B1", "B2", "custom"])
     def test_combination_matches_quadrature(self, params, dim, cells, which):
-        from movingbeam import BeamSystem, BoundaryKind
+        from movingbeam import BeamSystem, BoundaryKind, NewmarkConfig
 
         # custom: K = 2 - e^-t, so K'' != 0 and K'/K is 1 at t = 0 and 0.43 at t = 0.5
         b = {
@@ -335,11 +335,12 @@ class TestAffineOperators:
         }[which]
         space = HermiteSpace(Mesh.uniform(dim, cells))
         ops = free_operators(space)
+        # the run's time table at its levels t = 0 and 0.5
         system = BeamSystem(space, assemble_constant(space), b, params)
-        for t in (0.0, 0.5):
-            level = system.level(t)
+        _, L1, L2 = system.time_table(NewmarkConfig(dt=0.5, n_steps=1))
+        for i, t in enumerate((0.0, 0.5)):
             for c, ref in zip(
-                (level.L1, level.L2), _quadrature_l_matrices(space, ops, b, params, t)
+                (L1[i], L2[i]), _quadrature_l_matrices(space, ops, b, params, t)
             ):
                 got = ops.combine(c)
                 assert np.max(np.abs(got.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -353,8 +354,8 @@ class TestAffineOperators:
         system = BeamSystem(space, ops, MovingBoundary.b2(dim), params)
         cfg = NewmarkConfig(theta=0.25, dt=2.0**-5, n_steps=4)
         d = np.full(space.ndof, 0.01)
-        level = system.level(0.1)
-        coefs = [level.L1, level.L2]
+        _, L1, L2 = system.time_table(cfg)
+        coefs = [L1[3], L2[3]]
         for eta in (0, 2):
             prob = step_problem(system, cfg, eta, d, d, d)
             terms = prob.residual(d, ops.products(d))[1]
@@ -375,7 +376,17 @@ class TestAffineOperators:
         held = ops if dim == 1 else ops.axis
         assert np.shares_memory(held.stacked.data, held.stack)
 
-    @pytest.mark.parametrize("dim,cells", [(1, 8)])  # 2D solves form no band
+    @pytest.mark.parametrize("dim,cells", [(1, 8), (1, 128), (2, 8)])
+    def test_products_equal_the_stacked_product(self, dim, cells, rng):
+        # products runs the CSR kernel of stacked @ x on its arrays: the same sum
+        ops = assemble_constant(HermiteSpace(Mesh.uniform(dim, cells)))
+        held = ops if dim == 1 else ops.axis
+        x = rng.standard_normal(held.A.shape[0])
+        assert np.array_equal(held.products(x), (held.stacked @ x).reshape(5, -1))
+        with pytest.raises(ValueError, match="entries"):  # the kernel would read past x
+            held.products(x[:-1])
+
+    @pytest.mark.parametrize("dim,cells", [(1, 8), (1, 128)])  # 2D solves form no band
     def test_band_matches_combined_matrix(self, dim, cells, rng):
         # LAPACK general-band storage with kl = ku = bw: ab[2 bw + i - j, j] = S[i, j]
         ops = assemble_constant(HermiteSpace(Mesh.uniform(dim, cells)))
@@ -603,4 +614,4 @@ class TestMeshValidation:
     def test_h_property(self):
         m = Mesh.uniform(2, 8)
         assert m.h == (0.25, 0.25)
-        assert m.nnodes == 81
+        assert m.node_coords().shape == (81, 2)

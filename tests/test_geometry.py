@@ -18,7 +18,7 @@ from movingbeam import (
 )
 from movingbeam.geometry import time_factors
 
-from conftest import map_back, map_point
+from conftest import a_coefficients, map_back, map_point
 
 
 class TestEvalBoundary:
@@ -62,7 +62,7 @@ class TestEvalBoundary:
 class TestEvalCoefficients:
     def test_stationary_degeneration(self, params):
         b = MovingBoundary.constant(64.0)
-        a1, a2, a3, a4, a5 = time_factors(b, params, 2.0).a_coefficients(np.array([0.37]))
+        a1, a2, a3, a4, a5 = a_coefficients(time_factors(b, params, 2.0), np.array([0.37]))
         assert np.all(a2 == 0.0)
         assert np.all(a3 == 0.0)
         assert np.all(a4 == 0.0)
@@ -75,7 +75,7 @@ class TestEvalCoefficients:
         assert f.b1 == pytest.approx(2.0 * 64.0 ** -4, rel=1e-15)
 
     def test_b1_a4_at_unit_point(self, b1_1d, params):
-        a4 = time_factors(b1_1d, params, 0.0).a_coefficients(np.array([1.0]))[3]
+        a4 = a_coefficients(time_factors(b1_1d, params, 0.0), np.array([1.0]))[3]
         assert a4[0] == pytest.approx(-(2.0 ** -12), rel=1e-15)
 
     def test_singular_mapping(self, params):
@@ -92,7 +92,8 @@ class TestEvalCoefficients:
     def test_a5_identity_and_a2_symmetry(self, y, t, which):
         b = MovingBoundary.b1(2) if which == "B1" else MovingBoundary.b2(2)
         p = BeamParameters()
-        _, a2, a3, a4, a5 = time_factors(b, p, t).a_coefficients(np.array([y, -0.3 * y + 0.1]))
+        tf = time_factors(b, p, t)
+        _, a2, a3, a4, a5 = a_coefficients(tf, np.array([y, -0.3 * y + 0.1]))
         k, kp, _ = eval_boundary(b, t)
         resid = a5 - a3 - 2.0 * (kp / k) * a4
         assert np.max(np.abs(resid)) < 1e-14
@@ -102,7 +103,7 @@ class TestEvalCoefficients:
     @given(y=st.floats(-1.0, 1.0), t=st.floats(0.0, 10.0))
     def test_degeneration_everywhere(self, y, t):
         b = MovingBoundary.constant(17.0)
-        _, *rest = time_factors(b, BeamParameters(), t).a_coefficients(np.array([y]))
+        _, *rest = a_coefficients(time_factors(b, BeamParameters(), t), np.array([y]))
         for arr in rest:
             assert np.max(np.abs(arr)) == 0.0
 

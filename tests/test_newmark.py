@@ -27,17 +27,17 @@ from movingbeam import (
     make_source,
 )
 from movingbeam import newmark
+from movingbeam.fem import l_coefficients
 from movingbeam.geometry import time_factors
 from movingbeam.newmark import (
     LinearSolver,
     SingularJacobian,
     StepProblem,
-    TimeLevel,
     newton_solve,
 )
 
-from conftest import (free_operators, jacobian_dense, kirchhoff_scalar, residual_at, start_at,
-                      step_levels, step_problem)
+from conftest import (a_coefficients, free_operators, jacobian_dense, kirchhoff_scalar,
+                      residual_at, start_at, step_problem, step_row)
 
 # K = 1 + t/2: K^-4, and with it the Newton matrix, drifts by about 3% per step at dt = 2^-6
 FAST = MovingBoundary(BoundaryKind.LINEAR_DRIFT, base=1.0, slope=0.5,
@@ -70,11 +70,10 @@ class TestKirchhoffScalar:
         p = BeamParameters(zeta0=1.0, zeta1=1.0, nu=1.0)
         space = HermiteSpace(Mesh.uniform(1, 4))
         ops = assemble_constant(space)
-        system = BeamSystem(space, ops, b, p)
         k = 2
         e = np.zeros(space.ndof)
         e[k] = 1.0
-        G = kirchhoff_scalar(system.level(0.3).b1, e, ops.K1)
+        G = kirchhoff_scalar(time_factors(b, p, 0.3).b1, e, ops.K1)
         assert G == pytest.approx(ops.K1.toarray()[k, k], rel=1e-15)
 
     def test_s1_interpolant_vs_dense_quadrature(self, b1_1d, params, s1_1d):
@@ -93,7 +92,7 @@ class _ScalarSystem:
     """1-DOF stand-in for BeamSystem with prescribed matrices.
 
     Its coefficient vectors span (A, K1, L1, L2): slots 0 and 1 are A and K1
-    as in AssembledOperators.BASIS, L1 and L2 take slots 2 and 3.
+    as in AssembledOperators.BASIS, L1 and L2 take slots 2 and 3 at every level.
     """
 
     def __init__(self, A=1.0, L1=2.0, L2=3.0, b1=0.0, K1=1.0, F=0.0):
@@ -109,16 +108,28 @@ class _ScalarSystem:
         self._b1 = b1
         self._F = F
 
-    def level(self, t):
-        return TimeLevel(self._b1, np.eye(5)[2], np.eye(5)[3], np.array([self._F]))
+    def time_table(self, cfg):
+        n = cfg.n_steps + 1
+        return np.full(n, self._b1), *(np.tile(np.eye(5)[k], (n, 1)) for k in (2, 3))
+
+    def load(self, t):
+        return np.array([self._F])
 
 
-def _scalar_problem(system, cfg, eta, levels=None):
+def _scalar_problem(system, cfg, eta, F=None):
     """The ``StepProblem`` of step eta of ``_ScalarSystem`` from zero history,
-    and zero velocity at startup (eta = 0), on ``levels`` when given."""
+    and zero velocity at startup (eta = 0), with the loads ``F`` of its three
+    levels when given."""
     zero = (np.zeros(1), system.ops.products(np.zeros(1)))
-    return StepProblem(system.ops, cfg, levels or step_levels(system, cfg, eta), zero,
+    b1, c, loads = step_row(system, cfg, eta)
+    return StepProblem(system.ops, cfg, (b1, c, F or loads), zero,
                        None if eta == 0 else zero, np.zeros(1))
+
+
+def _level(system, t):
+    """(b1, L1, L2) at time t from the time factors, apart from the run's table."""
+    f = time_factors(system.boundary, system.params, t)
+    return (f.b1, *l_coefficients(f, system.params.nu))
 
 
 class TestStepOperators:
@@ -152,7 +163,7 @@ class TestStepOperators:
         system = _ScalarSystem(F=2.0)
         cfg = NewmarkConfig(theta=0.3, dt=0.1, n_steps=1)
         assert _scalar_problem(system, cfg, 0).F_avg[0] == pytest.approx(2.0, rel=1e-15)
-        F0, F1, F2 = (system.level(0.0)._replace(F=np.array([f])) for f in (2.0, 5.0, 7.0))
+        F0, F1, F2 = (np.array([f]) for f in (2.0, 5.0, 7.0))
         startup = _scalar_problem(system, cfg, 0, (F0, F0, F1))
         assert startup.F_avg[0] == pytest.approx(0.3 * 5.0 + 0.7 * 2.0, rel=1e-15)
         generic = _scalar_problem(system, cfg, 1, (F0, F1, F2))
@@ -165,11 +176,11 @@ class TestStepOperators:
         case, system, d0, _ = _mms_system(cells=8)
         cfg = NewmarkConfig(theta=0.3, dt=2.0**-5, n_steps=4)
         prob = step_problem(system, cfg, 2, d0, d0, d0)
-        lm, ln, lp = step_levels(system, cfg, 2)
-        g = kirchhoff_scalar(ln.b1, d0, system.ops.K1)
+        (_, _, L2m), (b1n, L1n, L2n), (_, _, L2p) = (_level(system, k * cfg.dt) for k in (1, 2, 3))
+        g = kirchhoff_scalar(b1n, d0, system.ops.K1)
         dt, th = cfg.dt, cfg.theta
         ops = system.ops
-        L2p, L2m, L1n, L2n = map(ops.combine, (lp.L2, lm.L2, ln.L1, ln.L2))
+        L2p, L2m, L1n, L2n = map(ops.combine, (L2p, L2m, L1n, L2n))
         for lhs, rhs in (
             (ops.combine(prob.c1 + prob.c2 + prob.c3) + dt * dt * (1 - 2 * th) * g * ops.K1,
              dt * dt * ((1 - 2 * th) * (g * system.ops.K1 + L2n) + th * (L2p + L2m))),
@@ -178,6 +189,36 @@ class TestStepOperators:
             lhs, rhs = lhs.toarray(), rhs.toarray()
             scale = np.max(np.abs(rhs)) + 1.0
             assert np.max(np.abs(lhs - rhs)) < 1e-13 * scale
+
+
+class TestTimeTable:
+    # numpy's vectorized power and exp differ from Python's in the last ulp at
+    # some levels of this grid, and the recorded runs keep the scalar bits
+    @pytest.mark.parametrize("boundary", [MovingBoundary.b1(1), MovingBoundary.b2(1)])
+    def test_levels_are_the_scalar_time_factors(self, boundary, params):
+        cfg = NewmarkConfig(dt=2.0**-7, n_steps=2560)
+        space = HermiteSpace(Mesh.uniform(1, 4))
+        system = BeamSystem(space, assemble_constant(space), boundary, params)
+        b1, L1, L2 = system.time_table(cfg)
+        for i in range(cfg.n_steps + 1):
+            f = time_factors(boundary, params, i * cfg.dt)
+            L1_i, L2_i = l_coefficients(f, params.nu)
+            assert b1[i] == f.b1, i
+            assert np.array_equal(L1[i], L1_i) and np.array_equal(L2[i], L2_i), i
+
+    @pytest.mark.parametrize("theta", [0.25, 0.3])
+    def test_step_matrices_are_each_steps_formulas(self, theta, params):
+        # the formulas evaluated on each step's own 5-vectors give the same bits
+        cfg = NewmarkConfig(theta=theta, dt=2.0**-6, n_steps=64)
+        space = HermiteSpace(Mesh.uniform(1, 4))
+        _, L1, L2 = BeamSystem(space, assemble_constant(space), FAST, params).time_table(cfg)
+        A, dt, th_dt2 = np.eye(5)[0], cfg.dt, theta * cfg.dt * cfg.dt
+        for eta, got in enumerate(StepProblem.step_matrices(cfg, L1, L2)):
+            half_L1 = 0.5 * dt * L1[eta]
+            ref = (A + half_L1 + th_dt2 * L2[eta + 1],
+                   dt * dt * (1.0 - 2.0 * theta) * L2[eta] - 2.0 * A,
+                   A - half_L1 + th_dt2 * L2[max(eta - 1, 0)])
+            assert np.array_equal(got, np.stack(ref)), eta
 
 
 class TestNewton:
@@ -246,10 +287,10 @@ class TestNewton:
         d_prev = 0.5 * d0 + 0.1
         prob = step_problem(system, cfg, eta, d0, d_prev, d1)
         M1, M2, M3 = (ops.combine(c).toarray() for c in (prob.c1, prob.c2, prob.c3))
-        lm, ln, lp = step_levels(system, cfg, eta)
+        lm, ln, lp = (_level(system, max(k, 0) * cfg.dt) for k in (eta - 1, eta, eta + 1))
 
         def G(level, d):
-            return kirchhoff_scalar(level.b1, d, ops.K1)
+            return kirchhoff_scalar(level[0], d, ops.K1)
 
         for _ in range(3):
             X = d0 + 0.05 * rng.standard_normal(len(d0))
@@ -388,10 +429,11 @@ def _step_matrix(system, cfg, eta):
 
 
 def _count_calls(monkeypatch, owner, name):
-    """Calls of owner.name from here on, made through the owner."""
+    """The positional arguments of each call of owner.name from here on, made
+    through the owner."""
     calls, original = [], getattr(owner, name)
     monkeypatch.setattr(owner, name,
-                        lambda *a, **kw: calls.append(1) or original(*a, **kw))
+                        lambda *a, **kw: calls.append(a) or original(*a, **kw))
     return calls
 
 
@@ -428,8 +470,8 @@ class TestLinearSolver:
 
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_1d_solve_is_one_lu_and_one_triangular_solve(self, r, rng, monkeypatch):
-        # each 1D solve factors its own matrix and answers from one dgbtrs with
-        # r + 1 right-hand sides: no refinement sweep, so no operator product
+        # each 1D solve factors its own matrix and solves for r + 1 right-hand
+        # sides in one dgbsv: no refinement sweep, so no operator product
         _, system, _, _ = _mms_system(cells=64)
         cfg = NewmarkConfig(theta=0.25, dt=2.0**-7, n_steps=128)
         n = system.space.ndof
@@ -438,12 +480,13 @@ class TestLinearSolver:
         solver = LinearSolver(system.ops)
         matrices = [_step_matrix(system, cfg, eta) for eta in (1, 64, 128)]
         products = _count_calls(monkeypatch, AssembledOperators, "products")
-        triangular = _count_calls(monkeypatch, newmark, "dgbtrs")
+        banded = _count_calls(monkeypatch, newmark, "dgbsv")
         results = []
         for c in matrices:
             rhs = rng.standard_normal(n)
             results.append((c, rhs, solver.solve(c, rhs, U, V)))
-        assert solver.factorizations == len(results) == len(triangular)
+        assert solver.factorizations == len(results) == len(banded)
+        assert all(args[3].shape == (n, r + 1) for args in banded)  # dgbsv(kl, ku, ab, b)
         assert products == []
         for c, rhs, x in results:
             ref = _woodbury_reference(system.ops.combine(c), rhs, U, V)
@@ -512,7 +555,7 @@ class TestLinearSolver:
         # per refresh
         _, system, d0, d1 = _mms_system(dim=2, cells=cells, boundary=boundary,
                                         amplitude=amplitude)
-        factored = _count_calls(monkeypatch, newmark, "dgbtrf")
+        factored = _count_calls(monkeypatch, newmark, "dgbsv")
         combined = _count_calls(monkeypatch, AssembledOperators, "combine")
         banded = _count_calls(monkeypatch, AssembledOperators, "band")
         traj = advance(system, NewmarkConfig(theta=0.25, dt=dt, n_steps=int(1 / dt)),
@@ -520,7 +563,7 @@ class TestLinearSolver:
         assert traj.completed and 0 < traj.factorizations < sum(traj.newton_iterations)
         assert isinstance(system.ops, KroneckerOperators)
         assert factored == banded == [] and len(combined) == traj.factorizations
-        assert "band_index" not in vars(system.ops.axis)
+        assert "band_stack" not in vars(system.ops.axis)
 
     def test_gmres_missing_its_target_is_a_singular_jacobian(self, monkeypatch):
         # the paper's regime needs 2 iterations per solve: a cap of 1 misses the
@@ -600,7 +643,7 @@ def _strong_operator(tf, derivs, pts):
     for v given by ``derivs(points, multi_index)``."""
     dim = pts.shape[1]
     eye = np.eye(dim, dtype=int)
-    a1, a2, a3, _, _ = tf.a_coefficients(pts)
+    a1, a2, a3, _, _ = a_coefficients(tf, pts)
 
     def d(mi):
         return derivs(pts, tuple(int(o) for o in mi))
@@ -621,7 +664,7 @@ def _pointwise_source(case, b, p):
 
     def f(pts, t):
         tf = time_factors(b, p, t)
-        a4 = tf.a_coefficients(pts)[3]
+        a4 = a_coefficients(tf, pts)[3]
         out = case.eval(pts, t, 2) + p.nu * case.eval(pts, t, 1)
         out -= tf.b1 * case.grad_norm_sq(t) * sum(case.eval(pts, t, 0, tuple(2 * e))
                                                    for e in eye)

@@ -99,6 +99,12 @@ def bench_levels():
 
 
 @pytest.fixture(scope="module")
+def kirchhoff_2d():
+    """The 2D study in the regime where the Kirchhoff term matters."""
+    return recorded.kirchhoff_2d_run()
+
+
+@pytest.fixture(scope="module")
 def energy_run():
     """Criterion 6's run: (result, times, E, decay fit)."""
     return recorded.energy_run()
@@ -339,15 +345,16 @@ class TestCriterion6EnergyDecay:
 
 class TestReproducedNumbers:
     def test_runs_reproduce_the_recorded_numbers(self, sweep, coupled_1d, coupled_2d, temporal,
-                                                 energy_run, bench_levels):
-        # criteria 3 to 6 and the benchmark's error levels against
-        # tests/reproduced_numbers.json, at 1e-10 relative; a diverged cell
-        # must stay diverged
+                                                 energy_run, bench_levels, kirchhoff_2d):
+        # criteria 3 to 6, the benchmark's error levels and the 2D nonlinear
+        # study against tests/reproduced_numbers.json, at 1e-10 relative; a
+        # diverged cell must stay diverged, a Newton count must not move
         got = recorded.record(sweep, coupled_1d, coupled_2d[0], temporal, energy_run,
-                              bench_levels)
+                              bench_levels, kirchhoff_2d)
         moved = recorded.mismatches(json.loads(recorded.RECORD.read_text()), got)
         _report(
-            "ACCEPTANCE (reproduced numbers, criteria 3 to 6 and the benchmark levels): "
+            "ACCEPTANCE (reproduced numbers, criteria 3 to 6, the benchmark levels and the 2D "
+            "nonlinear study): "
             f"{'PASS' if not moved else 'FAIL'} - {len(moved)} entries moved "
             f"by more than {recorded.RTOL:g} relative"
         )

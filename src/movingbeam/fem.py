@@ -116,7 +116,8 @@ class HermiteSpace:
     derivative of order d at the node: 2D DOF i_x + n_1 i_y, n_1 = 2 (cells + 1).
     Free DOFs keep that order, so a 2D free-DOF vector reshaped to (n, n),
     n = 2 (cells - 1), is the grid X[b, a] of y-DOF b and x-DOF a.
-    ``full_to_free`` maps full DOF index to free index (-1 when constrained).
+    ``full_to_free`` maps full DOF index to free index (-1 when constrained);
+    ``axis`` is the 1D space of each axis in 2D, and None in 1D (no reference cycle).
     """
 
     def __init__(self, mesh: Mesh):
@@ -137,6 +138,7 @@ class HermiteSpace:
         self.element_dofs = self._element_dof_matrix()
         self._basis_cache: dict[int, dict] = {}
         self._patterns: dict[bool, tuple] = {}
+        self.axis = HermiteSpace(Mesh(1, mesh.cells)) if mesh.dim == 2 else None
 
     @functools.cached_property
     def operators(self) -> AssembledOperators | KroneckerOperators:
@@ -155,11 +157,6 @@ class HermiteSpace:
         per_axis = 2 * (cells[:, None, :] + corner[None]) + deriv[None]
         return per_axis @ (2 * (m.cells + 1)) ** np.arange(m.dim)  # first axis fastest
 
-    def cell_origins(self) -> np.ndarray:
-        """Lower-left corner of each cell, shape (ncells, dim)."""
-        m = self.mesh
-        return _product([REFERENCE_INTERVAL[0] + m.h[0] * np.arange(m.cells)] * m.dim)
-
     # -- reference basis tables ---------------------------------------------
 
     def basis_tables(self, nq: int) -> dict:
@@ -176,7 +173,7 @@ class HermiteSpace:
         pts, w = gauss_rule(m.dim, nq)
         hs = m.h
         table = shape_eval(pts, hs)
-        origins = self.cell_origins()
+        origins = _product([REFERENCE_INTERVAL[0] + hs[0] * np.arange(m.cells)] * m.dim)
         phys = origins[:, None, :] + pts[None, :, :] * np.asarray(hs)[None, None, :]
         grad = np.stack([table(e) for e in np.eye(m.dim, dtype=int)], axis=-1)
         out = {"w": w * float(np.prod(hs)), "points": phys, "N": _derivative(table, m.dim, "N"),
@@ -440,7 +437,7 @@ def assemble_constant(
     free DOFs of a 2D space only the 1D operators of its axis, with this ``nq``."""
     if space.mesh.dim == 1 or full_space:
         return _quadrature(space, nq, full_space)
-    return KroneckerOperators(_quadrature(HermiteSpace(Mesh(1, space.mesh.cells)), nq, False))
+    return KroneckerOperators(_quadrature(space.axis, nq, False))
 
 
 def _quadrature(space: HermiteSpace, nq: int, full_space: bool) -> AssembledOperators:

@@ -21,18 +21,20 @@ Each coefficient is a time factor times a polynomial in y, so the operator
 is five fixed spatial terms (``strong_terms``) weighted by scalar functions
 of t (``strong_coefficients``).  As v is separable, f is those five terms of
 g times scalar functions of t (``make_source``): a load never re-integrates f.
+In 2D they are sums of tensor products of the five terms of q (``tensor_terms``).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .geometry import BeamParameters, MovingBoundary, TimeFactors, time_factors
 
-__all__ = ["ManufacturedCase", "make_source", "strong_terms", "strong_coefficients", "CASE_IDS"]
+__all__ = ["ManufacturedCase", "make_source", "strong_terms", "strong_coefficients",
+           "tensor_terms", "CASE_IDS"]
 
 CASE_IDS = ("S1", "S2")
 
@@ -86,6 +88,11 @@ class ManufacturedCase:
         )
 
     # -- factors ---------------------------------------------------------------
+
+    @property
+    def axis(self) -> "ManufacturedCase":
+        """The case in 1D, whose spatial factor q is g's on every axis: g = q (x) .. (x) q."""
+        return replace(self, dim=1)
 
     def temporal_factor(self, t: float, dt_order: int = 0) -> float:
         w = self.omega
@@ -160,6 +167,17 @@ def strong_terms(
     )
 
 
+def tensor_terms(f: np.ndarray) -> np.ndarray:
+    """The ``strong_terms`` of q (x) q from those of q, f (5, m) on one axis, as
+    (5, m, m) grids [k, b, a] of x-index a, y-index b; o(f_j, f_i) is f_i (x) f_j."""
+    (f0, f1, f2, f3, f4), o = f, np.multiply.outer
+    return np.array([o(f0, f0),
+                     o(f0, f1) + o(f1, f0),
+                     o(f0, f2) + o(f2, f0) + 2.0 * o(f1, f1),
+                     o(f0, f3) + o(f3, f0),
+                     o(f0, f4) + o(f4, f0) + 8.0 * o(f3, f3)])
+
+
 def strong_coefficients(tf: TimeFactors, nu: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Weights over ``strong_terms`` of L1 and of L2 less the Kirchhoff term at
     one time (r = K'/K): the strong-form twin of ``fem.l_coefficients``."""
@@ -182,9 +200,10 @@ def make_source(
     c = T'' e_0 + T' l1 + T l2, (l1, l2) the ``strong_coefficients`` and the
     Kirchhoff term added to l2's lap weight (amp folded into T).
 
-    The returned callable carries them as data attributes: ``terms``, the
-    h_k(points), and ``coefficients``, t -> c(t).  A load is so integrated
-    once per term and formed per time level as c(t) times those vectors.
+    The returned callable carries them as data attributes: ``axis_terms``, the
+    five terms of q, which are the h_k in 1D and give them in 2D by
+    ``tensor_terms``, and ``coefficients``, t -> c(t).  A load is so integrated
+    once per 1D term and formed per level as c(t) @ Phi.
     """
     n = case.dim
     terms = strong_terms(case.spatial_factor, n)
@@ -202,5 +221,5 @@ def make_source(
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return coefficients(t) @ np.array([h(pts) for h in terms])
 
-    f.terms, f.coefficients = terms, coefficients
+    f.axis_terms, f.coefficients = strong_terms(case.axis.spatial_factor, 1), coefficients
     return f

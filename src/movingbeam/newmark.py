@@ -14,7 +14,8 @@ vector c over them: S x is c contracted with the five products
 (``ops.products``: one stacked sparse matrix in 1D, Kronecker sums of 1D
 products in 2D); S is formed in LAPACK band storage, by one product, only when
 the 1D solver factors it.  The load F(t) follows the same rule over the
-source's five spatial terms, integrated once per run; a homogeneous run's load
+source's five spatial terms, integrated once per run on the 1D axis (a 2D
+term's load is a sum of tensor products of 1D ones); a homogeneous run's load
 is the scalar 0.0.  ``advance`` forms the run's time table before the first
 step (``BeamSystem.time_table``, ``StepProblem.step_matrices``), and each
 level's load and each state's products once.  Each implicit step is one
@@ -42,6 +43,7 @@ from scipy.linalg.lapack import dgbsv, dgesv
 from .fem import (AssembledOperators, HermiteSpace, KroneckerOperators, assemble_load,
                   l_coefficients)
 from .geometry import BeamParameters, MovingBoundary, time_factors
+from .manufactured import tensor_terms
 
 __all__ = [
     "ConfigError",
@@ -237,9 +239,9 @@ def gmres(matvec, psolve, b: np.ndarray) -> tuple[np.ndarray, int]:
 
 @runtime_checkable
 class Source(Protocol):
-    """A load sum_k c_k(t) h_k(y) as ``make_source`` returns it."""
+    """A load sum_k c_k(t) h_k(y) as ``make_source`` returns it, integrated on the 1D axis."""
 
-    terms: Sequence[Callable[[np.ndarray], np.ndarray]]
+    axis_terms: Sequence[Callable[[np.ndarray], np.ndarray]]
     coefficients: Callable[[float], np.ndarray]
 
 
@@ -248,10 +250,10 @@ class BeamSystem:
     """Assembled context for one run: constant operators, time factors, loads.
 
     ``source`` is None (a homogeneous run, zero load) or a ``Source`` from
-    ``make_source``, whose data attributes ``terms`` and ``coefficients`` give
-    it as sum_k c_k(t) h_k(y); a plain f(y, t) is refused here.  At the first
-    load each h_k is integrated against the basis into row k of Phi; every
-    load is then c(t) @ Phi, with no quadrature per step.
+    ``make_source``, whose data attributes ``axis_terms`` and ``coefficients``
+    give it as sum_k c_k(t) h_k(y); a plain f(y, t) is refused.  At the first
+    load each 1D term is integrated on the axis space into row k of Phi, made
+    2D by ``tensor_terms``; every load is then c(t) @ Phi, with no quadrature per step.
     """
 
     space: HermiteSpace
@@ -263,7 +265,7 @@ class BeamSystem:
 
     def __post_init__(self):
         if self.source is not None and not isinstance(self.source, Source):
-            raise TypeError("source must come from make_source, with `terms` and `coefficients`")
+            raise TypeError("source must come from make_source, with axis_terms and coefficients")
 
     def time_table(self, cfg: NewmarkConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """b1 (n + 1,), L1 and L2 (n + 1, 5) at the levels t_i = i dt of a run, each from
@@ -280,9 +282,9 @@ class BeamSystem:
         if self.source is None:
             return 0.0
         if self._phi is None:
-            self._phi = np.array([
-                assemble_load(self.space, lambda y, _t, h=h: h(y), t)
-                for h in self.source.terms])
+            F = np.array([assemble_load(self.space.axis or self.space, lambda y, _t, h=h: h(y), t)
+                          for h in self.source.axis_terms])
+            self._phi = F if self.space.mesh.dim == 1 else tensor_terms(F).reshape(len(F), -1)
         F = self.source.coefficients(t) @ self._phi
         if not np.all(np.isfinite(F)):
             raise ValueError(f"load is non-finite at t={t}")

@@ -8,6 +8,7 @@ recorded as data.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -104,22 +105,33 @@ def error_norms(
     s(t) g(y), s = amp T(t).  With p the interpolant of g and e = d - s p, both
     are quadratic forms of the run's operators (``HermiteSpace.operators``):
     ||u_h - s g||^2 = e^T A e + 2 s e^T c0 + s^2 ||p - g||^2, c0 = (p - g, phi),
-    and likewise with K2, lap and c2 = (lap(p - g), lap phi).  ``nq`` sets only
-    the rule of the one quadrature of p - g (exact for nq >= 5); the states are
-    read in blocks of at most ``_FORM_VALUES`` values."""
+    and likewise with K2, lap and c2 = (lap(p - g), lap phi).  In 2D g = q (x) q,
+    p = p1 (x) p1 and p - g = e1 (x) p1 + q (x) e1, e1 = p1 - q: c0, c2 and the
+    residual norms are products of integrals on the axis, at its ``nq``-point
+    rule (exact for nq >= 5).  States are read in blocks of ``_FORM_VALUES``."""
     if not trajectory.completed:
         return ErrorReport(math.nan, math.nan, trajectory.times, np.array([]), np.array([]),
                            diverged=True)
-    tab, dim = space.basis_tables(nq), space.mesh.dim
-    pts, w = tab["points"].reshape(-1, dim), tab["w"]
-    p = interpolate_initial(space, case.spatial_factor)
-    c, r = np.empty((2, space.ndof)), np.empty((2, 1))
-    for k, (deriv, g) in enumerate(zip(("N", "lap"), strong_terms(case.spatial_factor, dim))):
-        res = space.eval_at_quad(p, nq, deriv) - g(pts).reshape(space.mesh.ncells, -1)
-        c[k] = space.scatter_vector(res * w @ tab[deriv])
-        r[k] = np.sum(res * res @ w)
+    axis, dim, q = space.axis or space, space.mesh.dim, case.axis.spatial_factor
+    tab, p1 = axis.basis_tables(nq), interpolate_initial(axis, q)
+    p = functools.reduce(np.kron, [p1] * dim)
+    pv = [axis.eval_at_quad(p1, nq, deriv) for deriv in ("N", "lap")]
+    qv = [q(tab["points"].reshape(-1, 1), (k,)).reshape(pv[0].shape) for k in (0, 2)]
+    V = [*np.subtract(pv, qv), *pv, *qv]  # e1, e1'', p1, p1'', q, q'' on the axis' points
+    inner = functools.cache(lambda u, v: np.sum(V[u] * V[v] @ tab["w"]))
+    tested = functools.cache(lambda u, k: axis.scatter_vector(V[u] * tab["w"] @ tab[k]))
+    # p - g = sum_k q (x) .. (x) e1 (x) p1 .., e1 on axis k: a term is its V per axis
+    terms = [[4 if a < k else 0 if a == k else 2 for a in range(dim)] for k in range(dim)]
+    laps = [[u + (a == j) for a, u in enumerate(t)] for t in terms for j in range(dim)]
+
+    def load(ts, j=None):  # (sum of the terms ts, phi), with phi'' on axis j
+        return sum(functools.reduce(np.kron, [tested(u, "lap" if a == j else "N")
+                                              for a, u in enumerate(t)][::-1]) for t in ts)
+
+    c = np.array([load(terms), sum(load(laps, j) for j in range(dim))])
+    r = np.array([sum(math.prod(map(inner, a, b)) for a in t for b in t) for t in (terms, laps)])
     s = case.amplitude * np.array([case.temporal_factor(float(t)) for t in trajectory.times])
-    sq = s * s * r
+    sq = s * s * r[:, None]
     size = max(1, _FORM_VALUES // space.ndof)
     for lo in range(0, s.size, size):
         e = np.column_stack(trajectory.d[lo:lo + size]) - np.outer(p, s[lo:lo + size])

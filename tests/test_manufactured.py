@@ -9,7 +9,7 @@ from movingbeam import (AssembledOperators, BeamParameters, ManufacturedCase, Mo
                         make_source)
 from movingbeam.fem import gauss_rule, l_coefficients
 from movingbeam.geometry import BoundaryKind, time_factors
-from movingbeam.manufactured import strong_coefficients
+from movingbeam.manufactured import strong_coefficients, strong_terms, tensor_terms
 
 
 class TestExactEval:
@@ -246,3 +246,20 @@ class TestStrongCoefficients:
                 assert np.array_equal(strong[~rounded], image[~rounded])
                 # L2's: c3 + (4n+8) r^2 against 4 (n+3) r^2 + c4, c4 = c3 - 4 r^2
                 assert abs(strong[3] - image[3]) <= 1e-14 * abs(strong[3])
+
+
+class TestTensorTerms:
+    @pytest.mark.parametrize("case_id", ["S1", "S2"])
+    def test_are_the_2d_strong_terms_of_the_product(self, case_id, rng):
+        # the 2D strong_terms of g = q (x) q pointwise on a grid against the
+        # table over the 1D strong_terms of q: the same sums, in another order
+        case = ManufacturedCase.standard(case_id, 2)
+        x = np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, 30)])
+        f = np.array([h(x[:, None]) for h in strong_terms(case.axis.spatial_factor, 1)])
+        Y, X = np.meshgrid(x, x, indexing="ij")  # [b, a] is the point (x_a, x_b)
+        pointwise = np.array([h(np.column_stack([X.ravel(), Y.ravel()]))
+                              for h in strong_terms(case.spatial_factor, 2)])
+        table = tensor_terms(f).reshape(5, -1)
+        # measured: at most one ulp of each term's largest value
+        ulps = 4 * np.finfo(float).eps * np.abs(pointwise).max(axis=1, keepdims=True)
+        assert np.all(np.abs(table - pointwise) <= ulps)

@@ -697,14 +697,18 @@ class TestLoadBasis:
             assert np.max(np.abs(system.load(t) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_forced_run_integrates_five_terms_once(self, monkeypatch):
-        calls, original = [], newmark.assemble_load
+        # five integrations per run, each on the 1D axis space, in 2D too
+        calls, original = [], newmark.assemble_load  # the space of each call
         monkeypatch.setattr(newmark, "assemble_load",
-                            lambda *a, **kw: calls.append(1) or original(*a, **kw))
-        for n_steps in (8, 64):
-            _, system, d0, d1 = _mms_system(cells=8)
-            traj = advance(system, NewmarkConfig(dt=2.0**-6, n_steps=n_steps), d0, d1)
-            assert traj.completed and len(calls) == 5
-            calls.clear()
+                            lambda space, *a: calls.append(space) or original(space, *a))
+        for dim in (2, 1):
+            for n_steps in (8, 64):
+                _, system, d0, d1 = _mms_system(dim=dim, cells=8)
+                traj = advance(system, NewmarkConfig(dt=2.0**-6, n_steps=n_steps), d0, d1)
+                assert traj.completed and len(calls) == 5
+                axis = system.space.axis or system.space
+                assert all(space is axis and space.mesh.dim == 1 for space in calls)
+                calls.clear()
         # the decomposition is data on the source, so a functools.wraps wrapper
         # (as a tracer would add) keeps it
         source = system.source
@@ -747,8 +751,8 @@ class TestLoadBasis:
         space = HermiteSpace(Mesh.uniform(1, 8))
         ops = assemble_constant(space)
         source = make_source(ManufacturedCase.standard("S1", 1), b1_1d, params)
-        only_terms = functools.partial(source)  # an f(y, t) with `terms` but no `coefficients`
-        only_terms.terms = source.terms
+        only_terms = functools.partial(source)  # an f(y, t) with `axis_terms` only
+        only_terms.axis_terms = source.axis_terms
         for f in (lambda y, t: np.zeros(len(y)), only_terms):
             with pytest.raises(TypeError, match="make_source"):
                 BeamSystem(space, ops, b1_1d, params, f)

@@ -25,7 +25,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from .geometry import TimeFactors
 from .hermite import local_layout, shape_eval
@@ -382,6 +382,7 @@ class KroneckerOperators:
     F X C^T, y factor first, and :meth:`grid_products` applies
         A = A(x)A,  K1 = A(x)S + S(x)A,  K2 = A(x)B + B(x)A + 2 S(x)S,
         Q = A(x)Q + Q(x)A + P^T(x)P + P(x)P^T,  P = A(x)P + P(x)A.
+    :meth:`operator` applies a combination of them in one pass; both run ``_two_stage``.
     """
 
     axis: AssembledOperators
@@ -402,12 +403,24 @@ class KroneckerOperators:
                         [Q - P, None, None, A, -A - 2.0 * P],
                         [P, None, None, None, A]], format="csr")
 
+    @functools.cached_property
+    def _symmetric_rows(self) -> sp.csr_matrix:  # [A; S; B] of the axis, cut once
+        return self.axis.stacked[:3 * self.axis.A.shape[0]]
+
+    @functools.cached_property
+    def _row_pattern(self) -> tuple:
+        """(indptr, indices, order) of an n x 4n block row of four matrices on the axis'
+        pattern, whose CSR data is their stacked data (4, nnz) flat at ``order``."""
+        A, n = self.axis.A, self.axis.A.shape[0]
+        k, j = np.divmod(np.arange(4 * A.nnz), A.nnz)
+        order = np.argsort(4 * np.repeat(np.arange(n), np.diff(A.indptr))[j] + k, kind="stable")
+        return 4 * A.indptr, (A.indices[j] + k * n)[order].astype(A.indices.dtype), order
+
     def error_forms(self, E: np.ndarray) -> np.ndarray:
         """(e^T A e, e^T K2 e) of each column e of E (n^2, m), as (2, m), from
         the grids X of the columns and the symmetric A, S, B of the axis:
         e^T (A(x)A) e = <AX, XA> and e^T K2 e = <AX, XB> + <BX, XA> + 2 <SX, XS>."""
-        n, m = self.axis.A.shape[0], E.shape[1]
-        rows = self.axis.stacked[:3 * n]  # A, S, B
+        n, m, rows = self.axis.A.shape[0], E.shape[1], self._symmetric_rows
         AX, SX, BX = (rows @ E.reshape(n, -1)).reshape(3, n, n, m)  # [b, a, state]
         flipped = E.reshape(n, n, m).transpose(1, 0, 2).reshape(n, -1)
         XA, XS, XB = (rows @ flipped).reshape(3, n, n, m)  # M X^T = (X M)^T: [a, b, state]
@@ -417,9 +430,34 @@ class KroneckerOperators:
     def grid_products(self, X: np.ndarray) -> np.ndarray:
         """The five operators applied to the grid X (n, n), as (5, n, n):
         X C_j^T for the axis' five, then the y factors on their stack."""
-        n = X.shape[0]
-        XC = (self.axis.stacked @ X.T).reshape(-1, n, n).swapaxes(1, 2).reshape(-1, n)
-        return (self._left @ XC).reshape(-1, n, n)
+        stages = ((*M.shape, M.indptr, M.indices, M.data) for M in (self.axis.stacked, self._left))
+        return _two_stage(*stages, X).reshape(5, *X.shape)
+
+    def operator(self, c: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """X -> S(c) X on the grid X (n, n), S(c) = sum_k c_k (A, K1, K2, Q, P)_k, in one
+        pass.  With P^T = -A - P on the axis, S(c) = c_0 A(x)A + H(x)A + A(x)H + 2 c_2 S(x)S
+        - 2 c_3 P(x)P, H = c_1 S + c_2 B + c_3 Q + (c_4 - c_3) P: the right stack [A; H; S; P],
+        then the block row [c_0 A + H, A, 2 c_2 S, -2 c_3 P], whose data are formed here."""
+        M, n, (*pattern, order) = self.axis.stacked, self.axis.A.shape[0], self._row_pattern
+        c0, c1, c2, c3, c4 = np.asarray(c).tolist()  # rows: the right stack, the block row
+        data = np.array([[1, 0, 0, 0, 0], [0, c1, c2, c3, c4 - c3], [0, 1, 0, 0, 0],
+                         [0, 0, 0, 0, 1], [c0, c1, c2, c3, c4 - c3], [1, 0, 0, 0, 0],
+                         [0, 2 * c2, 0, 0, 0], [0, 0, 0, 0, -2 * c3]], float) @ self.axis.stack
+        right = (4 * n, n, M.indptr[:4 * n + 1], M.indices[:data[:4].size], data[:4].ravel())
+        left = (n, 4 * n, *pattern, data[4:].ravel()[order])
+        return lambda X: _two_stage(right, left, X).reshape(n, n)
+
+
+def _two_stage(right: tuple, left: tuple, X: np.ndarray) -> np.ndarray:
+    """left @ [X C_0^T; X C_1^T; ..], flat, C_k the n x n row blocks of right, by two
+    CSR-kernel products; each matrix is (rows, cols, indptr, indices, data)."""
+    n = right[1]
+    if np.shape(X) != (n, n):  # the kernel reads X unchecked
+        raise ValueError(f"the grid must be {n} x {n}, got shape {np.shape(X)}")
+    CX, out = np.zeros(right[0] * n), np.zeros(left[0] * n)
+    csr_matvecs(*right[:2], n, *right[2:], X.T.ravel(), CX)  # C_k X^T = (X C_k^T)^T
+    csr_matvecs(*left[:2], n, *left[2:], CX.reshape(-1, n, n).swapaxes(1, 2).ravel(), out)
+    return out
 
 
 def _elem_integrals(space: HermiteSpace, nq: int, coef, trial, test) -> np.ndarray:

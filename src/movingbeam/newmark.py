@@ -10,7 +10,7 @@ with K scalar, L1 and L2 are fixed combinations of the constant operators
 (A, K1, K2, Q, P) with scalar weights in (K, K', K''): they are assembled
 once per run, in 1D on one CSR pattern and in 2D as the 1D operators of its
 axis, the same on x and y.  A step matrix S is held only as its coefficient
-vector c over them: S x is c contracted with the five products
+vector c over them: a state's residual contracts c with its five products
 (``ops.products``: one stacked sparse matrix in 1D, Kronecker sums of 1D
 products in 2D); S is formed in LAPACK band storage, by one product, only when
 the 1D solver factors it.  The load F(t) follows the same rule over the
@@ -23,8 +23,8 @@ level's load and each state's products once.  Each implicit step is one
 startup step with its ghost level included.  Its Jacobian is a step matrix
 plus a low-rank correction from the differential of G (``LinearSolver``): in
 1D each solve is one LAPACK ``dgbsv`` and the Woodbury identity; in 2D it is
-GMRES on the Kronecker form, preconditioned by a kept fast diagonalization of
-the separable part.  Results are deterministic for a fixed configuration.
+GMRES, which applies S in one pass (``ops.operator``), preconditioned by a kept
+fast diagonalization of the separable part.  Results are deterministic.
 
 theta in ]1/4, 1] gives the unconditionally convergent family; theta < 1/4 is
 conditionally stable and may legitimately diverge on fine meshes, which is
@@ -126,6 +126,7 @@ class Trajectory:
     status: str = "completed"          # "completed" | "diverged"
     diverged_step: int | None = None
     factorizations: int = 0            # band LUs (1D) or eigendecompositions (2D) made
+    gmres_iterations: int = 0          # over the run's 2D solves; 0 in 1D
 
     @property
     def completed(self) -> bool:
@@ -138,20 +139,20 @@ class LinearSolver:
     1D: S is formed in LAPACK band storage (``ops.band``), and one ``dgbsv``
     (kl = ku = ``ops.bandwidth``) factors it and solves for [b, U]; ``dgesv``
     takes the r x r Woodbury capacitance I + V^T S^-1 U.  Nothing is kept.
-    2D (``KroneckerOperators``): ``gmres`` applies S in Kronecker form plus U (V^T x)
-    to the free-DOF vector, the grid X = x.reshape(n, n), right-preconditioned by
+    2D (``KroneckerOperators``): ``gmres`` applies S in one pass (``ops.operator(c)``)
+    plus U (V^T x) to the free-DOF vector, the grid X = x.reshape(n, n), preconditioned by
     the fast diagonalization of the separable symmetric part A(x)T + T(x)A of S,
     T = (c_A - c_P)/2 A + c_K1 S + c_K2 B + c_Q Q on the axis (P + P^T = -A):
     with T W = A W diag(lam) (``eigh``, one for both axes) its inverse is
     X -> W [(W^T X W) / (lam_i + lam_j)] W^T.  The eigendecomposition is kept,
     and refreshed at the first solve, after ``reset`` and after a solve of more
     than ``GMRES_REFRESH`` iterations.  ``factorizations`` counts the band LUs
-    in 1D and the refreshes in 2D.
+    in 1D and the refreshes in 2D, ``gmres_iterations`` the iterations of 2D solves.
     """
 
     def __init__(self, ops: AssembledOperators | KroneckerOperators):
         self.ops = ops
-        self.factorizations = 0
+        self.factorizations = self.gmres_iterations = 0
         self._fd = None  # (W, lam_i + lam_j) of the kept preconditioner
 
     def reset(self) -> None:
@@ -187,16 +188,16 @@ class LinearSolver:
             if not (lam := lam1[:, None] + lam1).all():
                 raise SingularJacobian("zero eigenvalue sum in the fast diagonalization")
             self._fd, self.factorizations = (W, lam), self.factorizations + 1
-        W, lam = self._fd
+        (W, lam), apply = self._fd, self.ops.operator(c)
 
         def matvec(z):
-            return (np.tensordot(c, self.ops.grid_products(z.reshape(lam.shape)), 1).ravel()
-                    + (V.T @ z) @ U.T)
+            return apply(z.reshape(lam.shape)).ravel() + (V.T @ z) @ U.T
 
         def psolve(v):
             return (W @ ((W.T @ v.reshape(lam.shape) @ W) / lam) @ W.T).ravel()
 
         x, iterations = gmres(matvec, psolve, rhs)
+        self.gmres_iterations += iterations
         self._fd = None if iterations > GMRES_REFRESH else self._fd  # a slow solve refreshes
         return x
 
@@ -459,4 +460,4 @@ def advance(system: BeamSystem, cfg: NewmarkConfig, d0: np.ndarray,
     done = len(ds) == cfg.n_steps + 1  # a failed step eta + 1 leaves d^0..d^eta
     return Trajectory(ds, times[: len(ds)], iters, residuals,
                       "completed" if done else "diverged", None if done else len(ds),
-                      solver.factorizations)
+                      solver.factorizations, solver.gmres_iterations)

@@ -364,19 +364,26 @@ class TestAffineOperators:
             assert np.array_equal(M.indptr, ops.A.indptr)
             assert np.array_equal(M.indices, ops.A.indices)
 
-    @pytest.mark.parametrize("dim,cells", [(1, 8), (2, 3)])
+    @pytest.mark.parametrize("dim,cells", [(1, 8), (2, 3), (2, 4), (2, 16)])
     def test_products_match_combined_matrices(self, dim, cells, rng):
         space = HermiteSpace(Mesh.uniform(dim, cells))
         ops, csr = assemble_constant(space), free_operators(space)
         x = rng.standard_normal(space.ndof)
-        for c in (np.eye(5)[3], rng.standard_normal(5)):
+        mixed = rng.standard_normal(5)
+        assert np.all(mixed != 0.0)
+        for c in (*np.eye(5), mixed):
             ref = csr.combine(c) @ x
             assert np.max(np.abs(c @ ops.products(x) - ref)) <= 1e-14 * np.max(np.abs(ref))
+            if dim == 2:  # S(c) in one pass on the grid of x, against the 2D assembly
+                n = ops.axis.A.shape[0]
+                got = ops.operator(c)(x.reshape(n, n))
+                assert got.shape == (n, n)
+                assert np.max(np.abs(got.ravel() - ref)) <= 1e-14 * np.max(np.abs(ref))
         # the stacked matrix (of the axis in 2D) reads the operators' data in place
         held = ops if dim == 1 else ops.axis
         assert np.shares_memory(held.stacked.data, held.stack)
 
-    @pytest.mark.parametrize("dim,cells", [(1, 8), (1, 128), (2, 8)])
+    @pytest.mark.parametrize("dim,cells", [(1, 8), (1, 128), (2, 8), (2, 32)])
     def test_products_equal_the_stacked_product(self, dim, cells, rng):
         # products runs the CSR kernel of stacked @ x on its arrays: the same sum
         ops = assemble_constant(HermiteSpace(Mesh.uniform(dim, cells)))
@@ -385,6 +392,31 @@ class TestAffineOperators:
         assert np.array_equal(held.products(x), (held.stacked @ x).reshape(5, -1))
         with pytest.raises(ValueError, match="entries"):  # the kernel would read past x
             held.products(x[:-1])
+        if dim == 2:  # grid_products runs the kernels of stacked @ X^T and _left @ XC
+            n = held.A.shape[0]
+            X = rng.standard_normal((n, n))
+            XC = (held.stacked @ X.T).reshape(-1, n, n).swapaxes(1, 2).reshape(-1, n)
+            assert np.array_equal(ops.grid_products(X), (ops._left @ XC).reshape(-1, n, n))
+            for bad in (X[:-1], X[:, :-1], X.ravel()):  # the kernel would read past X
+                with pytest.raises(ValueError, match="grid"):
+                    ops.grid_products(bad)
+                with pytest.raises(ValueError, match="grid"):
+                    ops.operator(np.ones(5))(bad)
+
+    @pytest.mark.parametrize("cells", [3, 8])
+    def test_2d_error_forms_are_the_quadratic_forms(self, cells, rng):
+        # e^T A e and e^T K2 e of each column, from rows of the axis cut once
+        space = HermiteSpace(Mesh(2, cells))
+        ops, csr = assemble_constant(space), free_operators(space)
+        E = rng.standard_normal((space.ndof, 3))
+        got = ops.error_forms(E)
+        for row, M in zip(got, (csr.A, csr.K2)):
+            ref = np.einsum("im,im->m", E, M @ E)
+            assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref))
+        rows = ops._symmetric_rows
+        assert np.array_equal(ops.error_forms(E), got) and ops._symmetric_rows is rows
+        n = ops.axis.A.shape[0]
+        assert (rows != ops.axis.stacked[:3 * n]).nnz == 0
 
     @pytest.mark.parametrize("dim,cells", [(1, 8), (1, 128)])  # 2D solves form no band
     def test_band_matches_combined_matrix(self, dim, cells, rng):

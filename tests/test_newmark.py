@@ -410,7 +410,7 @@ class _PerIterationLU:
     """Reference solver: a dense LU of the whole Newton matrix at every
     iteration, combined from ``csr``, the run's operators as ``free_operators``."""
 
-    factorizations = 0
+    factorizations = gmres_iterations = 0
 
     def __init__(self, csr):
         self.csr = csr
@@ -564,6 +564,34 @@ class TestLinearSolver:
         assert isinstance(system.ops, KroneckerOperators)
         assert factored == banded == [] and len(combined) == traj.factorizations
         assert "band_stack" not in vars(system.ops.axis)
+
+    @pytest.mark.parametrize("boundary,amplitude", [(None, None), (FAST, 1.0)])  # B1, K = 1 + t/2
+    def test_2d_products_are_formed_once_per_state(self, boundary, amplitude, monkeypatch):
+        # the five products of d^0, of the startup velocity and of each Newton
+        # iterate; a GMRES iteration applies S(c) in one pass and forms none
+        _, system, d0, d1 = _mms_system(dim=2, cells=8, boundary=boundary,
+                                        amplitude=amplitude)
+        formed = _count_calls(monkeypatch, KroneckerOperators, "grid_products")
+        traj = advance(system, NewmarkConfig(theta=0.25, dt=2.0**-5, n_steps=16), d0, d1)
+        assert traj.completed
+        assert len(formed) == 2 + sum(traj.newton_iterations) < traj.gmres_iterations
+
+    def test_gmres_iterations_are_counted(self, monkeypatch):
+        # the run's total of the iterations gmres reports; a 1D run makes none
+        iterations, original = [], newmark.gmres
+
+        def counting(*args):
+            x, count = original(*args)
+            iterations.append(count)
+            return x, count
+
+        monkeypatch.setattr(newmark, "gmres", counting)
+        cfg = NewmarkConfig(theta=0.25, dt=2.0**-5, n_steps=16)
+        _, system, d0, d1 = _mms_system(dim=2, cells=8, boundary=FAST, amplitude=1.0)
+        traj = advance(system, cfg, d0, d1)
+        assert traj.completed and traj.gmres_iterations == sum(iterations) > len(iterations)
+        _, system, d0, d1 = _mms_system(cells=8, boundary=FAST, amplitude=1.0)
+        assert advance(system, cfg, d0, d1).gmres_iterations == 0
 
     def test_gmres_missing_its_target_is_a_singular_jacobian(self, monkeypatch):
         # the paper's regime needs 2 iterations per solve: a cap of 1 misses the

@@ -420,7 +420,8 @@ class KroneckerOperators:
         """(e^T A e, e^T K2 e) of each column e of E (n^2, m), as (2, m), from
         the grids X of the columns and the symmetric A, S, B of the axis:
         e^T (A(x)A) e = <AX, XA> and e^T K2 e = <AX, XB> + <BX, XA> + 2 <SX, XS>."""
-        n, m, rows = self.axis.A.shape[0], E.shape[1], self._symmetric_rows
+        n, m = self.axis.A.shape[0], E.shape[1]
+        rows = self._symmetric_rows  # A, S, B
         AX, SX, BX = (rows @ E.reshape(n, -1)).reshape(3, n, n, m)  # [b, a, state]
         flipped = E.reshape(n, n, m).transpose(1, 0, 2).reshape(n, -1)
         XA, XS, XB = (rows @ flipped).reshape(3, n, n, m)  # M X^T = (X M)^T: [a, b, state]
@@ -438,13 +439,14 @@ class KroneckerOperators:
         pass.  With P^T = -A - P on the axis, S(c) = c_0 A(x)A + H(x)A + A(x)H + 2 c_2 S(x)S
         - 2 c_3 P(x)P, H = c_1 S + c_2 B + c_3 Q + (c_4 - c_3) P: the right stack [A; H; S; P],
         then the block row [c_0 A + H, A, 2 c_2 S, -2 c_3 P], whose data are formed here."""
-        M, n, (*pattern, order) = self.axis.stacked, self.axis.A.shape[0], self._row_pattern
+        n, nnz = self.axis.A.shape[0], self.axis.A.nnz
         c0, c1, c2, c3, c4 = np.asarray(c).tolist()  # rows: the right stack, the block row
         data = np.array([[1, 0, 0, 0, 0], [0, c1, c2, c3, c4 - c3], [0, 1, 0, 0, 0],
                          [0, 0, 0, 0, 1], [c0, c1, c2, c3, c4 - c3], [1, 0, 0, 0, 0],
                          [0, 2 * c2, 0, 0, 0], [0, 0, 0, 0, -2 * c3]], float) @ self.axis.stack
-        right = (4 * n, n, M.indptr[:4 * n + 1], M.indices[:data[:4].size], data[:4].ravel())
-        left = (n, 4 * n, *pattern, data[4:].ravel()[order])
+        M, (indptr, indices, order) = self.axis.stacked, self._row_pattern
+        right = (4 * n, n, M.indptr[:4 * n + 1], M.indices[:4 * nnz], data[:4].ravel())
+        left = (n, 4 * n, indptr, indices, data[4:].ravel()[order])
         return lambda X: _two_stage(right, left, X).reshape(n, n)
 
 

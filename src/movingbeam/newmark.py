@@ -24,7 +24,8 @@ startup step with its ghost level included.  Its Jacobian is a step matrix
 plus a low-rank correction from the differential of G (``LinearSolver``): in
 1D each solve is one LAPACK ``dgbsv`` and the Woodbury identity; in 2D it is
 GMRES, which applies S in one pass (``ops.operator``), preconditioned by a kept
-fast diagonalization of the separable part.  Results are deterministic.
+fast diagonalization of the separable part.  Results are deterministic for a
+fixed configuration.
 
 theta in ]1/4, 1] gives the unconditionally convergent family; theta < 1/4 is
 conditionally stable and may legitimately diverge on fine meshes, which is
@@ -140,7 +141,7 @@ class LinearSolver:
     (kl = ku = ``ops.bandwidth``) factors it and solves for [b, U]; ``dgesv``
     takes the r x r Woodbury capacitance I + V^T S^-1 U.  Nothing is kept.
     2D (``KroneckerOperators``): ``gmres`` applies S in one pass (``ops.operator(c)``)
-    plus U (V^T x) to the free-DOF vector, the grid X = x.reshape(n, n), preconditioned by
+    plus U (V^T x) to the free-DOF vector, the grid X = x.reshape(n, n), right-preconditioned by
     the fast diagonalization of the separable symmetric part A(x)T + T(x)A of S,
     T = (c_A - c_P)/2 A + c_K1 S + c_K2 B + c_Q Q on the axis (P + P^T = -A):
     with T W = A W diag(lam) (``eigh``, one for both axes) its inverse is
@@ -188,7 +189,8 @@ class LinearSolver:
             if not (lam := lam1[:, None] + lam1).all():
                 raise SingularJacobian("zero eigenvalue sum in the fast diagonalization")
             self._fd, self.factorizations = (W, lam), self.factorizations + 1
-        (W, lam), apply = self._fd, self.ops.operator(c)
+        W, lam = self._fd
+        apply = self.ops.operator(c)
 
         def matvec(z):
             return apply(z.reshape(lam.shape)).ravel() + (V.T @ z) @ U.T

@@ -6,6 +6,7 @@ K^n, gradients scaled by 1/K, and the transport correction in the velocity).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,29 +21,32 @@ __all__ = ["energy_from_state", "energy_series", "DecayFit", "decay_fit"]
 
 def _energies(space: HermiteSpace, boundary: MovingBoundary, params: BeamParameters,
               d: np.ndarray, d_dot: np.ndarray, times, nq: int) -> np.ndarray:
-    """E at each row of the stacks d, d_dot (m, ndof) at the m times: one
-    product per field for the whole stack, and each of the density's four
-    integrals one product with the weights."""
+    """E at each row of the stacks d, v = d_dot (m, ndof) at the m times.  With
+    r = K'/K, u_t = v - r y.grad u and ``space.operators``,
+        2E/K^n = v^T A v - 2r v^T P d + r^2 |y.grad u|^2 + b2 d^T K2 d + s0 d^T K1 d
+                 + b1/2 int |grad u|^4,
+    |y.grad u|^2 = d^T Q d / 2, plus <X, P X P> on the grid X of d in 2D (P of the axis).
+    The stack d takes one product with the five operators and v one with A; only the
+    quartic term is a quadrature, of the gradient fields."""
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(d_dot))):
         raise ValueError("energy of a non-finite state is undefined")
     k, r, b1, b2, s0 = np.array([(f.k, f.r, f.b1, f.b2, f.s0) for f in (
         time_factors(boundary, params, float(t)) for t in times)]).T
-    dim, m = space.mesh.dim, len(d)
-    tab = space.basis_tables(nq)
-    w = np.tile(tab["w"], space.mesh.ncells)
-    pts = tab["points"].reshape(-1, dim)
-
-    def field(x, deriv):
-        return space.eval_at_quad(x, nq, deriv).reshape(m, -1)
-
-    grads = [field(d, f"grad{i}") for i in range(dim)]
-    y_dot_grad = sum(pts[:, i] * grads[i] for i in range(dim))
-    u_prime = field(d_dot, "N") - r[:, None] * y_dot_grad
-    grad_sq = sum(g * g for g in grads)
-    lap = field(d, "lap")
-    density = (u_prime**2 @ w + b2 * (lap**2 @ w) + s0 * (grad_sq @ w)
-               + 0.5 * b1 * (grad_sq**2 @ w))
-    return 0.5 * k**dim * density
+    dim, m, ops = space.mesh.dim, len(d), space.operators
+    if dim == 1:  # columns of the CSR kernel's product with the stacked five
+        Od, Av, cross = (ops.stacked @ d.T).reshape(5, -1, m), ops.A @ d_dot.T, 0.0
+    else:  # per state on its grid; A(x)A V = A V A
+        A, P, n = ops.axis.A, ops.axis.P, ops.axis.A.shape[0]
+        Od = np.stack([ops.products(x) for x in d], axis=-1)
+        Av = np.stack([(A @ V @ A).ravel() for V in d_dot.reshape(m, n, n)], axis=-1)
+        cross = np.array([np.vdot(X, P @ X @ P) for X in d.reshape(m, n, n)])
+    dot = functools.partial(np.einsum, "is,is->s", d.T)
+    w = np.tile(space.basis_tables(nq)["w"], space.mesh.ncells)
+    grad_sq = sum(space.eval_at_quad(d, nq, f"grad{i}").reshape(m, -1) ** 2 for i in range(dim))
+    twice = (np.einsum("is,is->s", d_dot.T, Av - 2.0 * r * Od[4])
+             + r * r * (0.5 * dot(Od[3]) + cross) + b2 * dot(Od[2]) + s0 * dot(Od[1])
+             + 0.5 * b1 * (grad_sq**2 @ w))
+    return 0.5 * k**dim * twice
 
 
 def energy_from_state(
@@ -57,7 +61,9 @@ def energy_from_state(
     """E(t) = 1/2 int |u'|^2 + |lap_x u|^2 + zeta0 |grad_x u|^2 dx + (zeta1/4) int |grad_x u|^4 dx.
 
     The quartic term is pointwise; it is not the nonlocal Kirchhoff energy
-    (zeta1/4) (int |grad_x u|^2 dx)^2 of the equation the scheme solves."""
+    (zeta1/4) (int |grad_x u|^2 dx)^2 of the equation the scheme solves.  The other
+    terms are quadratic forms of ``space.operators``; the quartic one takes ``nq``
+    Gauss points per axis and cell."""
     return float(_energies(space, boundary, params, d[None], d_dot[None], [t], nq)[0])
 
 
@@ -73,7 +79,9 @@ def energy_series(
 
     The states are evaluated in blocks (``HermiteSpace.state_blocks``); a
     block stacks its own states and takes their velocities from the
-    neighbours in ``trajectory.d``, so the trajectory is never copied whole."""
+    neighbours in ``trajectory.d``, so the trajectory is never copied whole.
+    A block takes one product of its states with the five constant operators,
+    one A product of its velocities and the quadrature of its gradient fields."""
     if not trajectory.completed:
         raise ValueError("cannot compute the energy of a diverged trajectory")
     d, times = trajectory.d, np.asarray(trajectory.times, dtype=float)

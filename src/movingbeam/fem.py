@@ -44,7 +44,7 @@ __all__ = [
 
 DEFAULT_OPERATOR_QUAD = 5   # exact through degree 9 per axis
 DEFAULT_LOAD_QUAD = 6
-_BLOCK_VALUES = 2 ** 16     # quadrature values per field in a block of states
+_BLOCK_VALUES = 2 ** 14     # quadrature values per field in a block of states
 REFERENCE_INTERVAL = (-1.0, 1.0)  # each axis of the reference box
 
 
@@ -254,8 +254,9 @@ class HermiteSpace:
         return (de.reshape(-1, de.shape[-1]) @ basis.T).reshape(de.shape[:-1] + (-1,))
 
     def state_blocks(self, count: int, nq: int) -> list[tuple[int, int]]:
-        """Ranges (lo, hi) covering states 0..count-1 in blocks of one state or
-        more, with at most ``_BLOCK_VALUES`` :meth:`eval_at_quad` values per field."""
+        """Ranges (lo, hi) covering states 0..count-1 in blocks of one state or more,
+        with at most ``_BLOCK_VALUES`` :meth:`eval_at_quad` values per field: the
+        blocks of ``energy_series``, whose quartic term is the one quadrature left."""
         size = max(1, _BLOCK_VALUES // (self.mesh.ncells * nq ** self.mesh.dim))
         return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
 

@@ -139,6 +139,30 @@ def error_series(space, trajectory, case, nq=8):
     return np.array(l2), np.array(h2)
 
 
+def quadrature_energies(space, boundary, params, d, d_dot, times, nq=8):
+    """E at each row of the stacks d, d_dot (m, ndof) at the m times, with the
+    displacement, velocity, gradient and Laplacian evaluated at the Gauss points:
+    the reference ``energy_series`` is checked against."""
+    k, r, b1, b2, s0 = np.array([(f.k, f.r, f.b1, f.b2, f.s0) for f in (
+        time_factors(boundary, params, float(t)) for t in times)]).T
+    dim, m = space.mesh.dim, len(d)
+    tab = space.basis_tables(nq)
+    w = np.tile(tab["w"], space.mesh.ncells)
+    pts = tab["points"].reshape(-1, dim)
+
+    def field(x, deriv):
+        return space.eval_at_quad(x, nq, deriv).reshape(m, -1)
+
+    grads = [field(d, f"grad{i}") for i in range(dim)]
+    y_dot_grad = sum(pts[:, i] * grads[i] for i in range(dim))
+    u_prime = field(d_dot, "N") - r[:, None] * y_dot_grad
+    grad_sq = sum(g * g for g in grads)
+    lap = field(d, "lap")
+    density = (u_prime**2 @ w + b2 * (lap**2 @ w) + s0 * (grad_sq @ w)
+               + 0.5 * b1 * (grad_sq**2 @ w))
+    return 0.5 * k**dim * density
+
+
 def residual_at(problem, X):
     """R(X) of a ``StepProblem``, with the products of X formed here."""
     return problem.residual(X, problem.ops.products(X))[0]

@@ -7,6 +7,7 @@ import pytest
 from movingbeam import (
     BeamParameters,
     BeamSystem,
+    BoundaryKind,
     HermiteSpace,
     ManufacturedCase,
     Mesh,
@@ -20,7 +21,11 @@ from movingbeam import (
     interpolate_initial,
 )
 
-from conftest import velocity_series
+from conftest import quadrature_energies, velocity_series
+
+# K = 1 + t/2: r = K'/K near 1/2, and b1 = zeta1/K^4 near zeta1
+LINEAR = MovingBoundary(BoundaryKind.LINEAR_DRIFT, base=1.0, slope=0.5,
+                        k0=0.5, k1_bound=2.5, k2_bound=1.0)
 
 
 def _homogeneous_run(b, params, case, dim, cells, n_steps, zero=False):
@@ -88,7 +93,7 @@ class TestEnergyFromState:
 
 
 class TestEnergySeries:
-    # 1D at 64 cells: 128 states per block; 2D at 8x8 cells: 16 per block,
+    # 1D at 64 cells: 32 states per block; 2D at 8x8 cells: 4 per block,
     # neither a divisor of the state count; with 33^2 points, one per block
     @pytest.mark.parametrize("dim,cells,n_steps,nq", [(1, 64, 300, 8), (2, 8, 40, 8),
                                                       (2, 8, 6, 33)])
@@ -104,8 +109,37 @@ class TestEnergySeries:
         assert np.array_equal(times, traj.times)
         np.testing.assert_allclose(E, ref, rtol=1e-14, atol=0.0)
 
+    # B1, and K = 1 + t/2 at amplitude 1, where the transport and quartic terms count
+    @pytest.mark.parametrize("dim,cells", [(1, 16), (2, 4)])
+    @pytest.mark.parametrize("fast", [False, True], ids=["B1", "K=1+t/2"])
+    def test_matches_the_quadrature_oracle(self, dim, cells, fast, params):
+        b = LINEAR if fast else MovingBoundary.b1(dim)
+        case = (ManufacturedCase("S1", dim, amplitude=1.0, temporal="cos") if fast
+                else ManufacturedCase.standard("S1", dim))
+        space, traj = _homogeneous_run(b, params, case, dim, cells, 24)
+        assert traj.completed
+        times, E = energy_series(space, b, params, traj)
+        ref = quadrature_energies(space, b, params, np.array(traj.d),
+                                  np.array(velocity_series(traj)), traj.times)
+        np.testing.assert_allclose(E, ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("dim,cells", [(1, 16), (2, 4)])
+    def test_only_the_gradient_fields_take_a_quadrature(self, dim, cells, params, monkeypatch):
+        b = MovingBoundary.b1(dim)
+        space, traj = _homogeneous_run(b, params, ManufacturedCase.standard("S1", dim),
+                                       dim, cells, 8)
+        asked, evaluate = set(), HermiteSpace.eval_at_quad
+
+        def recording(self, d_free, nq, deriv="N"):
+            asked.add(deriv)
+            return evaluate(self, d_free, nq, deriv)
+
+        monkeypatch.setattr(HermiteSpace, "eval_at_quad", recording)
+        energy_series(space, b, params, traj)
+        assert asked == {f"grad{i}" for i in range(dim)}
+
     def test_trajectory_is_not_copied(self, b1_1d, params, s1_1d):
-        # 2048 cells and 1024 steps: 34 MB of states, a block of 4 states.
+        # 2048 cells and 1024 steps: 34 MB of states, a block of one state.
         # The states start at rest, which changes nothing that is allocated.
         space, traj = _homogeneous_run(b1_1d, params, s1_1d, 1, 2048, 1024, zero=True)
         assert traj.completed
@@ -118,11 +152,11 @@ class TestEnergySeries:
             tracemalloc.stop()
         assert peak < 0.25 * states
 
-    @pytest.mark.parametrize("bad", [127, 128])
-    def test_non_finite_state_mid_run_rejected(self, b1_1d, params, s1_1d, bad):
-        # blocks of 128 states: state 127 ends the first, 128 starts the second
+    @pytest.mark.parametrize("side", [-1, 0], ids=["ends-first-block", "starts-second-block"])
+    def test_non_finite_state_mid_run_rejected(self, b1_1d, params, s1_1d, side):
         space, traj = _homogeneous_run(b1_1d, params, s1_1d, 1, 64, 300)
-        traj.d[bad] = np.full(space.ndof, np.nan)
+        edge = space.state_blocks(301, 8)[1][0]
+        traj.d[edge + side] = np.full(space.ndof, np.nan)
         with pytest.raises(ValueError, match="non-finite"):
             energy_series(space, b1_1d, params, traj)
 

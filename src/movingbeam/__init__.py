@@ -46,7 +46,6 @@ from .verification import (
     error_norms,
     simulate,
     theta_sweep,
-    weak_strong_consistency,
 )
 from .energy import DecayFit, decay_fit, energy_from_state, energy_series
 

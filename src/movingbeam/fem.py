@@ -14,7 +14,7 @@ so all assembled operators share the same ``indptr``/``indices`` and any
 linear combination of them is a combination of their data arrays.  On the
 free DOFs of a 2D space only the 1D operators of one axis are assembled
 (``KroneckerOperators``), and each 2D operator applies itself as a Kronecker
-sum of them, with no 2D matrix; only the full-space operators are 2D CSR.
+sum of them, with no 2D matrix.
 """
 from __future__ import annotations
 
@@ -137,7 +137,6 @@ class HermiteSpace:
 
         self.element_dofs = self._element_dof_matrix()
         self._basis_cache: dict[int, dict] = {}
-        self._patterns: dict[bool, tuple] = {}
         self.axis = HermiteSpace(Mesh(1, mesh.cells)) if mesh.dim == 2 else None
 
     @functools.cached_property
@@ -183,35 +182,29 @@ class HermiteSpace:
 
     # -- scatter -------------------------------------------------------------
 
-    def _pattern(self, full_space: bool) -> tuple:
-        """(keep, slot, template): the element entries kept on this side, the
-        CSR data position of each, and an all-zero matrix with the shared
-        ``indptr``/``indices``; computed once per side from the connectivity."""
-        if full_space not in self._patterns:
-            ed, nloc = self.element_dofs, self.element_dofs.shape[1]
-            rows, cols = np.repeat(ed, nloc, axis=1).ravel(), np.tile(ed, (1, nloc)).ravel()
-            n, keep = self.ndof_full, slice(None)
-            if not full_space:
-                rows, cols = self.full_to_free[rows], self.full_to_free[cols]
-                keep = (rows >= 0) & (cols >= 0)
-                n, rows, cols = self.ndof, rows[keep], cols[keep]
-            # row-major keys sort into CSR order: row by row, columns ascending
-            keys, slot = np.unique(rows * n + cols, return_inverse=True)
-            indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-            template = sp.csr_matrix((np.zeros(keys.size), keys % n, indptr), shape=(n, n))
-            self._patterns[full_space] = (keep, slot.ravel(), template)
-        return self._patterns[full_space]
+    @functools.cached_property
+    def _pattern(self) -> tuple:
+        """(keep, slot, template): the element entries on two free DOFs, the CSR
+        data position of each, and an all-zero matrix with the shared
+        ``indptr``/``indices``; computed once from the connectivity."""
+        ed, nloc, n = self.element_dofs, self.element_dofs.shape[1], self.ndof
+        rows = self.full_to_free[np.repeat(ed, nloc, axis=1).ravel()]
+        cols = self.full_to_free[np.tile(ed, (1, nloc)).ravel()]
+        keep = (rows >= 0) & (cols >= 0)
+        # row-major keys sort into CSR order: row by row, columns ascending
+        keys, slot = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        template = sp.csr_matrix((np.zeros(keys.size), keys % n, indptr), shape=(n, n))
+        return keep, slot.ravel(), template
 
-    def scatter(self, elem_mats: np.ndarray, full_space: bool = False) -> sp.csr_matrix:
-        """Accumulate per-cell matrices (ncells, nloc, nloc) into a CSR matrix.
+    def scatter(self, elem_mats: np.ndarray) -> sp.csr_matrix:
+        """Accumulate per-cell matrices (ncells, nloc, nloc) into a CSR matrix on
+        the free DOFs.
 
-        Row index is the test DOF, column the trial DOF.  By default both
-        sides are restricted to the free DOFs; ``full_space`` keeps every
-        DOF (used by consistency checks that test against smooth functions
-        not satisfying the clamped conditions).  The result keeps explicit
-        zeros, so every matrix of one side shares the same pattern arrays.
+        Row index is the test DOF, column the trial DOF.  The result keeps
+        explicit zeros, so every matrix of the space shares the same pattern arrays.
         """
-        keep, slot, template = self._pattern(full_space)
+        keep, slot, template = self._pattern
         data = np.bincount(slot, weights=elem_mats.reshape(-1)[keep],
                            minlength=template.nnz)
         return sp.csr_matrix(
@@ -472,16 +465,16 @@ def _elem_integrals(space: HermiteSpace, nq: int, coef, trial, test) -> np.ndarr
 
 
 def assemble_constant(
-    space: HermiteSpace, nq: int = DEFAULT_OPERATOR_QUAD, full_space: bool = False
+    space: HermiteSpace, nq: int = DEFAULT_OPERATOR_QUAD
 ) -> AssembledOperators | KroneckerOperators:
-    """Assemble A, K1, K2, Q and P, on the free DOFs unless ``full_space``; on the
-    free DOFs of a 2D space only the 1D operators of its axis, with this ``nq``."""
-    if space.mesh.dim == 1 or full_space:
-        return _quadrature(space, nq, full_space)
-    return KroneckerOperators(_quadrature(space.axis, nq, False))
+    """Assemble A, K1, K2, Q and P on the free DOFs: in 2D only the 1D operators
+    of the space's axis, with this ``nq``."""
+    if space.mesh.dim == 1:
+        return _quadrature(space, nq)
+    return KroneckerOperators(_quadrature(space.axis, nq))
 
 
-def _quadrature(space: HermiteSpace, nq: int, full_space: bool) -> AssembledOperators:
+def _quadrature(space: HermiteSpace, nq: int) -> AssembledOperators:
     """The five operators of ``space`` by quadrature.  The contributions of each
     matrix are summed per cell and scattered at once, before the next one is
     integrated: no sparse addition prunes entries, all five share one pattern,
@@ -492,15 +485,14 @@ def _quadrature(space: HermiteSpace, nq: int, full_space: bool) -> AssembledOper
     pairs = [(i, j) for i in range(len(g)) for j in range(len(g))]
     ones = np.ones(y.shape[:2])
     integrate = functools.partial(_elem_integrals, space, nq)
-    scatter = functools.partial(space.scatter, full_space=full_space)
     return AssembledOperators(
-        A=scatter(integrate(ones, tab["N"], tab["N"])),
-        K1=scatter(sum(integrate(ones, gi, gi) for gi in g)),
-        K2=scatter(integrate(ones, tab["lap"], tab["lap"])),
+        A=space.scatter(integrate(ones, tab["N"], tab["N"])),
+        K1=space.scatter(sum(integrate(ones, gi, gi) for gi in g)),
+        K2=space.scatter(integrate(ones, tab["lap"], tab["lap"])),
         # Q1 adds the diagonal i = j terms of Q2 once more
-        Q=scatter(sum(integrate((1.0 + (i == j)) * y[..., i] * y[..., j], g[i], g[j])
-                      for i, j in pairs)),
-        P=scatter(sum(integrate(y[..., i], gi, tab["N"]) for i, gi in enumerate(g))),
+        Q=space.scatter(sum(integrate((1.0 + (i == j)) * y[..., i] * y[..., j], g[i], g[j])
+                            for i, j in pairs)),
+        P=space.scatter(sum(integrate(y[..., i], gi, tab["N"]) for i, gi in enumerate(g))),
     )
 
 
@@ -541,14 +533,12 @@ def assemble_load(
 def interpolate_initial(
     space: HermiteSpace,
     derivs: Callable[[np.ndarray, tuple], np.ndarray],
-    full_space: bool = False,
 ) -> np.ndarray:
     """Nodal Hermite interpolant of a datum given its derivative evaluator.
 
     ``derivs(points, multi_index)`` returns the requested spatial derivative
     at the nodes.  Each free DOF takes the exact nodal value/derivative; this
-    is the startup accuracy the error analysis assumes.  ``full_space``
-    returns all DOFs including the ones the clamped space constrains.
+    is the startup accuracy the error analysis assumes.
     """
     m = space.mesh
     nodes, full = m.node_coords(), np.zeros(space.ndof_full)
@@ -556,4 +546,4 @@ def interpolate_initial(
     for mi in itertools.product((0, 1), repeat=m.dim):  # derivative order per axis
         at = sum(((slice(None), o) for o in mi[::-1]), ())
         grid[at] = derivs(nodes, mi).reshape((m.cells + 1,) * m.dim)
-    return full if full_space else full[space.free_dofs]
+    return full[space.free_dofs]

@@ -11,20 +11,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .fem import (
-    REFERENCE_INTERVAL,
-    HermiteSpace,
-    Mesh,
-    assemble_constant,
-    interpolate_initial,
-    l_coefficients,
-)
-from .geometry import BeamParameters, MovingBoundary, time_factors
-from .manufactured import ManufacturedCase, make_source, strong_coefficients, strong_terms
+from .fem import REFERENCE_INTERVAL, HermiteSpace, Mesh, interpolate_initial
+from .geometry import BeamParameters, MovingBoundary
+from .manufactured import ManufacturedCase, make_source
 from .newmark import BeamSystem, ConfigError, NewmarkConfig, Trajectory, advance
 
 _FORM_VALUES = 2 ** 14   # entries of a block of states in error_norms
@@ -39,7 +32,6 @@ __all__ = [
     "error_norms",
     "convergence_study",
     "theta_sweep",
-    "weak_strong_consistency",
     "cells_for_h",
     "exact_nodal_trajectory",
 ]
@@ -264,46 +256,3 @@ def theta_sweep(
             else:
                 out.errors[(h, theta)] = None
     return out
-
-
-def weak_strong_consistency(
-    space: HermiteSpace,
-    boundary: MovingBoundary,
-    params: BeamParameters,
-    t: float,
-    v_derivs: Callable[[np.ndarray, tuple], np.ndarray],
-    w_derivs: Callable[[np.ndarray, tuple], np.ndarray],
-    nq: int = 12,
-) -> float:
-    """|weak form on interpolants - quadrature of (strong operator of v) * w|.
-
-    Exercises the spatial operator only: the Kirchhoff scalar is evaluated
-    from the exact gradient on both sides so the residual isolates the
-    assembly/by-parts bookkeeping.  Must shrink at least quadratically under
-    mesh refinement when the assembled form and the strong operator agree.
-    """
-    dim = space.mesh.dim
-    f = time_factors(boundary, params, t)
-
-    # exact Kirchhoff scalar from the exact gradient
-    tab = space.basis_tables(nq)
-    pts = tab["points"].reshape(-1, dim)
-    w_q = np.tile(tab["w"], space.mesh.ncells)
-    grad_sq = sum(v_derivs(pts, tuple(int(o) for o in e)) ** 2 for e in np.eye(dim))
-    g_exact = f.b1 * float(np.sum(grad_sq * w_q))
-
-    # full-space operators: the trial function need not satisfy the clamped
-    # conditions; the (clamped) test function kills the constrained rows
-    ops = assemble_constant(space, full_space=True)
-    L2f = ops.combine(l_coefficients(f, params.nu)[1])
-
-    d_v = interpolate_initial(space, v_derivs, full_space=True)
-    d_w = space.expand(interpolate_initial(space, w_derivs))
-    weak = float(d_w @ (L2f @ d_v)) + g_exact * float(d_w @ (ops.K1 @ d_v))
-
-    # the same operator in strong form, applied to v at the quadrature grid
-    weights = strong_coefficients(f, params.nu, dim)[1]
-    weights[1] -= g_exact
-    strong = sum(c * h(pts) for c, h in zip(weights, strong_terms(v_derivs, dim)))
-    strong_val = float(np.sum(strong * w_derivs(pts, (0,) * dim) * w_q))
-    return abs(weak - strong_val)

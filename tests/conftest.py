@@ -9,19 +9,19 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from movingbeam import (
-    AssembledOperators,
     BeamParameters,
     HermiteSpace,
     ManufacturedCase,
     Mesh,
     MovingBoundary,
     SingularMappingError,
-    assemble_constant,
     assemble_load,
     eval_boundary,
 )
-from movingbeam.fem import DEFAULT_LOAD_QUAD, DEFAULT_OPERATOR_QUAD, _elem_integrals
+from movingbeam.fem import (DEFAULT_LOAD_QUAD, DEFAULT_OPERATOR_QUAD, _elem_integrals, _quadrature,
+                            interpolate_initial, l_coefficients)
 from movingbeam.geometry import time_factors
+from movingbeam.manufactured import strong_coefficients, strong_terms
 from movingbeam.newmark import StepProblem
 
 
@@ -93,15 +93,59 @@ def map_back(b, t, x):
     return np.asarray(x, dtype=float) / _scale(b, t)
 
 
+class UnclampedSpace(HermiteSpace):
+    """The Hermite space of ``mesh`` with no DOF clamped: its free set is every
+    DOF.  The package's ``_quadrature`` and ``interpolate_initial`` run on it;
+    ``assemble_constant`` does not, its 2D form holding only on the clamped space."""
+
+    def __init__(self, mesh):
+        super().__init__(mesh)
+        self.free_dofs = self.full_to_free = np.arange(self.ndof_full)
+        self.ndof = self.ndof_full
+
+
 def free_operators(space, nq=DEFAULT_OPERATOR_QUAD):
-    """The free-DOF operators as CSR matrices: ``assemble_constant`` itself in
-    1D; in 2D, where it keeps only the 1D operators of the axes, the full-space
-    quadrature restricted to the free DOFs."""
-    if space.mesh.dim == 1:
-        return assemble_constant(space, nq)
-    full, free = assemble_constant(space, nq, full_space=True), space.free_dofs
-    return AssembledOperators(**{name: getattr(full, name)[free][:, free]
-                                 for name in AssembledOperators.BASIS})
+    """The operators of the free DOFs of ``space`` as CSR matrices, by quadrature
+    on its own cells: ``assemble_constant`` itself in 1D; in 2D, where it keeps
+    only the 1D operators of the axis, the 2D assembly its Kronecker form is
+    checked against."""
+    return _quadrature(space, nq)
+
+
+def weak_strong_consistency(space, boundary, params, t, v_derivs, w_derivs, nq=12):
+    """|weak form on interpolants - quadrature of (strong operator of v) * w|.
+
+    Exercises the spatial operator only: the Kirchhoff scalar is evaluated
+    from the exact gradient on both sides so the residual isolates the
+    assembly/by-parts bookkeeping.  Must shrink at least quadratically under
+    mesh refinement when the assembled form and the strong operator agree.
+    """
+    dim = space.mesh.dim
+    f = time_factors(boundary, params, t)
+
+    # exact Kirchhoff scalar from the exact gradient
+    tab = space.basis_tables(nq)
+    pts = tab["points"].reshape(-1, dim)
+    w_q = np.tile(tab["w"], space.mesh.ncells)
+    grad_sq = sum(v_derivs(pts, tuple(int(o) for o in e)) ** 2 for e in np.eye(dim))
+    g_exact = f.b1 * float(np.sum(grad_sq * w_q))
+
+    # operators on every DOF: the trial function need not satisfy the clamped
+    # conditions; the (clamped) test function kills the constrained rows
+    unclamped = UnclampedSpace(space.mesh)
+    ops = _quadrature(unclamped, DEFAULT_OPERATOR_QUAD)
+    L2f = ops.combine(l_coefficients(f, params.nu)[1])
+
+    d_v = interpolate_initial(unclamped, v_derivs)
+    d_w = space.expand(interpolate_initial(space, w_derivs))
+    weak = float(d_w @ (L2f @ d_v)) + g_exact * float(d_w @ (ops.K1 @ d_v))
+
+    # the same operator in strong form, applied to v at the quadrature grid
+    weights = strong_coefficients(f, params.nu, dim)[1]
+    weights[1] -= g_exact
+    strong = sum(c * h(pts) for c, h in zip(weights, strong_terms(v_derivs, dim)))
+    strong_val = float(np.sum(strong * w_derivs(pts, (0,) * dim) * w_q))
+    return abs(weak - strong_val)
 
 
 def jacobian_dense(problem, X, csr):

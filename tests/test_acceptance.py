@@ -36,13 +36,12 @@ from movingbeam import (
     interpolate_initial,
     make_source,
     simulate,
-    weak_strong_consistency,
 )
 from movingbeam.geometry import time_factors
 
 import reproduced_numbers as recorded
 from conftest import (a_coefficients, free_operators, jacobian_dense, residual_at,
-                      step_problem)
+                      step_problem, weak_strong_consistency)
 from reproduced_numbers import DT, PARAMS
 
 # reference table: L-inf(0,T;L2) errors at dt = 2^-7, case S1, boundary B1

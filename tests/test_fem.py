@@ -21,8 +21,8 @@ from movingbeam.fem import _BLOCK_VALUES, _elem_integrals
 from movingbeam.geometry import eval_boundary, time_factors
 from movingbeam.newmark import LinearSolver
 
-from conftest import (a_coefficients, assemble_time_dependent, free_operators, kirchhoff_scalar,
-                      project_initial, step_problem)
+from conftest import (UnclampedSpace, a_coefficients, assemble_time_dependent, free_operators,
+                      kirchhoff_scalar, project_initial, step_problem)
 
 
 class TestQuadrature:
@@ -162,14 +162,26 @@ class TestConstantAssembly:
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("cells", [2, 3, 4])
-    @pytest.mark.parametrize("full_space", [True])  # a 2D free-DOF set-up forms no 2D pattern
-    def test_2d_bandwidth_spans_the_pattern(self, cells, full_space):
-        space = HermiteSpace(Mesh.uniform(2, cells))
-        ops = assemble_constant(space, full_space=full_space)
+    def test_2d_bandwidth_spans_the_pattern(self, cells):
+        # on every DOF, as a 2D free-DOF set-up forms no 2D pattern
+        space = UnclampedSpace(Mesh.uniform(2, cells))
+        ops = free_operators(space)
         A = ops.A.tocoo()
         assert ops.bandwidth == np.max(np.abs(A.row - A.col))
         # the DOFs of one cell are all coupled: the widest cell sets the width
         assert ops.bandwidth == max(np.ptp(row) for row in space.element_dofs)
+
+    @pytest.mark.parametrize("dim, cells", [(1, 8), (2, 3), (2, 4)])
+    def test_restriction_commutes_with_assembly(self, dim, cells):
+        # the every-DOF operators cut to the free DOFs are the free-DOF assembly,
+        # explicit zeros included: the consistency oracle numbers DOFs as a run does
+        space = HermiteSpace(Mesh(dim, cells))
+        full, free = free_operators(UnclampedSpace(space.mesh)), free_operators(space)
+        for name in AssembledOperators.BASIS:
+            cut, ref = getattr(full, name)[space.free_dofs][:, space.free_dofs], getattr(free, name)
+            assert np.array_equal(cut.indptr, ref.indptr), name
+            assert np.array_equal(cut.indices, ref.indices), name
+            assert cut.data.tobytes() == ref.data.tobytes(), name
 
 
 class TestTimeDependentAssembly:

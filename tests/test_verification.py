@@ -17,7 +17,6 @@ from movingbeam import (
     error_norms,
     simulate,
     theta_sweep,
-    weak_strong_consistency,
 )
 from movingbeam import fem
 from movingbeam.fem import interpolate_initial
@@ -25,7 +24,7 @@ from movingbeam.hermite import local_layout
 from movingbeam.newmark import Trajectory
 from movingbeam.verification import ConvergenceRow, ConvergenceTable, exact_nodal_trajectory
 
-from conftest import error_series
+from conftest import error_series, weak_strong_consistency
 
 LD = np.longdouble
 

@@ -389,13 +389,16 @@ class KroneckerOperators:
     @functools.cached_property
     def _left(self) -> sp.csr_matrix:
         """Row block k, column block j: the y factor F of the term F (x) C_j of
-        operator k, C_j the axis' ``BASIS``; P^T = -A - P on the clamped space."""
-        A, S, B, Q, P = (getattr(self.axis, name) for name in AssembledOperators.BASIS)
-        return sp.bmat([[A, None, None, None, None],
-                        [S, A, None, None, None],
-                        [B, 2.0 * S, A, None, None],
-                        [Q - P, None, None, A, -A - 2.0 * P],
-                        [P, None, None, None, A]], format="csr")
+        operator k, C_j the axis' ``BASIS``; P^T = -A - P on the clamped space.  Each F is
+        formed from rows of the axis' ``stack``, with no zero kept (none moves a kernel sum)."""
+        n, (A, S, B, Q, P) = self.axis.A.shape[0], self.axis.stack
+        blocks = {(0, 0): A, (1, 0): S, (1, 1): A, (2, 0): B, (2, 1): 2.0 * S, (2, 2): A,
+                  (3, 0): Q - P, (3, 3): A, (3, 4): -A - 2.0 * P, (4, 0): P, (4, 4): A}
+        at, ij = n * np.array(list(blocks)), self.axis.A.tocoo().coords  # block corner, entry
+        rows, cols = ((at[:, k, None] + ij[k]).ravel() for k in (0, 1))
+        M = sp.csr_matrix((np.concatenate(list(blocks.values())), (rows, cols)), shape=(5 * n,) * 2)
+        M.eliminate_zeros()
+        return M
 
     @functools.cached_property
     def _symmetric_rows(self) -> sp.csr_matrix:  # [A; S; B] of the axis, cut once

@@ -17,15 +17,16 @@ the 1D solver factors it.  The load F(t) follows the same rule over the
 source's five spatial terms, integrated once per run on the 1D axis (a 2D
 term's load is a sum of tensor products of 1D ones); a homogeneous run's load
 is the scalar 0.0.  ``advance`` forms the run's time table before the first
-step (``BeamSystem.time_table``, ``StepProblem.step_matrices``), and each
-level's load and each state's products once.  Each implicit step is one
-``StepProblem``: from its row of the table it poses one nonlinear system, the
-startup step with its ghost level included.  Its Jacobian is a step matrix
-plus a low-rank correction from the differential of G (``LinearSolver``): in
-1D each solve is one LAPACK ``dgbsv`` and the Woodbury identity; in 2D it is
-GMRES, which applies S in one pass (``ops.operator``), preconditioned by a kept
-fast diagonalization of the separable part.  Results are deterministic for a
-fixed configuration.
+step (``BeamSystem.time_table``, ``StepProblem.step_matrices``), each level's
+load once, and each state once with its products and its form d^T K1 d (``state``).
+Each implicit step is one ``StepProblem``: from its row of the table it poses
+one nonlinear system, the startup step with its ghost level included.  Its
+Jacobian is a step matrix plus a low-rank correction from the differential of
+G (``LinearSolver``): in 1D each solve is one LAPACK ``dgbsv`` and the Woodbury
+identity, its capacitance in closed form for one Kirchhoff term (``dgesv`` for
+the startup step's two); in 2D it is GMRES, which applies S in one pass
+(``ops.operator``), preconditioned by a kept fast diagonalization of the
+separable part.  Results are deterministic for a fixed configuration.
 
 theta in ]1/4, 1] gives the unconditionally convergent family; theta < 1/4 is
 conditionally stable and may legitimately diverge on fine meshes, which is
@@ -57,6 +58,7 @@ __all__ = [
     "SingularJacobian",
     "LinearSolver",
     "gmres",
+    "state",
     "newton_solve",
     "advance",
     "BeamSystem",
@@ -138,8 +140,9 @@ class LinearSolver:
     """Solves (S + U V^T) x = b for the Newton matrices of one run, S given by
     its coefficient vector c over the constant operators ``ops``, whose type chooses how.
     1D: S is formed in LAPACK band storage (``ops.band``), and one ``dgbsv``
-    (kl = ku = ``ops.bandwidth``) factors it and solves for [b, U]; ``dgesv``
-    takes the r x r Woodbury capacitance I + V^T S^-1 U.  Nothing is kept.
+    (kl = ku = ``ops.bandwidth``) factors it and solves for [b, U]; the r x r Woodbury
+    capacitance I + V^T S^-1 U is solved in closed form for one Kirchhoff term, as ``dgesv``
+    does it (by the reciprocal pivot), by ``dgesv`` for the startup's two.  Nothing is kept.
     2D (``KroneckerOperators``): ``gmres`` applies S in one pass (``ops.operator(c)``)
     plus U (V^T x) to the free-DOF vector, the grid X = x.reshape(n, n), right-preconditioned by
     the fast diagonalization of the separable symmetric part A(x)T + T(x)A of S,
@@ -173,7 +176,11 @@ class LinearSolver:
             raise SingularJacobian(f"zero pivot in column {info} of the band LU")
         self.factorizations += 1
         y, Z, W = Y[:, 0], Y[:, 1:], V.T
-        if r:  # r = 0 leaves no capacitance (and dgesv rejects a 0 x 0 matrix)
+        if r == 1:
+            if (C := (V.T @ Z).item() + 1.0) == 0.0:
+                raise SingularJacobian("singular Woodbury capacitance: zero pivot 1")
+            W = V.T * (1.0 / C)  # dgesv's arithmetic for 1 x 1: times 1 / pivot
+        elif r:  # r = 0 leaves no capacitance (and dgesv rejects a 0 x 0 matrix)
             C = V.T @ Z
             C.flat[::r + 1] += 1.0
             *_, W, info = dgesv(C, V.T, overwrite_a=1)
@@ -323,37 +330,34 @@ class StepProblem:
 
     with S = M1 and the one term (b1^{eta+1}, 0) on a generic step, and
     S = M1 + M3 and the terms (b1^1, 0), (b1^0, 2 dt d1) at startup.
-    ``curr`` and ``prev`` are d^eta and d^{eta-1} as pairs (d, ``ops.products(d)``).
+    ``curr`` and ``prev`` are the states (d, O d, d^T K1 d) of d^eta and d^{eta-1}
+    (``state``); only the startup step's shifted term forms its G_j from a dot of its own.
     """
 
     def __init__(self, ops: AssembledOperators | KroneckerOperators, cfg: NewmarkConfig,
-                 row: tuple, curr: tuple[np.ndarray, np.ndarray],
-                 prev: tuple[np.ndarray, np.ndarray] | None, d1: np.ndarray | None):
+                 row: tuple, curr: tuple, prev: tuple | None, d1: np.ndarray | None):
         dt, th = cfg.dt, cfg.theta
         (bm, bn, bp), (self.c1, self.c2, self.c3), (Fm, Fn, Fp) = row
         self.ops = ops
         self.th_dt2 = th * dt * dt
-        d, Od = curr  # Od rows: A d, K1 d, K2 d, Q d, P d
-        g_curr = bn * float(d @ Od[1])
+        _, Od, q = curr  # Od rows: A d, K1 d, K2 d, Q d, P d
+        self.F_avg = (th * Fp + (1.0 - th) * Fn if prev is None
+                      else th * Fm + (1.0 - 2.0 * th) * Fn + th * Fp)
         self.const = const = self.c2 @ Od  # summed in place, term by term
-        const += dt * dt * (1.0 - 2.0 * th) * g_curr * Od[1]
+        const += dt * dt * (1.0 - 2.0 * th) * (bn * q) * Od[1]
+        const -= dt * dt * self.F_avg
         # (b_j, s_j, K1 s_j) of each Kirchhoff term; None is a zero shift
         self.terms = [(bp, None, None)]
         if prev is None:
-            self.F_avg = th * Fp + (1.0 - th) * Fn
             Od1 = ops.products(d1)
             self.c_lin = self.c1 + self.c3
             self.terms.append((bm, 2.0 * dt * d1, 2.0 * dt * Od1[1]))
-            const -= dt * dt * self.F_avg
             const -= 2.0 * dt * (self.c3 @ Od1)
         else:
-            self.F_avg = th * Fm + (1.0 - 2.0 * th) * Fn + th * Fp
-            dp, Odp = prev
-            g_prev = bm * float(dp @ Odp[1])
+            _, Odp, qp = prev
             self.c_lin = self.c1
-            const -= dt * dt * self.F_avg
             const += self.c3 @ Odp
-            const += self.th_dt2 * g_prev * Odp[1]
+            const += self.th_dt2 * (bm * qp) * Odp[1]
 
     @staticmethod
     def step_matrices(cfg: NewmarkConfig, L1: np.ndarray, L2: np.ndarray) -> np.ndarray:
@@ -367,18 +371,18 @@ class StepProblem:
                          dt * dt * (1.0 - 2.0 * th) * L2[:-1] - 2.0 * A,
                          A - half_L1 + th_dt2 * np.vstack([L2[:1], L2[:-2]])], axis=1)
 
-    def _kirchhoff(self, X: np.ndarray, K1X: np.ndarray) -> list:
-        """[(b_j, G_j(X), K1 (X - s_j))] over the terms."""
+    def _kirchhoff(self, X: np.ndarray, K1X: np.ndarray, q: float) -> list:
+        """[(b_j, G_j(X), K1 (X - s_j))] over the terms; q = X^T K1 X serves the unshifted one."""
         out = []
         for b, s, K1s in self.terms:
             z, K1z = (X, K1X) if s is None else (X - s, K1X - K1s)
-            out.append((b, b * float(z @ K1z), K1z))
+            out.append((b, b * (q if s is None else float(z @ K1z)), K1z))
         return out
 
-    def residual(self, X: np.ndarray, OX: np.ndarray) -> tuple[np.ndarray, list]:
-        """(R(X), terms), formed from the products OX = ``ops.products(X)``;
+    def residual(self, X: np.ndarray, OX: np.ndarray, q: float) -> tuple[np.ndarray, list]:
+        """(R(X), terms), formed from the state (X, OX, q) (``state``);
         ``terms`` are the Kirchhoff terms at X that ``jacobian_parts`` takes."""
-        terms = self._kirchhoff(X, OX[1])
+        terms = self._kirchhoff(X, OX[1], q)
         r = self.c_lin @ OX
         r += self.const
         for _, g, K1z in terms:
@@ -398,28 +402,31 @@ class StepProblem:
         return c, U, V
 
 
-def newton_solve(problem: StepProblem, start: tuple[np.ndarray, np.ndarray],
-                 solver: LinearSolver | None = None):
-    """Newton iteration from ``start`` = (x0, O x0); returns (X, O X, iterations,
-    max |R(X)|), all from a residual at X.  The linear solves go through
-    ``solver``, whose preconditioner carries over between calls."""
+def state(ops: AssembledOperators | KroneckerOperators, x: np.ndarray) -> tuple:
+    """The state (x, O x, x^T K1 x) the march carries: x with its products
+    ``ops.products(x)`` and its Kirchhoff form, each formed once."""
+    Ox = ops.products(x)
+    return x, Ox, float(x @ Ox[1])
+
+
+def newton_solve(problem: StepProblem, start: tuple, solver: LinearSolver | None = None):
+    """Newton iteration from the state ``start`` (``state``); returns (the state at X,
+    iterations, max |R(X)|), all from a residual at X; a non-finite residual raises.  The
+    linear solves go through ``solver``, whose preconditioner carries over between calls."""
     solver = solver or LinearSolver(problem.ops)
-    X, OX = start[0].copy(), start[1]
+    X, OX, q = start[0].copy(), *start[1:]  # X is Newton's own copy
     for it in range(1, NEWTON_MAX_ITER + 1):
-        r, terms = problem.residual(X, OX)
+        r, terms = problem.residual(X, OX, q)
         rn = float(np.abs(r).max())  # NaN and inf carry through the max
         if not math.isfinite(rn):
             raise NewtonNoConvergence("non-finite residual")
         if rn < NEWTON_TOL_RESID:
-            return X, OX, it - 1, rn
+            return (X, OX, q), it - 1, rn
         c, U, V = problem.jacobian_parts(terms)
         step = solver.solve(c, np.negative(r, out=r), U, V)
-        X += step  # X is Newton's own copy
-        if not np.isfinite(X).all():
-            raise NewtonNoConvergence("non-finite Newton iterate")
-        OX = problem.ops.products(X)
+        X, OX, q = state(problem.ops, np.add(X, step, out=X))  # in place
         if np.abs(step).max() < NEWTON_TOL_STEP:
-            return X, OX, it, float(np.abs(problem.residual(X, OX)[0]).max())
+            return (X, OX, q), it, float(np.abs(problem.residual(X, OX, q)[0]).max())
     raise NewtonNoConvergence(f"no convergence in {NEWTON_MAX_ITER} iterations")
 
 
@@ -441,7 +448,7 @@ def advance(system: BeamSystem, cfg: NewmarkConfig, d0: np.ndarray,
     step_mats = StepProblem.step_matrices(cfg, L1, L2)
     del L1, L2  # the march reads only b1 and the step matrices
     loads = (system.load(0.0),) * 2  # F at eta-1 and eta; level 0 stands in for -1
-    curr, prev = (ds[0], system.ops.products(ds[0])), None  # (d, O d) at eta, eta-1
+    curr, prev = state(system.ops, ds[0]), None  # the states at eta, eta-1
     for eta in range(cfg.n_steps):
         if eta == 1:  # the startup matrix M1 + M3 is about 2 M1: too far to precondition
             solver.reset()
@@ -449,16 +456,16 @@ def advance(system: BeamSystem, cfg: NewmarkConfig, d0: np.ndarray,
         row = (b1[max(eta - 1, 0)], b1[eta], b1[eta + 1]), step_mats[eta], loads
         prob = StepProblem(system.ops, cfg, row, curr, prev, d1)
         try:
-            d_next, Od_next, nit, resid = newton_solve(prob, curr, solver)
+            reached, nit, resid = newton_solve(prob, curr, solver)
         except (NewtonNoConvergence, SingularJacobian):
             break
-        dinf = float(np.abs(d_next).max()) if d_next.size else 0.0
+        dinf = float(np.abs(reached[0]).max(initial=0.0))
         if not math.isfinite(dinf) or dinf > DIVERGENCE_THRESHOLD:
             break
-        ds.append(d_next)
+        ds.append(reached[0])
         iters.append(nit)
         residuals.append(resid)
-        prev, curr = curr, (d_next, Od_next)
+        prev, curr = curr, reached
     done = len(ds) == cfg.n_steps + 1  # a failed step eta + 1 leaves d^0..d^eta
     return Trajectory(ds, times[: len(ds)], iters, residuals,
                       "completed" if done else "diverged", None if done else len(ds),

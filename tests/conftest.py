@@ -22,7 +22,7 @@ from movingbeam.fem import (DEFAULT_LOAD_QUAD, DEFAULT_OPERATOR_QUAD, _elem_inte
                             interpolate_initial, l_coefficients)
 from movingbeam.geometry import time_factors
 from movingbeam.manufactured import strong_coefficients, strong_terms
-from movingbeam.newmark import StepProblem
+from movingbeam.newmark import StepProblem, state
 
 
 def a_coefficients(tf, y):
@@ -151,7 +151,7 @@ def weak_strong_consistency(space, boundary, params, t, v_derivs, w_derivs, nq=1
 def jacobian_dense(problem, X, csr):
     """The Newton matrix of a ``StepProblem`` at X as a dense array, its step
     matrix combined from ``csr``, the run's operators as ``free_operators``."""
-    c, U, V = problem.jacobian_parts(problem.residual(X, problem.ops.products(X))[1])
+    c, U, V = problem.jacobian_parts(problem.residual(*state(problem.ops, X))[1])
     return csr.combine(c).toarray() + U @ V.T
 
 
@@ -208,13 +208,14 @@ def quadrature_energies(space, boundary, params, d, d_dot, times, nq=8):
 
 
 def residual_at(problem, X):
-    """R(X) of a ``StepProblem``, with the products of X formed here."""
-    return problem.residual(X, problem.ops.products(X))[0]
+    """R(X) of a ``StepProblem``, with the state of X formed here as ``advance`` forms it."""
+    return problem.residual(*state(problem.ops, X))[0]
 
 
 def start_at(problem, x0):
-    """The (x0, O x0) pair ``newton_solve`` starts from."""
-    return x0, problem.ops.products(x0)
+    """The state (x0, O x0, x0^T K1 x0) ``newton_solve`` starts from, formed as
+    ``advance`` forms it (``state``)."""
+    return state(problem.ops, x0)
 
 
 def step_row(system, cfg, eta):
@@ -231,9 +232,9 @@ def step_row(system, cfg, eta):
 def step_problem(system, cfg, eta, d_curr, d_prev, d1):
     """The ``StepProblem`` of step eta from the states d^eta and d^{eta-1}, or
     from d^0 and the velocity d1 at startup (eta = 0)."""
-    prev = None if eta == 0 else (d_prev, system.ops.products(d_prev))
+    prev = None if eta == 0 else state(system.ops, d_prev)
     return StepProblem(system.ops, cfg, step_row(system, cfg, eta),
-                       (d_curr, system.ops.products(d_curr)), prev, d1)
+                       state(system.ops, d_curr), prev, d1)
 
 
 @pytest.fixture(scope="session")

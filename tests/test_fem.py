@@ -19,7 +19,7 @@ from movingbeam import (
 )
 from movingbeam.fem import _BLOCK_VALUES, _elem_integrals
 from movingbeam.geometry import eval_boundary, time_factors
-from movingbeam.newmark import LinearSolver
+from movingbeam.newmark import LinearSolver, state
 
 from conftest import (UnclampedSpace, a_coefficients, assemble_time_dependent, free_operators,
                       kirchhoff_scalar, project_initial, step_problem)
@@ -370,7 +370,7 @@ class TestAffineOperators:
         coefs = [L1[3], L2[3]]
         for eta in (0, 2):
             prob = step_problem(system, cfg, eta, d, d, d)
-            terms = prob.residual(d, ops.products(d))[1]
+            terms = prob.residual(*state(ops, d))[1]
             coefs += [prob.c1, prob.c2, prob.c3, prob.jacobian_parts(terms)[0]]
         for M in [ops.K1, ops.K2, ops.Q, ops.P, *map(ops.combine, coefs)]:
             assert np.array_equal(M.indptr, ops.A.indptr)
@@ -414,6 +414,27 @@ class TestAffineOperators:
                     ops.grid_products(bad)
                 with pytest.raises(ValueError, match="grid"):
                     ops.operator(np.ones(5))(bad)
+
+    @pytest.mark.parametrize("cells", [3, 8, 32])
+    def test_left_factors_are_the_block_matrix_without_zeros(self, cells, rng):
+        # _left holds the blocks that sp.bmat builds from the axis' CSR matrices,
+        # less every zero: the entries that cancel in Q - P and -A - 2P (which the
+        # sparse sums drop too) and the explicit zeros of the axis' pattern.  A
+        # product with a zero adds +-0 to a row sum that starts at +0, which moves
+        # no bit: the CSR kernel gives the same bytes with or without them
+        ops = assemble_constant(HermiteSpace(Mesh.uniform(2, cells)))
+        A, S, B, Q, P = (getattr(ops.axis, name) for name in AssembledOperators.BASIS)
+        ref = sp.bmat([[A, None, None, None, None], [S, A, None, None, None],
+                       [B, 2.0 * S, A, None, None], [Q - P, None, None, A, -A - 2.0 * P],
+                       [P, None, None, None, A]], format="csr")
+        left, n = ops._left, A.shape[0]
+        XC = rng.standard_normal((5 * n, n))
+        assert (left @ XC).tobytes() == (ref @ XC).tobytes()
+        assert left.has_canonical_format and np.all(left.data != 0.0) and left.nnz <= ref.nnz
+        ref.eliminate_zeros()
+        assert np.array_equal(left.indptr, ref.indptr)
+        assert np.array_equal(left.indices, ref.indices)
+        assert left.data.tobytes() == ref.data.tobytes()
 
     @pytest.mark.parametrize("cells", [3, 8])
     def test_2d_error_forms_are_the_quadratic_forms(self, cells, rng):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbsv, dgesv
 
 from movingbeam import (
     AssembledOperators,
@@ -34,6 +35,7 @@ from movingbeam.newmark import (
     SingularJacobian,
     StepProblem,
     newton_solve,
+    state,
 )
 
 from conftest import (a_coefficients, free_operators, jacobian_dense, kirchhoff_scalar,
@@ -120,7 +122,7 @@ def _scalar_problem(system, cfg, eta, F=None):
     """The ``StepProblem`` of step eta of ``_ScalarSystem`` from zero history,
     and zero velocity at startup (eta = 0), with the loads ``F`` of its three
     levels when given."""
-    zero = (np.zeros(1), system.ops.products(np.zeros(1)))
+    zero = state(system.ops, np.zeros(1))
     b1, c, loads = step_row(system, cfg, eta)
     return StepProblem(system.ops, cfg, (b1, c, F or loads), zero,
                        None if eta == 0 else zero, np.zeros(1))
@@ -250,7 +252,7 @@ class TestNewton:
             else:
                 lo = mid
         root = 0.5 * (lo + hi)
-        X, _, iters, _ = newton_solve(prob, start_at(prob, np.zeros(1)))
+        (X, *_), iters, _ = newton_solve(prob, start_at(prob, np.zeros(1)))
         assert X[0] == pytest.approx(root, abs=1e-13)
         assert residual_at(prob, X)[0] == pytest.approx(0.0, abs=1e-13)
 
@@ -311,6 +313,29 @@ class TestNewton:
         prob = _scalar_problem(system, cfg, 1)
         with pytest.raises(newmark.NewtonNoConvergence, match="non-finite residual"):
             newton_solve(prob, start_at(prob, np.zeros(1)))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_iterate_is_no_convergence(self, bad, monkeypatch):
+        # a linear solve that returns a non-finite step: no check of the iterate
+        # itself, but the residual at it is non-finite, which raises (numpy warns
+        # of the inf - inf in its products); in a run the step it poisons ends
+        # the march as diverged
+        _, system, d0, d1 = _mms_system(cells=8, boundary=FAST, amplitude=1.0)
+        cfg = NewmarkConfig(theta=0.25, dt=2.0**-5, n_steps=8)
+        prob = step_problem(system, cfg, 1, d0, d0, d1)
+        with pytest.raises(newmark.NewtonNoConvergence, match="non-finite residual"):
+            newton_solve(prob, start_at(prob, d0), _PoisonedSolver(system.ops, bad, after=0))
+        ref = advance(system, cfg, d0, d1)
+        assert ref.completed and max(ref.newton_iterations) > 1
+        for after in (0, 4, 9):  # the first solve, the first of a step, one inside a step
+            monkeypatch.setattr(newmark, "LinearSolver",
+                                lambda ops: _PoisonedSolver(ops, bad, after))
+            traj = advance(system, cfg, d0, d1)
+            eta = int(np.searchsorted(np.cumsum(ref.newton_iterations), after, side="right"))
+            assert traj.status == "diverged" and traj.diverged_step == eta + 1
+            assert len(traj.d) == eta + 1 and traj.newton_iterations == ref.newton_iterations[:eta]
+            assert all(np.array_equal(a, b) for a, b in zip(traj.d, ref.d))
 
     def test_newton_iteration_counts_small(self):
         case, system, d0, d1 = _mms_system()
@@ -398,6 +423,21 @@ class TestAdvance:
         assert len(products) == len(residuals) - cfg.n_steps + 2
         assert len(kirchhoff) == len(residuals) > cfg.n_steps
 
+    @pytest.mark.parametrize("dim,cells", [(1, 16), (2, 8)])
+    def test_each_state_carries_its_own_products_and_form(self, dim, cells, monkeypatch):
+        # every step is posed from the states (d, O d, d^T K1 d) of its levels as
+        # Newton left them; each carried q is float(d @ Od[1]) bit for bit, and the
+        # products are those of d.  K = 1 + t/2 and amplitude 1: several iterations a step
+        posed = _count_calls(monkeypatch, StepProblem, "__init__")
+        _, system, d0, d1 = _mms_system(dim=dim, cells=cells, boundary=FAST, amplitude=1.0)
+        traj = advance(system, NewmarkConfig(theta=0.25, dt=2.0**-5, n_steps=16), d0, d1)
+        assert traj.completed and sum(traj.newton_iterations) > len(posed) == 16
+        for eta, (_, _, _, _, curr, prev, _) in enumerate(posed):
+            d, Od, q = curr
+            assert d is traj.d[eta] and prev is (None if eta == 0 else posed[eta - 1][4])
+            assert type(q) is float and q == float(d @ Od[1])
+            assert Od.tobytes() == system.ops.products(d).tobytes()
+
 
 def _woodbury_reference(S, rhs, U, V):
     """A fresh sparse LU of S and the Woodbury identity for U V^T."""
@@ -420,6 +460,38 @@ class _PerIterationLU:
 
     def solve(self, c, rhs, U, V):
         return np.linalg.solve(self.csr.combine(c).toarray() + U @ V.T, rhs)
+
+
+class _PoisonedSolver(LinearSolver):
+    """A ``LinearSolver`` whose solves from the ``after``-th on (counted from 0)
+    return a step with one entry ``bad``."""
+
+    def __init__(self, ops, bad, after):
+        super().__init__(ops)
+        self.bad, self.left = bad, after
+
+    def solve(self, c, rhs, U, V):
+        x = super().solve(c, rhs, U, V)
+        self.left -= 1
+        if self.left < 0:
+            x[len(x) // 2] = self.bad
+        return x
+
+
+def _dgesv_solve(ops, c, rhs, U, V):
+    """A 1D ``LinearSolver.solve`` whose Woodbury capacitance always goes to LAPACK's
+    ``dgesv``, in the same arithmetic and memory layout otherwise."""
+    bw, r = ops.bandwidth, U.shape[1]
+    Y = np.empty((rhs.size, r + 1), order="F")
+    Y[:, 0], Y[:, 1:] = rhs, U
+    *_, Y, info = dgbsv(bw, bw, ops.band(c), Y, overwrite_ab=1, overwrite_b=1)
+    assert info == 0
+    y, Z = Y[:, 0], Y[:, 1:]
+    C = V.T @ Z
+    C.flat[::r + 1] += 1.0
+    *_, W, info = dgesv(C, V.T, overwrite_a=1)
+    assert info == 0
+    return y - Z @ (W @ y)
 
 
 def _step_matrix(system, cfg, eta):
@@ -630,6 +702,37 @@ class TestLinearSolver:
             with pytest.raises(SingularJacobian, match=match):
                 LinearSolver(ops).solve(np.zeros(5), np.ones(n), np.zeros((n, 0)),
                                         np.zeros((n, 0)))
+
+    def test_one_term_capacitance_is_dgesv_bit_for_bit(self, rng):
+        # r = 1: the capacitance 1 + V^T S^-1 U is a scalar, solved by a product with
+        # its reciprocal, as OpenBLAS's dgesv solves a 1 x 1 system.  Random (V, Z =
+        # S^-1 U) pairs, their scales over twelve decades, give the same bits
+        _, system, _, _ = _mms_system(cells=4)
+        cfg = NewmarkConfig(theta=0.25, dt=2.0**-7, n_steps=128)
+        c, n = _step_matrix(system, cfg, 64), system.space.ndof
+        solver = LinearSolver(system.ops)
+        for _ in range(10_000):
+            U, V = 10.0 ** rng.uniform(-6.0, 6.0, (2, 1, 1)) * rng.standard_normal((2, n, 1))
+            rhs = rng.standard_normal(n)
+            x = solver.solve(c, rhs, U, V)
+            assert x.tobytes() == _dgesv_solve(system.ops, c, rhs, U, V).tobytes()
+
+    def test_one_term_capacitance_in_a_run_is_dgesv_bit_for_bit(self, monkeypatch):
+        # every solve of every generic step of a B1 run (r = 1), against dgesv
+        solves, original = [], LinearSolver.solve
+
+        def recording(self, c, rhs, U, V):
+            x = original(self, c, rhs, U, V)
+            solves.append((c, rhs.copy(), U, V, x))
+            return x
+
+        monkeypatch.setattr(LinearSolver, "solve", recording)
+        _, system, d0, d1 = _mms_system(cells=32)
+        traj = advance(system, NewmarkConfig(theta=0.25, dt=2.0**-7, n_steps=64), d0, d1)
+        generic = [call for call in solves if call[2].shape[1] == 1]
+        assert traj.completed and len(generic) == sum(traj.newton_iterations[1:]) >= 63
+        for c, rhs, U, V, x in generic:
+            assert x.tobytes() == _dgesv_solve(system.ops, c, rhs, U, V).tobytes()
 
     def test_singular_woodbury_capacitance(self):
         # S = K1 = [[1]] is regular, but U V^T = -1 makes I + V^T S^-1 U exactly 0

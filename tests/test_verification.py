@@ -298,13 +298,15 @@ def _fe_member_callbacks(space, d_free):
         if sel is not None:
             return space.eval_points(d_free, pts, sel)
         if mi == (1, 1):
-            # nodal cross-derivative: only needed at mesh nodes, where it is a DOF
+            # nodal cross-derivative: only needed at mesh nodes, where it is a DOF;
+            # node_grid's axes are (y node, y order, x node, x order), x fastest as nodes are
+            cross = space.node_grid(full)[:, 1, :, 1].ravel()
             out = np.empty(len(pts))
             for i, p in enumerate(pts):
                 node = np.argmin(
                     np.abs(nodes[:, 0] - p[0]) + np.abs(nodes[:, 1] - p[1])
                 )
-                out[i] = full[4 * node + 3]
+                out[i] = cross[node]
             return out
         raise ValueError(mi)
 
@@ -312,6 +314,18 @@ def _fe_member_callbacks(space, d_free):
 
 
 class TestWeakStrongConsistency:
+    def test_fe_member_cross_derivative_is_the_nodes_dof(self, rng):
+        # 2D: the cross-derivative DOF of node (ix, iy), x fastest, is entry
+        # (2 ix + 1) + 2 (cells + 1)(2 iy + 1) of the full vector in Kronecker order
+        cells = 4
+        space = HermiteSpace(Mesh.uniform(2, cells))
+        d = rng.standard_normal(space.ndof)
+        iy, ix = np.divmod(np.arange((cells + 1) ** 2), cells + 1)
+        expected = space.expand(d)[(2 * ix + 1) + 2 * (cells + 1) * (2 * iy + 1)]
+        assert np.count_nonzero(expected) == (cells - 1) ** 2  # the interior nodes' DOFs
+        got = _fe_member_callbacks(space, d)(space.mesh.node_coords(), (1, 1))
+        assert np.array_equal(got, expected)
+
     def test_machine_precision_for_cubic_and_space_member(self, params, rng):
         # constant K: every integral is exact, so the residual is roundoff
         b = MovingBoundary.constant(64.0)

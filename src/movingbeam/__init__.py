@@ -47,6 +47,6 @@ from .verification import (
     simulate,
     theta_sweep,
 )
-from .energy import DecayFit, decay_fit, energy_from_state, energy_series
+from .energy import DecayFit, decay_fit, energy_series
 
 __version__ = "0.1.0"

@@ -16,13 +16,14 @@ from .fem import HermiteSpace
 from .geometry import BeamParameters, MovingBoundary, time_factors
 from .newmark import Trajectory
 
-__all__ = ["energy_from_state", "energy_series", "DecayFit", "decay_fit"]
+__all__ = ["energy_series", "DecayFit", "decay_fit"]
 
 
-def _energies(space: HermiteSpace, boundary: MovingBoundary, params: BeamParameters,
-              d: np.ndarray, d_dot: np.ndarray, times, nq: int) -> np.ndarray:
-    """E at each row of the stacks d, v = d_dot (m, ndof) at the m times.  With
-    r = K'/K, u_t = v - r y.grad u and ``space.operators``,
+def _energies(space: HermiteSpace, factors: np.ndarray, d: np.ndarray, d_dot: np.ndarray,
+              nq: int) -> np.ndarray:
+    """E at each row of the stacks d, v = d_dot (m, ndof), the rows of ``factors``
+    (5, m) the time factors K, r, b1, b2, s0 at their m times.  With r = K'/K,
+    u_t = v - r y.grad u and ``space.operators``,
         2E/K^n = v^T A v - 2r v^T P d + r^2 |y.grad u|^2 + b2 d^T K2 d + s0 d^T K1 d
                  + b1/2 int |grad u|^4,
     |y.grad u|^2 = d^T Q d / 2, plus <X, P X P> on the grid X of d in 2D (P of the axis).
@@ -30,8 +31,7 @@ def _energies(space: HermiteSpace, boundary: MovingBoundary, params: BeamParamet
     quartic term is a quadrature, of the gradient fields."""
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(d_dot))):
         raise ValueError("energy of a non-finite state is undefined")
-    k, r, b1, b2, s0 = np.array([(f.k, f.r, f.b1, f.b2, f.s0) for f in (
-        time_factors(boundary, params, float(t)) for t in times)]).T
+    k, r, b1, b2, s0 = factors
     dim, m, ops = space.mesh.dim, len(d), space.operators
     if dim == 1:  # columns of the CSR kernel's product with the stacked five
         Od, Av, cross = (ops.stacked @ d.T).reshape(5, -1, m), ops.A @ d_dot.T, 0.0
@@ -49,24 +49,6 @@ def _energies(space: HermiteSpace, boundary: MovingBoundary, params: BeamParamet
     return 0.5 * k**dim * twice
 
 
-def energy_from_state(
-    space: HermiteSpace,
-    boundary: MovingBoundary,
-    params: BeamParameters,
-    d: np.ndarray,
-    d_dot: np.ndarray,
-    t: float,
-    nq: int = 8,
-) -> float:
-    """E(t) = 1/2 int |u'|^2 + |lap_x u|^2 + zeta0 |grad_x u|^2 dx + (zeta1/4) int |grad_x u|^4 dx.
-
-    The quartic term is pointwise; it is not the nonlocal Kirchhoff energy
-    (zeta1/4) (int |grad_x u|^2 dx)^2 of the equation the scheme solves.  The other
-    terms are quadratic forms of ``space.operators``; the quartic one takes ``nq``
-    Gauss points per axis and cell."""
-    return float(_energies(space, boundary, params, d[None], d_dot[None], [t], nq)[0])
-
-
 def energy_series(
     space: HermiteSpace,
     boundary: MovingBoundary,
@@ -75,13 +57,18 @@ def energy_series(
     nq: int = 8,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(times, E(t)) along a completed trajectory, with second-order discrete
-    velocities: central inside, one-sided at the ends.
+    velocities (central inside, one-sided at the ends):
 
-    The states are evaluated in blocks (``HermiteSpace.state_blocks``); a
-    block stacks its own states and takes their velocities from the
-    neighbours in ``trajectory.d``, so the trajectory is never copied whole.
-    A block takes one product of its states with the five constant operators,
-    one A product of its velocities and the quadrature of its gradient fields."""
+        E(t) = 1/2 int |u'|^2 + |lap_x u|^2 + zeta0 |grad_x u|^2 dx + (zeta1/4) int |grad_x u|^4 dx.
+
+    The quartic term is pointwise; it is not the nonlocal Kirchhoff energy
+    (zeta1/4) (int |grad_x u|^2 dx)^2 of the equation the scheme solves.  The time
+    factors of all states come from one ``time_factors`` call, and the states are
+    evaluated in blocks (``HermiteSpace.state_blocks``): a block stacks its own states
+    and takes their velocities from the neighbours in ``trajectory.d``, so the
+    trajectory is never copied whole.  A block takes one product of its states with
+    the five constant operators, one A product of its velocities and the quadrature
+    of its gradient fields, at ``nq`` Gauss points per axis and cell."""
     if not trajectory.completed:
         raise ValueError("cannot compute the energy of a diverged trajectory")
     d, times = trajectory.d, np.asarray(trajectory.times, dtype=float)
@@ -89,6 +76,8 @@ def energy_series(
     if n < 2:
         raise ValueError("need at least two steps to reconstruct velocities")
     dt = float(times[1] - times[0])
+    f = time_factors(boundary, params, times)
+    factors = np.stack([f.k, f.r, f.b1, f.b2, f.s0])
     E = np.empty(n + 1)
     for lo, hi in space.state_blocks(n + 1, nq):
         a = max(lo - 1, 0)
@@ -99,8 +88,7 @@ def energy_series(
             v[0] = -3.0 * d[0] + 4.0 * d[1] - d[2]
         if hi == n + 1:
             v[-1] = 3.0 * d[n] - 4.0 * d[n - 1] + d[n - 2]
-        E[lo:hi] = _energies(space, boundary, params, ext[lo - a:hi - a], v / (2.0 * dt),
-                             times[lo:hi], nq)
+        E[lo:hi] = _energies(space, factors[:, lo:hi], ext[lo - a:hi - a], v / (2.0 * dt), nq)
     return times, E
 
 

@@ -500,34 +500,32 @@ def _quadrature(space: HermiteSpace, nq: int) -> AssembledOperators:
 
 
 def l_coefficients(f: TimeFactors, nu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients over ``AssembledOperators.BASIS`` of L1 and L2 at one time.
+    """Coefficients over ``AssembledOperators.BASIS`` of L1 and L2, a row per time of ``f``.
 
     L1 = nu A + B3 = nu A - 2 (K'/K) P
     L2 = b2 K2 + B1 + B4 - B2 = K^-4 K2 + zeta0/K^2 K1 - 4 (K'/K)^2 Q + c4 P
     """
-    return (
-        np.array([nu, 0.0, 0.0, 0.0, -2.0 * f.r]),
-        np.array([0.0, f.s0, f.b2, -4.0 * f.r * f.r, f.c4]),
-    )
+    z = np.zeros_like(f.r)
+    return (np.stack([z + nu, z, z, z, -2.0 * f.r], axis=-1),
+            np.stack([z, f.s0, f.b2, -4.0 * f.r * f.r, f.c4], axis=-1))
 
 
 def assemble_load(
     space: HermiteSpace,
-    f: Callable[[np.ndarray, float], np.ndarray],
-    t: float,
+    f: Callable[[np.ndarray], np.ndarray],
     nq: int = DEFAULT_LOAD_QUAD,
 ) -> np.ndarray:
-    """Load vector F_l = (f(., t), phi_l) on the free DOFs.
+    """Load vector F_l = (f, phi_l) on the free DOFs.
 
-    ``f(points, t)`` receives points of shape (npts, dim) and must return a
-    flat array of values.
+    ``f(points)`` receives points of shape (npts, dim) and must return a flat
+    array of values.
     """
     tab = space.basis_tables(nq)
     pts = tab["points"]
-    vals = np.asarray(f(pts.reshape(-1, space.mesh.dim), t), dtype=float)
+    vals = np.asarray(f(pts.reshape(-1, space.mesh.dim)), dtype=float)
     if not np.all(np.isfinite(vals)):
         bad = pts.reshape(-1, space.mesh.dim)[~np.isfinite(vals)][0]
-        raise ValueError(f"source evaluated to a non-finite value at y={bad}, t={t}")
+        raise ValueError(f"source evaluated to a non-finite value at y={bad}")
     fw = vals.reshape(pts.shape[:2]) * tab["w"][None, :]
     elem = np.einsum("cq,qa->ca", fw, tab["N"], optimize=True)
     return space.scatter_vector(elem)

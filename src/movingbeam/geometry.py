@@ -127,27 +127,34 @@ def eval_boundary(b: MovingBoundary, t: float) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class TimeFactors:
-    """Scalar functions of (K, K', K''): as x = K(t) y with K scalar, every
-    pulled-back coefficient is one of them times a fixed polynomial in y."""
+    """Functions of (K, K', K''), as columns over times: as x = K(t) y with K scalar,
+    every pulled-back coefficient is one of them times a fixed polynomial in y."""
 
-    k: float       # K
-    b1: float      # zeta1 / K^4
-    b2: float      # K^-4
-    s0: float      # zeta0 / K^2
-    r: float       # K' / K
-    c3: float      # (2 K'^2 - K (nu K' + K'')) / K^2
-    c4: float      # (-2 K'^2 - K (nu K' + K'')) / K^2 = c3 - 4 r^2
+    k: np.ndarray       # K
+    b1: np.ndarray      # zeta1 / K^4
+    b2: np.ndarray      # K^-4
+    s0: np.ndarray      # zeta0 / K^2
+    r: np.ndarray       # K' / K
+    c3: np.ndarray      # (2 K'^2 - K (nu K' + K'')) / K^2
+    c4: np.ndarray      # (-2 K'^2 - K (nu K' + K'')) / K^2 = c3 - 4 r^2
 
 
-def time_factors(b: MovingBoundary, p: BeamParameters, t: float) -> TimeFactors:
-    """Evaluate the time factors of the pulled-back operator at time t."""
-    k, kp, kpp = eval_boundary(b, t)
-    if k <= 0.0:
-        raise SingularMappingError(f"K(t) must be positive, got K({t}) = {k}")
+def time_factors(b: MovingBoundary, p: BeamParameters, times) -> TimeFactors:
+    """The time factors at ``times`` of any shape, as columns of that shape.  Each time
+    takes one scalar ``eval_boundary`` and Python's K^-4 and K^2, as numpy's vectorized
+    exp and power differ in the last ulp; the rest is elementwise, in the scalar order."""
+    def scalars(t):
+        k, kp, kpp = eval_boundary(b, t)
+        if k <= 0.0:
+            raise SingularMappingError(f"K(t) must be positive, got K({t}) = {k}")
+        return k, kp, kpp, k ** -4, k ** 2
+    ts = np.asarray(times, dtype=float)
+    rows = np.fromiter(map(scalars, map(float, ts.flat)), np.dtype((float, 5)), ts.size)
+    k, kp, kpp, k_4, k2 = rows.T.reshape(5, *ts.shape)
     damping = k * (p.nu * kp + kpp)
-    return TimeFactors(k=k, b1=p.zeta1 * k ** -4, b2=k ** -4, s0=p.zeta0 / k ** 2, r=kp / k,
-                       c3=(2.0 * kp * kp - damping) / k ** 2,
-                       c4=(-2.0 * kp * kp - damping) / k ** 2)
+    return TimeFactors(k=k, b1=p.zeta1 * k_4, b2=k_4, s0=p.zeta0 / k2, r=kp / k,
+                       c3=(2.0 * kp * kp - damping) / k2,
+                       c4=(-2.0 * kp * kp - damping) / k2)
 
 
 @dataclass

@@ -179,13 +179,11 @@ def tensor_terms(f: np.ndarray) -> np.ndarray:
 
 
 def strong_coefficients(tf: TimeFactors, nu: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weights over ``strong_terms`` of L1 and of L2 less the Kirchhoff term at
-    one time (r = K'/K): the strong-form twin of ``fem.l_coefficients``."""
-    r2 = tf.r * tf.r
-    return (
-        np.array([nu, 0.0, 0.0, -2.0 * tf.r, 0.0]),
-        np.array([0.0, -tf.s0, tf.b2, tf.c3 + (4.0 * n + 8.0) * r2, r2]),
-    )
+    """Weights over ``strong_terms`` of L1 and of L2 less the Kirchhoff term, a row per
+    time of ``tf`` (r = K'/K): the strong-form twin of ``fem.l_coefficients``."""
+    r2, z = tf.r * tf.r, np.zeros_like(tf.r)
+    return (np.stack([z + nu, z, z, -2.0 * tf.r, z], axis=-1),
+            np.stack([z, -tf.s0, tf.b2, tf.c3 + (4.0 * n + 8.0) * r2, r2], axis=-1))
 
 
 def make_source(
@@ -200,21 +198,24 @@ def make_source(
     c = T'' e_0 + T' l1 + T l2, (l1, l2) the ``strong_coefficients`` and the
     Kirchhoff term added to l2's lap weight (amp folded into T).
 
-    The returned callable carries them as data attributes: ``axis_terms``, the
-    five terms of q, which are the h_k in 1D and give them in 2D by
-    ``tensor_terms``, and ``coefficients``, t -> c(t).  A load is so integrated
-    once per 1D term and formed per level as c(t) @ Phi.
+    The returned callable carries them as data attributes: ``axis_terms``, the five terms
+    of q, which are the h_k in 1D and give them in 2D by ``tensor_terms``, and ``coefficients``,
+    times of any shape -> a row of c per time.  A run so integrates each term once.
     """
     n = case.dim
     terms = strong_terms(case.spatial_factor, n)
 
-    def coefficients(t: float) -> np.ndarray:
-        tf = time_factors(boundary, params, t)
-        T0, T1, T2 = (case.amplitude * case.temporal_factor(t, k) for k in range(3))
+    def coefficients(times) -> np.ndarray:
+        ts = np.asarray(times, dtype=float)
+        tf = time_factors(boundary, params, ts)
+        rows = np.fromiter(([case.amplitude * case.temporal_factor(t, k) for k in range(3)]
+                            + [case.grad_norm_sq(t)] for t in map(float, ts.flat)),
+                           np.dtype((float, 4)), ts.size)
+        T0, T1, T2, grad_sq = rows.T.reshape(4, *ts.shape)
         l1, l2 = strong_coefficients(tf, params.nu, n)
-        l2[1] -= tf.b1 * case.grad_norm_sq(t)
-        c = T1 * l1 + T0 * l2
-        c[0] += T2
+        l2[..., 1] -= tf.b1 * grad_sq
+        c = T1[..., None] * l1 + T0[..., None] * l2
+        c[..., 0] += T2
         return c
 
     def f(points: np.ndarray, t: float) -> np.ndarray:

@@ -16,9 +16,10 @@ products in 2D); S is formed in LAPACK band storage, by one product, only when
 the 1D solver factors it.  The load F(t) follows the same rule over the
 source's five spatial terms, integrated once per run on the 1D axis (a 2D
 term's load is a sum of tensor products of 1D ones); a homogeneous run's load
-is the scalar 0.0.  ``advance`` forms the run's time table before the first
-step (``BeamSystem.time_table``, ``StepProblem.step_matrices``), each level's
-load once, and each state once with its products and its form d^T K1 d (``state``).
+is the scalar 0.0.  Before the first step ``advance`` forms the run's time table, b1, L1,
+L2 and the load coefficients C of every level (``BeamSystem.time_table``), and the step
+matrices (``StepProblem.step_matrices``); a level's load is C[i] @ Phi.  Each state is
+formed once, with its products and its form d^T K1 d (``state``).
 Each implicit step is one ``StepProblem``: from its row of the table it poses
 one nonlinear system, the startup step with its ghost level included.  Its
 Jacobian is a step matrix plus a low-rank correction from the differential of
@@ -249,10 +250,10 @@ def gmres(matvec, psolve, b: np.ndarray) -> tuple[np.ndarray, int]:
 
 @runtime_checkable
 class Source(Protocol):
-    """A load sum_k c_k(t) h_k(y) as ``make_source`` returns it, integrated on the 1D axis."""
+    """A load sum_k c_k(t) h_k(y) as ``make_source`` returns it: 1D terms, c at any times."""
 
     axis_terms: Sequence[Callable[[np.ndarray], np.ndarray]]
-    coefficients: Callable[[float], np.ndarray]
+    coefficients: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(eq=False)
@@ -261,9 +262,9 @@ class BeamSystem:
 
     ``source`` is None (a homogeneous run, zero load) or a ``Source`` from
     ``make_source``, whose data attributes ``axis_terms`` and ``coefficients``
-    give it as sum_k c_k(t) h_k(y); a plain f(y, t) is refused.  At the first
-    load each 1D term is integrated on the axis space into row k of Phi, made
-    2D by ``tensor_terms``; every load is then c(t) @ Phi, with no quadrature per step.
+    give it as sum_k c_k(t) h_k(y); a plain f(y, t) is refused.  At the first load each
+    1D term is integrated on the axis space into row k of Phi, made 2D by ``tensor_terms``;
+    a level's load is then its row of the run's c times Phi, with no quadrature per step.
     """
 
     space: HermiteSpace
@@ -277,25 +278,29 @@ class BeamSystem:
         if self.source is not None and not isinstance(self.source, Source):
             raise TypeError("source must come from make_source, with axis_terms and coefficients")
 
-    def time_table(self, cfg: NewmarkConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """b1 (n + 1,), L1 and L2 (n + 1, 5) at the levels t_i = i dt of a run, each from
-        one scalar ``time_factors`` call (numpy's vectorized power and exp differ in ulps)."""
-        b1, L = np.empty(cfg.n_steps + 1), np.empty((cfg.n_steps + 1, 2, 5))
-        for i in range(cfg.n_steps + 1):
-            f = time_factors(self.boundary, self.params, i * cfg.dt)
-            b1[i], L[i] = f.b1, l_coefficients(f, self.params.nu)
-        return b1, L[:, 0], L[:, 1]
+    def time_table(self, cfg: NewmarkConfig) -> tuple:
+        """b1 (n + 1,), L1 and L2 (n + 1, 5) at the levels t_i = i dt of a run, from one
+        ``time_factors`` call, and the source's coefficients C (n + 1, 5) there, from one
+        ``coefficients`` call (a None per level for a homogeneous run)."""
+        times = cfg.dt * np.arange(cfg.n_steps + 1)
+        f = time_factors(self.boundary, self.params, times)
+        C = [None] * len(times) if self.source is None else self.source.coefficients(times)
+        return f.b1, *l_coefficients(f, self.params.nu), C
 
     def load(self, t: float) -> np.ndarray | float:
-        """F(t) = c(t) @ Phi; Phi is built here, in the march, at the first call.
-        A homogeneous run's load is the scalar 0.0, exact in every sum it enters."""
-        if self.source is None:
+        """F(t) at one time, from the source's coefficients there (``level_load``)."""
+        return self.level_load(t, None if self.source is None else self.source.coefficients(t))
+
+    def level_load(self, t: float, c: np.ndarray | None) -> np.ndarray | float:
+        """F = c @ Phi at time t, c its row of C (``time_table``); Phi is built here, in the
+        march, at the first call.  c None gives 0.0, exact in every sum it enters."""
+        if c is None:
             return 0.0
         if self._phi is None:
-            F = np.array([assemble_load(self.space.axis or self.space, lambda y, _t, h=h: h(y), t)
+            F = np.array([assemble_load(self.space.axis or self.space, h)
                           for h in self.source.axis_terms])
             self._phi = F if self.space.mesh.dim == 1 else tensor_terms(F).reshape(len(F), -1)
-        F = self.source.coefficients(t) @ self._phi
+        F = c @ self._phi
         if not np.all(np.isfinite(F)):
             raise ValueError(f"load is non-finite at t={t}")
         return F
@@ -444,15 +449,15 @@ def advance(system: BeamSystem, cfg: NewmarkConfig, d0: np.ndarray,
     iters, residuals = [], []  # Newton's iterations and final max |R| per step
 
     solver = LinearSolver(system.ops)  # local to the run, so no factor outlives it
-    b1, L1, L2 = system.time_table(cfg)
+    b1, L1, L2, C = system.time_table(cfg)
     step_mats = StepProblem.step_matrices(cfg, L1, L2)
-    del L1, L2  # the march reads only b1 and the step matrices
-    loads = (system.load(0.0),) * 2  # F at eta-1 and eta; level 0 stands in for -1
+    del L1, L2  # the march reads only b1, the step matrices and C
+    loads = (system.level_load(0.0, C[0]),) * 2  # F at eta-1 and eta; level 0 stands in for -1
     curr, prev = state(system.ops, ds[0]), None  # the states at eta, eta-1
     for eta in range(cfg.n_steps):
         if eta == 1:  # the startup matrix M1 + M3 is about 2 M1: too far to precondition
             solver.reset()
-        loads = loads[-2:] + (system.load((eta + 1) * cfg.dt),)
+        loads = loads[-2:] + (system.level_load(times[eta + 1], C[eta + 1]),)
         row = (b1[max(eta - 1, 0)], b1[eta], b1[eta + 1]), step_mats[eta], loads
         prob = StepProblem(system.ops, cfg, row, curr, prev, d1)
         try:

@@ -18,11 +18,53 @@ from movingbeam import (
     assemble_load,
     eval_boundary,
 )
+from movingbeam.energy import _energies
 from movingbeam.fem import (DEFAULT_LOAD_QUAD, DEFAULT_OPERATOR_QUAD, _elem_integrals, _quadrature,
                             interpolate_initial, l_coefficients)
-from movingbeam.geometry import time_factors
+from movingbeam.geometry import TimeFactors, time_factors
 from movingbeam.manufactured import strong_coefficients, strong_terms
 from movingbeam.newmark import StepProblem, state
+
+
+def scalar_time_factors(b, p, t):
+    """The time factors at one time t by the scalar formulas, in Python floats:
+    the oracle the columns of ``time_factors`` are checked against."""
+    k, kp, kpp = eval_boundary(b, t)
+    if k <= 0.0:
+        raise SingularMappingError(f"K(t) must be positive, got K({t}) = {k}")
+    damping = k * (p.nu * kp + kpp)
+    return TimeFactors(k=k, b1=p.zeta1 * k ** -4, b2=k ** -4, s0=p.zeta0 / k ** 2, r=kp / k,
+                       c3=(2.0 * kp * kp - damping) / k ** 2,
+                       c4=(-2.0 * kp * kp - damping) / k ** 2)
+
+
+def scalar_l_coefficients(f, nu):
+    """L1 and L2 over ``AssembledOperators.BASIS`` at one time, from the scalar
+    factors ``f`` (``scalar_time_factors``): the oracle of ``fem.l_coefficients``."""
+    return (np.array([nu, 0.0, 0.0, 0.0, -2.0 * f.r]),
+            np.array([0.0, f.s0, f.b2, -4.0 * f.r * f.r, f.c4]))
+
+
+def scalar_source_coefficients(case, b, p, t):
+    """The coefficients c(t) of ``make_source(case, b, p)`` at one time t, by the
+    scalar formulas: the oracle of the source's table."""
+    tf, n = scalar_time_factors(b, p, t), case.dim
+    T0, T1, T2 = (case.amplitude * case.temporal_factor(t, k) for k in range(3))
+    r2 = tf.r * tf.r
+    l1 = np.array([p.nu, 0.0, 0.0, -2.0 * tf.r, 0.0])
+    l2 = np.array([0.0, -tf.s0 - tf.b1 * case.grad_norm_sq(t), tf.b2,
+                   tf.c3 + (4.0 * n + 8.0) * r2, r2])
+    c = T1 * l1 + T0 * l2
+    c[0] += T2
+    return c
+
+
+def energy_from_state(space, boundary, params, d, d_dot, t, nq=8):
+    """E(t) of the one state (d, d_dot) at time t, as ``energy_series`` forms it
+    for a block (its docstring gives E), with the scalar time factors at t."""
+    f = scalar_time_factors(boundary, params, t)
+    factors = np.array([[f.k], [f.r], [f.b1], [f.b2], [f.s0]])
+    return float(_energies(space, factors, d[None], d_dot[None], nq)[0])
 
 
 def a_coefficients(tf, y):
@@ -51,9 +93,9 @@ class TimeDependentOperators:
 
 def assemble_time_dependent(space, boundary, params, t, nq=DEFAULT_OPERATOR_QUAD):
     """Assemble B1..B4 at time t by pointwise quadrature: the reference that
-    the stepper's combinations (``l_coefficients``) are checked against."""
+    the stepper's combinations (``fem.l_coefficients``) are checked against."""
     tab = space.basis_tables(nq)
-    a1, a2, _, a4, a5 = a_coefficients(time_factors(boundary, params, t), tab["points"])
+    a1, a2, _, a4, a5 = a_coefficients(scalar_time_factors(boundary, params, t), tab["points"])
     g = [tab["grad"][:, :, i] for i in range(space.mesh.dim)]
     pairs = [(i, j) for i in range(len(g)) for j in range(len(g))]
     integrate = functools.partial(_elem_integrals, space, nq)
@@ -71,9 +113,9 @@ def kirchhoff_scalar(b1_t, d, K1):
     return float(b1_t * (d @ (K1 @ d)))
 
 
-def project_initial(space, ops, value, t=0.0, nq=DEFAULT_LOAD_QUAD):
+def project_initial(space, ops, value, nq=DEFAULT_LOAD_QUAD):
     """L2 projection alternative to nodal interpolation: solve A d = (v, phi)."""
-    return spsolve(ops.A.tocsc(), assemble_load(space, value, t, nq=nq))
+    return spsolve(ops.A.tocsc(), assemble_load(space, value, nq=nq))
 
 
 def _scale(b, t):
@@ -188,7 +230,7 @@ def quadrature_energies(space, boundary, params, d, d_dot, times, nq=8):
     displacement, velocity, gradient and Laplacian evaluated at the Gauss points:
     the reference ``energy_series`` is checked against."""
     k, r, b1, b2, s0 = np.array([(f.k, f.r, f.b1, f.b2, f.s0) for f in (
-        time_factors(boundary, params, float(t)) for t in times)]).T
+        scalar_time_factors(boundary, params, float(t)) for t in times)]).T
     dim, m = space.mesh.dim, len(d)
     tab = space.basis_tables(nq)
     w = np.tile(tab["w"], space.mesh.ncells)
@@ -223,10 +265,10 @@ def step_row(system, cfg, eta):
     and F at the levels (eta-1, eta, eta+1), level 0 standing in for level -1 at
     startup, and the step's M1, M2, M3; the table reaches step eta at least."""
     cfg = dataclasses.replace(cfg, n_steps=max(cfg.n_steps, eta + 1))
-    b1, L1, L2 = system.time_table(cfg)
+    b1, L1, L2, C = system.time_table(cfg)
     levels = max(eta - 1, 0), eta, eta + 1
     return (tuple(b1[k] for k in levels), StepProblem.step_matrices(cfg, L1, L2)[eta],
-            tuple(system.load(k * cfg.dt) for k in levels))
+            tuple(system.level_load(k * cfg.dt, C[k]) for k in levels))
 
 
 def step_problem(system, cfg, eta, d_curr, d_prev, d1):

@@ -16,12 +16,11 @@ from movingbeam import (
     advance,
     assemble_constant,
     decay_fit,
-    energy_from_state,
     energy_series,
     interpolate_initial,
 )
 
-from conftest import quadrature_energies, velocity_series
+from conftest import energy_from_state, quadrature_energies, velocity_series
 
 # K = 1 + t/2: r = K'/K near 1/2, and b1 = zeta1/K^4 near zeta1
 LINEAR = MovingBoundary(BoundaryKind.LINEAR_DRIFT, base=1.0, slope=0.5,

@@ -349,7 +349,7 @@ class TestAffineOperators:
         ops = free_operators(space)
         # the run's time table at its levels t = 0 and 0.5
         system = BeamSystem(space, assemble_constant(space), b, params)
-        _, L1, L2 = system.time_table(NewmarkConfig(dt=0.5, n_steps=1))
+        _, L1, L2, _ = system.time_table(NewmarkConfig(dt=0.5, n_steps=1))
         for i, t in enumerate((0.0, 0.5)):
             for c, ref in zip(
                 (L1[i], L2[i]), _quadrature_l_matrices(space, ops, b, params, t)
@@ -366,7 +366,7 @@ class TestAffineOperators:
         system = BeamSystem(space, ops, MovingBoundary.b2(dim), params)
         cfg = NewmarkConfig(theta=0.25, dt=2.0**-5, n_steps=4)
         d = np.full(space.ndof, 0.01)
-        _, L1, L2 = system.time_table(cfg)
+        _, L1, L2, _ = system.time_table(cfg)
         coefs = [L1[3], L2[3]]
         for eta in (0, 2):
             prob = step_problem(system, cfg, eta, d, d, d)
@@ -489,7 +489,7 @@ class TestAffineOperators:
         monkeypatch.setattr(HermiteSpace, "scatter", boom)
         # the guards are live: set-up, which integrates, trips each of them
         for integrates in (lambda: fem.assemble_constant(space),
-                           lambda: fem.assemble_load(space, lambda y, t: 0 * y[:, 0], 0.0),
+                           lambda: fem.assemble_load(space, lambda y: 0 * y[:, 0]),
                            lambda: space.scatter(np.zeros((space.mesh.ncells, nloc, nloc)))):
             with pytest.raises(AssertionError, match="per-step quadrature"):
                 integrates()
@@ -499,7 +499,7 @@ class TestAffineOperators:
 
 class TestLoad:
     def test_zero_source(self, space_1d_coarse):
-        F = assemble_load(space_1d_coarse, lambda pts, t: np.zeros(len(pts)), 0.0)
+        F = assemble_load(space_1d_coarse, lambda pts: np.zeros(len(pts)))
         assert np.all(F == 0.0)
 
     def test_constant_source_partition(self):
@@ -507,7 +507,7 @@ class TestLoad:
         # boundary value-shape integrals (h/2 each)
         space = HermiteSpace(Mesh.uniform(1, 8))
         h = space.mesh.h[0]
-        F = assemble_load(space, lambda pts, t: np.ones(len(pts)), 0.0)
+        F = assemble_load(space, lambda pts: np.ones(len(pts)))
         full = np.zeros(space.ndof_full)
         full[space.free_dofs] = F
         total = full[0::2].sum()
@@ -518,18 +518,18 @@ class TestLoad:
         m = 3
         em = np.zeros(space_1d_coarse.ndof)
         em[m] = 1.0
-        f = lambda pts, t: space_1d_coarse.eval_points(em, pts)
-        F = assemble_load(space_1d_coarse, f, 0.0, nq=8)
+        f = lambda pts: space_1d_coarse.eval_points(em, pts)
+        F = assemble_load(space_1d_coarse, f, nq=8)
         np.testing.assert_allclose(F, ops.A.toarray()[:, m], rtol=1e-12, atol=1e-16)
 
     def test_non_finite_source_rejected(self, space_1d_coarse):
-        def bad(pts, t):
+        def bad(pts):
             v = np.ones(len(pts))
             v[0] = np.inf
             return v
 
         with pytest.raises(ValueError, match="non-finite"):
-            assemble_load(space_1d_coarse, bad, 0.0)
+            assemble_load(space_1d_coarse, bad)
 
 
 class TestInterpolation:
@@ -567,7 +567,7 @@ class TestInterpolation:
         ops = assemble_constant(space)
         d_i = interpolate_initial(space, s1_1d.initial_displacement())
         d_p = project_initial(
-            space, ops, lambda pts, t: s1_1d.eval(pts, 0.0), nq=8
+            space, ops, lambda pts: s1_1d.eval(pts, 0.0), nq=8
         )
         tab = space.basis_tables(8)
         ve = s1_1d.eval(tab["points"].reshape(-1, 1), 0.0)

@@ -18,7 +18,7 @@ from movingbeam import (
 )
 from movingbeam.geometry import time_factors
 
-from conftest import a_coefficients, map_back, map_point
+from conftest import a_coefficients, map_back, map_point, scalar_time_factors
 
 
 class TestEvalBoundary:
@@ -77,6 +77,24 @@ class TestEvalCoefficients:
     def test_b1_a4_at_unit_point(self, b1_1d, params):
         a4 = a_coefficients(time_factors(b1_1d, params, 0.0), np.array([1.0]))[3]
         assert a4[0] == pytest.approx(-(2.0 ** -12), rel=1e-15)
+
+    @pytest.mark.parametrize("which", ["B1", "B2", "saturation"])
+    def test_columns_of_any_shape_are_the_scalar_formulas(self, which, params):
+        # a (2, 3) grid of times, a single time and no time: every field is a
+        # column of the times' shape with the bits of the scalar formulas
+        b = {"B1": MovingBoundary.b1(1), "B2": MovingBoundary.b2(1),
+             "saturation": MovingBoundary(BoundaryKind.EXPONENTIAL_SATURATION, base=1.0,
+                                          amplitude=1.0, rate=2.0)}[which]
+        fields = ("k", "b1", "b2", "s0", "r", "c3", "c4")
+        times = np.array([[0.0, 0.3, 1.7], [2.0**-7, 5.0, 19.99]])
+        f = time_factors(b, params, times)
+        for idx in np.ndindex(times.shape):
+            ref = scalar_time_factors(b, params, float(times[idx]))
+            assert all(getattr(f, name)[idx] == getattr(ref, name) for name in fields), idx
+        one, none = time_factors(b, params, 0.3), time_factors(b, params, [])
+        assert all(np.shape(getattr(one, name)) == () for name in fields)
+        assert all(getattr(one, name) == getattr(f, name)[0, 1] for name in fields)
+        assert all(getattr(none, name).shape == (0,) for name in fields)
 
     def test_singular_mapping(self, params):
         b = MovingBoundary(BoundaryKind.LINEAR_DRIFT, base=0.0)

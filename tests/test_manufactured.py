@@ -238,14 +238,14 @@ class TestStrongCoefficients:
                 BoundaryKind.EXPONENTIAL_SATURATION, base=1.0, amplitude=1.0, rate=2.0),
         }[which]
         M, rounded = _by_parts(n), np.arange(5) == 3
-        for t in np.linspace(0.0, 2.0, 17):
-            tf = time_factors(b, params, float(t))
-            for strong, weak in zip(strong_coefficients(tf, params.nu, n),
-                                    l_coefficients(tf, params.nu)):
-                image = weak @ M
-                assert np.array_equal(strong[~rounded], image[~rounded])
-                # L2's: c3 + (4n+8) r^2 against 4 (n+3) r^2 + c4, c4 = c3 - 4 r^2
-                assert abs(strong[3] - image[3]) <= 1e-14 * abs(strong[3])
+        tf = time_factors(b, params, np.linspace(0.0, 2.0, 17))  # a row per time
+        for strong, weak in zip(strong_coefficients(tf, params.nu, n),
+                                l_coefficients(tf, params.nu)):
+            image = weak @ M
+            assert strong.shape == (17, 5)
+            assert np.array_equal(strong[:, ~rounded], image[:, ~rounded])
+            # L2's: c3 + (4n+8) r^2 against 4 (n+3) r^2 + c4, c4 = c3 - 4 r^2
+            assert np.all(abs(strong[:, 3] - image[:, 3]) <= 1e-14 * abs(strong[:, 3]))
 
 
 class TestTensorTerms:

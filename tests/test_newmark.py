@@ -27,8 +27,7 @@ from movingbeam import (
     interpolate_initial,
     make_source,
 )
-from movingbeam import newmark
-from movingbeam.fem import l_coefficients
+from movingbeam import energy, geometry, newmark
 from movingbeam.geometry import time_factors
 from movingbeam.newmark import (
     LinearSolver,
@@ -39,7 +38,8 @@ from movingbeam.newmark import (
 )
 
 from conftest import (a_coefficients, free_operators, jacobian_dense, kirchhoff_scalar,
-                      residual_at, start_at, step_problem, step_row)
+                      residual_at, scalar_l_coefficients, scalar_source_coefficients,
+                      scalar_time_factors, start_at, step_problem, step_row)
 
 # K = 1 + t/2: K^-4, and with it the Newton matrix, drifts by about 3% per step at dt = 2^-6
 FAST = MovingBoundary(BoundaryKind.LINEAR_DRIFT, base=1.0, slope=0.5,
@@ -112,10 +112,11 @@ class _ScalarSystem:
 
     def time_table(self, cfg):
         n = cfg.n_steps + 1
-        return np.full(n, self._b1), *(np.tile(np.eye(5)[k], (n, 1)) for k in (2, 3))
+        return (np.full(n, self._b1), *(np.tile(np.eye(5)[k], (n, 1)) for k in (2, 3)),
+                np.full((n, 1), self._F))
 
-    def load(self, t):
-        return np.array([self._F])
+    def level_load(self, t, c):
+        return c  # one load term, whose vector is [1]
 
 
 def _scalar_problem(system, cfg, eta, F=None):
@@ -129,9 +130,9 @@ def _scalar_problem(system, cfg, eta, F=None):
 
 
 def _level(system, t):
-    """(b1, L1, L2) at time t from the time factors, apart from the run's table."""
-    f = time_factors(system.boundary, system.params, t)
-    return (f.b1, *l_coefficients(f, system.params.nu))
+    """(b1, L1, L2) at time t by the scalar formulas, apart from the run's table."""
+    f = scalar_time_factors(system.boundary, system.params, t)
+    return (f.b1, *scalar_l_coefficients(f, system.params.nu))
 
 
 class TestStepOperators:
@@ -196,24 +197,66 @@ class TestStepOperators:
 class TestTimeTable:
     # numpy's vectorized power and exp differ from Python's in the last ulp at
     # some levels of this grid, and the recorded runs keep the scalar bits
-    @pytest.mark.parametrize("boundary", [MovingBoundary.b1(1), MovingBoundary.b2(1)])
+    @pytest.mark.parametrize("boundary", [MovingBoundary.b1(1), MovingBoundary.b2(1), FAST])
     def test_levels_are_the_scalar_time_factors(self, boundary, params):
         cfg = NewmarkConfig(dt=2.0**-7, n_steps=2560)
         space = HermiteSpace(Mesh.uniform(1, 4))
         system = BeamSystem(space, assemble_constant(space), boundary, params)
-        b1, L1, L2 = system.time_table(cfg)
+        b1, L1, L2, C = system.time_table(cfg)
+        assert C == [None] * (cfg.n_steps + 1)
         for i in range(cfg.n_steps + 1):
-            f = time_factors(boundary, params, i * cfg.dt)
-            L1_i, L2_i = l_coefficients(f, params.nu)
+            f = scalar_time_factors(boundary, params, i * cfg.dt)
+            L1_i, L2_i = scalar_l_coefficients(f, params.nu)
             assert b1[i] == f.b1, i
             assert np.array_equal(L1[i], L1_i) and np.array_equal(L2[i], L2_i), i
+
+    @pytest.mark.parametrize("case_id", ["S1", "S2"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("boundary", ["B1", "B2", "FAST"])
+    def test_load_rows_are_the_scalar_source_coefficients(self, case_id, dim, boundary,
+                                                          params):
+        # each row of C has the bits of the scalar c(t) at its level, and the
+        # level's load is that row times Phi, bit for bit
+        b = {"B1": MovingBoundary.b1(dim), "B2": MovingBoundary.b2(dim), "FAST": FAST}[boundary]
+        case = ManufacturedCase.standard(case_id, dim)
+        cfg = NewmarkConfig(dt=2.0**-7, n_steps=256)
+        space = HermiteSpace(Mesh.uniform(dim, 4))
+        system = BeamSystem(space, assemble_constant(space), b, params,
+                            make_source(case, b, params))
+        *_, C = system.time_table(cfg)
+        assert C.shape == (cfg.n_steps + 1, 5)
+        for i in range(cfg.n_steps + 1):
+            c = scalar_source_coefficients(case, b, params, i * cfg.dt)
+            assert np.array_equal(C[i], c), i
+        for i in (0, 1, 128, 256):
+            F = system.level_load(i * cfg.dt, C[i])
+            ref = scalar_source_coefficients(case, b, params, i * cfg.dt) @ system._phi
+            assert F.tobytes() == ref.tobytes() == system.load(i * cfg.dt).tobytes()
+
+    @pytest.mark.parametrize("boundary", [MovingBoundary.b2(1), FAST])
+    def test_energy_factors_are_the_scalar_time_factors(self, boundary, params, monkeypatch):
+        # energy_series takes K, r, b1, b2, s0 of every state from one call, with
+        # the bits of the scalar formulas at the trajectory's times
+        blocks = _count_calls(monkeypatch, energy, "_energies")
+        factors = _count_calls(monkeypatch, energy, "time_factors")
+        case = ManufacturedCase.standard("S1", 1)
+        space = HermiteSpace(Mesh.uniform(1, 64))
+        system = BeamSystem(space, assemble_constant(space), boundary, params)
+        d0 = interpolate_initial(space, case.initial_displacement())
+        traj = advance(system, NewmarkConfig(dt=2.0**-7, n_steps=300), d0, 0.0 * d0)
+        energy.energy_series(space, boundary, params, traj)
+        assert len(factors) == 1 and len(blocks) > 1
+        columns = np.concatenate([call[1] for call in blocks], axis=1)
+        for t, column in zip(traj.times, columns.T):
+            f = scalar_time_factors(boundary, params, float(t))
+            assert np.array_equal(column, [f.k, f.r, f.b1, f.b2, f.s0]), t
 
     @pytest.mark.parametrize("theta", [0.25, 0.3])
     def test_step_matrices_are_each_steps_formulas(self, theta, params):
         # the formulas evaluated on each step's own 5-vectors give the same bits
         cfg = NewmarkConfig(theta=theta, dt=2.0**-6, n_steps=64)
         space = HermiteSpace(Mesh.uniform(1, 4))
-        _, L1, L2 = BeamSystem(space, assemble_constant(space), FAST, params).time_table(cfg)
+        _, L1, L2, _ = BeamSystem(space, assemble_constant(space), FAST, params).time_table(cfg)
         A, dt, th_dt2 = np.eye(5)[0], cfg.dt, theta * cfg.dt * cfg.dt
         for eta, got in enumerate(StepProblem.step_matrices(cfg, L1, L2)):
             half_L1 = 0.5 * dt * L1[eta]
@@ -404,12 +447,12 @@ class TestAdvance:
     # B1: one Newton iteration per step; FAST with amplitude 1: three
     @pytest.mark.parametrize("boundary,amplitude", [(None, None), (FAST, 1.0)])
     def test_each_level_and_product_formed_once(self, boundary, amplitude, monkeypatch):
-        # a homogeneous 1D run evaluates the time factors once per level, and
-        # makes one five-operator product per residual but each step's first,
-        # whose O d^eta comes from the window, plus O d0 and O d1 at startup;
-        # a 1D linear solve makes none, as it runs no refinement sweep.  The
-        # Kirchhoff terms are formed once per residual: the Jacobian at the
-        # same X takes them from it.
+        # a homogeneous 1D run evaluates its time factors in one call, which
+        # evaluates the boundary once per level, and makes one five-operator
+        # product per residual but each step's first, whose O d^eta comes from
+        # the window, plus O d0 and O d1 at startup; a 1D linear solve makes
+        # none, as it runs no refinement sweep.  The Kirchhoff terms are formed
+        # once per residual: the Jacobian at the same X takes them from it.
         factors = _count_calls(monkeypatch, newmark, "time_factors")
         products = _count_calls(monkeypatch, AssembledOperators, "products")
         residuals = _count_calls(monkeypatch, StepProblem, "residual")
@@ -417,11 +460,22 @@ class TestAdvance:
         _, forced, d0, d1 = _mms_system(cells=16, boundary=boundary, amplitude=amplitude)
         system = BeamSystem(forced.space, forced.ops, forced.boundary, forced.params)
         cfg = NewmarkConfig(theta=0.25, dt=2.0**-6, n_steps=16)
+        boundaries = _count_calls(monkeypatch, geometry, "eval_boundary")
         traj = advance(system, cfg, d0, d1)
         assert traj.completed
-        assert len(factors) == cfg.n_steps + 1
+        assert len(factors) == 1 and len(boundaries) == cfg.n_steps + 1
         assert len(products) == len(residuals) - cfg.n_steps + 2
         assert len(kirchhoff) == len(residuals) > cfg.n_steps
+        # a forced run takes the source's coefficients in one call, before the
+        # first step; its time factors evaluate the boundary once more per level
+        posed = _count_calls(monkeypatch, StepProblem, "__init__")
+        coefficients, before = forced.source.coefficients, []
+        monkeypatch.setattr(forced.source, "coefficients",
+                            lambda times: before.append(len(posed)) or coefficients(times))
+        factors.clear(), boundaries.clear()
+        assert advance(forced, cfg, d0, d1).completed
+        assert before == [0] and len(posed) == cfg.n_steps
+        assert len(factors) == 1 and len(boundaries) == 2 * (cfg.n_steps + 1)
 
     @pytest.mark.parametrize("dim,cells", [(1, 16), (2, 8)])
     def test_each_state_carries_its_own_products_and_form(self, dim, cells, monkeypatch):
@@ -794,7 +848,7 @@ def _pointwise_source(case, b, p):
     eye = np.eye(case.dim, dtype=int)
 
     def f(pts, t):
-        tf = time_factors(b, p, t)
+        tf = scalar_time_factors(b, p, t)
         a4 = a_coefficients(tf, pts)[3]
         out = case.eval(pts, t, 2) + p.nu * case.eval(pts, t, 1)
         out -= tf.b1 * case.grad_norm_sq(t) * sum(case.eval(pts, t, 0, tuple(2 * e))
@@ -824,7 +878,7 @@ class TestLoadBasis:
                             make_source(case, b, params))
         reference = _pointwise_source(case, b, params)
         for t in (0.0, 0.1, 0.25, 0.37, 0.5, 0.61, 0.75, 0.9, 1.0):
-            ref = assemble_load(space, reference, t)
+            ref = assemble_load(space, lambda y: reference(y, t))
             assert np.max(np.abs(system.load(t) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_forced_run_integrates_five_terms_once(self, monkeypatch):
@@ -897,6 +951,18 @@ class TestLoadBasis:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError,
                                                          match="non-finite at t=0.25"):
             system.load(0.25)
+
+
+    def test_non_finite_level_load_in_a_run_names_the_time(self, b1_1d, params):
+        # the march reads each level's load from the run's table; a non-finite
+        # row raises before the first step, naming its level's time
+        case = dataclasses.replace(ManufacturedCase.standard("S1", 1), amplitude=np.inf)
+        space = HermiteSpace(Mesh.uniform(1, 8))
+        system = BeamSystem(space, assemble_constant(space), b1_1d, params,
+                            make_source(case, b1_1d, params))
+        d0 = np.zeros(space.ndof)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite at t=0.0"):
+            advance(system, NewmarkConfig(dt=2.0**-5, n_steps=4), d0, d0)
 
 
 class TestConfigValidation:

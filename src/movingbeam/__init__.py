@@ -30,7 +30,6 @@ from .newmark import (
     NewmarkConfig,
     NewtonNoConvergence,
     SingularJacobian,
-    StepProblem,
     Trajectory,
     advance,
     newton_solve,

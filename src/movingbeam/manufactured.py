@@ -200,14 +200,15 @@ def make_source(
 
     The returned callable carries them as data attributes: ``axis_terms``, the five terms
     of q, which are the h_k in 1D and give them in 2D by ``tensor_terms``, and ``coefficients``,
-    times of any shape -> a row of c per time.  A run so integrates each term once.
+    times of any shape -> a row of c per time, from their ``time_factors`` when given (a run
+    passes its time table's).  A run so integrates each term once.
     """
     n = case.dim
     terms = strong_terms(case.spatial_factor, n)
 
-    def coefficients(times) -> np.ndarray:
+    def coefficients(times, tf=None) -> np.ndarray:
         ts = np.asarray(times, dtype=float)
-        tf = time_factors(boundary, params, ts)
+        tf = time_factors(boundary, params, ts) if tf is None else tf
         rows = np.fromiter(([case.amplitude * case.temporal_factor(t, k) for k in range(3)]
                             + [case.grad_norm_sq(t)] for t in map(float, ts.flat)),
                            np.dtype((float, 4)), ts.size)

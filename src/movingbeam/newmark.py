@@ -15,13 +15,16 @@ vector c over them: a state's residual contracts c with its five products
 products in 2D); S is formed in LAPACK band storage, by one product, only when
 the 1D solver factors it.  The load F(t) follows the same rule over the
 source's five spatial terms, integrated once per run on the 1D axis (a 2D
-term's load is a sum of tensor products of 1D ones); a homogeneous run's load
-is the scalar 0.0.  Before the first step ``advance`` forms the run's time table, b1, L1,
-L2 and the load coefficients C of every level (``BeamSystem.time_table``), and the step
-matrices (``StepProblem.step_matrices``); a level's load is C[i] @ Phi.  Each state is
-formed once, with its products and its form d^T K1 d (``state``).
-Each implicit step is one ``StepProblem``: from its row of the table it poses
-one nonlinear system, the startup step with its ghost level included.  Its
+term's load is a sum of tensor products of 1D ones); a homogeneous run forms
+none.  ``advance`` binds a run's machinery once, before the first step:
+its time table, b1, L1, L2 and the load coefficients C of every level
+(``BeamSystem.time_table``), the step matrices of every step (``step_matrices``), the
+products x -> O x of its iterates (in 1D the CSR kernel on the stacked operators' arrays,
+in 2D ``ops.products``) and the linear solve of its ``LinearSolver``; a level's load is
+C[i] @ Phi.  Each state is carried as (d, O d, d^T K1 d), each part formed once.  A step
+forms only its constant part, in place, from the states of its levels, and runs
+``newton_solve``: one loop for the startup step, its ghost level included, and the
+generic steps, with no object formed per step.  Its
 Jacobian is a step matrix plus a low-rank correction from the differential of
 G (``LinearSolver``): in 1D each solve is one LAPACK ``dgbsv`` and the Woodbury
 identity, its capacitance in closed form for one Kirchhoff term (``dgesv`` for
@@ -42,6 +45,7 @@ from typing import Callable, Protocol, Sequence, runtime_checkable
 import numpy as np
 from scipy.linalg import eigh, solve_triangular
 from scipy.linalg.lapack import dgbsv, dgesv
+from scipy.sparse._sparsetools import csr_matvec
 
 from .fem import (AssembledOperators, HermiteSpace, KroneckerOperators, assemble_load,
                   l_coefficients)
@@ -53,13 +57,12 @@ __all__ = [
     "NewmarkConfig",
     "whole_steps",
     "Source",
-    "StepProblem",
     "Trajectory",
     "NewtonNoConvergence",
     "SingularJacobian",
     "LinearSolver",
     "gmres",
-    "state",
+    "step_matrices",
     "newton_solve",
     "advance",
     "BeamSystem",
@@ -70,6 +73,7 @@ NEWTON_TOL_STEP = 1e-14
 NEWTON_TOL_RESID = 1e-14
 NEWTON_MAX_ITER = 50
 DIVERGENCE_THRESHOLD = 1e8   # a larger max |d| ends the run as diverged
+_max = np.maximum.reduce     # ndarray.max's reduction, without its Python wrapper
 
 # 2D GMRES: target ||r|| / ||b||, restart length, cap, iterations that refresh the preconditioner
 GMRES_TOL = 1e-14
@@ -250,10 +254,11 @@ def gmres(matvec, psolve, b: np.ndarray) -> tuple[np.ndarray, int]:
 
 @runtime_checkable
 class Source(Protocol):
-    """A load sum_k c_k(t) h_k(y) as ``make_source`` returns it: 1D terms, c at any times."""
+    """A load sum_k c_k(t) h_k(y) as ``make_source`` returns it: 1D terms, c at any times
+    (from their time factors, when given)."""
 
     axis_terms: Sequence[Callable[[np.ndarray], np.ndarray]]
-    coefficients: Callable[[np.ndarray], np.ndarray]
+    coefficients: Callable[..., np.ndarray]
 
 
 @dataclass(eq=False)
@@ -279,17 +284,13 @@ class BeamSystem:
             raise TypeError("source must come from make_source, with axis_terms and coefficients")
 
     def time_table(self, cfg: NewmarkConfig) -> tuple:
-        """b1 (n + 1,), L1 and L2 (n + 1, 5) at the levels t_i = i dt of a run, from one
-        ``time_factors`` call, and the source's coefficients C (n + 1, 5) there, from one
-        ``coefficients`` call (a None per level for a homogeneous run)."""
+        """b1 (n + 1,), L1 and L2 (n + 1, 5) at the levels t_i = i dt of a run, and the
+        source's coefficients C (n + 1, 5) there (a None per level for a homogeneous run),
+        all from one ``time_factors`` call."""
         times = cfg.dt * np.arange(cfg.n_steps + 1)
         f = time_factors(self.boundary, self.params, times)
-        C = [None] * len(times) if self.source is None else self.source.coefficients(times)
+        C = [None] * len(times) if self.source is None else self.source.coefficients(times, f)
         return f.b1, *l_coefficients(f, self.params.nu), C
-
-    def load(self, t: float) -> np.ndarray | float:
-        """F(t) at one time, from the source's coefficients there (``level_load``)."""
-        return self.level_load(t, None if self.source is None else self.source.coefficients(t))
 
     def level_load(self, t: float, c: np.ndarray | None) -> np.ndarray | float:
         """F = c @ Phi at time t, c its row of C (``time_table``); Phi is built here, in the
@@ -306,12 +307,81 @@ class BeamSystem:
         return F
 
 
-class StepProblem:
-    """One implicit step eta -> eta+1, formed from the levels eta-1, eta, eta+1,
-    with its residual and Jacobian in Woodbury-friendly form.
+def step_matrices(cfg: NewmarkConfig, L1: np.ndarray, L2: np.ndarray) -> np.ndarray:
+    """M1, M2, M3 over ``AssembledOperators.BASIS`` of each step of a time table
+    (``BeamSystem.time_table``), (n, 3, 5), by the elementwise + and x of the
+    formulas of ``advance`` in their order: each row has the bits of one step's own."""
+    dt, th = cfg.dt, cfg.theta
+    A = np.eye(len(AssembledOperators.BASIS))[0]  # A's coefficient vector
+    th_dt2, half_L1 = th * dt * dt, 0.5 * dt * L1[:-1]
+    return np.stack([A + half_L1 + th_dt2 * L2[1:],
+                     dt * dt * (1.0 - 2.0 * th) * L2[:-1] - 2.0 * A,
+                     A - half_L1 + th_dt2 * np.vstack([L2[:1], L2[:-2]])], axis=1)
 
-    ``row`` holds b1 and F at the levels eta-1, eta, eta+1 and the step's matrices
-    ``c1``, ``c2``, ``c3`` (:meth:`step_matrices`); ``F_avg`` is its averaged load:
+
+def _products(ops: AssembledOperators | KroneckerOperators) -> Callable:
+    """x -> ``ops.products(x)`` as the march applies it to its own iterates: in 1D the
+    CSR kernel on ``stacked``'s arrays, bound here, with no check of the length of x."""
+    if not isinstance(ops, AssembledOperators):
+        return ops.products
+    M, rows = ops.stacked, len(AssembledOperators.BASIS)
+    matrix = (*M.shape, M.indptr, M.indices, M.data)
+
+    def products(x):
+        out = np.zeros(matrix[0])
+        csr_matvec(*matrix, x, out)
+        return out.reshape(rows, -1)
+    return products
+
+
+def newton_solve(start: tuple, c: np.ndarray, const: np.ndarray, terms: list,
+                 products: Callable, solve: Callable, th_dt2: float) -> tuple:
+    """Newton's iteration for one step's
+
+      R(X) = S(c) X + th_dt2 sum_j G_j(X) K1 (X - s_j) + const,
+      G_j(X) = b_j (X - s_j)^T K1 (X - s_j),
+
+    ``terms`` the (b_j, s_j, K1 s_j), s_j None for a zero shift, whose G_j is b_j q from
+    the state.  From the state (X, O X, q = X^T K1 X) ``start``, each state formed once by
+    ``products``; returns (the state at X, iterations, max |R(X)|), all from a residual at
+    X.  Each iteration solves J dX = -R with J = S(c + th_dt2 sum_j G_j e_K1) + U V^T,
+    the columns th_dt2 K1 (X - s_j) and 2 b_j K1 (X - s_j), by ``solve``.  It stops on
+    max |R| < ``NEWTON_TOL_RESID`` or max |dX| < ``NEWTON_TOL_STEP``; a non-finite
+    residual or ``NEWTON_MAX_ITER`` iterations raise ``NewtonNoConvergence``."""
+    X, OX, q = start[0].copy(), *start[1:]  # X is Newton's own, updated in place
+    it = 0
+    while True:
+        r = c @ OX
+        r += const
+        G, K1z, b2 = 0, [], []  # sum_j G_j (from 0, as sum() starts), K1 (X - s_j), 2 b_j
+        for b, s, K1s in terms:  # one pass per residual: the Jacobian takes what it forms
+            K1z.append(OX[1] if s is None else OX[1] - K1s)
+            g = b * (q if s is None else float((X - s) @ K1z[-1]))
+            r += th_dt2 * g * K1z[-1]
+            G += g
+            b2.append(2.0 * b)
+        rn = float(_max(np.abs(r)))  # NaN and inf carry through the max
+        if rn < NEWTON_TOL_RESID or it and _max(np.abs(step)) < NEWTON_TOL_STEP:
+            return (X, OX, q), it, rn
+        if not math.isfinite(rn):
+            raise NewtonNoConvergence("non-finite residual")
+        J = c.copy()
+        J[1] += th_dt2 * G  # slot 1 is K1
+        # U and V from K, whose columns are the K1 (X - s_j), C-ordered; np.stack takes 3 us
+        K = K1z[0][:, None] if len(K1z) == 1 else np.stack(K1z, axis=1)
+        step = solve(J, np.negative(r, out=r), th_dt2 * K, K * b2)
+        OX = products(np.add(X, step, out=X))  # a new X per iterate: energy1d peak RSS +0.5 MB
+        q, it = float(X @ OX[1]), it + 1
+        if it == NEWTON_MAX_ITER and not _max(np.abs(step)) < NEWTON_TOL_STEP:
+            raise NewtonNoConvergence(f"no convergence in {NEWTON_MAX_ITER} iterations")
+
+
+def advance(system: BeamSystem, cfg: NewmarkConfig, d0: np.ndarray,
+            d1: np.ndarray) -> Trajectory:
+    """March the scheme over n_steps steps from the interpolated initial data.
+
+    ``d0`` and ``d1`` are the initial displacement and velocity coefficient
+    vectors.  Step eta -> eta+1 is formed from the levels eta-1, eta, eta+1:
 
       M1 = A + (dt/2) L1^eta + theta dt^2 L2^{eta+1}
       M2 = dt^2 (1-2 theta) L2^eta - 2A
@@ -326,145 +396,57 @@ class StepProblem:
       R(X) = (M1 + theta dt^2 G^{eta+1}(X) K1) X + (M2 + dt^2 (1-2 theta) G^eta K1) d^eta
              + (M3 + theta dt^2 G^{eta-1} K1) d^{eta-1} - dt^2 F.
 
-    The startup step, the one with no ``prev``, solves it for X = d^1 with the
-    ghost level d^{-1} = X - 2 dt d1 from the initial velocity ``d1``, level 0
-    standing in for level -1.  Both are one form,
-
-      R(X) = S X + theta dt^2 sum_j G_j(X) K1 (X - s_j) + const,
-      G_j(X) = b_j (X - s_j)^T K1 (X - s_j),
-
-    with S = M1 and the one term (b1^{eta+1}, 0) on a generic step, and
-    S = M1 + M3 and the terms (b1^1, 0), (b1^0, 2 dt d1) at startup.
-    ``curr`` and ``prev`` are the states (d, O d, d^T K1 d) of d^eta and d^{eta-1}
-    (``state``); only the startup step's shifted term forms its G_j from a dot of its own.
-    """
-
-    def __init__(self, ops: AssembledOperators | KroneckerOperators, cfg: NewmarkConfig,
-                 row: tuple, curr: tuple, prev: tuple | None, d1: np.ndarray | None):
-        dt, th = cfg.dt, cfg.theta
-        (bm, bn, bp), (self.c1, self.c2, self.c3), (Fm, Fn, Fp) = row
-        self.ops = ops
-        self.th_dt2 = th * dt * dt
-        _, Od, q = curr  # Od rows: A d, K1 d, K2 d, Q d, P d
-        self.F_avg = (th * Fp + (1.0 - th) * Fn if prev is None
-                      else th * Fm + (1.0 - 2.0 * th) * Fn + th * Fp)
-        self.const = const = self.c2 @ Od  # summed in place, term by term
-        const += dt * dt * (1.0 - 2.0 * th) * (bn * q) * Od[1]
-        const -= dt * dt * self.F_avg
-        # (b_j, s_j, K1 s_j) of each Kirchhoff term; None is a zero shift
-        self.terms = [(bp, None, None)]
-        if prev is None:
-            Od1 = ops.products(d1)
-            self.c_lin = self.c1 + self.c3
-            self.terms.append((bm, 2.0 * dt * d1, 2.0 * dt * Od1[1]))
-            const -= 2.0 * dt * (self.c3 @ Od1)
-        else:
-            _, Odp, qp = prev
-            self.c_lin = self.c1
-            const += self.c3 @ Odp
-            const += self.th_dt2 * (bm * qp) * Odp[1]
-
-    @staticmethod
-    def step_matrices(cfg: NewmarkConfig, L1: np.ndarray, L2: np.ndarray) -> np.ndarray:
-        """M1, M2, M3 over ``AssembledOperators.BASIS`` of each step of a time table
-        (``BeamSystem.time_table``), (n, 3, 5), by the elementwise + and x of the
-        formulas above in their order: each row has the bits of one step's own."""
-        dt, th = cfg.dt, cfg.theta
-        A = np.eye(len(AssembledOperators.BASIS))[0]  # A's coefficient vector
-        th_dt2, half_L1 = th * dt * dt, 0.5 * dt * L1[:-1]
-        return np.stack([A + half_L1 + th_dt2 * L2[1:],
-                         dt * dt * (1.0 - 2.0 * th) * L2[:-1] - 2.0 * A,
-                         A - half_L1 + th_dt2 * np.vstack([L2[:1], L2[:-2]])], axis=1)
-
-    def _kirchhoff(self, X: np.ndarray, K1X: np.ndarray, q: float) -> list:
-        """[(b_j, G_j(X), K1 (X - s_j))] over the terms; q = X^T K1 X serves the unshifted one."""
-        out = []
-        for b, s, K1s in self.terms:
-            z, K1z = (X, K1X) if s is None else (X - s, K1X - K1s)
-            out.append((b, b * (q if s is None else float(z @ K1z)), K1z))
-        return out
-
-    def residual(self, X: np.ndarray, OX: np.ndarray, q: float) -> tuple[np.ndarray, list]:
-        """(R(X), terms), formed from the state (X, OX, q) (``state``);
-        ``terms`` are the Kirchhoff terms at X that ``jacobian_parts`` takes."""
-        terms = self._kirchhoff(X, OX[1], q)
-        r = self.c_lin @ OX
-        r += self.const
-        for _, g, K1z in terms:
-            r += self.th_dt2 * g * K1z
-        return r, terms
-
-    def jacobian_parts(self, terms: list):
-        """(c, U, V) with J = S(c) + U V^T at the X whose ``residual`` gave
-        ``terms``: c is the coefficient vector of the sparse part, and each term
-        adds the column pair theta dt^2 K1 z_j, 2 b_j K1 z_j, for z_j = X - s_j."""
-        c = self.c_lin.copy()
-        c[1] += self.th_dt2 * sum(g for _, g, _ in terms)  # slot 1 is K1
-        U, V = np.empty((2, terms[0][2].size, len(terms)))
-        for j, (b, _, K1z) in enumerate(terms):
-            np.multiply(self.th_dt2, K1z, out=U[:, j])
-            np.multiply(2.0 * b, K1z, out=V[:, j])
-        return c, U, V
-
-
-def state(ops: AssembledOperators | KroneckerOperators, x: np.ndarray) -> tuple:
-    """The state (x, O x, x^T K1 x) the march carries: x with its products
-    ``ops.products(x)`` and its Kirchhoff form, each formed once."""
-    Ox = ops.products(x)
-    return x, Ox, float(x @ Ox[1])
-
-
-def newton_solve(problem: StepProblem, start: tuple, solver: LinearSolver | None = None):
-    """Newton iteration from the state ``start`` (``state``); returns (the state at X,
-    iterations, max |R(X)|), all from a residual at X; a non-finite residual raises.  The
-    linear solves go through ``solver``, whose preconditioner carries over between calls."""
-    solver = solver or LinearSolver(problem.ops)
-    X, OX, q = start[0].copy(), *start[1:]  # X is Newton's own copy
-    for it in range(1, NEWTON_MAX_ITER + 1):
-        r, terms = problem.residual(X, OX, q)
-        rn = float(np.abs(r).max())  # NaN and inf carry through the max
-        if not math.isfinite(rn):
-            raise NewtonNoConvergence("non-finite residual")
-        if rn < NEWTON_TOL_RESID:
-            return (X, OX, q), it - 1, rn
-        c, U, V = problem.jacobian_parts(terms)
-        step = solver.solve(c, np.negative(r, out=r), U, V)
-        X, OX, q = state(problem.ops, np.add(X, step, out=X))  # in place
-        if np.abs(step).max() < NEWTON_TOL_STEP:
-            return (X, OX, q), it, float(np.abs(problem.residual(X, OX, q)[0]).max())
-    raise NewtonNoConvergence(f"no convergence in {NEWTON_MAX_ITER} iterations")
-
-
-def advance(system: BeamSystem, cfg: NewmarkConfig, d0: np.ndarray,
-            d1: np.ndarray) -> Trajectory:
-    """March the scheme over n_steps steps from the interpolated initial data.
-
-    ``d0`` and ``d1`` are the initial displacement and velocity coefficient
-    vectors.  Divergence (non-finite iterates, Newton failure or a norm
+    The startup step solves it for X = d^1 with the ghost level d^{-1} = X - 2 dt d1,
+    level 0 standing in for level -1.  Both are the form of ``newton_solve``, with
+    S = M1 and the one term (b1^{eta+1}, 0) on a generic step, and S = M1 + M3 and the
+    terms (b1^1, 0), (b1^0, 2 dt d1) at startup; the rest is ``const``, formed from the
+    states (d, O d, d^T K1 d) of d^eta and d^{eta-1}, which Newton left.  A homogeneous
+    run subtracts no load.  Divergence (non-finite iterates, Newton failure or a norm
     explosion past ``DIVERGENCE_THRESHOLD``) terminates the run early with
     status "diverged" carrying the offending step.
     """
-    times = cfg.dt * np.arange(cfg.n_steps + 1)
+    ops, dt, th = system.ops, cfg.dt, cfg.theta
+    times = dt * np.arange(cfg.n_steps + 1)
     ds = [np.asarray(d0, dtype=float)]
     iters, residuals = [], []  # Newton's iterations and final max |R| per step
 
-    solver = LinearSolver(system.ops)  # local to the run, so no factor outlives it
+    solver = LinearSolver(ops)  # local to the run, so no factor outlives it
+    solve, products = solver.solve, _products(ops)
     b1, L1, L2, C = system.time_table(cfg)
-    step_mats = StepProblem.step_matrices(cfg, L1, L2)
+    b1, mats = b1.tolist(), step_matrices(cfg, L1, L2)
     del L1, L2  # the march reads only b1, the step matrices and C
-    loads = (system.level_load(0.0, C[0]),) * 2  # F at eta-1 and eta; level 0 stands in for -1
-    curr, prev = state(system.ops, ds[0]), None  # the states at eta, eta-1
+    th_dt2, dt2, explicit = th * dt * dt, dt * dt, dt * dt * (1.0 - 2.0 * th)
+    forced = system.source is not None
+    if forced:  # F at eta-1 and eta; level 0 stands in for -1
+        loads = (system.level_load(0.0, C[0]),) * 2
+    Od = ops.products(ds[0])  # the run's inputs go through the checked products
+    curr, prev = (ds[0], Od, float(ds[0] @ Od[1])), None  # the states at eta, eta-1
     for eta in range(cfg.n_steps):
         if eta == 1:  # the startup matrix M1 + M3 is about 2 M1: too far to precondition
             solver.reset()
-        loads = loads[-2:] + (system.level_load(times[eta + 1], C[eta + 1]),)
-        row = (b1[max(eta - 1, 0)], b1[eta], b1[eta + 1]), step_mats[eta], loads
-        prob = StepProblem(system.ops, cfg, row, curr, prev, d1)
+        (c1, c2, c3), (_, Od, q) = mats[eta], curr
+        const = c2 @ Od  # summed in place, term by term
+        const += explicit * (b1[eta] * q) * Od[1]
+        if forced:
+            loads = loads[-2:] + (system.level_load(times[eta + 1], C[eta + 1]),)
+            Fm, Fn, Fp = loads
+            const -= dt2 * (th * Fp + (1.0 - th) * Fn if prev is None
+                            else th * Fm + (1.0 - 2.0 * th) * Fn + th * Fp)
+        terms = [(b1[eta + 1], None, None)]  # (b_j, s_j, K1 s_j)
+        if prev is None:
+            Od1 = ops.products(d1)
+            c = c1 + c3
+            terms.append((b1[0], 2.0 * dt * d1, 2.0 * dt * Od1[1]))
+            const -= 2.0 * dt * (c3 @ Od1)
+        else:
+            (_, Odp, qp), c = prev, c1
+            const += c3 @ Odp
+            const += th_dt2 * (b1[eta - 1] * qp) * Odp[1]
         try:
-            reached, nit, resid = newton_solve(prob, curr, solver)
+            reached, nit, resid = newton_solve(curr, c, const, terms, products, solve, th_dt2)
         except (NewtonNoConvergence, SingularJacobian):
             break
-        dinf = float(np.abs(reached[0]).max(initial=0.0))
+        dinf = float(_max(np.abs(reached[0]), initial=0.0))
         if not math.isfinite(dinf) or dinf > DIVERGENCE_THRESHOLD:
             break
         ds.append(reached[0])

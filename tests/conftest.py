@@ -1,6 +1,7 @@
 """Shared fixtures, and the quadrature oracles that only the tests use."""
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,9 @@ from movingbeam.fem import (DEFAULT_LOAD_QUAD, DEFAULT_OPERATOR_QUAD, _elem_inte
                             interpolate_initial, l_coefficients)
 from movingbeam.geometry import TimeFactors, time_factors
 from movingbeam.manufactured import strong_coefficients, strong_terms
-from movingbeam.newmark import StepProblem, state
+from movingbeam import newmark
+from movingbeam.newmark import (LinearSolver, NewtonNoConvergence, SingularJacobian, Trajectory,
+                                step_matrices)
 
 
 def scalar_time_factors(b, p, t):
@@ -249,6 +252,136 @@ def quadrature_energies(space, boundary, params, d, d_dot, times, nq=8):
     return 0.5 * k**dim * density
 
 
+def state(ops, x):
+    """The state (x, O x, x^T K1 x) the march carries, by the checked ``ops.products``."""
+    Ox = ops.products(x)
+    return x, Ox, float(x @ Ox[1])
+
+
+class StepProblem:
+    """One implicit step of the reference march, eta -> eta+1, as an object with
+    its residual and Jacobian: the formulas of ``advance``'s docstring, one layer
+    per formula, that ``advance`` and ``newton_solve`` fold into one loop.
+
+    ``row`` holds b1 and F at the levels eta-1, eta, eta+1 and the step's matrices
+    (c1, c2, c3) (``step_matrices``); ``curr`` and ``prev`` are the states of d^eta
+    and d^{eta-1} (``state``), ``prev`` None at startup, whose ghost level takes the
+    velocity ``d1``.  R(X) = S(c_lin) X + th_dt2 sum_j G_j(X) K1 (X - s_j) + const,
+    ``terms`` the (b_j, s_j, K1 s_j); ``F_avg`` is the averaged load.
+    """
+
+    def __init__(self, ops, cfg, row, curr, prev, d1):
+        dt, th = cfg.dt, cfg.theta
+        (bm, bn, bp), (self.c1, self.c2, self.c3), (Fm, Fn, Fp) = row
+        self.ops = ops
+        self.th_dt2 = th * dt * dt
+        _, Od, q = curr  # Od rows: A d, K1 d, K2 d, Q d, P d
+        self.F_avg = (th * Fp + (1.0 - th) * Fn if prev is None
+                      else th * Fm + (1.0 - 2.0 * th) * Fn + th * Fp)
+        self.const = const = self.c2 @ Od  # summed in place, term by term
+        const += dt * dt * (1.0 - 2.0 * th) * (bn * q) * Od[1]
+        const -= dt * dt * self.F_avg
+        self.terms = [(bp, None, None)]
+        if prev is None:
+            Od1 = ops.products(d1)
+            self.c_lin = self.c1 + self.c3
+            self.terms.append((bm, 2.0 * dt * d1, 2.0 * dt * Od1[1]))
+            const -= 2.0 * dt * (self.c3 @ Od1)
+        else:
+            _, Odp, qp = prev
+            self.c_lin = self.c1
+            const += self.c3 @ Odp
+            const += self.th_dt2 * (bm * qp) * Odp[1]
+
+    def _kirchhoff(self, X, K1X, q):
+        """[(b_j, G_j(X), K1 (X - s_j))] over the terms; q = X^T K1 X serves the unshifted one."""
+        out = []
+        for b, s, K1s in self.terms:
+            z, K1z = (X, K1X) if s is None else (X - s, K1X - K1s)
+            out.append((b, b * (q if s is None else float(z @ K1z)), K1z))
+        return out
+
+    def residual(self, X, OX, q):
+        """(R(X), terms) from the state (X, OX, q); ``terms`` are what ``jacobian_parts`` takes."""
+        terms = self._kirchhoff(X, OX[1], q)
+        r = self.c_lin @ OX
+        r += self.const
+        for _, g, K1z in terms:
+            r += self.th_dt2 * g * K1z
+        return r, terms
+
+    def jacobian_parts(self, terms):
+        """(c, U, V) with J = S(c) + U V^T at the X whose ``residual`` gave ``terms``."""
+        c = self.c_lin.copy()
+        c[1] += self.th_dt2 * sum(g for _, g, _ in terms)  # slot 1 is K1
+        U, V = np.empty((2, terms[0][2].size, len(terms)))
+        for j, (b, _, K1z) in enumerate(terms):
+            np.multiply(self.th_dt2, K1z, out=U[:, j])
+            np.multiply(2.0 * b, K1z, out=V[:, j])
+        return c, U, V
+
+
+def reference_newton(problem, start, solver=None):
+    """Newton's iteration on a ``StepProblem`` from the state ``start``, one layer per
+    formula: (the state at X, iterations, max |R(X)|), as ``newmark.newton_solve``."""
+    solver = solver or LinearSolver(problem.ops)
+    X, OX, q = start[0].copy(), *start[1:]
+    for it in range(1, newmark.NEWTON_MAX_ITER + 1):
+        r, terms = problem.residual(X, OX, q)
+        rn = float(np.abs(r).max())
+        if not math.isfinite(rn):
+            raise NewtonNoConvergence("non-finite residual")
+        if rn < newmark.NEWTON_TOL_RESID:
+            return (X, OX, q), it - 1, rn
+        c, U, V = problem.jacobian_parts(terms)
+        step = solver.solve(c, np.negative(r, out=r), U, V)
+        X, OX, q = state(problem.ops, np.add(X, step, out=X))
+        if np.abs(step).max() < newmark.NEWTON_TOL_STEP:
+            return (X, OX, q), it, float(np.abs(problem.residual(X, OX, q)[0]).max())
+    raise NewtonNoConvergence(f"no convergence in {newmark.NEWTON_MAX_ITER} iterations")
+
+
+def reference_advance(system, cfg, d0, d1):
+    """The march as one ``StepProblem`` and one ``reference_newton`` per step, from
+    the run's time table: the reference ``advance`` is pinned to bit for bit."""
+    times = cfg.dt * np.arange(cfg.n_steps + 1)
+    ds, iters, residuals = [np.asarray(d0, dtype=float)], [], []
+    solver = LinearSolver(system.ops)
+    b1, L1, L2, C = system.time_table(cfg)
+    mats = step_matrices(cfg, L1, L2)
+    loads = (system.level_load(0.0, C[0]),) * 2
+    curr, prev = state(system.ops, ds[0]), None
+    for eta in range(cfg.n_steps):
+        if eta == 1:
+            solver.reset()
+        loads = loads[-2:] + (system.level_load(times[eta + 1], C[eta + 1]),)
+        row = (b1[max(eta - 1, 0)], b1[eta], b1[eta + 1]), mats[eta], loads
+        prob = StepProblem(system.ops, cfg, row, curr, prev, d1)
+        try:
+            reached, nit, resid = reference_newton(prob, curr, solver)
+        except (NewtonNoConvergence, SingularJacobian):
+            break
+        dinf = float(np.abs(reached[0]).max(initial=0.0))
+        if not math.isfinite(dinf) or dinf > newmark.DIVERGENCE_THRESHOLD:
+            break
+        ds.append(reached[0])
+        iters.append(nit)
+        residuals.append(resid)
+        prev, curr = curr, reached
+    done = len(ds) == cfg.n_steps + 1
+    return Trajectory(ds, times[: len(ds)], iters, residuals,
+                      "completed" if done else "diverged", None if done else len(ds),
+                      solver.factorizations, solver.gmres_iterations)
+
+
+def newton_step(problem, start, solver=None):
+    """``newmark.newton_solve`` on the step a ``StepProblem`` poses, from the state
+    ``start``, its solves through ``solver`` (a fresh ``LinearSolver`` by default)."""
+    solver = solver or LinearSolver(problem.ops)
+    return newmark.newton_solve(start, problem.c_lin, problem.const, problem.terms,
+                                problem.ops.products, solver.solve, problem.th_dt2)
+
+
 def residual_at(problem, X):
     """R(X) of a ``StepProblem``, with the state of X formed here as ``advance`` forms it."""
     return problem.residual(*state(problem.ops, X))[0]
@@ -267,7 +400,7 @@ def step_row(system, cfg, eta):
     cfg = dataclasses.replace(cfg, n_steps=max(cfg.n_steps, eta + 1))
     b1, L1, L2, C = system.time_table(cfg)
     levels = max(eta - 1, 0), eta, eta + 1
-    return (tuple(b1[k] for k in levels), StepProblem.step_matrices(cfg, L1, L2)[eta],
+    return (tuple(b1[k] for k in levels), step_matrices(cfg, L1, L2)[eta],
             tuple(system.level_load(k * cfg.dt, C[k]) for k in levels))
 
 

@@ -19,10 +19,10 @@ from movingbeam import (
 )
 from movingbeam.fem import _BLOCK_VALUES, _elem_integrals
 from movingbeam.geometry import eval_boundary, time_factors
-from movingbeam.newmark import LinearSolver, state
+from movingbeam.newmark import LinearSolver
 
 from conftest import (UnclampedSpace, a_coefficients, assemble_time_dependent, free_operators,
-                      kirchhoff_scalar, project_initial, step_problem)
+                      kirchhoff_scalar, project_initial, state, step_problem)
 
 
 class TestQuadrature:

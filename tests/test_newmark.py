@@ -29,17 +29,12 @@ from movingbeam import (
 )
 from movingbeam import energy, geometry, newmark
 from movingbeam.geometry import time_factors
-from movingbeam.newmark import (
-    LinearSolver,
-    SingularJacobian,
-    StepProblem,
-    newton_solve,
-    state,
-)
+from movingbeam.newmark import LinearSolver, SingularJacobian, step_matrices
 
-from conftest import (a_coefficients, free_operators, jacobian_dense, kirchhoff_scalar,
-                      residual_at, scalar_l_coefficients, scalar_source_coefficients,
-                      scalar_time_factors, start_at, step_problem, step_row)
+from conftest import (StepProblem, a_coefficients, free_operators, jacobian_dense,
+                      kirchhoff_scalar, newton_step, reference_advance, residual_at,
+                      scalar_l_coefficients, scalar_source_coefficients, scalar_time_factors,
+                      start_at, state, step_problem, step_row)
 
 # K = 1 + t/2: K^-4, and with it the Newton matrix, drifts by about 3% per step at dt = 2^-6
 FAST = MovingBoundary(BoundaryKind.LINEAR_DRIFT, base=1.0, slope=0.5,
@@ -109,6 +104,7 @@ class _ScalarSystem:
         )
         self._b1 = b1
         self._F = F
+        self.source = "F"  # a forced run: every level's load is [F]
 
     def time_table(self, cfg):
         n = cfg.n_steps + 1
@@ -231,7 +227,8 @@ class TestTimeTable:
         for i in (0, 1, 128, 256):
             F = system.level_load(i * cfg.dt, C[i])
             ref = scalar_source_coefficients(case, b, params, i * cfg.dt) @ system._phi
-            assert F.tobytes() == ref.tobytes() == system.load(i * cfg.dt).tobytes()
+            alone = system.level_load(i * cfg.dt, system.source.coefficients(i * cfg.dt))
+            assert F.tobytes() == ref.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("boundary", [MovingBoundary.b2(1), FAST])
     def test_energy_factors_are_the_scalar_time_factors(self, boundary, params, monkeypatch):
@@ -258,7 +255,7 @@ class TestTimeTable:
         space = HermiteSpace(Mesh.uniform(1, 4))
         _, L1, L2, _ = BeamSystem(space, assemble_constant(space), FAST, params).time_table(cfg)
         A, dt, th_dt2 = np.eye(5)[0], cfg.dt, theta * cfg.dt * cfg.dt
-        for eta, got in enumerate(StepProblem.step_matrices(cfg, L1, L2)):
+        for eta, got in enumerate(step_matrices(cfg, L1, L2)):
             half_L1 = 0.5 * dt * L1[eta]
             ref = (A + half_L1 + th_dt2 * L2[eta + 1],
                    dt * dt * (1.0 - 2.0 * theta) * L2[eta] - 2.0 * A,
@@ -295,7 +292,7 @@ class TestNewton:
             else:
                 lo = mid
         root = 0.5 * (lo + hi)
-        (X, *_), iters, _ = newton_solve(prob, start_at(prob, np.zeros(1)))
+        (X, *_), iters, _ = newton_step(prob, start_at(prob, np.zeros(1)))
         assert X[0] == pytest.approx(root, abs=1e-13)
         assert residual_at(prob, X)[0] == pytest.approx(0.0, abs=1e-13)
 
@@ -355,7 +352,7 @@ class TestNewton:
         cfg = NewmarkConfig(theta=0.25, dt=0.1, n_steps=2)
         prob = _scalar_problem(system, cfg, 1)
         with pytest.raises(newmark.NewtonNoConvergence, match="non-finite residual"):
-            newton_solve(prob, start_at(prob, np.zeros(1)))
+            newton_step(prob, start_at(prob, np.zeros(1)))
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -368,7 +365,7 @@ class TestNewton:
         cfg = NewmarkConfig(theta=0.25, dt=2.0**-5, n_steps=8)
         prob = step_problem(system, cfg, 1, d0, d0, d1)
         with pytest.raises(newmark.NewtonNoConvergence, match="non-finite residual"):
-            newton_solve(prob, start_at(prob, d0), _PoisonedSolver(system.ops, bad, after=0))
+            newton_step(prob, start_at(prob, d0), _PoisonedSolver(system.ops, bad, after=0))
         ref = advance(system, cfg, d0, d1)
         assert ref.completed and max(ref.newton_iterations) > 1
         for after in (0, 4, 9):  # the first solve, the first of a step, one inside a step
@@ -449,48 +446,111 @@ class TestAdvance:
     def test_each_level_and_product_formed_once(self, boundary, amplitude, monkeypatch):
         # a homogeneous 1D run evaluates its time factors in one call, which
         # evaluates the boundary once per level, and makes one five-operator
-        # product per residual but each step's first, whose O d^eta comes from
-        # the window, plus O d0 and O d1 at startup; a 1D linear solve makes
-        # none, as it runs no refinement sweep.  The Kirchhoff terms are formed
-        # once per residual: the Jacobian at the same X takes them from it.
+        # product per Newton iterate (the CSR kernel the run binds), plus O d0 and
+        # O d1 at startup (the checked ``products``); a 1D linear solve makes none,
+        # as it runs no refinement sweep.  Each step is one ``newton_solve`` call,
+        # which forms the Kirchhoff terms in one pass over them per residual (one
+        # per iterate and one at the start): the Jacobian at the same X takes them
         factors = _count_calls(monkeypatch, newmark, "time_factors")
-        products = _count_calls(monkeypatch, AssembledOperators, "products")
-        residuals = _count_calls(monkeypatch, StepProblem, "residual")
-        kirchhoff = _count_calls(monkeypatch, StepProblem, "_kirchhoff")
+        checked = _count_calls(monkeypatch, AssembledOperators, "products")
+        kernel = _count_calls(monkeypatch, newmark, "csr_matvec")
+        steps, passes, original = [], [], newmark.newton_solve
+
+        class Terms(list):  # a step's Kirchhoff terms, counting the passes over them
+            def __iter__(self):
+                passes.append(len(self))
+                return super().__iter__()
+
+        monkeypatch.setattr(newmark, "newton_solve", lambda start, c, const, terms, *a: (
+            steps.append(terms) or original(start, c, const, Terms(terms), *a)))
         _, forced, d0, d1 = _mms_system(cells=16, boundary=boundary, amplitude=amplitude)
         system = BeamSystem(forced.space, forced.ops, forced.boundary, forced.params)
         cfg = NewmarkConfig(theta=0.25, dt=2.0**-6, n_steps=16)
         boundaries = _count_calls(monkeypatch, geometry, "eval_boundary")
         traj = advance(system, cfg, d0, d1)
-        assert traj.completed
+        assert traj.completed and len(steps) == cfg.n_steps
         assert len(factors) == 1 and len(boundaries) == cfg.n_steps + 1
-        assert len(products) == len(residuals) - cfg.n_steps + 2
-        assert len(kirchhoff) == len(residuals) > cfg.n_steps
+        assert len(checked) == 2 and len(kernel) == sum(traj.newton_iterations) >= cfg.n_steps
+        assert checked[0][1] is traj.d[0] and checked[1][1] is d1
+        assert len(passes) == sum(traj.newton_iterations) + cfg.n_steps
+        assert passes.count(2) == traj.newton_iterations[0] + 1  # the startup's two terms
         # a forced run takes the source's coefficients in one call, before the
-        # first step; its time factors evaluate the boundary once more per level
-        posed = _count_calls(monkeypatch, StepProblem, "__init__")
+        # first step, from the table's time factors: no boundary is evaluated twice
         coefficients, before = forced.source.coefficients, []
         monkeypatch.setattr(forced.source, "coefficients",
-                            lambda times: before.append(len(posed)) or coefficients(times))
-        factors.clear(), boundaries.clear()
+                            lambda *a: before.append((len(steps), len(a))) or coefficients(*a))
+        factors.clear(), boundaries.clear(), steps.clear()
         assert advance(forced, cfg, d0, d1).completed
-        assert before == [0] and len(posed) == cfg.n_steps
-        assert len(factors) == 1 and len(boundaries) == 2 * (cfg.n_steps + 1)
+        assert before == [(0, 2)] and len(steps) == cfg.n_steps
+        assert len(factors) == 1 and len(boundaries) == cfg.n_steps + 1
 
     @pytest.mark.parametrize("dim,cells", [(1, 16), (2, 8)])
     def test_each_state_carries_its_own_products_and_form(self, dim, cells, monkeypatch):
-        # every step is posed from the states (d, O d, d^T K1 d) of its levels as
-        # Newton left them; each carried q is float(d @ Od[1]) bit for bit, and the
-        # products are those of d.  K = 1 + t/2 and amplitude 1: several iterations a step
-        posed = _count_calls(monkeypatch, StepProblem, "__init__")
+        # every step starts Newton from the state (d, O d, d^T K1 d) of d^eta that the
+        # previous step's Newton returned; each carried q is float(d @ Od[1]) bit for
+        # bit, and the products are those of d.  K = 1 + t/2 and amplitude 1: several
+        # iterations a step
+        posed, reached, original = [], [], newmark.newton_solve
+
+        def recording(start, *args):
+            out = original(start, *args)
+            posed.append(start), reached.append(out[0])
+            return out
+
+        monkeypatch.setattr(newmark, "newton_solve", recording)
         _, system, d0, d1 = _mms_system(dim=dim, cells=cells, boundary=FAST, amplitude=1.0)
         traj = advance(system, NewmarkConfig(theta=0.25, dt=2.0**-5, n_steps=16), d0, d1)
         assert traj.completed and sum(traj.newton_iterations) > len(posed) == 16
-        for eta, (_, _, _, _, curr, prev, _) in enumerate(posed):
-            d, Od, q = curr
-            assert d is traj.d[eta] and prev is (None if eta == 0 else posed[eta - 1][4])
+        for eta, (d, Od, q) in enumerate(posed):
+            assert d is traj.d[eta] and (eta == 0 or posed[eta] is reached[eta - 1])
             assert type(q) is float and q == float(d @ Od[1])
             assert Od.tobytes() == system.ops.products(d).tobytes()
+
+    def test_newton_stops_on_a_small_step(self, monkeypatch):
+        # with no residual below NEWTON_TOL_RESID = 0, Newton stops only on a step
+        # below NEWTON_TOL_STEP: two more iterations than the residual exit takes
+        # in the paper's regime, and the reported residual is max |R| at the X returned
+        _, system, d0, d1 = _mms_system(cells=16)
+        cfg = NewmarkConfig(theta=0.25, dt=2.0**-5, n_steps=8)
+        assert advance(system, cfg, d0, d1).newton_iterations == [1] * cfg.n_steps
+        monkeypatch.setattr(newmark, "NEWTON_TOL_RESID", 0.0)
+        traj = advance(system, cfg, d0, d1)
+        assert traj.completed and traj.newton_iterations == [3] * cfg.n_steps
+        assert reference_advance(system, cfg, d0, d1).newton_iterations == [3] * cfg.n_steps
+        for eta in range(cfg.n_steps):
+            prob = step_problem(system, cfg, eta, traj.d[eta], traj.d[max(eta - 1, 0)], d1)
+            assert traj.residuals[eta] == float(np.abs(residual_at(prob, traj.d[eta + 1])).max())
+
+
+class TestReferenceMarch:
+    # ``advance`` binds a run's products and solve once and runs one Newton loop;
+    # the reference march (tests/conftest.py) poses a ``StepProblem`` per step and
+    # iterates on its residual and Jacobian layers.  Every output is the same bits.
+    # theta = 1/4 and a power-of-2 dt make the weights theta dt^2 and dt^2 (1 - 2 theta)
+    # powers of 2, which hide a change in the order of their products; theta = 0.3 does not
+    @pytest.mark.parametrize("dim,cells,boundary,amplitude,dt,homogeneous,theta", [
+        (1, 16, None, None, 2.0**-7, True, 0.25),    # B1, homogeneous: one iteration a step
+        (1, 16, FAST, 1.0, 2.0**-5, False, 0.25),    # K = 1 + t/2, dt = h/4: several, r = 2
+        (1, 16, FAST, 1.0, 2.0**-5, False, 0.3),
+        (2, 8, None, None, 2.0**-5, False, 0.25),    # S1/B1 in 2D: GMRES, kept preconditioner
+    ])
+    def test_march_is_the_reference_bit_for_bit(self, dim, cells, boundary, amplitude, dt,
+                                                homogeneous, theta):
+        _, system, d0, d1 = _mms_system(dim=dim, cells=cells, boundary=boundary,
+                                        amplitude=amplitude)
+        if homogeneous:
+            system = BeamSystem(system.space, system.ops, system.boundary, system.params)
+        cfg = NewmarkConfig(theta=theta, dt=dt, n_steps=round(1.0 / dt))
+        got, ref = advance(system, cfg, d0, d1), reference_advance(system, cfg, d0, d1)
+        assert got.completed and ref.completed
+        assert got.newton_iterations == ref.newton_iterations
+        assert max(got.newton_iterations) == (3 if boundary else 1)
+        assert np.array(got.residuals).tobytes() == np.array(ref.residuals).tobytes()
+        assert got.factorizations == ref.factorizations > 0
+        assert got.gmres_iterations == ref.gmres_iterations
+        assert (got.gmres_iterations > 0) == (dim == 2)
+        assert len(got.d) == len(ref.d) == cfg.n_steps + 1
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.d, ref.d))
 
 
 def _woodbury_reference(S, rhs, U, V):
@@ -727,7 +787,7 @@ class TestLinearSolver:
         monkeypatch.setattr(newmark, "GMRES_MAX_ITER", 1)
         prob = step_problem(system, cfg, 1, d0, d0, d1)
         with pytest.raises(SingularJacobian, match="GMRES"):
-            newton_solve(prob, start_at(prob, d0))
+            newton_step(prob, start_at(prob, d0))
         traj = advance(system, cfg, d0, d1)
         assert traj.status == "diverged" and traj.diverged_step == 1 and len(traj.d) == 1
         monkeypatch.setattr(newmark, "GMRES_MAX_ITER", 2)
@@ -739,7 +799,7 @@ class TestLinearSolver:
         cfg = NewmarkConfig(theta=0.25, dt=0.1, n_steps=2)
         prob = _scalar_problem(system, cfg, 1)
         with pytest.raises(SingularJacobian):
-            newton_solve(prob, start_at(prob, np.zeros(1)))
+            newton_step(prob, start_at(prob, np.zeros(1)))
         # also when the kept factors belong to a regular matrix (K1 = [[1]], A = 0)
         solver, none = LinearSolver(system.ops), np.zeros((1, 0))
         regular, zero = np.eye(5)[1], np.eye(5)[0]
@@ -804,7 +864,7 @@ class TestLinearSolver:
         assert system.ops.band(c)[0, 0] == 1.0
         assert np.array_equal(U, [[1.0, 1.0]]) and np.array_equal(V, [[-0.5, -0.5]])
         with pytest.raises(SingularJacobian, match="capacitance"):
-            newton_solve(prob, start_at(prob, np.ones(1)))
+            newton_step(prob, start_at(prob, np.ones(1)))
 
     def test_reruns_are_byte_identical(self):
         # factorizations: band LUs in 1D, refreshed eigendecompositions in 2D
@@ -879,7 +939,8 @@ class TestLoadBasis:
         reference = _pointwise_source(case, b, params)
         for t in (0.0, 0.1, 0.25, 0.37, 0.5, 0.61, 0.75, 0.9, 1.0):
             ref = assemble_load(space, lambda y: reference(y, t))
-            assert np.max(np.abs(system.load(t) - ref)) <= 1e-13 * np.max(np.abs(ref))
+            F = system.level_load(t, system.source.coefficients(t))
+            assert np.max(np.abs(F - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_forced_run_integrates_five_terms_once(self, monkeypatch):
         # five integrations per run, each on the 1D axis space, in 2D too
@@ -906,7 +967,7 @@ class TestLoadBasis:
         homogeneous = BeamSystem(system.space, system.ops, system.boundary, system.params)
         traj = advance(homogeneous, NewmarkConfig(dt=2.0**-6, n_steps=8), d0, d1)
         assert traj.completed and calls == []
-        assert np.all(homogeneous.load(0.5) == 0.0)
+        assert homogeneous.level_load(0.5, None) == 0.0  # the row C[i] of a homogeneous run
 
     @pytest.mark.parametrize("dim,cells", [(1, 16), (2, 4)])
     def test_homogeneous_run_equals_zero_source_run(self, dim, cells):
@@ -950,7 +1011,7 @@ class TestLoadBasis:
                             make_source(case, b1_1d, params))
         with np.errstate(invalid="ignore"), pytest.raises(ValueError,
                                                          match="non-finite at t=0.25"):
-            system.load(0.25)
+            system.level_load(0.25, system.source.coefficients(0.25))
 
 
     def test_non_finite_level_load_in_a_run_names_the_time(self, b1_1d, params):

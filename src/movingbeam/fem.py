@@ -338,12 +338,19 @@ class AssembledOperators:
             (self.stack.reshape(-1), np.tile(self.A.indices, m), indptr), shape=(m * n, n)
         )
 
+    @functools.cached_property
+    def _kernel(self) -> tuple:
+        """``stacked`` as the CSR kernel's arguments (rows, columns, indptr, indices, data)."""
+        M = self.stacked
+        return (*M.shape, M.indptr, M.indices, M.data)
+
     def products(self, x: np.ndarray) -> np.ndarray:
         """(A x, K1 x, K2 x, Q x, P x) as one (5, n) array: the CSR kernel of ``stacked @ x``."""
-        if np.shape(x) != (self.A.shape[1],):  # the kernel reads x unchecked
-            raise ValueError(f"products takes {self.A.shape[1]} entries, got shape {np.shape(x)}")
-        M, out = self.stacked, np.zeros(self.stack.shape[0] * self.A.shape[0])
-        csr_matvec(*M.shape, M.indptr, M.indices, M.data, x, out)
+        kernel = self._kernel
+        if np.shape(x) != (kernel[1],):  # the kernel reads x unchecked
+            raise ValueError(f"products takes {kernel[1]} entries, got shape {np.shape(x)}")
+        out = np.zeros(kernel[0])
+        csr_matvec(*kernel, x, out)
         return out.reshape(len(self.BASIS), -1)
 
     def error_forms(self, E: np.ndarray) -> np.ndarray:

@@ -16,17 +16,16 @@ products in 2D); S is formed in LAPACK band storage, by one product, only when
 the 1D solver factors it.  The load F(t) follows the same rule over the
 source's five spatial terms, integrated once per run on the 1D axis (a 2D
 term's load is a sum of tensor products of 1D ones); a homogeneous run forms
-none.  ``advance`` binds a run's machinery once, before the first step:
-its time table, b1, L1, L2 and the load coefficients C of every level
-(``BeamSystem.time_table``), the step matrices of every step (``step_matrices``), the
-products x -> O x of its iterates (in 1D the CSR kernel on the stacked operators' arrays,
-in 2D ``ops.products``) and the linear solve of its ``LinearSolver``; a level's load is
-C[i] @ Phi.  Each state is carried as (d, O d, d^T K1 d), each part formed once.  A step
-forms only its constant part, in place, from the states of its levels, and runs
-``newton_solve``: one loop for the startup step, its ghost level included, and the
-generic steps, with no object formed per step.  Its
-Jacobian is a step matrix plus a low-rank correction from the differential of
-G (``LinearSolver``): in 1D each solve is one LAPACK ``dgbsv`` and the Woodbury
+none.  ``advance`` binds a run's machinery once, before the first step: its
+time table, b1, L1, L2 and the load coefficients C of every level
+(``BeamSystem.time_table``), the step matrices of every step (``step_matrices``),
+the products x -> O x of its states (``ops.products``) and the linear solve of its
+``LinearSolver``; a level's load is C[i] @ Phi.  Each state is carried as
+(d, O d, d^T K1 d), each part formed once.  A step forms only its constant part, in
+place, from the states of its levels, and runs ``newton_solve``: one loop for the
+startup step, its ghost level included, and the generic steps, with no object formed
+per step.  Its Jacobian is a step matrix plus a low-rank correction from the
+differential of G (``LinearSolver``): in 1D each solve is one LAPACK ``dgbsv`` and the Woodbury
 identity, its capacitance in closed form for one Kirchhoff term (``dgesv`` for
 the startup step's two); in 2D it is GMRES, which applies S in one pass
 (``ops.operator``), preconditioned by a kept fast diagonalization of the
@@ -45,7 +44,6 @@ from typing import Callable, Protocol, Sequence, runtime_checkable
 import numpy as np
 from scipy.linalg import eigh, solve_triangular
 from scipy.linalg.lapack import dgbsv, dgesv
-from scipy.sparse._sparsetools import csr_matvec
 
 from .fem import (AssembledOperators, HermiteSpace, KroneckerOperators, assemble_load,
                   l_coefficients)
@@ -319,21 +317,6 @@ def step_matrices(cfg: NewmarkConfig, L1: np.ndarray, L2: np.ndarray) -> np.ndar
                      A - half_L1 + th_dt2 * np.vstack([L2[:1], L2[:-2]])], axis=1)
 
 
-def _products(ops: AssembledOperators | KroneckerOperators) -> Callable:
-    """x -> ``ops.products(x)`` as the march applies it to its own iterates: in 1D the
-    CSR kernel on ``stacked``'s arrays, bound here, with no check of the length of x."""
-    if not isinstance(ops, AssembledOperators):
-        return ops.products
-    M, rows = ops.stacked, len(AssembledOperators.BASIS)
-    matrix = (*M.shape, M.indptr, M.indices, M.data)
-
-    def products(x):
-        out = np.zeros(matrix[0])
-        csr_matvec(*matrix, x, out)
-        return out.reshape(rows, -1)
-    return products
-
-
 def newton_solve(start: tuple, c: np.ndarray, const: np.ndarray, terms: list,
                  products: Callable, solve: Callable, th_dt2: float) -> tuple:
     """Newton's iteration for one step's
@@ -367,10 +350,11 @@ def newton_solve(start: tuple, c: np.ndarray, const: np.ndarray, terms: list,
             raise NewtonNoConvergence("non-finite residual")
         J = c.copy()
         J[1] += th_dt2 * G  # slot 1 is K1
-        # U and V from K, whose columns are the K1 (X - s_j), C-ordered; np.stack takes 3 us
+        # U and V from K, whose columns are the K1 (X - s_j), C-ordered
         K = K1z[0][:, None] if len(K1z) == 1 else np.stack(K1z, axis=1)
         step = solve(J, np.negative(r, out=r), th_dt2 * K, K * b2)
-        OX = products(np.add(X, step, out=X))  # a new X per iterate: energy1d peak RSS +0.5 MB
+        # in place: a fresh X per iterate raised energy1d's peak RSS
+        OX = products(np.add(X, step, out=X))
         q, it = float(X @ OX[1]), it + 1
         if it == NEWTON_MAX_ITER and not _max(np.abs(step)) < NEWTON_TOL_STEP:
             raise NewtonNoConvergence(f"no convergence in {NEWTON_MAX_ITER} iterations")
@@ -400,10 +384,10 @@ def advance(system: BeamSystem, cfg: NewmarkConfig, d0: np.ndarray,
     level 0 standing in for level -1.  Both are the form of ``newton_solve``, with
     S = M1 and the one term (b1^{eta+1}, 0) on a generic step, and S = M1 + M3 and the
     terms (b1^1, 0), (b1^0, 2 dt d1) at startup; the rest is ``const``, formed from the
-    states (d, O d, d^T K1 d) of d^eta and d^{eta-1}, which Newton left.  A homogeneous
-    run subtracts no load.  Divergence (non-finite iterates, Newton failure or a norm
-    explosion past ``DIVERGENCE_THRESHOLD``) terminates the run early with
-    status "diverged" carrying the offending step.
+    states (d, O d, d^T K1 d) of d^eta and d^{eta-1}, which Newton left; a homogeneous
+    run's load is 0.0 (``level_load``).  Divergence (non-finite iterates, Newton
+    failure or a norm explosion past ``DIVERGENCE_THRESHOLD``) terminates the run early
+    with status "diverged" carrying the offending step.
     """
     ops, dt, th = system.ops, cfg.dt, cfg.theta
     times = dt * np.arange(cfg.n_steps + 1)
@@ -411,15 +395,13 @@ def advance(system: BeamSystem, cfg: NewmarkConfig, d0: np.ndarray,
     iters, residuals = [], []  # Newton's iterations and final max |R| per step
 
     solver = LinearSolver(ops)  # local to the run, so no factor outlives it
-    solve, products = solver.solve, _products(ops)
+    solve, products = solver.solve, ops.products
     b1, L1, L2, C = system.time_table(cfg)
     b1, mats = b1.tolist(), step_matrices(cfg, L1, L2)
     del L1, L2  # the march reads only b1, the step matrices and C
     th_dt2, dt2, explicit = th * dt * dt, dt * dt, dt * dt * (1.0 - 2.0 * th)
-    forced = system.source is not None
-    if forced:  # F at eta-1 and eta; level 0 stands in for -1
-        loads = (system.level_load(0.0, C[0]),) * 2
-    Od = ops.products(ds[0])  # the run's inputs go through the checked products
+    loads = (system.level_load(0.0, C[0]),) * 2  # F at eta-1 and eta; level 0 stands in for -1
+    Od = products(ds[0])
     curr, prev = (ds[0], Od, float(ds[0] @ Od[1])), None  # the states at eta, eta-1
     for eta in range(cfg.n_steps):
         if eta == 1:  # the startup matrix M1 + M3 is about 2 M1: too far to precondition
@@ -427,14 +409,13 @@ def advance(system: BeamSystem, cfg: NewmarkConfig, d0: np.ndarray,
         (c1, c2, c3), (_, Od, q) = mats[eta], curr
         const = c2 @ Od  # summed in place, term by term
         const += explicit * (b1[eta] * q) * Od[1]
-        if forced:
-            loads = loads[-2:] + (system.level_load(times[eta + 1], C[eta + 1]),)
-            Fm, Fn, Fp = loads
-            const -= dt2 * (th * Fp + (1.0 - th) * Fn if prev is None
-                            else th * Fm + (1.0 - 2.0 * th) * Fn + th * Fp)
+        loads = loads[-2:] + (system.level_load(times[eta + 1], C[eta + 1]),)
+        Fm, Fn, Fp = loads
+        const -= dt2 * (th * Fp + (1.0 - th) * Fn if prev is None
+                        else th * Fm + (1.0 - 2.0 * th) * Fn + th * Fp)
         terms = [(b1[eta + 1], None, None)]  # (b_j, s_j, K1 s_j)
         if prev is None:
-            Od1 = ops.products(d1)
+            Od1 = products(d1)
             c = c1 + c3
             terms.append((b1[0], 2.0 * dt * d1, 2.0 * dt * Od1[1]))
             const -= 2.0 * dt * (c3 @ Od1)

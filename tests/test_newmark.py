@@ -446,14 +446,12 @@ class TestAdvance:
     def test_each_level_and_product_formed_once(self, boundary, amplitude, monkeypatch):
         # a homogeneous 1D run evaluates its time factors in one call, which
         # evaluates the boundary once per level, and makes one five-operator
-        # product per Newton iterate (the CSR kernel the run binds), plus O d0 and
-        # O d1 at startup (the checked ``products``); a 1D linear solve makes none,
-        # as it runs no refinement sweep.  Each step is one ``newton_solve`` call,
+        # product per Newton iterate, plus O d0 and O d1 at startup; a 1D linear
+        # solve makes none, as it runs no refinement sweep.  Each step is one ``newton_solve`` call,
         # which forms the Kirchhoff terms in one pass over them per residual (one
         # per iterate and one at the start): the Jacobian at the same X takes them
         factors = _count_calls(monkeypatch, newmark, "time_factors")
-        checked = _count_calls(monkeypatch, AssembledOperators, "products")
-        kernel = _count_calls(monkeypatch, newmark, "csr_matvec")
+        products = _count_calls(monkeypatch, AssembledOperators, "products")
         steps, passes, original = [], [], newmark.newton_solve
 
         class Terms(list):  # a step's Kirchhoff terms, counting the passes over them
@@ -470,8 +468,8 @@ class TestAdvance:
         traj = advance(system, cfg, d0, d1)
         assert traj.completed and len(steps) == cfg.n_steps
         assert len(factors) == 1 and len(boundaries) == cfg.n_steps + 1
-        assert len(checked) == 2 and len(kernel) == sum(traj.newton_iterations) >= cfg.n_steps
-        assert checked[0][1] is traj.d[0] and checked[1][1] is d1
+        assert len(products) == sum(traj.newton_iterations) + 2 >= cfg.n_steps + 2
+        assert products[0][1] is traj.d[0] and products[1][1] is d1
         assert len(passes) == sum(traj.newton_iterations) + cfg.n_steps
         assert passes.count(2) == traj.newton_iterations[0] + 1  # the startup's two terms
         # a forced run takes the source's coefficients in one call, before the
